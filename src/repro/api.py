@@ -222,8 +222,8 @@ class Pattern:
         wrapped matcher itself is *deferred*: a runtime whose rows were
         adopted from a persisted snapshot (:func:`load_snapshot`) answers
         warm traffic without ever paying matcher preprocessing — the
-        Section-4 matcher is only built on the first transition or
-        acceptance query the adopted rows cannot answer.
+        Section-4 matcher is only built on the first transition the
+        adopted rows cannot answer.
         """
         runtime = self._runtime
         if runtime is None:
@@ -294,13 +294,15 @@ class Pattern:
         once, and each distinct word is a branch-free stride over that
         table; words crossing not-yet-materialized state replay per-word
         through the compiled runtime — filling those rows, so repeated
-        corpora converge to the all-kernel path.  Tiny batches (and
-        machines too large for a kernel table) keep the per-word replay
-        driver.  :meth:`describe` reports which path a pattern takes
-        under ``"batch_path"``.  With ``compiled=False`` this falls back
-        to the direct path — one :meth:`match` per word on the uncompiled
-        matcher — which keeps the per-symbol structure queries observable
-        (that is what the benchmarks compare against).
+        corpora converge to the all-kernel path.  A batch over a runtime
+        with no rows yet replays instead of building a table it would
+        only miss in.  Tiny batches (and machines too large for a kernel
+        table) keep the per-word replay driver.  :meth:`describe` reports
+        which path a pattern takes under ``"batch_path"``.  With
+        ``compiled=False`` this falls back to the direct path — one
+        :meth:`match` per word on the uncompiled matcher — which keeps the
+        per-symbol structure queries observable (that is what the
+        benchmarks compare against).
 
         *detail* selects the result shape: ``"verdict"`` (default) keeps
         the historical ``list[bool]`` and the untraced kernel hot path;

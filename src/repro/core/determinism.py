@@ -32,7 +32,6 @@ from typing import Sequence
 
 from ..regex.ast import Regex
 from ..regex.parse_tree import ParseTree, TreeNode, build_parse_tree
-from .follow import FollowIndex
 from .skeleton import SkeletonIndex
 
 
@@ -89,12 +88,14 @@ class DeterminismChecker:
     The checker exposes the intermediate structures (follow index and
     skeleton index) because the matchers reuse them; constructing this
     object once is the whole O(|e|) preprocessing of Theorems 3.5 and 4.2.
+    The follow index is the tree's own (:attr:`ParseTree.follow`), so the
+    matchers built over the same tree never rebuild it.
     """
 
-    def __init__(self, tree: ParseTree, follow: FollowIndex | None = None):
+    def __init__(self, tree: ParseTree):
         self.tree = tree
-        self.follow = follow if follow is not None else FollowIndex(tree)
-        self.skeletons = SkeletonIndex(tree, self.follow)
+        self.follow = tree.follow
+        self.skeletons = SkeletonIndex(tree)
         self._report: DeterminismReport | None = None
 
     # -- public API ------------------------------------------------------------------

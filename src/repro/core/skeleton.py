@@ -22,17 +22,22 @@ share a decomposition of the parse tree built here:
   non-determinism on the fly, and property (P2) — every ``Next`` set has
   at most one element — is checked as the sets are produced.
 
-Everything is computed in one pass over all skeleta, i.e. in O(|e|).
+Positions come bucketed by symbol from the parse tree and colored nodes are
+bucketed by symbol while the colors are assigned, so building the a-skeleton
+only touches class-a nodes and everything is computed in one pass over all
+skeleta, i.e. in O(|e|) (up to sorting each skeleton's nodes in pre-order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
-from ..regex.alphabet import START_SENTINEL
 from ..regex.parse_tree import NodeKind, ParseTree, TreeNode
-from .follow import FollowIndex
+
+#: sort key putting parse-tree nodes in pre-order
+_pre = attrgetter("pre")
 
 
 class SkeletonNode:
@@ -135,12 +140,14 @@ class SkeletonDiagnostics:
 class SkeletonIndex:
     """Colors, witnesses, a-skeleta and the Next structure for a parse tree."""
 
-    def __init__(self, tree: ParseTree, follow: FollowIndex | None = None):
+    def __init__(self, tree: ParseTree):
         self.tree = tree
-        self.follow = follow if follow is not None else FollowIndex(tree)
+        self.follow = tree.follow
         self.diagnostics = SkeletonDiagnostics()
         #: colors per node: ``colors[node.index][symbol] -> witness position``
         self.colors: dict[int, dict[str, TreeNode]] = {}
+        #: colored nodes per symbol, in pre-order (bucketed by :meth:`_assign_colors`)
+        self._colored: dict[str, list[TreeNode]] = {}
         #: skeleton per symbol (only symbols that actually occur)
         self.skeletons: dict[str, SymbolSkeleton] = {}
         self._assign_colors()
@@ -168,16 +175,18 @@ class SkeletonIndex:
             if colored is None:  # pragma: no cover - SupFirst nodes have parents
                 continue
             self.colors.setdefault(colored.index, {})[position.symbol] = position
+        # Bucket the colored nodes by symbol with one pre-order walk
+        # (``nodes`` is in pre-order), so each skeleton reads its own list.
+        colors = self.colors
+        for node in self.tree.nodes:
+            by_symbol = colors.get(node.index)
+            if by_symbol is not None:
+                for symbol in by_symbol:
+                    self._colored.setdefault(symbol, []).append(node)
 
     def colored_nodes(self, symbol: str) -> list[TreeNode]:
         """The nodes carrying color *symbol*, in pre-order."""
-        nodes = [
-            self.tree.nodes[index]
-            for index, by_symbol in self.colors.items()
-            if symbol in by_symbol
-        ]
-        nodes.sort(key=lambda node: node.pre)
-        return nodes
+        return list(self._colored.get(symbol, ()))
 
     def witness(self, node: TreeNode, symbol: str) -> TreeNode | None:
         """``Witness(node, symbol)`` — the witness position, if the node has the color."""
@@ -207,12 +216,12 @@ class SkeletonIndex:
                 self._build_next(skeleton)
 
     def _build_one_skeleton(self, symbol: str) -> SymbolSkeleton | None:
-        positions = [p for p in self.tree.positions if p.symbol == symbol]
-        if symbol == START_SENTINEL:
-            return None
-        colored = self.colored_nodes(symbol)
-        base = sorted({node.index: node for node in positions + colored}.values(),
-                      key=lambda node: node.pre)
+        # Positions are leaves and colored nodes are internal, so the two
+        # pre-order runs are disjoint; sorting their concatenation merges them.
+        base = sorted(
+            self.tree.positions_by_symbol(symbol) + self._colored.get(symbol, []),
+            key=_pre,
+        )
         if not base:
             return None
 
@@ -229,7 +238,7 @@ class SkeletonIndex:
                 if extra is not None:
                     members[extra.index] = extra
 
-        ordered = sorted(members.values(), key=lambda node: node.pre)
+        ordered = sorted(members.values(), key=_pre)
         skeleton_nodes = [SkeletonNode(node) for node in ordered]
         self._link_skeleton(skeleton_nodes)
         return SymbolSkeleton(symbol, skeleton_nodes[0], skeleton_nodes)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from ..regex.ast import Regex
 from ..regex.parse_tree import ParseTree, TreeNode, build_parse_tree
-from .follow import FollowIndex
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,17 +47,13 @@ class XPathCheckResult:
 def xpath_determinism_check(expr: Regex | ParseTree | str) -> XPathCheckResult:
     """Evaluate the Theorem 3.6 characterisation on *expr* (reference check)."""
     tree = expr if isinstance(expr, ParseTree) else build_parse_tree(expr)
-    follow = FollowIndex(tree)
+    follow = tree.follow
 
     p1 = _phi_p1(tree)
     if p1 is not None:
         return XPathCheckResult(False, "P1", p1)
 
     positions = tree.positions
-    # Group positions by label so only same-labelled pairs are enumerated.
-    by_label: dict[str, list[TreeNode]] = {}
-    for position in positions:
-        by_label.setdefault(position.symbol, []).append(position)
 
     checks = (
         ("concat-concat", follow.follows_via_concat, follow.follows_via_concat),
@@ -66,16 +61,14 @@ def xpath_determinism_check(expr: Regex | ParseTree | str) -> XPathCheckResult:
         ("star-concat", follow.follows_via_star, follow.follows_via_concat),
         ("star-star", follow.follows_via_star, follow.follows_via_star),
     )
-    for label, group in by_label.items():
-        if len(group) < 2:
-            continue
+    # Only same-labelled pairs are enumerated.
+    for group in tree.symbol_positions.values():
         for i, first in enumerate(group):
             for second in group[i + 1:]:
                 for name, via_first, via_second in checks:
                     witness = _common_source(positions, first, second, via_first, via_second)
                     if witness is not None:
                         return XPathCheckResult(False, name, (witness, first, second))
-        del label
     return XPathCheckResult(True)
 
 

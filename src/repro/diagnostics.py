@@ -199,7 +199,7 @@ class _CompiledEngine:
     def expected(self, state: int) -> tuple[str, ...]:
         runtime = self.runtime
         if self.exact:
-            return runtime.matcher.follow.next_symbols(runtime._positions[state])
+            return runtime.tree.follow.next_symbols(runtime._positions[state])
         # k-occurrence fallback: probe the transition function itself —
         # the stuck state may be one of several copy-equivalent positions
         # of the rewritten tree, and only the matcher resolves that.

@@ -212,7 +212,7 @@ class Lexer:
                 break
             state = target
             offset += 1
-        viable = self.pattern.matcher.follow.next_positions(runtime._positions[state])
+        viable = self.pattern.tree.follow.next_positions(runtime._positions[state])
         expected = tuple(sorted({node.symbol for node in viable}))
         tag_indices = {
             self._tag_by_state[node.position_index]

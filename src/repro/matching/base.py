@@ -53,7 +53,8 @@ class DeterministicMatcher(ABC):
         if checker is not None and checker.tree is not self.tree:
             raise ValueError("the supplied checker was built for a different parse tree")
         self._checker = checker
-        self.follow: FollowIndex = checker.follow if checker is not None else FollowIndex(self.tree)
+        #: the tree's shared follow index (built once per parse tree)
+        self.follow: FollowIndex = self.tree.follow
         if verify:
             report = self.checker.report()
             if not report.deterministic:
@@ -71,7 +72,7 @@ class DeterministicMatcher(ABC):
     def checker(self) -> DeterminismChecker:
         """The determinism checker (and its skeleton index), built on demand."""
         if self._checker is None:
-            self._checker = DeterminismChecker(self.tree, self.follow)
+            self._checker = DeterminismChecker(self.tree)
         return self._checker
 
     def _prepare(self) -> None:

@@ -595,6 +595,28 @@ def match_corpus(runtime, program: KernelProgram, corpus: KernelCorpus, replay=N
     return verdicts, kernel_count, fallback
 
 
+def replay_words(runtime, words: Sequence[Sequence[str]], replay=None) -> list[bool]:
+    """Answer a batch by per-word replay alone, each distinct word once.
+
+    The batch path for a cold runtime (see ``CompiledRuntime.cold``): a
+    table built before any row exists would send every word to fallback,
+    so the words go straight to the fallback driver — *replay*, as in
+    :func:`match_corpus` — and are all counted as fallback words.
+    """
+    accepts_encoded = runtime.accepts_encoded if replay is None else replay
+    encode = runtime.encode
+    seen: dict[tuple, bool] = {}
+    verdicts = []
+    for word in words:
+        key = tuple(word)
+        verdict = seen.get(key)
+        if verdict is None:
+            verdict = seen[key] = accepts_encoded(encode(word))
+        verdicts.append(verdict)
+    _bump(fallback_words=len(verdicts))
+    return verdicts
+
+
 def match_words(runtime, words: Sequence[Sequence[str]], replay=None):
     """One-call batch driver: program export, corpus encode, scan, fallback.
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..core.follow import FollowIndex
 from ..regex.ast import Regex
 from ..regex.parse_tree import ParseTree, TreeNode, build_parse_tree
 from .base import DeterministicMatcher
@@ -28,11 +27,9 @@ class KOccurrenceMatcher(DeterministicMatcher):
     name = "k-occurrence"
 
     def _prepare(self) -> None:
-        # One list of positions per symbol, gathered in a single pass; the
-        # list for symbol a has length <= k by definition of k-ORE.
-        self._positions_by_symbol: dict[str, list[TreeNode]] = {}
-        for position in self.tree.positions:
-            self._positions_by_symbol.setdefault(position.symbol, []).append(position)
+        # The tree's one list of positions per symbol; the list for symbol
+        # a has length <= k by definition of k-ORE.
+        self._positions_by_symbol = self.tree.symbol_positions
 
     @property
     def occurrence_bound(self) -> int:
@@ -65,10 +62,8 @@ class SubsetKOccurrenceMatcher:
 
     def __init__(self, expr: Regex | ParseTree | str):
         self.tree = expr if isinstance(expr, ParseTree) else build_parse_tree(expr)
-        self.follow = FollowIndex(self.tree)
-        self._positions_by_symbol: dict[str, list[TreeNode]] = {}
-        for position in self.tree.positions:
-            self._positions_by_symbol.setdefault(position.symbol, []).append(position)
+        self.follow = self.tree.follow
+        self._positions_by_symbol = self.tree.symbol_positions
 
     def step(self, current: list[TreeNode], symbol: str) -> list[TreeNode]:
         """All *symbol*-labelled positions following any position of *current*."""

@@ -244,15 +244,24 @@ class CompiledPlan(ExecutionPlan):
         Returns the verdict list and books the pattern's kernel traffic
         split.  Building a composed table costs milliseconds; tiny batches
         only route through the kernel when a program is already cached.
+        A batch over a *cold* runtime builds no table either — every scan
+        would miss on its first symbol — so its distinct words replay
+        through *replay* (filling the rows the next batch's program is
+        built over) and are all booked as fallback words.
         """
         runtime = self.runtime
-        if len(parsed) >= kernel.MIN_BATCH or runtime._kernel_programs:
-            result = kernel.match_words(runtime, parsed, replay=replay)
-            if result is not None:
-                verdicts, kernel_words, fallback_words = result
-                self.pattern._record_kernel_traffic(kernel_words, fallback_words)
-                return verdicts
-        return None
+        if len(parsed) < kernel.MIN_BATCH and not runtime._kernel_programs:
+            return None
+        if runtime.cold and kernel.eligible(runtime.tree):
+            verdicts = kernel.replay_words(runtime, parsed, replay=replay)
+            self.pattern._record_kernel_traffic(0, len(verdicts))
+            return verdicts
+        result = kernel.match_words(runtime, parsed, replay=replay)
+        if result is None:
+            return None
+        verdicts, kernel_words, fallback_words = result
+        self.pattern._record_kernel_traffic(kernel_words, fallback_words)
+        return verdicts
 
     def _match_verdicts(self, parsed: Sequence[Sequence[str]]) -> list[bool]:
         verdicts = self._kernel_attempt(parsed)

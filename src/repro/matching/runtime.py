@@ -262,11 +262,12 @@ class CompiledRuntime:
         """The wrapped Section-4 matcher, built on first *miss* if deferred.
 
         Snapshot-preloaded runtimes start without a matcher: as long as
-        every transition and acceptance query is answered by adopted
-        rows, the (expensive) matcher preprocessing never runs.  The
-        first genuine miss invokes the factory — a factory must be
-        idempotent under races (``Pattern.matcher`` is: it double-checks
-        under the pattern's init lock).
+        every transition is answered by adopted rows, the (expensive)
+        matcher preprocessing never runs — acceptance verdicts come off
+        the tree's own follow index.  The first genuine miss invokes the
+        factory — a factory must be idempotent under races
+        (``Pattern.matcher`` is: it double-checks under the pattern's init
+        lock).
         """
         matcher = self._matcher_obj
         if matcher is None:
@@ -360,7 +361,7 @@ class CompiledRuntime:
             with self._lock:
                 verdict = self._accepts[state]
                 if verdict < 0:
-                    accepted = self.matcher.follow.accepts_at(self._positions[state])
+                    accepted = self.tree.follow.accepts_at(self._positions[state])
                     verdict = self._accepts[state] = 1 if accepted else 0
                     self._generation += 1
         return verdict == 1
@@ -559,6 +560,15 @@ class CompiledRuntime:
         self._kernel_programs[max_stride] = (generation, program)
         self.kernel_programs_built += 1
         return program
+
+    @property
+    def cold(self) -> bool:
+        """True while the start row is unmaterialized and no kernel program is cached.
+
+        A kernel table built now would send every word whose first symbol
+        is in the alphabet to fallback; batch callers replay instead.
+        """
+        return self._rows[self._start_state] is None and not self._kernel_programs
 
     def materialized(self) -> int:
         """Single-number gauge of how much state this runtime holds.

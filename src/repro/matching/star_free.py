@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..core.determinism import DeterminismChecker
-from ..core.follow import FollowIndex
 from ..errors import NotDeterministicError
 from ..regex.ast import Regex
 from ..regex.parse_tree import NodeKind, ParseTree, TreeNode, build_parse_tree
@@ -70,9 +69,9 @@ class StarFreeMultiMatcher:
         self.tree = expr if isinstance(expr, ParseTree) else build_parse_tree(expr)
         if any(node.is_iteration for node in self.tree.nodes):
             raise ValueError("StarFreeMultiMatcher requires a star-free expression")
-        self.follow = FollowIndex(self.tree)
+        self.follow = self.tree.follow
         if verify:
-            report = DeterminismChecker(self.tree, self.follow).report()
+            report = DeterminismChecker(self.tree).report()
             if not report.deterministic:
                 raise NotDeterministicError(
                     "StarFreeMultiMatcher requires a deterministic expression: "

@@ -29,7 +29,7 @@ paper (positions subscripted left to right) corresponds to
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..errors import InvalidExpressionError
 from .alphabet import Alphabet, END_SENTINEL, START_SENTINEL, SENTINELS
@@ -47,6 +47,9 @@ from .ast import (
 )
 from .normalize import normalize
 from .parser import parse
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.follow import FollowIndex
 
 
 class NodeKind(str, Enum):
@@ -178,6 +181,9 @@ class ParseTree:
         The user symbols (sentinels excluded) with dense integer codes.
     source:
         The normalised AST the tree was built from (without sentinels).
+    follow:
+        The tree's :class:`~repro.core.follow.FollowIndex`, built on first
+        use and shared by the determinism test and every matcher.
     """
 
     __slots__ = (
@@ -190,6 +196,7 @@ class ParseTree:
         "alphabet",
         "source",
         "_positions_by_symbol",
+        "_follow",
     )
 
     def __init__(
@@ -210,6 +217,7 @@ class ParseTree:
         self.alphabet = alphabet
         self.source = source
         self._positions_by_symbol: dict[str, list[TreeNode]] | None = None
+        self._follow: FollowIndex | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -227,14 +235,39 @@ class ParseTree:
         """Number of positions including the two sentinels."""
         return len(self.positions)
 
-    def positions_by_symbol(self, symbol: str) -> list[TreeNode]:
-        """Return the positions labelled *symbol*, in left-to-right order."""
-        if self._positions_by_symbol is None:
-            table: dict[str, list[TreeNode]] = {}
+    @property
+    def symbol_positions(self) -> dict[str, list[TreeNode]]:
+        """The positions grouped by label (sentinels included), each left to right.
+
+        Built in one pass on first use and shared by every caller, which
+        must treat it as read-only.
+        """
+        table = self._positions_by_symbol
+        if table is None:
+            table = {}
             for position in self.positions:
                 table.setdefault(position.symbol, []).append(position)
             self._positions_by_symbol = table
-        return self._positions_by_symbol.get(symbol, [])
+        return table
+
+    def positions_by_symbol(self, symbol: str) -> list[TreeNode]:
+        """Return the positions labelled *symbol*, in left-to-right order."""
+        return self.symbol_positions.get(symbol, [])
+
+    @property
+    def follow(self) -> FollowIndex:
+        """The O(1) follow/LCA index of Theorem 2.4, built once per tree.
+
+        This is the preprocessing the determinism test and every
+        Section-4 matcher share.  Two threads racing on a fresh tree may
+        both build an index; both are correct and the last store wins.
+        """
+        follow = self._follow
+        if follow is None:
+            from ..core.follow import FollowIndex
+
+            follow = self._follow = FollowIndex(self)
+        return follow
 
     def occurrence_count(self) -> int:
         """Maximum occurrences of any user symbol (the ``k`` of k-ORE)."""

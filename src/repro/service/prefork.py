@@ -303,6 +303,12 @@ class PreforkHTTPServer(ServiceHTTPServer):
     ``accept()`` runs on the shared listening socket — the kernel hands
     each connection to exactly one worker — and ``GET /stats`` answers
     with the fleet view merged from the :class:`StatsBoard`.
+
+    The adopted listener is non-blocking: every connection wakes every
+    worker's selector, and a worker that loses the race must not sit in
+    ``accept()`` (where ``shutdown()`` could never reach it).  Its
+    ``BlockingIOError`` is an ``OSError``, which socketserver already
+    ignores; accepted connections are switched back to blocking.
     """
 
     def __init__(
@@ -319,6 +325,7 @@ class PreforkHTTPServer(ServiceHTTPServer):
         # we are adopting; TCPServer's own (unbound) socket is discarded.
         ThreadingHTTPServer.__init__(self, address, ServiceRequestHandler, bind_and_activate=False)
         self.socket.close()
+        listen_socket.setblocking(False)
         self.socket = listen_socket
         self.server_address = address
         self.server_name, self.server_port = address
@@ -329,6 +336,11 @@ class PreforkHTTPServer(ServiceHTTPServer):
         self.processes = processes
         #: file ``GET /snapshot`` streams (fleet bootstrap), if any
         self.snapshot_source = snapshot_source
+
+    def get_request(self):  # noqa: D102 - stdlib override
+        connection, address = self.socket.accept()
+        connection.setblocking(True)
+        return connection, address
 
     def server_close(self) -> None:  # noqa: D102 - stdlib override
         # The listening socket belongs to the parent (and to sibling

@@ -176,18 +176,25 @@ class TestPatternRouting:
         assert pattern.match_all(WORDS) == _oracle("(ab+b(b?)a)*", WORDS)
         stats = pattern.stats()
         assert stats["kernel_words"] + stats["kernel_fallback_words"] == len(WORDS)
-        assert stats["kernel_programs"] >= 1
+        # The first batch ran cold (no rows to build a table over); the
+        # warm one builds the program over the rows it filled.
+        pattern.match_all(WORDS)
+        assert pattern.stats()["kernel_programs"] >= 1
 
     def test_small_batches_stay_on_the_per_word_driver(self):
         pattern = repro.compile("(ab)*")
         few = ["ab", "aba"]
         assert len(few) < MIN_BATCH
         assert pattern.match_all(few) == [True, False]
-        assert pattern.stats()["kernel_programs"] == 0
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 0
+        assert stats["kernel_words"] + stats["kernel_fallback_words"] == 0
 
     def test_small_batches_use_a_program_once_cached(self):
         pattern = repro.compile("(ab)*")
-        pattern.match_all(["ab" * n for n in range(MIN_BATCH)])  # builds the program
+        warmup = ["ab" * n for n in range(MIN_BATCH)]
+        pattern.match_all(warmup)  # cold: replays, fills the rows
+        pattern.match_all(warmup)  # warm: builds the program
         built = pattern.stats()["kernel_programs"]
         assert built >= 1
         kernel_words_before = pattern.stats()["kernel_words"]
@@ -204,6 +211,56 @@ class TestPatternRouting:
         pattern = repro.compile("(ab+b(b?)a)*")
         words = ["abba", "zz", "ba" * 40, "ab" * 17, "b" * 9]
         assert pattern.match_all(words) == [pattern.match(word) for word in words]
+
+
+class TestColdBatches:
+    """A runtime with no rows gets no table: its first batch replays."""
+
+    def test_cold_first_batch_builds_no_program(self):
+        pattern = repro.compile("(ab+b(b?)a)*")
+        assert pattern.runtime.cold
+        assert pattern.match_all(WORDS) == _oracle("(ab+b(b?)a)*", WORDS)
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 0
+        assert kernel.stats()["programs_built"] == 0
+        assert stats["kernel_words"] == 0
+        assert stats["kernel_fallback_words"] == len(WORDS)
+        assert kernel.stats()["fallback_words"] == len(WORDS)
+        assert not pattern.runtime.cold
+
+    def test_cold_full_detail_batch_keeps_its_seeds(self):
+        pattern = repro.compile("(ab+b(b?)a)*")
+        results = pattern.match_all(WORDS, detail="full")
+        assert [bool(result) for result in results] == _oracle("(ab+b(b?)a)*", WORDS)
+        # every word replayed through the trace recorder, so every result
+        # arrives with its diagnosis instead of replaying on first access
+        assert all(result._diagnosis is not None for result in results)
+        assert pattern.stats()["kernel_fallback_words"] == len(WORDS)
+
+    def test_second_batch_answers_through_the_kernel(self):
+        pattern = repro.compile("(ab+b(b?)a)*")
+        pattern.match_all(WORDS)
+        assert pattern.match_all(WORDS) == _oracle("(ab+b(b?)a)*", WORDS)
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 1
+        assert stats["kernel_words"] == len(WORDS)
+        assert stats["kernel_fallback_words"] == len(WORDS)  # the cold batch's
+
+    def test_snapshot_adopted_runtime_builds_its_program_on_the_first_batch(self, tmp_path):
+        warm = repro.compile("(ab+b(b?)a)*")
+        for word in WORDS:
+            warm.match(word)
+        path = str(tmp_path / "rows.snapshot")
+        repro.save_snapshot(path)
+        repro.purge()
+        assert repro.load_snapshot(path)["patterns_loaded"] == 1
+        pattern = repro.compile("(ab+b(b?)a)*")
+        assert not pattern.runtime.cold
+        assert pattern.match_all(WORDS) == _oracle("(ab+b(b?)a)*", WORDS)
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 1
+        assert stats["kernel_words"] == len(WORDS)
+        assert stats["kernel_fallback_words"] == 0
 
 
 class TestTelemetry:

@@ -24,6 +24,7 @@ import pytest
 import repro
 from repro.lexer import Lexer
 from repro.matching import kernel
+from repro.matching.dispatch import STRATEGIES
 from repro.matching.plan import PLANNER
 from repro.xml.xsd import element_particle, sequence
 
@@ -115,6 +116,66 @@ class TestRouteMatchesExecution:
         assert pattern.match_all(["aba", "ba"]) == [True, False]
         assert pattern.plan.built_runtime() is None
         assert pattern.plan.built_star_free() is None
+
+
+class TestSharedFollowIndex:
+    """One ``FollowIndex`` (Euler tour plus RMQ) per parse tree, whatever runs."""
+
+    @pytest.fixture
+    def lca_builds(self, monkeypatch):
+        from repro.core import follow
+        from repro.structures.lca import LCAIndex
+
+        built = []
+
+        class CountingLCAIndex(LCAIndex):
+            def __init__(self, root, nodes):
+                built.append(root)
+                super().__init__(root, nodes)
+
+        monkeypatch.setattr(follow, "LCAIndex", CountingLCAIndex)
+        return built
+
+    @pytest.mark.parametrize(
+        ("expr", "table_limit", "route"),
+        [
+            ("ab(a+b)", None, "star-free-multi"),
+            ("(ab+b(b?)a)*", None, "compiled-kernel"),
+            ("(ab+b(b?)a)*", 1, "compiled-runtime"),
+        ],
+    )
+    def test_compile_match_and_batches_build_one_lca_index(
+        self, lca_builds, monkeypatch, expr, table_limit, route
+    ):
+        if table_limit is not None:
+            monkeypatch.setattr(kernel, "TABLE_LIMIT", table_limit)
+        repro.purge()
+        pattern = repro.compile(expr)
+        assert pattern.plan.route == route
+        pattern.match("abba")
+        pattern.match_all(WORDS)
+        pattern.match_all(WORDS, detail="full")
+        assert lca_builds == [pattern.tree.root]
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_every_matcher_reuses_the_tree_index(self, lca_builds, strategy):
+        pattern = repro.Pattern("(ab+b(b?)a)*", strategy=strategy, compiled=False)
+        pattern.match_all(WORDS)
+        assert pattern.matcher.follow is pattern.tree.follow
+        assert lca_builds == [pattern.tree.root]
+
+    def test_checkers_and_batch_matchers_reuse_the_tree_index(self, lca_builds):
+        from repro.core.determinism import DeterminismChecker
+        from repro.core.xpath_check import xpath_determinism_check
+        from repro.matching import StarFreeMultiMatcher, SubsetKOccurrenceMatcher
+        from repro.regex.parse_tree import build_parse_tree
+
+        tree = build_parse_tree("ab(a+b)")
+        assert DeterminismChecker(tree).is_deterministic()
+        assert xpath_determinism_check(tree).deterministic
+        assert SubsetKOccurrenceMatcher(tree).accepts("aba")
+        assert StarFreeMultiMatcher(tree).match_all(["aba", "ab"]) == [True, False]
+        assert lca_builds == [tree.root]
 
 
 class TestPlannerRegistry:

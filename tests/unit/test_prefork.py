@@ -173,6 +173,9 @@ class TestPreforkBoot:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            # Its own session, so a hung shutdown can be killed together
+            # with the forked workers instead of orphaning them.
+            start_new_session=True,
         )
         try:
             port = _wait_for_port(process)
@@ -204,7 +207,7 @@ class TestPreforkBoot:
             try:
                 exit_code = process.wait(timeout=30)
             except subprocess.TimeoutExpired:
-                process.kill()
+                os.killpg(process.pid, signal.SIGKILL)
                 process.wait(timeout=10)
                 raise
             finally:

@@ -6,6 +6,12 @@ from repro.regex.language import LanguageOracle
 from repro.regex.parse_tree import NodeKind, build_parse_tree
 
 
+#: 210 names; in each ``((x a) y?) a`` block the second ``a`` colors the
+#: block's root, an ancestor of the node the first ``a`` colors, so colored
+#: nodes do not come out in pre-order when read off the positions.
+LARGE_MODEL = " ".join(f"((x{i} a{i}) y{i}?) a{i}" for i in range(70))
+
+
 def build(text):
     tree = build_parse_tree(text)
     return tree, SkeletonIndex(tree)
@@ -59,9 +65,21 @@ class TestColorsAndWitnesses:
         assert not skeletons.diagnostics.p1_violations
 
     def test_colored_nodes_are_sorted_in_preorder(self):
-        tree, skeletons = build("(ab)(ac)")
-        nodes = skeletons.colored_nodes("a")
-        assert [n.pre for n in nodes] == sorted(n.pre for n in nodes)
+        for text, dialect in (("(ab)(ac)", "paper"), (LARGE_MODEL, "named")):
+            tree = build_parse_tree(text, dialect=dialect)
+            skeletons = SkeletonIndex(tree)
+            for symbol in tree.alphabet:
+                nodes = skeletons.colored_nodes(symbol)
+                assert [n.pre for n in nodes] == sorted(n.pre for n in nodes)
+                brute_force = sorted(
+                    (
+                        tree.nodes[index]
+                        for index, by_symbol in skeletons.colors.items()
+                        if symbol in by_symbol
+                    ),
+                    key=lambda node: node.pre,
+                )
+                assert nodes == brute_force
 
 
 class TestSkeletonStructure:
