@@ -18,13 +18,16 @@ over rows shared by every worker.  This module tracks that gap:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import random
+import threading
 import time
 import urllib.request
+from contextlib import contextmanager
 
 import repro
-from repro.service import ServiceHTTPServer, ValidationService
+from repro.service import AsyncServiceServer, ValidationService
 
 #: One starred pattern (compiled-runtime batch path) and one star-free
 #: pattern (multi-matcher batch path); the gate covers both.
@@ -54,6 +57,29 @@ def _corpus(expr: str) -> tuple[list[str], list[bool]]:
 def _per_word_loop(service: ValidationService, expr: str, words: list[str]) -> list[bool]:
     """The naive client: one service request per word."""
     return [service.match_batch(expr, [word])[0] for word in words]
+
+
+@contextmanager
+def _serving(service: ValidationService):
+    """The serving front on an ephemeral port, its event loop on a thread.
+
+    Yields the front and its bound port; blocking clients (urllib, raw
+    sockets, a thread-pool burst) talk to it from the calling thread.
+    """
+    front = AsyncServiceServer(service)
+    loop = asyncio.new_event_loop()
+    runner = threading.Thread(target=loop.run_forever, daemon=True)
+    runner.start()
+    try:
+        asyncio.run_coroutine_threadsafe(front.start("127.0.0.1", 0), loop).result(10)
+        port = front.address()[1]
+        assert port != 0
+        yield front, port
+    finally:
+        asyncio.run_coroutine_threadsafe(front.close(), loop).result(10)
+        loop.call_soon_threadsafe(loop.stop)
+        runner.join(timeout=10)
+        loop.close()
 
 
 # ---------------------------------------------------------------------------
@@ -119,33 +145,19 @@ def test_http_round_trip_on_an_ephemeral_port():
     """One real HTTP batch request against a server on an ephemeral port.
 
     Port 0 lets the kernel pick a free port which is then read back from
-    ``server_address`` — a fixed port collides with whatever else a
-    shared CI runner is doing (the ci.yml smoke step reads the bound
-    port back the same way).
+    the bound socket — a fixed port collides with whatever else a shared
+    CI runner is doing (the ci.yml smoke step reads the bound port back
+    the same way).
     """
-    import threading
-
     words, oracle = _corpus(PATTERNS["starred"])
-    with ValidationService(workers=4) as service:
-        server = ServiceHTTPServer(("127.0.0.1", 0), service)
-        port = server.server_address[1]
-        assert port != 0
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{port}/match",
-                data=json.dumps(
-                    {"pattern": PATTERNS["starred"], "words": words}
-                ).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=30) as response:
-                body = json.load(response)
-        finally:
-            server.shutdown()
-            thread.join(timeout=10)
-            server.server_close()
+    with ValidationService(workers=4) as service, _serving(service) as (_front, port):
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/match",
+            data=json.dumps({"pattern": PATTERNS["starred"], "words": words}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            body = json.load(response)
     assert body["verdicts"] == oracle
 
 
@@ -207,9 +219,9 @@ def _client_corpora() -> tuple[list[list[str]], list[list[bool]]]:
 def _stream_match(port: int, expr: str, words: list[str]) -> tuple[list, float]:
     """One NDJSON streaming /match request over a blocking socket.
 
-    Uses the same thread-pool client harness as the threaded-front burst
-    so the two fronts are measured through identical client machinery;
-    only the wire protocol differs.  Returns (verdicts, seconds).
+    A 200-way connect burst can overflow the listen backlog; a reset
+    connection is retried (as any real client would), and the retries
+    count toward this request's latency.  Returns (verdicts, seconds).
     """
     import socket
 
@@ -253,116 +265,28 @@ def _stream_match(port: int, expr: str, words: list[str]) -> tuple[list, float]:
     return decoded[1:-1], time.perf_counter() - start
 
 
-def _threaded_match(port: int, expr: str, words: list[str]) -> tuple[list, float]:
-    """One buffered /match request against the threaded front.
-
-    A 200-way connect burst can overflow the threaded server's listen
-    backlog; a reset connection is retried (as any real client would),
-    and the retries count toward this request's latency — backlog
-    overflow *is* part of the thread-per-connection tail.
-    """
-    start = time.perf_counter()
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}/match",
-        data=json.dumps({"pattern": expr, "words": words}).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    for attempt in range(8):
-        try:
-            with urllib.request.urlopen(request, timeout=60) as response:
-                verdicts = json.load(response)["verdicts"]
-            break
-        except (ConnectionError, OSError):
-            if attempt == 7:
-                raise
-            time.sleep(0.05 * (attempt + 1))
-    return verdicts, time.perf_counter() - start
-
-
 def test_sustained_streaming_concurrency_gate():
-    """≥ 200 in-flight streams: oracle-identical verdicts, aio p99 < threaded p99.
+    """≥ 200 in-flight streams, every verdict identical to the oracle.
 
-    The threaded front answers the same 200-way burst with a thread per
-    connection; the aio front runs them through one event loop with
-    micro-batched pool work.  The gate requires every aio verdict to
-    match the single-threaded oracle and the aio tail latency to beat the
-    thread-per-connection tail at the same concurrency.
+    One event loop runs the whole 200-way burst with micro-batched pool
+    work.  The gate requires every verdict to match the single-threaded
+    oracle and the front to have counted every stream; the tail latency
+    is printed for the CI log.
     """
-    import asyncio
     import concurrent.futures
-    import threading
-
-    from repro.service.aio import AsyncServiceServer
 
     expr = PATTERNS["starred"]
     corpora, oracles = _client_corpora()
-
-    # -- threaded front under the same burst --------------------------------
-    with ValidationService(workers=8) as threaded_service:
-        server = ServiceHTTPServer(("127.0.0.1", 0), threaded_service)
-        threaded_port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            threaded_service.match_batch(expr, corpora[0])  # warm
-            with concurrent.futures.ThreadPoolExecutor(STREAM_CLIENTS) as pool:
-                threaded_results = list(
-                    pool.map(
-                        lambda words: _threaded_match(threaded_port, expr, words),
-                        corpora,
-                    )
-                )
-        finally:
-            server.shutdown()
-            thread.join(timeout=10)
-            server.server_close()
-    threaded_p99 = _percentile([seconds for _, seconds in threaded_results], 0.99)
-    for (verdicts, _), oracle in zip(threaded_results, oracles):
+    with ValidationService(workers=8) as service, _serving(service) as (front, port):
+        _stream_match(port, expr, corpora[0])  # warm
+        with concurrent.futures.ThreadPoolExecutor(STREAM_CLIENTS) as pool:
+            results = list(pool.map(lambda words: _stream_match(port, expr, words), corpora))
+        assert front.streams >= STREAM_CLIENTS
+    for (verdicts, _), oracle in zip(results, oracles):
         assert verdicts == oracle
 
-    # -- aio front: the identical burst through the identical harness --------
-    with ValidationService(workers=8) as aio_service:
-        front = AsyncServiceServer(aio_service)
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
-        stop = concurrent.futures.Future()
-
-        async def boot():
-            await front.start("127.0.0.1", 0)
-            ready.set()
-            await asyncio.wrap_future(stop)
-            await front.close()
-
-        runner = threading.Thread(target=lambda: loop.run_until_complete(boot()), daemon=True)
-        runner.start()
-        ready.wait(timeout=10)
-        try:
-            aio_port = front.address()[1]
-            _stream_match(aio_port, expr, corpora[0])  # warm
-            with concurrent.futures.ThreadPoolExecutor(STREAM_CLIENTS) as pool:
-                aio_results = list(
-                    pool.map(
-                        lambda words: _stream_match(aio_port, expr, words),
-                        corpora,
-                    )
-                )
-            assert front.streams >= STREAM_CLIENTS
-        finally:
-            stop.set_result(None)
-            runner.join(timeout=10)
-            loop.close()
-    aio_p99 = _percentile([seconds for _, seconds in aio_results], 0.99)
-    for (verdicts, _), oracle in zip(aio_results, oracles):
-        assert verdicts == oracle
-
-    print(
-        f"\n{STREAM_CLIENTS} in-flight: aio p99 {aio_p99 * 1000:.1f}ms, "
-        f"threaded p99 {threaded_p99 * 1000:.1f}ms"
-    )
-    assert aio_p99 < threaded_p99, (
-        f"aio p99 {aio_p99 * 1000:.1f}ms not better than "
-        f"threaded p99 {threaded_p99 * 1000:.1f}ms at {STREAM_CLIENTS}-way concurrency"
-    )
+    p99 = _percentile([seconds for _, seconds in results], 0.99)
+    print(f"\n{STREAM_CLIENTS} in-flight streams: p99 {p99 * 1000:.1f}ms")
 
 
 def test_streaming_peak_rss_stays_below_the_corpus():
@@ -385,7 +309,7 @@ def test_streaming_peak_rss_stays_below_the_corpus():
     if not os.path.exists("/proc/self/status"):
         pytest.skip("VmHWM requires /proc")
 
-    from repro.service.http import MAX_BODY_BYTES
+    from repro.service.wire import MAX_BODY_BYTES
 
     assert HUGE_CORPUS_BYTES > MAX_BODY_BYTES
 
@@ -395,7 +319,7 @@ def test_streaming_peak_rss_stays_below_the_corpus():
                       env.get("PYTHONPATH", "")])
     )
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "--front", "aio", "--port", "0"],
+        [sys.executable, "-m", "repro.service", "--port", "0"],
         stdout=subprocess.PIPE,
         env=env,
         text=True,
@@ -428,8 +352,6 @@ def test_streaming_peak_rss_stays_below_the_corpus():
                     if not piece:
                         return
                     received.extend(piece)
-
-            import threading
 
             reader = threading.Thread(target=drain, daemon=True)
             reader.start()
@@ -477,35 +399,9 @@ def test_streaming_request_timing(benchmark):
     so the perf trajectory tracks the streaming path alongside the
     buffered one.
     """
-    import asyncio
-    import concurrent.futures
-    import threading
-
-    from repro.service.aio import AsyncServiceServer
-
     expr = PATTERNS["starred"]
     words, oracle = _corpus(expr)
-    with ValidationService(workers=8) as service:
-        front = AsyncServiceServer(service)
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
-        stop = concurrent.futures.Future()
-
-        async def boot():
-            await front.start("127.0.0.1", 0)
-            ready.set()
-            await asyncio.wrap_future(stop)
-            await front.close()
-
-        runner = threading.Thread(target=lambda: loop.run_until_complete(boot()), daemon=True)
-        runner.start()
-        ready.wait(timeout=10)
-        try:
-            port = front.address()[1]
-            verdicts, _ = _stream_match(port, expr, words)  # warm + verify
-            assert verdicts == oracle
-            benchmark(lambda: _stream_match(port, expr, words))
-        finally:
-            stop.set_result(None)
-            runner.join(timeout=10)
-            loop.close()
+    with ValidationService(workers=8) as service, _serving(service) as (_front, port):
+        verdicts, _ = _stream_match(port, expr, words)  # warm + verify
+        assert verdicts == oracle
+        benchmark(lambda: _stream_match(port, expr, words))

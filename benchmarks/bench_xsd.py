@@ -50,9 +50,14 @@ def _sequences(document) -> list[tuple[str, list[str]]]:
 
 
 def _validate_all(schema: XSDSchema, sequences) -> list[bool]:
-    """Per-element verdicts over the whole corpus (no short-circuiting)."""
+    """Per-element verdicts over the whole corpus (no short-circuiting).
+
+    ``validate_children`` returns a :class:`~repro.diagnostics.ValidationResult`
+    whose truth value is the verdict; the booleans are what the compiled
+    and direct paths must agree on.
+    """
     validate = schema.validate_children
-    return [validate(name, children) for name, children in sequences]
+    return [bool(validate(name, children)) for name, children in sequences]
 
 
 # ---------------------------------------------------------------------------

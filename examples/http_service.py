@@ -1,21 +1,22 @@
 """The HTTP validation service, end to end in one process.
 
-Boots ``repro.service`` on an ephemeral port (exactly what
-``python -m repro.service --port 0`` runs), then walks through every
-endpoint with a plain ``urllib`` client: batch matching on both batch
-paths, DTD and XSD document validation, determinism rejections, and the
-telemetry snapshot.  The CI ``service`` job runs this script as the HTTP
-smoke test.
+Boots the serving front on an ephemeral port (exactly what
+``python -m repro.service --port 0`` runs) on an event loop in a
+background thread, then walks through every endpoint with a plain
+``urllib`` client: batch matching on both batch paths, DTD and XSD
+document validation, determinism rejections, and the telemetry
+snapshot.  The CI ``docs`` job runs every example, this one included.
 
 Run with:  python examples/http_service.py
 """
 
+import asyncio
 import json
 import threading
 import urllib.error
 import urllib.request
 
-from repro.service import ServiceHTTPServer, ValidationService
+from repro.service import AsyncServiceServer, ValidationService
 
 
 def request(port: int, path: str, payload: dict | None = None) -> tuple[int, dict]:
@@ -32,9 +33,11 @@ def request(port: int, path: str, payload: dict | None = None) -> tuple[int, dic
 
 def main() -> None:
     service = ValidationService(workers=8)
-    server = ServiceHTTPServer(("127.0.0.1", 0), service)
-    port = server.server_address[1]
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    front = AsyncServiceServer(service)
+    loop = asyncio.new_event_loop()
+    threading.Thread(target=loop.run_forever, daemon=True).start()
+    asyncio.run_coroutine_threadsafe(front.start("127.0.0.1", 0), loop).result()
+    port = front.address()[1]
     print(f"service listening on 127.0.0.1:{port} with 8 workers")
 
     # -- batch matching: the starred pattern replays shared lazy-DFA rows ----
@@ -100,8 +103,8 @@ def main() -> None:
     print("  validators:   ", [key.split(":", 1)[0] for key in stats["validators"]])
     print("  shared_rows:  ", stats["shared_rows"])
 
-    server.shutdown()
-    server.server_close()
+    asyncio.run_coroutine_threadsafe(front.close(), loop).result()
+    loop.call_soon_threadsafe(loop.stop)
     service.close()
     print("\nserver stopped cleanly")
 

@@ -1,7 +1,7 @@
 """The asyncio streaming front, end to end in one process.
 
-Boots the aio front (exactly what ``python -m repro.service --front aio``
-runs) on an ephemeral port, then speaks its NDJSON stream protocol with a
+Boots the serving front (exactly what ``python -m repro.service`` runs)
+on an ephemeral port, then speaks its NDJSON stream protocol with a
 plain ``asyncio`` client: verdicts arrive line by line *while the corpus
 is still uploading*, so neither side ever holds the whole corpus in
 memory.  Also shows per-request deadlines (``X-Repro-Deadline-Ms``),

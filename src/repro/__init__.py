@@ -27,7 +27,6 @@ reproduction of the paper's complexity claims.
 from .api import (
     COMPILE_CACHE_SIZE,
     Pattern,
-    cache_stats,
     check_deterministic,
     check_deterministic_numeric,
     compile,  # noqa: A004 - mirrors re.compile
@@ -39,7 +38,6 @@ from .api import (
     purge,  # noqa: A004 - mirrors re.purge
     resize_compile_cache,
     save_snapshot,
-    snapshot_stats,
     stats,
 )
 from .core.determinism import DeterminismConflict, DeterminismReport
@@ -91,7 +89,6 @@ __all__ = [
     "__version__",
     "build_matcher",
     "build_parse_tree",
-    "cache_stats",
     "check_deterministic",
     "check_deterministic_numeric",
     "compile",
@@ -105,7 +102,6 @@ __all__ = [
     "purge",
     "resize_compile_cache",
     "save_snapshot",
-    "snapshot_stats",
     "stats",
     "to_text",
 ]

@@ -76,7 +76,6 @@ who want to instrument or extend the algorithms.  Process-wide state
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Iterable, Sequence
 
 from . import cache as _cache
@@ -159,7 +158,7 @@ class Pattern:
         #: lazily built whole-sequence acceptance memo (the XML
         #: validators' per-element cache; see :meth:`acceptance_memo`)
         self._acceptance_memo = None
-        #: batch-kernel traffic split for this pattern (see runtime_stats)
+        #: batch-kernel traffic split for this pattern (see :meth:`stats`)
         self._kernel_words = 0
         self._kernel_fallback_words = 0
         #: guards lazy construction (matcher, runtime, plan) so worker
@@ -428,31 +427,6 @@ class Pattern:
         stats["kernel_fallback_words"] = self._kernel_fallback_words
         return stats
 
-    def runtime_stats(self) -> dict[str, int] | None:
-        """Deprecated pre-PR-9 name for :meth:`stats`."""
-        warnings.warn(
-            "Pattern.runtime_stats() is deprecated; use Pattern.stats()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.stats()
-
-    def cache_stats(self) -> dict[str, dict[str, int] | None]:
-        """Deprecated combined view; use :func:`repro.stats` + :meth:`stats`.
-
-        Returns the historical shape — ``"pattern_cache"`` holding the
-        compile-cache counters and ``"runtime"`` holding this pattern's
-        :meth:`stats` — while warning, so dashboards migrate at their own
-        pace.
-        """
-        warnings.warn(
-            "Pattern.cache_stats() is deprecated; use repro.stats()['pattern_cache'] "
-            "and Pattern.stats()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {"pattern_cache": _cache.compile_cache_stats(), "runtime": self.stats()}
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         verdict = "deterministic" if self.is_deterministic else "non-deterministic"
         return f"Pattern({str(self.expression)!r}, {verdict})"
@@ -515,10 +489,10 @@ def resize_compile_cache(maxsize: int) -> int:
     :data:`COMPILE_CACHE_SIZE` stays the *boot* default — this call is
     the telemetry-driven override behind it
     (:class:`repro.service.autosize.Autosizer` grows the bound when
-    ``cache_stats()["evictions"]`` keeps climbing under live traffic and
-    shrinks it back when the working set contracts).  Shrinking evicts
-    LRU overflow immediately; verdicts are unaffected either way —
-    eviction only costs the next compile of that pattern.
+    ``stats()["pattern_cache"]["evictions"]`` keeps climbing under live
+    traffic and shrinks it back when the working set contracts).
+    Shrinking evicts LRU overflow immediately; verdicts are unaffected
+    either way — eviction only costs the next compile of that pattern.
 
     >>> import repro
     >>> previous = repro.resize_compile_cache(1024)
@@ -532,7 +506,7 @@ def resize_compile_cache(maxsize: int) -> int:
 def iter_cached_patterns() -> list[tuple[tuple, "Pattern"]]:
     """A consistent ``(cache key, pattern)`` snapshot of the compile cache.
 
-    The telemetry walk behind :func:`snapshot_stats`'s ``materialized``
+    The telemetry walk behind the ``stats()["snapshot"]["materialized"]``
     gauge and the autosizer's per-pattern memo policy: every live cached
     pattern, without forcing any lazy construction.  Cache keys are
     ``(expr, dialect, strategy, compiled)`` tuples.
@@ -540,38 +514,16 @@ def iter_cached_patterns() -> list[tuple[tuple, "Pattern"]]:
     return _cache.PATTERN_CACHE.items()
 
 
-def cache_stats() -> dict[str, int]:
-    """Deprecated pre-PR-9 name; use ``repro.stats()["pattern_cache"]``."""
-    warnings.warn(
-        "repro.cache_stats() is deprecated; use repro.stats()['pattern_cache']",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _cache.PATTERN_CACHE.stats()
-
-
-def snapshot_stats() -> dict:
-    """Deprecated pre-PR-9 name; use ``repro.stats()["snapshot"]``."""
-    warnings.warn(
-        "repro.snapshot_stats() is deprecated; use repro.stats()['snapshot']",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _cache.snapshot_stats()
-
-
 def stats() -> dict:
     """The consolidated process-wide telemetry namespace.
 
-    One call, one dict, three sections (each previously its own scattered
-    entry point):
+    One call, one dict, three sections:
 
-    * ``"pattern_cache"`` — compile-cache hit/miss/eviction counters
-      (was :func:`cache_stats`);
+    * ``"pattern_cache"`` — compile-cache hit/miss/eviction counters;
     * ``"snapshot"`` — snapshot save/load/adoption telemetry plus the
-      ``materialized`` gauge (was :func:`snapshot_stats`);
-    * ``"kernel"`` — batch-kernel counters and backend selection (was
-      ``repro.matching.kernel.kernel_stats``).
+      ``materialized`` gauge;
+    * ``"kernel"`` — batch-kernel counters and backend selection
+      (:func:`repro.matching.kernel.stats`).
 
     Per-object telemetry keeps living on the objects themselves with the
     same spelling: ``Pattern.stats()``, ``CompiledRuntime.stats()``,
@@ -618,34 +570,6 @@ def is_deterministic_numeric(expr: Regex | str) -> bool:
     return check_deterministic_numeric(expr).deterministic
 
 
-#: Former ``repro.api`` private names that now live in :mod:`repro.cache`;
-#: module ``__getattr__`` keeps them importable behind a DeprecationWarning.
-_MOVED_TO_CACHE = {
-    "_PatternCache": "PatternCache",
-    "_CACHE": "PATTERN_CACHE",
-    "_cache_stats": "compile_cache_stats",
-    "_SnapshotTelemetry": "SnapshotTelemetry",
-    "_SNAPSHOT_TELEMETRY": "SNAPSHOT_TELEMETRY",
-    "_snapshot_meta": "snapshot_meta",
-    "_snapshot_stats": "snapshot_stats",
-    "_materialization": "materialization",
-    "_resolve_snapshot_pattern": "resolve_snapshot_pattern",
-    "_load_snapshot_url": "load_snapshot_url",
-}
-
-
-def __getattr__(name: str):
-    target = _MOVED_TO_CACHE.get(name)
-    if target is not None:
-        warnings.warn(
-            f"repro.api.{name} moved to repro.cache.{target}; import it from repro.cache",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_cache, target)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "COMPILE_CACHE_SIZE",
     "CompiledRuntime",
@@ -653,7 +577,6 @@ __all__ = [
     "MatchResult",
     "NumericDeterminismReport",
     "Pattern",
-    "cache_stats",
     "check_deterministic",
     "check_deterministic_numeric",
     "compile",
@@ -665,6 +588,5 @@ __all__ = [
     "purge",
     "resize_compile_cache",
     "save_snapshot",
-    "snapshot_stats",
     "stats",
 ]

@@ -19,8 +19,8 @@ owner — the planner — and a future dialect engine that registers its own
 snapshot section only extends the plan protocol, not this walk.
 
 The public spellings stay on :mod:`repro.api` (``repro.save_snapshot``,
-``repro.load_snapshot``, ``repro.stats``...); importing the old private
-names from ``repro.api`` still works behind ``DeprecationWarning`` shims.
+``repro.load_snapshot``, ``repro.stats``...); the private names live
+here only.
 """
 
 from __future__ import annotations

@@ -66,7 +66,6 @@ import ctypes
 import os
 import subprocess
 import threading
-import warnings
 from array import array
 from typing import Iterable, Sequence
 
@@ -130,17 +129,6 @@ def stats() -> dict:
     snapshot["native_available"] = native_library() is not None
     snapshot["backend"] = _effective_backend(requested)
     return snapshot
-
-
-def kernel_stats() -> dict:
-    """Deprecated pre-PR-9 name for :func:`stats` (use ``repro.stats()``)."""
-    warnings.warn(
-        "kernel_stats() is deprecated; use repro.matching.kernel.stats() "
-        "or the consolidated repro.stats()['kernel'] namespace",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return stats()
 
 
 def reset_kernel_stats() -> None:

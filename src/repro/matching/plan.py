@@ -89,7 +89,7 @@ class ExecutionPlan:
     """
 
     #: Stable route name — the value ``Pattern.describe()["batch_path"]``
-    #: reports and the serving fronts put on the wire.
+    #: reports and the serving front puts on the wire.
     route = "abstract"
 
     __slots__ = ("pattern",)
@@ -545,7 +545,7 @@ def _qualifies_runtime(pattern: "Pattern", compiled: bool) -> bool:
 #: The process-wide planner every surface consults.  Future dialect
 #: engines register here (``PLANNER.register(..., before="star-free-multi")``)
 #: and instantly serve ``Pattern.match``/``match_all``, diagnostics
-#: replay, the lexer, both XML validators and all three serving fronts.
+#: replay, the lexer, both XML validators and the HTTP service.
 PLANNER = Planner()
 PLANNER.register("per-word", _qualifies_direct, DirectPlan)
 PLANNER.register("star-free-multi", _qualifies_star_free, StarFreePlan)

@@ -35,15 +35,15 @@ either case the fallback is the normal lazy rebuild — **corruption can
 never change a verdict** (the property suite flips random bits end to
 end and checks exactly that).
 
-Version-1 files (rows only) still load; the API layer counts them under
-``format_v1``.  Snapshots are written atomically (temp file +
-``os.replace``) and loaded via ``mmap``: adopted rows are zero-copy
-``memoryview`` slices into the page cache, so forked workers — and
-independent processes loading the same file — share the row pages
-copy-on-write.
+Version-1 files (rows only) still load, but nothing writes them any
+more; the API layer counts them under ``format_v1``.  Snapshots are
+written atomically (temp file + ``os.replace``) and loaded via
+``mmap``: adopted rows are zero-copy ``memoryview`` slices into the
+page cache, so forked workers — and independent processes loading the
+same file — share the row pages copy-on-write.
 
 The user-facing surface lives in :mod:`repro.api`
-(``save_snapshot`` / ``load_snapshot`` / ``snapshot_stats``); the
+(``save_snapshot`` / ``load_snapshot`` / ``stats()["snapshot"]``); the
 serving layer adds a live lifecycle on top — a background
 re-persist thread (:class:`repro.service.prefork.SnapshotRefresher`)
 and a ``GET /snapshot`` endpoint streaming the current file so a fresh
@@ -488,29 +488,6 @@ def write(
     _atomic_write(path, header + directory_bytes + b"".join(p for _, p in sections))
     stats["sections"] = [tag.decode("ascii") for tag, _ in sections]
     stats["bytes"] = offset
-    return stats
-
-
-def write_v1(path: str | os.PathLike, entries: Iterable[dict]) -> dict:
-    """Write a version-1 (rows-only) snapshot — the pre-v2 on-disk layout.
-
-    Kept so operators can produce files for fleets still running the v1
-    reader, and so the compatibility tests can pin down that v1 files
-    keep loading (counted as ``format_v1`` in telemetry).
-    """
-    payload_bytes, stats = _encode_rows(list(entries))
-    header = _HEADER_V1.pack(
-        MAGIC,
-        1,
-        ITEMSIZE,
-        _BYTEORDER_FLAG,
-        stats["patterns"],
-        zlib.crc32(payload_bytes) & 0xFFFFFFFF,
-        len(payload_bytes),
-    )
-    _atomic_write(path, header + payload_bytes)
-    stats["bytes"] = len(header) + len(payload_bytes)
-    stats["sections"] = ["ROWS"]
     return stats
 
 

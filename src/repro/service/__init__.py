@@ -16,23 +16,21 @@ the stack was made safe to share:
   proportional to input size, which is what makes the p50/p99 counters
   meaningful under load.
 
-Two entry points:
+Entry points:
 
 * :class:`ValidationService` — an in-process facade owning a thread pool,
   with batch operations (:meth:`~ValidationService.match_batch`,
   :meth:`~ValidationService.validate_documents`) that pre-encode corpora
   through the interned alphabet, and a :meth:`~ValidationService.stats`
   snapshot aggregating every telemetry surface the library exposes;
-* :mod:`repro.service.http` — a stdlib-only HTTP front end
-  (``python -m repro.service``) with ``POST /match``, ``POST /validate``,
-  ``GET /stats`` and ``GET /snapshot`` (the fleet-bootstrap stream);
-* :mod:`repro.service.aio` — the asyncio streaming front
-  (``--front aio``): the same endpoints from one event loop per process,
-  plus NDJSON request/response streaming with per-connection
-  backpressure, per-request deadlines (``X-Repro-Deadline-Ms``), content-
-  negotiated violation detail levels and an ``Authorization: Bearer``
-  hook; framing rules shared with the threaded front live in
-  :mod:`repro.service.wire`;
+* :mod:`repro.service.aio` — the HTTP front (``python -m repro.service``,
+  :func:`serve`): ``POST /match``, ``POST /validate``, ``GET /stats``,
+  ``GET /snapshot`` (the fleet-bootstrap stream) and ``GET /healthz``
+  from one event loop per process, with buffered JSON or NDJSON
+  request/response streaming, per-connection backpressure, per-request
+  deadlines (``X-Repro-Deadline-Ms``), content-negotiated violation
+  detail levels and an ``Authorization: Bearer`` hook; its framing rules
+  and limits live in :mod:`repro.service.wire`;
 * :mod:`repro.service.autosize` — telemetry-driven cache sizing
   (``--autosize``): a feedback loop resizing the compile cache
   (:func:`repro.resize_compile_cache`) and the per-pattern acceptance
@@ -40,8 +38,8 @@ Two entry points:
 * :mod:`repro.service.prefork` — the multi-process front
   (``--processes N``): the parent preloads a warm-state snapshot
   (``docs/snapshot.md`` — a file, or a running fleet's ``/snapshot``
-  URL), forks N shared-nothing workers that accept on one inherited
-  socket, aggregates fleet stats through a shared-memory
+  URL), forks N shared-nothing workers that each run the event loop on
+  one inherited socket, aggregates fleet stats through a shared-memory
   :class:`~repro.service.prefork.StatsBoard` merged into ``GET /stats``,
   and keeps the on-disk snapshot fresh with a background
   :class:`~repro.service.prefork.SnapshotRefresher`
@@ -51,19 +49,16 @@ See ``docs/service.md`` for endpoint shapes and deployment notes.
 """
 
 from .aio import AsyncServiceServer
-from .aio_run import serve as serve_aio
+from .aio_run import serve
 from .autosize import Autosizer
 from .core import DocumentVerdict, ValidationService
-from .http import ServiceHTTPServer, serve
 from .prefork import SnapshotRefresher
 
 __all__ = [
     "AsyncServiceServer",
     "Autosizer",
     "DocumentVerdict",
-    "ServiceHTTPServer",
     "SnapshotRefresher",
     "ValidationService",
     "serve",
-    "serve_aio",
 ]

@@ -1,15 +1,14 @@
 """``python -m repro.service`` — boot the HTTP validation service.
 
-Single-process by default; ``--processes N`` switches to the prefork
-model (N shared-nothing worker processes accepting on one socket), and
-``--front {threaded,aio}`` picks each process's serving body: the
-thread-per-connection front (default) or the asyncio streaming front
-(NDJSON request/response streaming with backpressure and per-request
-deadlines — ``docs/service.md``).  ``--auth-token`` (or the
-``REPRO_AUTH_TOKEN`` environment variable) requires ``Authorization:
-Bearer`` on everything but ``/healthz``; ``--autosize`` runs the
-telemetry-driven cache-sizing loop.  The snapshot lifecycle
-(``docs/snapshot.md``):
+Every process serves the asyncio front (:mod:`repro.service.aio`:
+buffered JSON plus NDJSON request/response streaming with backpressure
+and per-request deadlines — ``docs/service.md``).  Single-process by
+default; ``--processes N`` switches to the prefork model (N
+shared-nothing worker processes accepting on one socket).
+``--auth-token`` (or the ``REPRO_AUTH_TOKEN`` environment variable)
+requires ``Authorization: Bearer`` on everything but ``/healthz``;
+``--autosize`` runs the telemetry-driven cache-sizing loop.  The
+snapshot lifecycle (``docs/snapshot.md``):
 
 * ``--snapshot PATH`` preloads a warm-state snapshot before any traffic
   (in prefork mode the parent loads it once and every forked worker
@@ -30,9 +29,9 @@ import argparse
 import os
 
 from .. import api
+from .aio_run import serve
 from .autosize import AUTOSIZE_INTERVAL, Autosizer
 from .core import DEFAULT_WORKERS
-from .http import DEFAULT_HOST, DEFAULT_PORT, serve
 from .prefork import (
     REFRESH_INTERVAL,
     REFRESH_MIN_GROWTH,
@@ -40,6 +39,7 @@ from .prefork import (
     describe_preload,
     snapshot_source_for,
 )
+from .wire import DEFAULT_HOST, DEFAULT_PORT
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -69,20 +69,15 @@ def main(argv: list[str] | None = None) -> None:
         default=1,
         help="worker processes; > 1 boots the prefork front (POSIX only, default 1)",
     )
-    parser.add_argument(
-        "--front",
-        choices=("threaded", "aio"),
-        default="threaded",
-        help="serving front per process: thread-per-connection (threaded, default) "
-        "or the asyncio streaming front (aio: NDJSON streaming, backpressure, "
-        "deadlines)",
-    )
+    # Accepted for launchers written when a second front existed; "aio"
+    # is the only value.
+    parser.add_argument("--front", choices=("aio",), default="aio", help=argparse.SUPPRESS)
     parser.add_argument(
         "--auth-token",
         default=os.environ.get("REPRO_AUTH_TOKEN"),
         metavar="TOKEN",
         help="require 'Authorization: Bearer TOKEN' on every endpoint except "
-        "/healthz (default: $REPRO_AUTH_TOKEN; aio front only)",
+        "/healthz (default: $REPRO_AUTH_TOKEN)",
     )
     parser.add_argument(
         "--autosize",
@@ -137,8 +132,6 @@ def main(argv: list[str] | None = None) -> None:
     preload = arguments.snapshot or arguments.snapshot_url
     if arguments.snapshot and arguments.snapshot_url:
         parser.error("--snapshot and --snapshot-url are mutually exclusive")
-    if arguments.auth_token and arguments.front != "aio":
-        parser.error("--auth-token requires --front aio")
     autosize_interval = arguments.autosize_interval
     if autosize_interval is not None and not arguments.autosize:
         parser.error("--autosize-interval requires --autosize")
@@ -154,7 +147,6 @@ def main(argv: list[str] | None = None) -> None:
             snapshot_save=arguments.snapshot_save,
             refresh_interval=arguments.snapshot_refresh,
             refresh_min_growth=arguments.snapshot_refresh_growth,
-            front=arguments.front,
             auth_token=arguments.auth_token,
             autosize_interval=(
                 (autosize_interval or AUTOSIZE_INTERVAL) if arguments.autosize else None
@@ -179,26 +171,13 @@ def main(argv: list[str] | None = None) -> None:
         if arguments.autosize
         else None
     )
-    snapshot_source = snapshot_source_for(arguments.snapshot_save, arguments.snapshot)
-    if arguments.front == "aio":
-        from .aio_run import serve as serve_aio
-
-        serve_aio(
-            host=arguments.host,
-            port=arguments.port,
-            workers=arguments.workers,
-            snapshot_source=snapshot_source,
-            refresher=refresher,
-            auth_token=arguments.auth_token,
-            autosizer=autosizer,
-        )
-        return
     serve(
         host=arguments.host,
         port=arguments.port,
         workers=arguments.workers,
-        snapshot_source=snapshot_source,
+        snapshot_source=snapshot_source_for(arguments.snapshot_save, arguments.snapshot),
         refresher=refresher,
+        auth_token=arguments.auth_token,
         autosizer=autosizer,
     )
 

@@ -1,10 +1,13 @@
-"""Asyncio streaming front: bounded memory, backpressure, deadlines.
+"""The serving front: one event loop per process, bounded memory, backpressure.
 
-The threaded front (:mod:`repro.service.http`) buffers every request
-body, so validating a corpus is bounded by worker memory, and one
-handler thread parks per connection.  This front serves the same
-endpoints from one event loop per process:
+Serves the validation service's endpoints (``POST /match``, ``POST
+/validate``, ``GET /stats``, ``GET /snapshot``, ``GET /healthz``) from
+one event loop per process:
 
+* **Buffered JSON** requests (``Content-Type: application/json``) get
+  one JSON response; the shapes are documented in ``docs/service.md``.
+  The response head and body go out in a single write, so a keep-alive
+  client never waits on Nagle's algorithm between the two.
 * **Streaming NDJSON** on ``POST /match`` and ``POST /validate``
   (``Content-Type: application/x-ndjson``, request body streamed via
   ``Content-Length`` or chunked transfer encoding): *header object, one
@@ -32,15 +35,12 @@ endpoints from one event loop per process:
   ``/healthz`` stays open for probes.
 * ``GET /snapshot`` streams via zero-copy ``loop.sendfile`` where the
   platform has it, with strong ``ETag``/``Range``/``If-Range`` handling
-  shared with the threaded front (:mod:`repro.service.wire`).
+  (:mod:`repro.service.wire`).
 
-Buffered JSON requests (``Content-Type: application/json``) are answered
-with exactly the threaded front's response shapes — the two fronts are
-verdict-identical by construction, which the property tests pin down.
-
-Runs standalone (``python -m repro.service --front aio``) or as the
-worker body of the prefork model (``--processes N --front aio``): each
-forked worker runs one event loop accepting on the inherited socket.
+Runs standalone (``python -m repro.service``, see
+:mod:`repro.service.aio_run`) or as the worker body of the prefork model
+(``--processes N``): each forked worker runs one event loop accepting on
+the inherited socket.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ from .aio_frames import (
     parse_word_item as _parse_word,
 )
 from .core import ValidationService
-from .http import MAX_BODY_BYTES
 from .prefork import StatsBoard, cluster_payload
-from .wire import WireError
+from .wire import MAX_BODY_BYTES, WireError
 
 #: Items per micro-batch dispatched to the worker pool.  Small enough
 #: that verdicts start flowing almost immediately, large enough that the
@@ -94,7 +93,7 @@ class AsyncServiceServer:
     Wraps a shared :class:`ValidationService`; CPU-bound work is
     dispatched to its pool, the loop itself only parses frames and moves
     bytes.  ``board``/``slot``/``processes`` attach the prefork fleet
-    view to ``GET /stats`` exactly like the threaded worker front.
+    view (the ``"cluster"`` section) to ``GET /stats``.
     """
 
     def __init__(
@@ -333,7 +332,7 @@ class AsyncServiceServer:
             )
             return False
         # Match endpoints default to the historical bare booleans; validate
-        # keeps full violation detail — same defaults as the threaded front.
+        # keeps full violation detail.
         default = "verdict" if head.path == "/match" else "full"
         detail = wire.negotiate_detail(head.headers, head.query, default=default)
         deadline = _deadline_seconds(head)
@@ -347,7 +346,7 @@ class AsyncServiceServer:
         length = head.content_length()
         if head.is_chunked():
             # Buffered JSON over chunked TE: drain the frames, keep the
-            # same total-size bound as the threaded front.
+            # same total-size bound as a Content-Length body.
             body = bytearray()
             async for piece in _chunked_frames(reader):
                 body.extend(piece)
@@ -376,7 +375,7 @@ class AsyncServiceServer:
         detail: str,
         deadline: float | None,
     ) -> bool:
-        """The threaded front's JSON request/response shapes, loop-hosted."""
+        """One buffered JSON request, one JSON response (``docs/service.md``)."""
         try:
             payload = await self._read_buffered_body(head, reader)
         except WireError as error:
@@ -782,29 +781,3 @@ class AsyncServiceServer:
             writer.write(block)
             remaining -= len(block)
             await writer.drain()
-
-
-# ---------------------------------------------------------------------------
-# Moved-name shims
-# ---------------------------------------------------------------------------
-
-#: entry points moved to :mod:`repro.service.aio_run` when this module
-#: was split; the old import paths keep working one release with a
-#: :class:`DeprecationWarning`.
-_MOVED_TO_RUN = ("serve", "run_prefork_worker", "_serve_async")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_RUN:
-        import warnings
-
-        warnings.warn(
-            f"repro.service.aio.{name} moved to repro.service.aio_run.{name}; "
-            "import it from repro.service.aio_run",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import aio_run
-
-        return getattr(aio_run, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

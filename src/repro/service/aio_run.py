@@ -1,4 +1,4 @@
-"""Entry points for the asyncio front: standalone and prefork-worker.
+"""Entry points for the serving front: standalone and prefork-worker.
 
 The server class itself lives in :mod:`repro.service.aio`; this module
 owns the process-level wiring around it — building the shared
@@ -13,8 +13,8 @@ import asyncio
 import signal
 import socket
 
+from .aio import AsyncServiceServer
 from .core import DEFAULT_WORKERS, ValidationService
-from .http import DEFAULT_HOST, DEFAULT_PORT
 from .prefork import (
     PUBLISH_INTERVAL,
     REFRESH_INTERVAL,
@@ -23,6 +23,7 @@ from .prefork import (
     StatsBoard,
     _worker_summary,
 )
+from .wire import DEFAULT_HOST, DEFAULT_PORT
 
 
 async def _serve_async(
@@ -34,8 +35,6 @@ async def _serve_async(
     auth_token: str | None,
     autosizer,
 ) -> None:
-    from .aio import AsyncServiceServer
-
     service = ValidationService(workers=workers)
     if autosizer is not None:
         service.autosizer = autosizer
@@ -71,10 +70,13 @@ def serve(
     auth_token: str | None = None,
     autosizer=None,
 ) -> None:
-    """Run the asyncio front until interrupted (``--front aio`` body).
+    """Run the service until interrupted (the ``python -m repro.service`` body).
 
-    Mirrors :func:`repro.service.http.serve`; *auth_token* turns on the
-    Bearer check, *autosizer* (an
+    *snapshot_source* enables ``GET /snapshot`` (streaming that file);
+    *refresher* is an optional started/stopped object (a
+    :class:`~repro.service.prefork.SnapshotRefresher`) re-persisting the
+    snapshot in the background while the server runs; *auth_token* turns
+    on the Bearer check; *autosizer* (an
     :class:`~repro.service.autosize.Autosizer`) runs the cache-sizing
     loop alongside the server.
     """
@@ -99,18 +101,16 @@ def run_prefork_worker(
     auth_token: str | None = None,
     autosizer=None,
 ) -> None:
-    """Body of one forked aio worker: an event loop on the inherited socket.
+    """Body of one forked worker: an event loop on the inherited socket.
 
-    The prefork parent binds and forks exactly as for the threaded
-    front (:func:`repro.service.prefork.serve_prefork`); each worker
-    runs one event loop whose ``accept()`` the kernel load-balances
-    across the fleet.  Stats publishing and the snapshot refresher work
-    as in the threaded worker — the refresher stays a daemon thread
-    (``save_snapshot`` is blocking CPU+fsync work that must not run on
-    the loop), while the publisher is a loop task.
+    The prefork parent (:func:`repro.service.prefork.serve_prefork`)
+    binds and forks; each worker runs one event loop whose ``accept()``
+    the kernel load-balances across the fleet.  The snapshot refresher
+    is a daemon thread (``save_snapshot`` is blocking CPU+fsync work that
+    must not run on the loop) whose ticks are staggered per slot so the
+    fleet does not fsync the same path in lockstep; the stats publisher
+    is a loop task.
     """
-    from .aio import AsyncServiceServer
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent coordinates shutdown
     service = ValidationService(workers=workers)
     if autosizer is not None:

@@ -350,7 +350,7 @@ class ValidationService:
 
             return self._map_chunked(verdicts, list(documents), per_item_cost=8)
 
-    def validate_document_texts(
+    async def validate_document_texts_async(
         self,
         schema: DTDValidator | XSDSchema | DTD,
         texts: Sequence[str],
@@ -358,28 +358,10 @@ class ValidationService:
         """Validate documents given as XML text — the ``POST /validate`` body.
 
         Parsing is usually the dominant per-document cost, so it happens
-        *inside* the fan-out: each worker chunk parses and validates its
-        own documents instead of the caller parsing the whole corpus
-        serially before any validation starts.
-        """
-        self._ensure_open()
-        with self._request():
-            validator = DTDValidator(schema) if isinstance(schema, DTD) else schema
-
-            def verdicts(chunk: list) -> list[DocumentVerdict]:
-                return [self._verdict(validator, parse_document(text)) for text in chunk]
-
-            return self._map_chunked(verdicts, list(texts), per_item_cost=8)
-
-    async def validate_document_texts_async(
-        self,
-        schema: DTDValidator | XSDSchema | DTD,
-        texts: Sequence[str],
-    ) -> list[DocumentVerdict]:
-        """:meth:`validate_document_texts` for event loops (see above).
-
-        Parsing still happens inside the pool fan-out, chunk by chunk;
-        the loop never parses a document or replays a transition itself.
+        *inside* the pool fan-out: each chunk parses and validates its own
+        documents instead of the caller parsing the whole corpus serially
+        before any validation starts.  Every chunk is awaited, so the
+        event loop never parses a document or replays a transition itself.
         """
         self._ensure_open()
         with self._request():

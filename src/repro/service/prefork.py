@@ -28,7 +28,9 @@ way, arranged so the PR-4 snapshot work pays off fleet-wide:
    so ``GET /snapshot`` always streams a recent complete file and a new
    host can bootstrap from the running fleet (``--snapshot-url``).
 
-Entry point: ``python -m repro.service --processes N [--snapshot PATH]
+Each worker runs the asyncio front on the inherited socket
+(:func:`repro.service.aio_run.run_prefork_worker`).  Entry point:
+``python -m repro.service --processes N [--snapshot PATH]
 [--snapshot-save PATH]``.  Fork is POSIX-only; on platforms without
 ``os.fork`` the CLI falls back to the single-process server with a
 warning.
@@ -44,11 +46,11 @@ import socket
 import struct
 import threading
 import time
-from http.server import ThreadingHTTPServer
 
 from .. import api, cache
+from .autosize import Autosizer
 from .core import DEFAULT_WORKERS, ValidationService
-from .http import DEFAULT_HOST, DEFAULT_PORT, ServiceHTTPServer, ServiceRequestHandler
+from .wire import DEFAULT_HOST, DEFAULT_PORT
 
 #: Bytes reserved per worker in the shared stats segment; a worker whose
 #: summary outgrows its slot simply skips that publish.
@@ -240,8 +242,8 @@ def cluster_payload(board: StatsBoard, processes: int) -> dict:
 
     Merges every worker's latest :class:`StatsBoard` publication into an
     aggregate plus the per-process split, excluding stale slots (a dead
-    worker's last summary).  Shared by the threaded and asyncio fronts —
-    whichever worker answers the request reports the same fleet view.
+    worker's last summary) — whichever worker answers the request
+    reports the same fleet view.
     """
     workers = board.read_all()
     aggregate = {"total": 0, "errors": 0, "in_flight": 0}
@@ -272,7 +274,7 @@ def cluster_payload(board: StatsBoard, processes: int) -> dict:
 
 
 def describe_preload(source: str, report: dict) -> str:
-    """One line summarising a snapshot preload (shared by both fronts)."""
+    """One line summarising a snapshot preload (single-process and prefork)."""
     return (
         f"snapshot {source}: {report['patterns_loaded']} patterns / "
         f"{report['rows_loaded']} rows, {report['tables_loaded']} star-free tables, "
@@ -297,63 +299,6 @@ def snapshot_source_for(snapshot_save: str | None, snapshot_path: str | None) ->
     return None
 
 
-class PreforkHTTPServer(ServiceHTTPServer):
-    """A worker's HTTP server on the socket inherited from the parent.
-
-    ``accept()`` runs on the shared listening socket — the kernel hands
-    each connection to exactly one worker — and ``GET /stats`` answers
-    with the fleet view merged from the :class:`StatsBoard`.
-
-    The adopted listener is non-blocking: every connection wakes every
-    worker's selector, and a worker that loses the race must not sit in
-    ``accept()`` (where ``shutdown()`` could never reach it).  Its
-    ``BlockingIOError`` is an ``OSError``, which socketserver already
-    ignores; accepted connections are switched back to blocking.
-    """
-
-    def __init__(
-        self,
-        listen_socket: socket.socket,
-        service: ValidationService,
-        board: StatsBoard | None = None,
-        slot: int = 0,
-        processes: int = 1,
-        snapshot_source: str | None = None,
-    ):
-        address = listen_socket.getsockname()[:2]
-        # Skip bind/activate: the parent already did both on the socket
-        # we are adopting; TCPServer's own (unbound) socket is discarded.
-        ThreadingHTTPServer.__init__(self, address, ServiceRequestHandler, bind_and_activate=False)
-        self.socket.close()
-        listen_socket.setblocking(False)
-        self.socket = listen_socket
-        self.server_address = address
-        self.server_name, self.server_port = address
-        self.service = service
-        self._owns_service = False
-        self.board = board
-        self.slot = slot
-        self.processes = processes
-        #: file ``GET /snapshot`` streams (fleet bootstrap), if any
-        self.snapshot_source = snapshot_source
-
-    def get_request(self):  # noqa: D102 - stdlib override
-        connection, address = self.socket.accept()
-        connection.setblocking(True)
-        return connection, address
-
-    def server_close(self) -> None:  # noqa: D102 - stdlib override
-        # The listening socket belongs to the parent (and to sibling
-        # workers); close only this process's file descriptor.
-        self.socket.close()
-
-    def stats_payload(self) -> dict:
-        stats = self.service.stats()
-        if self.board is not None:
-            stats["cluster"] = cluster_payload(self.board, self.processes)
-        return stats
-
-
 def _worker_summary(service: ValidationService) -> dict:
     stats = service.stats()
     return {
@@ -362,95 +307,6 @@ def _worker_summary(service: ValidationService) -> dict:
         "pattern_cache": stats["pattern_cache"],
         "updated_at": time.time(),
     }
-
-
-def _worker_main(
-    listen_socket: socket.socket,
-    board: StatsBoard,
-    slot: int,
-    processes: int,
-    workers: int,
-    snapshot_source: str | None = None,
-    snapshot_save: str | None = None,
-    refresh_interval: float = REFRESH_INTERVAL,
-    refresh_min_growth: int = REFRESH_MIN_GROWTH,
-    front: str = "threaded",
-    auth_token: str | None = None,
-    autosize_interval: float | None = None,
-) -> None:
-    """Body of one forked worker; never returns (the caller ``_exit``\\ s)."""
-    autosizer = None
-    if autosize_interval is not None:
-        from .autosize import Autosizer
-
-        autosizer = Autosizer(interval=autosize_interval)
-    if front == "aio":
-        # The asyncio worker front: one event loop per process accepting
-        # on the inherited socket (streaming NDJSON, backpressure,
-        # deadlines — see repro.service.aio).  It owns its own refresher
-        # + publisher wiring, so hand everything over.
-        from .aio_run import run_prefork_worker
-
-        run_prefork_worker(
-            listen_socket,
-            board,
-            slot,
-            processes,
-            workers,
-            snapshot_source=snapshot_source,
-            snapshot_save=snapshot_save,
-            refresh_interval=refresh_interval,
-            refresh_min_growth=refresh_min_growth,
-            auth_token=auth_token,
-            autosizer=autosizer,
-        )
-        return
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent coordinates shutdown
-    service = ValidationService(workers=workers)
-    if autosizer is not None:
-        service.autosizer = autosizer
-        autosizer.start()
-    server = PreforkHTTPServer(
-        listen_socket, service, board, slot, processes, snapshot_source=snapshot_source
-    )
-    refresher: SnapshotRefresher | None = None
-    if snapshot_save:
-        # Stagger the per-worker ticks so the fleet does not fsync the
-        # same path in lockstep; writes are atomic either way.
-        refresher = SnapshotRefresher(
-            snapshot_save,
-            interval=refresh_interval * (1.0 + 0.1 * slot),
-            min_growth=refresh_min_growth,
-        )
-        refresher.start()
-    stop = threading.Event()
-
-    def _publish_loop() -> None:
-        while not stop.is_set():
-            board.publish(slot, _worker_summary(service))
-            stop.wait(PUBLISH_INTERVAL)
-
-    publisher = threading.Thread(target=_publish_loop, daemon=True, name="stats-publisher")
-    publisher.start()
-
-    def _terminate(signum: int, frame: object) -> None:
-        # shutdown() blocks until serve_forever exits; never call it on
-        # the signal-handling (main) thread that serve_forever runs on.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    # No publish here: the publisher thread's first iteration publishes
-    # immediately, and the slot has exactly one writer by construction.
-    signal.signal(signal.SIGTERM, _terminate)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        stop.set()
-        if refresher is not None:
-            refresher.stop()
-        if autosizer is not None:
-            autosizer.stop()
-        server.server_close()
-        service.close()
 
 
 def serve_prefork(
@@ -462,7 +318,6 @@ def serve_prefork(
     snapshot_save: str | None = None,
     refresh_interval: float = REFRESH_INTERVAL,
     refresh_min_growth: int = REFRESH_MIN_GROWTH,
-    front: str = "threaded",
     auth_token: str | None = None,
     autosize_interval: float | None = None,
 ) -> None:
@@ -473,18 +328,15 @@ def serve_prefork(
     pages copy-on-write.  *snapshot_save* turns on the live lifecycle:
     each worker runs a :class:`SnapshotRefresher` re-persisting that
     path as its materialization grows, and ``GET /snapshot`` streams it
-    to bootstrapping hosts.  *front* selects each worker's serving body:
-    ``"threaded"`` (a thread-per-connection HTTP server) or ``"aio"``
-    (one event loop per worker, streaming NDJSON — see
-    :mod:`repro.service.aio`); the process model is identical either
-    way.
+    to bootstrapping hosts.  Each worker serves one event loop on the
+    inherited socket (:func:`repro.service.aio_run.run_prefork_worker`);
+    *autosize_interval* gives every worker its own
+    :class:`~repro.service.autosize.Autosizer`.
     """
     if not hasattr(os, "fork"):
         raise RuntimeError("the prefork front requires os.fork (POSIX)")
     if processes < 1:
         raise ValueError("processes must be >= 1")
-    if front not in ("threaded", "aio"):
-        raise ValueError(f"unknown front {front!r} (expected 'threaded' or 'aio')")
     listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listen.bind((host, port))
@@ -496,7 +348,7 @@ def serve_prefork(
     board = StatsBoard(processes)
     print(
         f"repro.service prefork listening on http://{bound_host}:{bound_port} "
-        f"({processes} processes x {workers} threads, {front} front) — "
+        f"({processes} processes x {workers} threads) — "
         "POST /match, POST /validate, GET /stats",
         flush=True,
     )
@@ -505,11 +357,14 @@ def serve_prefork(
     restarts = [0] * processes
     shutting_down = False
 
+    # aio_run imports this module, so the worker body is bound here.
+    from .aio_run import run_prefork_worker
+
     def _spawn(slot: int) -> None:
         pid = os.fork()
         if pid == 0:
             try:
-                _worker_main(
+                run_prefork_worker(
                     listen,
                     board,
                     slot,
@@ -519,9 +374,12 @@ def serve_prefork(
                     snapshot_save=snapshot_save,
                     refresh_interval=refresh_interval,
                     refresh_min_growth=refresh_min_growth,
-                    front=front,
                     auth_token=auth_token,
-                    autosize_interval=autosize_interval,
+                    autosizer=(
+                        Autosizer(interval=autosize_interval)
+                        if autosize_interval is not None
+                        else None
+                    ),
                 )
             finally:
                 os._exit(0)

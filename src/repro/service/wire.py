@@ -1,14 +1,13 @@
-"""Wire framing shared by the serving fronts (pure bytes, no sockets).
+"""Wire framing for the serving front (pure bytes, no sockets).
 
-The asyncio front (:mod:`repro.service.aio`) and the threaded front
-(:mod:`repro.service.http`) both speak HTTP/1.1 with three body shapes —
-buffered JSON, streamed NDJSON and the snapshot byte stream — and the
-framing rules must not diverge between them.  This module is the single
-home for those rules, written against plain ``bytes`` so every piece is
-unit-testable without a socket:
+The asyncio front (:mod:`repro.service.aio`) speaks HTTP/1.1 with three
+body shapes — buffered JSON, streamed NDJSON and the snapshot byte
+stream.  This module is the single home for their framing rules and
+limits, written against plain ``bytes`` so every piece is unit-testable
+without a socket:
 
-* request-head parsing (:func:`parse_request_head`) with the same limits
-  both fronts enforce;
+* request-head parsing (:func:`parse_request_head`) with the head and
+  body limits (:data:`MAX_HEAD_BYTES`, :data:`MAX_BODY_BYTES`);
 * NDJSON line framing (:func:`ndjson_line`) and the streaming grammar
   documented in ``docs/service.md``: *header object, one verdict value
   per item, trailer object*;
@@ -41,8 +40,16 @@ import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, unquote
 
+#: Default bind address of ``python -m repro.service``.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8421
+
 #: Reject request heads (request line + headers) beyond this size.
 MAX_HEAD_BYTES = 32 * 1024
+
+#: Reject buffered request bodies beyond this size (bytes) instead of
+#: buffering them.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Reject a single NDJSON line (one word / one document) beyond this
 #: size; the stream itself is unbounded — that is the point.
@@ -185,7 +192,7 @@ def shape_verdict(valid: bool, violations, detail: str):
     :class:`~repro.xml.validator.Violation` records with element path,
     child index and expected tags.  ``verdict`` stays a bare boolean and
     ``summary`` a count either way; ``full`` renders whatever detail the
-    objects carry, identically on the threaded and asyncio fronts.
+    objects carry, on buffered and streamed responses alike.
     """
     if detail == "verdict":
         return valid
@@ -205,8 +212,8 @@ def shape_match(result, detail: str):
 
     *result* is a :class:`~repro.diagnostics.MatchResult` (or a bare
     bool, shaped as ``verdict`` regardless).  ``verdict`` keeps the
-    historical bare boolean — the level both fronts default to on
-    ``/match`` — ``summary`` adds the failing index, and ``full`` the
+    historical bare boolean — the default level on ``/match`` —
+    ``summary`` adds the failing index, and ``full`` the
     whole diagnosis (expected-next set, repair hints) via
     :meth:`~repro.diagnostics.MatchResult.to_dict`.
     """

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import asyncio
 import random
+import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -18,6 +21,47 @@ from repro.regex.generators import (
     star_free_chain,
 )
 from repro.regex.language import LanguageOracle
+
+
+@contextmanager
+def _front_in_background(service, **options):
+    """Serve an :class:`~repro.service.aio.AsyncServiceServer` from a loop thread.
+
+    Yields the started front (bound to an ephemeral port on 127.0.0.1), so
+    blocking clients such as ``urllib`` or ``http.client`` can talk to
+    ``front.address()`` from the test thread.  On exit every open
+    connection handler is cancelled before the server closes, so teardown
+    never waits on a client that kept its connection alive.
+    """
+    from repro.service.aio import AsyncServiceServer
+
+    loop = asyncio.new_event_loop()
+    runner = threading.Thread(target=loop.run_forever, daemon=True)
+    runner.start()
+    front = AsyncServiceServer(service, **options)
+
+    async def stop() -> None:
+        current = asyncio.current_task()
+        for task in asyncio.all_tasks():
+            if task is not current:
+                task.cancel()
+        await front.close()
+
+    try:
+        asyncio.run_coroutine_threadsafe(front.start("127.0.0.1", 0), loop).result(10)
+        yield front
+    finally:
+        asyncio.run_coroutine_threadsafe(stop(), loop).result(10)
+        loop.call_soon_threadsafe(loop.stop)
+        runner.join(10)
+        assert not runner.is_alive(), "the front's event loop did not stop"
+        loop.close()
+
+
+@pytest.fixture(scope="session")
+def front_in_background():
+    """The :func:`_front_in_background` context manager, for any fixture scope."""
+    return _front_in_background
 
 
 @pytest.fixture

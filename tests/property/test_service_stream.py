@@ -1,78 +1,37 @@
-"""Property test: the aio streaming front agrees with the threaded front.
+"""Property test: streamed verdicts equal the service's batch verdicts.
 
 The streaming path reshapes everything — NDJSON lines instead of one JSON
 body, micro-batches through a bounded queue instead of one pool map,
 chunked framing both directions — and none of it may show in a verdict.
 For random deterministic expressions and random corpora, the byte content
-of the streamed verdict lines must decode to exactly the list the
-threaded front returns for the same corpus.
+of the streamed verdict lines must decode to exactly the list
+:meth:`~repro.service.core.ValidationService.match_batch` returns for the
+same corpus.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import random
-import threading
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.regex.generators import random_deterministic_expression
 from repro.regex.printer import to_text
 from repro.regex.words import mutate_word, sample_member
 from repro.service.core import ValidationService
-from repro.service.http import ServiceHTTPServer
-from repro.service.aio import AsyncServiceServer
-
-import pytest
-import urllib.request
 
 
 @pytest.fixture(scope="module")
-def fronts():
-    """One threaded front and one aio front over separate services."""
-    threaded_service = ValidationService(workers=4)
-    threaded = ServiceHTTPServer(("127.0.0.1", 0), threaded_service)
-    thread = threading.Thread(target=threaded.serve_forever, daemon=True)
-    thread.start()
-
-    loop = asyncio.new_event_loop()
+def fronts(front_in_background):
+    """An aio front, plus a separate in-process service as the batch oracle."""
+    batch_service = ValidationService(workers=4)
     aio_service = ValidationService(workers=4)
-    front = AsyncServiceServer(aio_service)
-    ready = threading.Event()
-    stopping: list[asyncio.Event] = []
-
-    async def boot():
-        stop = asyncio.Event()
-        stopping.append(stop)
-        await front.start("127.0.0.1", 0)
-        ready.set()
-        await stop.wait()
-        await front.close()
-
-    runner = threading.Thread(target=lambda: loop.run_until_complete(boot()), daemon=True)
-    runner.start()
-    ready.wait(timeout=10)
-    try:
-        yield threaded.server_address[1], front.address()[1]
-    finally:
-        threaded.shutdown()
-        loop.call_soon_threadsafe(stopping[0].set)
-        runner.join(timeout=10)
-        loop.close()
-        threaded_service.close()
-        aio_service.close()
-
-
-def _threaded_verdicts(port: int, pattern: str, words: list[str]):
-    body = json.dumps({"pattern": pattern, "words": words, "dialect": "named"}).encode()
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}/match",
-        data=body,
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request) as response:
-        return json.loads(response.read())["verdicts"]
+    with front_in_background(aio_service) as front:
+        yield batch_service, front.address()[1]
+    aio_service.close()
+    batch_service.close()
 
 
 def _streamed_verdict_lines(port: int, pattern: str, words: list[str]) -> list[bytes]:
@@ -132,11 +91,11 @@ def _corpus(seed: int, leaf_count: int) -> tuple[str, list[str]]:
     st.integers(min_value=2, max_value=9),
 )
 @settings(max_examples=20, deadline=None)
-def test_streamed_verdicts_match_the_threaded_front(fronts, seed, leaf_count):
-    threaded_port, aio_port = fronts
+def test_streamed_verdicts_match_the_batch_service(fronts, seed, leaf_count):
+    batch_service, aio_port = fronts
     pattern, words = _corpus(seed, leaf_count)
-    expected = _threaded_verdicts(threaded_port, pattern, words)
+    expected = batch_service.match_batch(pattern, words, dialect="named")
     lines = _streamed_verdict_lines(aio_port, pattern, words)
     # Byte-identical framing: each verdict is exactly the canonical JSON
-    # encoding of the threaded front's verdict, one per line, in order.
+    # encoding of the batch verdict, one per line, in order.
     assert lines == [json.dumps(verdict).encode() for verdict in expected]

@@ -1,7 +1,7 @@
 """Thread-stress tests for the shared caches (the PR-3 satellite).
 
 Eight-plus threads hammer ``repro.compile`` / ``match`` / ``match_all`` /
-``purge`` / ``cache_stats`` simultaneously; every verdict is checked
+``purge`` / ``repro.stats()`` simultaneously; every verdict is checked
 against a single-threaded oracle computed up front from fresh, uncached,
 uncompiled patterns, and every stats snapshot is checked against the cache
 invariants (no negative eviction counts, size bounded by max_size —

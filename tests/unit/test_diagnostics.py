@@ -4,7 +4,7 @@ Covers the :class:`~repro.diagnostics.MatchResult` /
 :class:`~repro.diagnostics.ValidationResult` surfaces (bool back-compat,
 lazy diagnosis, wire shapes), the witness traces recorded by
 ``TracedRun`` / ``TraceRecorder``, the repair ranking, the consolidated
-``repro.stats()`` namespace with its deprecated aliases, and the
+``repro.stats()`` namespace, and the
 expected-next enrichment of validator violations and ``LexError``.
 """
 
@@ -329,8 +329,8 @@ class TestStatsNamespace:
         assert "backend" in stats["kernel"]
         assert "materialized" in stats["snapshot"]
 
-    def test_kernel_stats_alias_warns(self):
-        from repro.matching.kernel import kernel_stats, stats as kernel_namespace
+    def test_kernel_block_is_the_kernel_module_stats(self):
+        from repro.matching import kernel
 
-        with pytest.deprecated_call():
-            assert kernel_stats() == kernel_namespace()
+        assert not hasattr(kernel, "kernel_stats")  # the old alias is removed
+        assert repro.stats()["kernel"] == kernel.stats()

@@ -89,29 +89,23 @@ class TestStatsBoard:
 class TestClusterStatsView:
     def test_stats_payload_filters_stale_workers(self):
         """A dead worker's leftover summary must not count as live."""
-        import socket
-
+        from repro.service.aio import AsyncServiceServer
         from repro.service.core import ValidationService
-        from repro.service.prefork import PreforkHTTPServer
 
-        listen = socket.socket()
-        listen.bind(("127.0.0.1", 0))
-        listen.listen(1)
         board = StatsBoard(slots=2)
         fresh = {"pid": 1, "requests": {"total": 5, "errors": 0, "in_flight": 1}}
         board.publish(0, {**fresh, "updated_at": time.time()})
         dead = {"pid": 2, "requests": {"total": 9, "errors": 0, "in_flight": 3}}
         board.publish(1, {**dead, "updated_at": time.time() - 3600})
         service = ValidationService(workers=1)
-        server = PreforkHTTPServer(listen, service, board, slot=0, processes=2)
         try:
-            cluster = server.stats_payload()["cluster"]
+            front = AsyncServiceServer(service, board=board, processes=2)
+            cluster = front.stats_payload()["cluster"]
             assert cluster["live_workers"] == 1
             assert cluster["aggregate_requests"] == {"total": 5, "errors": 0, "in_flight": 1}
             assert cluster["workers"]["0"]["stale"] is False
             assert cluster["workers"]["1"]["stale"] is True  # listed, excluded
         finally:
-            server.server_close()
             service.close()
 
 

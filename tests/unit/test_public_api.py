@@ -1,24 +1,22 @@
-"""Locks on the public API surface and the moved-name shims.
+"""Locks on the public API surface.
 
 The ExecutionPlan refactor split ``repro.api`` into a facade plus
 ``repro.cache`` and ``repro.matching.plan``, and split the asyncio front
-into ``aio`` / ``aio_frames`` / ``aio_run``.  These tests pin down that
-none of it changed the published surface:
+into ``aio`` / ``aio_frames`` / ``aio_run``.  These tests pin down the
+published surface those splits must not change:
 
-* ``repro.__all__`` is byte-identical to the pre-split export list;
+* ``repro.__all__`` is locked to the export list below;
 * the signatures user code calls (``compile``, ``match``, ``Pattern``)
   are unchanged;
-* internal names that moved keep their old import paths alive through
-  ``DeprecationWarning`` shims resolving to the *same* objects.
-
-The shim tests use :func:`pytest.deprecated_call`, so they still pass
-under the CI diagnostics leg's ``-W error::DeprecationWarning`` — while
-any first-party use of a moved path fails that leg.
+* names that moved resolve only at their new homes: the old import paths
+  raise :class:`AttributeError` instead of warning, and the old stats
+  aliases are gone from ``repro`` and ``Pattern``.
 """
 
 from __future__ import annotations
 
 import inspect
+import warnings
 
 import pytest
 
@@ -52,7 +50,6 @@ EXPECTED_ALL = [
     "__version__",
     "build_matcher",
     "build_parse_tree",
-    "cache_stats",
     "check_deterministic",
     "check_deterministic_numeric",
     "compile",
@@ -66,10 +63,24 @@ EXPECTED_ALL = [
     "purge",
     "resize_compile_cache",
     "save_snapshot",
-    "snapshot_stats",
     "stats",
     "to_text",
 ]
+
+#: Private ``repro.api`` names the cache split moved into ``repro.cache``,
+#: old spelling -> new spelling.
+MOVED_TO_CACHE = {
+    "_PatternCache": "PatternCache",
+    "_CACHE": "PATTERN_CACHE",
+    "_cache_stats": "compile_cache_stats",
+    "_SnapshotTelemetry": "SnapshotTelemetry",
+    "_SNAPSHOT_TELEMETRY": "SNAPSHOT_TELEMETRY",
+    "_snapshot_meta": "snapshot_meta",
+    "_snapshot_stats": "snapshot_stats",
+    "_materialization": "materialization",
+    "_resolve_snapshot_pattern": "resolve_snapshot_pattern",
+    "_load_snapshot_url": "load_snapshot_url",
+}
 
 
 class TestPublicSurface:
@@ -108,8 +119,6 @@ class TestPublicSurface:
             "stream",
             "describe",
             "stats",
-            "runtime_stats",
-            "cache_stats",
             "acceptance_memo",
             "is_deterministic",
             "explain",
@@ -120,27 +129,27 @@ class TestPublicSurface:
             assert hasattr(pattern, member), member
 
 
-class TestMovedNameShims:
-    """Old private import paths warn but still resolve to the real objects."""
+class TestMovedNames:
+    """Moved names live only at their new homes; the old paths are gone."""
 
-    @pytest.mark.parametrize(
-        ("old_name", "target"),
-        sorted(api._MOVED_TO_CACHE.items()),
-    )
-    def test_api_to_cache_shims(self, old_name, target):
-        with pytest.deprecated_call(match=f"moved to repro.cache.{target}"):
-            shimmed = getattr(api, old_name)
-        assert shimmed is getattr(cache, target)
+    @pytest.mark.parametrize(("old_name", "target"), sorted(MOVED_TO_CACHE.items()))
+    def test_api_names_resolve_only_in_cache(self, old_name, target):
+        assert target in vars(cache)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a shim would warn before resolving
+            with pytest.raises(AttributeError, match=old_name):
+                getattr(api, old_name)
 
-    def test_aio_entry_point_shims(self):
+    def test_aio_entry_points_live_in_aio_run(self):
+        from repro import service
         from repro.service import aio, aio_run
 
-        with pytest.deprecated_call(match="moved to repro.service.aio_run"):
-            shimmed = aio.serve
-        assert shimmed is aio_run.serve
-        with pytest.deprecated_call(match="moved to repro.service.aio_run"):
-            shimmed = aio.run_prefork_worker
-        assert shimmed is aio_run.run_prefork_worker
+        assert service.serve is aio_run.serve
+        assert {"host", "port", "workers"} <= set(inspect.signature(aio_run.serve).parameters)
+        assert callable(aio_run.run_prefork_worker)
+        for name in ("serve", "run_prefork_worker"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(aio, name)
 
     def test_unknown_attributes_still_raise(self):
         with pytest.raises(AttributeError):
@@ -150,9 +159,9 @@ class TestMovedNameShims:
         with pytest.raises(AttributeError):
             aio.no_such_name
 
-    def test_deprecated_stats_aliases_delegate(self):
-        with pytest.deprecated_call():
-            assert repro.cache_stats() == repro.stats()["pattern_cache"]
-        with pytest.deprecated_call():
-            snapshot = repro.snapshot_stats()
-        assert snapshot.keys() == repro.stats()["snapshot"].keys()
+    def test_stats_aliases_are_removed_from_the_package(self):
+        for name in ("cache_stats", "snapshot_stats"):
+            assert not hasattr(repro, name), name
+        namespace = repro.stats()
+        assert namespace["pattern_cache"] == cache.compile_cache_stats()
+        assert namespace["snapshot"].keys() == cache.snapshot_stats().keys()

@@ -8,6 +8,7 @@ stay internally consistent while requests are in flight.
 
 from __future__ import annotations
 
+import asyncio
 import random
 import threading
 
@@ -234,7 +235,7 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="service is closed"):
             service.validate_documents(parse_dtd("<!ELEMENT a EMPTY>"), [])
         with pytest.raises(RuntimeError, match="service is closed"):
-            service.validate_document_texts(parse_dtd("<!ELEMENT a EMPTY>"), [])
+            asyncio.run(service.validate_document_texts_async(parse_dtd("<!ELEMENT a EMPTY>"), []))
         # stats stays readable on a closed service (monitoring keeps working)
         assert service.stats()["service"]["closed"] is True
 

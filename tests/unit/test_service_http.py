@@ -1,37 +1,42 @@
-"""End-to-end tests of the stdlib HTTP front end (``repro.service.http``).
+"""End-to-end tests of the buffered JSON endpoints over a real socket.
 
-A real server is booted on an ephemeral port once per module; requests go
-through ``urllib`` exactly as an external client's would, so routing,
-status codes, JSON envelopes and error mapping are all exercised over a
-socket rather than by calling handler methods directly.
+The serving front (:class:`~repro.service.aio.AsyncServiceServer`) is
+booted on an ephemeral port once per module; requests go through
+``urllib`` and ``http.client`` exactly as an external client's would, so
+routing, status codes, JSON envelopes, error mapping and keep-alive
+framing are all exercised over a socket rather than by calling handler
+methods directly.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 import repro
-from repro.service import ServiceHTTPServer, ValidationService
+from repro.service import ValidationService
 
 DTD_TEXT = "<!ELEMENT a (b, c?)> <!ELEMENT b EMPTY> <!ELEMENT c EMPTY>"
 
+SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+
 
 @pytest.fixture(scope="module")
-def http_service():
+def http_service(front_in_background):
     service = ValidationService(workers=4)
-    server = ServiceHTTPServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield service, server.server_address[1]
-    server.shutdown()
-    server.server_close()
+    with front_in_background(service) as front:
+        yield service, front.address()[1]
     service.close()
-    thread.join(timeout=5)
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +235,6 @@ class TestPlumbing:
         assert status == 400
 
     def test_keep_alive_connection_survives_across_requests(self, server_port):
-        import http.client
-
         connection = http.client.HTTPConnection("127.0.0.1", server_port)
         try:
             for _ in range(3):  # one persistent connection, three requests
@@ -247,11 +250,37 @@ class TestPlumbing:
         finally:
             connection.close()
 
+    def test_sequential_keep_alive_requests_do_not_stall(self, server_port):
+        """Fifty one-word requests on one connection finish well under a second.
+
+        A response whose head and body leave in two writes stalls every
+        keep-alive request for the peer's delayed ACK (Nagle's algorithm
+        holds back the second write) — tens of milliseconds each, seconds
+        for the loop below.  One write per response keeps it fast.
+        """
+        body = json.dumps({"pattern": "(ab)*", "words": ["ab"]})
+        connection = http.client.HTTPConnection("127.0.0.1", server_port)
+        try:
+            connection.request(
+                "POST", "/match", body=body, headers={"Content-Type": "application/json"}
+            )
+            connection.getresponse().read()  # connect and warm the pattern
+            start = time.perf_counter()
+            for _ in range(50):
+                connection.request(
+                    "POST", "/match", body=body, headers={"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["verdicts"] == [True]
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 1.0, f"50 keep-alive requests took {elapsed:.2f} s"
+
     def test_unconsumed_body_errors_close_the_connection(self, server_port):
         """Error replies sent before the body was read must not leave the
         unread bytes to be parsed as the next request (keep-alive desync)."""
-        import http.client
-
         body = json.dumps({"pattern": "(ab)*", "words": ["ab"]})
         connection = http.client.HTTPConnection("127.0.0.1", server_port)
         try:
@@ -284,3 +313,29 @@ class TestPlumbing:
         for thread in threads:
             thread.join()
         assert not failures, failures[0]
+
+
+class TestCommandLine:
+    """``--front`` survives only as a hidden flag whose one value is ``aio``."""
+
+    @staticmethod
+    def _cli(*arguments: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-m", "repro.service", *arguments],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    def test_the_threaded_front_is_rejected(self):
+        completed = self._cli("--front", "threaded")
+        assert completed.returncode == 2
+        assert "invalid choice: 'threaded'" in completed.stderr
+
+    def test_help_does_not_advertise_a_front_choice(self):
+        completed = self._cli("--help")
+        assert completed.returncode == 0
+        assert "--front" not in completed.stdout

@@ -2,7 +2,9 @@
 
 The contract under test (ISSUE 5): the v2 file persists star-free tables
 and validator memos next to the dense rows; v1 files keep loading
-(counted ``format_v1``); corrupt or stale v2 *sections* degrade
+(counted ``format_v1``; the committed ``tests/data/rows.v1.snapshot``
+is the reference file, since nothing writes v1 any more); corrupt or
+stale v2 *sections* degrade
 per-section to lazy rebuild — never a changed verdict; and the serving
 layer streams the current file over ``GET /snapshot`` so a fresh host
 bootstraps from a running fleet.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro import cache
 from repro.matching import snapshot as snapshot_format
 from repro.matching.snapshot import SnapshotError
 from repro.matching.star_free import StarFreeMultiMatcher
-from repro.service import ServiceHTTPServer, SnapshotRefresher, ValidationService
+from repro.service import SnapshotRefresher, ValidationService
 from repro.xml import parse_dtd
 from repro.xml.memo import AcceptanceMemo
 from repro.xml.parser import parse_document
@@ -29,6 +32,10 @@ from repro.xml.validator import DTDValidator
 
 ROWS_EXPR = "(ab+b(b?)a)*"
 ROWS_WORDS = ["abba", "ab", "bb", "abab", "ba", "", "abbaab"]
+
+#: A version-1 (rows-only) snapshot of ROWS_EXPR warmed by ROWS_WORDS,
+#: written by the last release that could write v1.
+V1_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "rows.v1.snapshot"
 
 STAR_FREE_EXPR = "(a+b)(c?)d"
 STAR_FREE_WORDS = ["acd", "bd", "dd", "", "ad", "bcd"]
@@ -153,26 +160,13 @@ class TestV2RoundTrip:
 
 
 class TestV1Compatibility:
-    def test_v1_file_still_loads_and_is_counted(self, tmp_path):
-        path = tmp_path / "rows.v1.snapshot"
+    def test_v1_file_still_loads_and_is_counted(self):
+        path = V1_FIXTURE
         pattern = repro.compile(ROWS_EXPR)
         for word in ROWS_WORDS:
             pattern.match(word)
-        key = (ROWS_EXPR, "paper", "auto", True)
-        meta = cache.snapshot_meta(key, pattern)
-        export = pattern.runtime.export_rows()
-        written = snapshot_format.write_v1(
-            path,
-            [
-                {
-                    "fingerprint": snapshot_format.pattern_fingerprint(meta),
-                    "meta": meta,
-                    "accepts": export["accepts"],
-                    "rows": export["rows"],
-                }
-            ],
-        )
-        assert written["patterns"] == 1
+        # The fixture holds exactly the rows this warm-up materializes.
+        expected_rows = len(pattern.runtime.export_rows()["rows"])
         assert snapshot_format.describe_file(path)["format"] == 1
 
         repro.purge()
@@ -180,7 +174,7 @@ class TestV1Compatibility:
         report = repro.load_snapshot(str(path))
         assert report["format"] == 1
         assert report["patterns_loaded"] == 1
-        assert report["rows_loaded"] == written["rows"]
+        assert report["rows_loaded"] == expected_rows
         assert report["tables_loaded"] == 0 and report["memos_loaded"] == 0
         assert repro.stats()["snapshot"]["format_v1"] == before + 1
         restored = repro.compile(ROWS_EXPR)
@@ -464,51 +458,37 @@ class TestLiveLifecycle:
 
 
 @pytest.fixture()
-def snapshot_server(tmp_path):
+def snapshot_server(tmp_path, front_in_background):
     """A real HTTP server whose ``GET /snapshot`` serves a warm v2 file."""
     _warm_everything()
     path = tmp_path / "served.snapshot"
     repro.save_snapshot(str(path))
     service = ValidationService(workers=1)
-    server = ServiceHTTPServer(("127.0.0.1", 0), service, snapshot_source=str(path))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, path
-    server.shutdown()
-    server.server_close()
+    with front_in_background(service, snapshot_source=str(path)) as front:
+        yield front.address()[1], path
     service.close()
-    thread.join(timeout=5)
 
 
 class TestSnapshotEndpoint:
     def test_get_snapshot_streams_the_exact_file(self, snapshot_server):
-        server, path = snapshot_server
-        port = server.server_address[1]
+        port, path = snapshot_server
         with urllib.request.urlopen(f"http://127.0.0.1:{port}/snapshot") as response:
             assert response.headers["Content-Type"] == "application/octet-stream"
             blob = response.read()
         assert blob == path.read_bytes()
 
-    def test_get_snapshot_404_without_a_source(self):
+    def test_get_snapshot_404_without_a_source(self, front_in_background):
         service = ValidationService(workers=1)
-        server = ServiceHTTPServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            port = server.server_address[1]
+        with front_in_background(service) as front:
+            port = front.address()[1]
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"http://127.0.0.1:{port}/snapshot")
             assert excinfo.value.code == 404
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
-            thread.join(timeout=5)
+        service.close()
 
     def test_fleet_bootstrap_over_the_wire(self, snapshot_server):
         """load_snapshot(url): a fresh host adopts a running fleet's state."""
-        server, _path = snapshot_server
-        port = server.server_address[1]
+        port, _path = snapshot_server
         repro.purge()
         report = repro.load_snapshot(f"http://127.0.0.1:{port}/snapshot")
         assert report["url"].endswith("/snapshot")
