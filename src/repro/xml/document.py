@@ -72,14 +72,14 @@ class Element:
 
     def has_text(self) -> bool:
         """True when the element contains non-whitespace character data."""
-        return bool(self.text.strip())
+        return bool(self.text) and not self.text.isspace()
 
     # -- serialisation -------------------------------------------------------------------
     def to_xml(self, indent: int = 0) -> str:
         """Serialise the subtree as indented XML text."""
         pad = "  " * indent
         attributes = "".join(
-            f' {key}="{_escape(value)}"' for key, value in self.attributes.items()
+            f' {key}="{_escape(value, attribute=True)}"' for key, value in self.attributes.items()
         )
         if not self.children and not self.text:
             return f"{pad}<{self.name}{attributes}/>"
@@ -114,10 +114,17 @@ def element(name: str, *children: Element, text: str = "", **attributes: str) ->
     return node
 
 
-def _escape(value: str) -> str:
-    return (
+def _escape(value: str, attribute: bool = False) -> str:
+    # Characters a conforming parser would normalise (a carriage return
+    # anywhere; a tab or line feed in an attribute value) are written as
+    # character references, which come back unchanged.
+    value = (
         value.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
         .replace('"', "&quot;")
+        .replace("\r", "&#13;")
     )
+    if attribute:
+        value = value.replace("\t", "&#9;").replace("\n", "&#10;")
+    return value

@@ -1,28 +1,40 @@
-"""A minimal, dependency-free XML parser.
+"""XML text to the library's element tree, on the stdlib's expat parser.
 
-Parses the well-formed subset of XML the examples and benchmarks need:
-elements with attributes, character data, comments, CDATA sections,
-processing instructions and an optional XML declaration / DOCTYPE (whose
-internal subset, if any, is returned as raw text so the DTD module can
-parse it).  Namespaces and entity definitions are out of scope; the five
-predefined entities are decoded.
+``xml.parsers.expat`` is the C parser that ships with CPython.  Its events
+build :class:`~repro.xml.document.Element` objects on an explicit stack, so
+nesting depth costs memory, never interpreter stack.  The DOCTYPE's
+internal subset is returned as raw text for :func:`~repro.xml.dtd.parse_dtd`.
 
-The parser is a straightforward single-pass scanner with a stack of open
-elements; it reports errors with line/column positions through
-:class:`~repro.errors.XMLSyntaxError`.
+Expat is a conforming XML 1.0 parser: character references and the five
+predefined entities are decoded, line ends and attribute whitespace are
+normalised, and non-well-formed input is rejected.  Entity declarations,
+references to entities it cannot expand and external DTD subsets are
+rejected as well, so a document's child sequences are exactly what its
+text spells out; so is nesting deeper than :data:`MAX_DEPTH`.  Every
+failure is an :class:`~repro.errors.XMLSyntaxError` with a 1-based line
+and column (columns count characters).
+
+>>> parsed = parse_xml('<!DOCTYPE note [<!ELEMENT note (#PCDATA)>]><note>hi &amp; bye</note>')
+>>> parsed.doctype_name, parsed.internal_subset, parsed.document.root.text
+('note', '<!ELEMENT note (#PCDATA)>', 'hi & bye')
+>>> try:
+...     parse_xml("<list>\\n  <item>\\n</list>")
+... except XMLSyntaxError as error:
+...     print(error.line, error.column, error)
+3 3 mismatched tag (line 3, column 3)
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from xml.parsers import expat
 
 from ..errors import XMLSyntaxError
 from .document import Document, Element
 
-_NAME = r"[A-Za-z_:][A-Za-z0-9_.:-]*"
-_ATTRIBUTE = re.compile(rf"\s+({_NAME})\s*=\s*(\"[^\"]*\"|'[^']*')")
-_ENTITIES = {"&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"', "&apos;": "'"}
+#: Elements nest at most this deep.  A validator reports a failing element
+#: with its path from the root, so the bound also caps a path's length.
+MAX_DEPTH = 100_000
 
 
 @dataclass(slots=True)
@@ -36,8 +48,21 @@ class ParsedXML:
 
 def parse_xml(text: str) -> ParsedXML:
     """Parse *text* into a :class:`ParsedXML` (raises on malformed input)."""
-    scanner = _Scanner(text)
-    return scanner.parse()
+    # A lone surrogate encodes to bytes that are not UTF-8; expat rejects
+    # them like any other invalid character, at the character's position.
+    data = text.encode("utf-8", "surrogatepass")
+    builder = _Builder(data)
+    try:
+        builder.parser.Parse(data, True)
+    except expat.ExpatError as error:
+        message = expat.ErrorString(error.code)
+        raise XMLSyntaxError(message, line=error.lineno, column=error.offset + 1) from None
+    finally:
+        # The parser holds the builder's bound methods; dropping the back
+        # reference lets reference counting free both, with no cyclic GC.
+        builder.parser = None
+    root = builder.stack[0].children[0]
+    return ParsedXML(Document(root), builder.doctype_name, builder.internal_subset)
 
 
 def parse_document(text: str) -> Document:
@@ -45,153 +70,78 @@ def parse_document(text: str) -> Document:
     return parse_xml(text).document
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.index = 0
-        self.doctype_name: str | None = None
-        self.internal_subset: str | None = None
+class _Builder:
+    """Expat handlers that assemble one document's element tree.
 
-    # -- error reporting ---------------------------------------------------------------
-    def _position(self) -> tuple[int, int]:
-        consumed = self.text[: self.index]
-        line = consumed.count("\n") + 1
-        column = len(consumed) - (consumed.rfind("\n") + 1) + 1
-        return line, column
+    Open elements sit on ``stack``, above a stand-in parent of the root.
+    Each element's ``text`` joins its own character-data runs (CDATA
+    included) once, at its end tag: open elements share ``runs``, and
+    ``marks`` records where each one's runs start.
+    """
 
-    def _error(self, message: str) -> XMLSyntaxError:
-        line, column = self._position()
-        return XMLSyntaxError(message, line=line, column=column)
+    def __init__(self, data: bytes):
+        self.data = data
+        self.stack = [Element("")]
+        self.marks: list[int] = []
+        self.runs: list[str] = []
+        self.doctype_name = self.internal_subset = None
+        self.subset_start = -1
+        parser = self.parser = expat.ParserCreate("utf-8")
+        parser.buffer_text = True
+        parser.specified_attributes = True
+        # Otherwise a parameter-entity reference in the internal subset
+        # silently turns off the rest of it and drops unknown entities
+        # from attribute values; this way it reaches entity_skipped.
+        parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_ALWAYS)
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+        parser.CharacterDataHandler = self.runs.append
+        parser.StartDoctypeDeclHandler = self.start_doctype
+        parser.EndDoctypeDeclHandler = self.end_doctype
+        parser.EntityDeclHandler = self.entity_declared
+        parser.SkippedEntityHandler = self.entity_skipped
 
-    # -- parsing --------------------------------------------------------------------------
-    def parse(self) -> ParsedXML:
-        self._skip_prolog()
-        root = self._parse_element()
-        self._skip_misc()
-        if self.index < len(self.text):
-            raise self._error("content after the root element")
-        return ParsedXML(Document(root), self.doctype_name, self.internal_subset)
-
-    def _skip_prolog(self) -> None:
-        while True:
-            self._skip_whitespace()
-            if self.text.startswith("<?", self.index):
-                end = self.text.find("?>", self.index)
-                if end < 0:
-                    raise self._error("unterminated processing instruction")
-                self.index = end + 2
-            elif self.text.startswith("<!--", self.index):
-                self._skip_comment()
-            elif self.text.startswith("<!DOCTYPE", self.index):
-                self._parse_doctype()
-            else:
-                return
-
-    def _skip_misc(self) -> None:
-        while True:
-            self._skip_whitespace()
-            if self.text.startswith("<!--", self.index):
-                self._skip_comment()
-            elif self.text.startswith("<?", self.index):
-                end = self.text.find("?>", self.index)
-                if end < 0:
-                    raise self._error("unterminated processing instruction")
-                self.index = end + 2
-            else:
-                return
-
-    def _skip_whitespace(self) -> None:
-        while self.index < len(self.text) and self.text[self.index].isspace():
-            self.index += 1
-
-    def _skip_comment(self) -> None:
-        end = self.text.find("-->", self.index)
-        if end < 0:
-            raise self._error("unterminated comment")
-        self.index = end + 3
-
-    def _parse_doctype(self) -> None:
-        match = re.compile(rf"<!DOCTYPE\s+({_NAME})\s*").match(self.text, self.index)
-        if match is None:
-            raise self._error("malformed DOCTYPE declaration")
-        self.doctype_name = match.group(1)
-        self.index = match.end()
-        if self.text.startswith("[", self.index):
-            end = self.text.find("]", self.index)
-            if end < 0:
-                raise self._error("unterminated DOCTYPE internal subset")
-            self.internal_subset = self.text[self.index + 1 : end]
-            self.index = end + 1
-        self._skip_whitespace()
-        if not self.text.startswith(">", self.index):
-            raise self._error("expected '>' to close DOCTYPE")
-        self.index += 1
-
-    def _parse_element(self) -> Element:
-        if not self.text.startswith("<", self.index):
-            raise self._error("expected an element start tag")
-        match = re.compile(rf"<({_NAME})").match(self.text, self.index)
-        if match is None:
-            raise self._error("malformed start tag")
-        name = match.group(1)
-        self.index = match.end()
-        attributes = self._parse_attributes()
-        self._skip_whitespace()
-        if self.text.startswith("/>", self.index):
-            self.index += 2
-            return Element(name, attributes)
-        if not self.text.startswith(">", self.index):
-            raise self._error(f"expected '>' in start tag of <{name}>")
-        self.index += 1
+    def start(self, name: str, attributes: dict[str, str]) -> None:
+        stack = self.stack
+        if len(stack) > MAX_DEPTH:
+            self._reject(f"elements nested deeper than {MAX_DEPTH} levels")
         element = Element(name, attributes)
-        self._parse_content(element)
-        return element
+        stack[-1].children.append(element)
+        stack.append(element)
+        self.marks.append(len(self.runs))
 
-    def _parse_attributes(self) -> dict[str, str]:
-        attributes: dict[str, str] = {}
-        while True:
-            match = _ATTRIBUTE.match(self.text, self.index)
-            if match is None:
-                return attributes
-            attributes[match.group(1)] = _unescape(match.group(2)[1:-1])
-            self.index = match.end()
+    def end(self, _name: str) -> None:
+        element = self.stack.pop()
+        mark = self.marks.pop()
+        runs = self.runs
+        if len(runs) > mark:
+            element.text = "".join(runs[mark:])
+            del runs[mark:]
 
-    def _parse_content(self, parent: Element) -> None:
-        text_chunks: list[str] = []
-        while True:
-            if self.index >= len(self.text):
-                raise self._error(f"unexpected end of input inside <{parent.name}>")
-            if self.text.startswith("</", self.index):
-                match = re.compile(rf"</({_NAME})\s*>").match(self.text, self.index)
-                if match is None or match.group(1) != parent.name:
-                    raise self._error(f"mismatched end tag for <{parent.name}>")
-                self.index = match.end()
-                parent.text = "".join(text_chunks)
-                return
-            if self.text.startswith("<!--", self.index):
-                self._skip_comment()
-            elif self.text.startswith("<![CDATA[", self.index):
-                end = self.text.find("]]>", self.index)
-                if end < 0:
-                    raise self._error("unterminated CDATA section")
-                text_chunks.append(self.text[self.index + 9 : end])
-                self.index = end + 3
-            elif self.text.startswith("<?", self.index):
-                end = self.text.find("?>", self.index)
-                if end < 0:
-                    raise self._error("unterminated processing instruction")
-                self.index = end + 2
-            elif self.text.startswith("<", self.index):
-                parent.children.append(self._parse_element())
-            else:
-                next_tag = self.text.find("<", self.index)
-                if next_tag < 0:
-                    raise self._error(f"unexpected end of input inside <{parent.name}>")
-                text_chunks.append(_unescape(self.text[self.index : next_tag]))
-                self.index = next_tag
+    def start_doctype(self, name, system_id, public_id, has_internal_subset) -> None:
+        if system_id is not None or public_id is not None:
+            self._reject("external DTD subsets are not supported")
+        self.doctype_name = name
+        if has_internal_subset:
+            # Expat reports the declaration at its '[' token.
+            self.subset_start = self.parser.CurrentByteIndex + 1
 
+    def end_doctype(self) -> None:
+        if self.subset_start >= 0:
+            # Reported at the closing '>'; the subset ends at the last ']'.
+            close = self.data.rindex(b"]", self.subset_start, self.parser.CurrentByteIndex)
+            self.internal_subset = self.data[self.subset_start : close].decode("utf-8")
 
-def _unescape(value: str) -> str:
-    for entity, replacement in _ENTITIES.items():
-        value = value.replace(entity, replacement)
-    return value
+    def entity_declared(self, name, is_parameter_entity, *_details) -> None:
+        kind = "parameter entity" if is_parameter_entity else "entity"
+        self._reject(f"{kind} declarations are not supported (<!ENTITY {name}>)")
+
+    def entity_skipped(self, name, is_parameter_entity) -> None:
+        reference = f"%{name};" if is_parameter_entity else f"&{name};"
+        self._reject(f"undefined entity {reference}")
+
+    def _reject(self, message: str):
+        parser = self.parser
+        raise XMLSyntaxError(
+            message, line=parser.CurrentLineNumber, column=parser.CurrentColumnNumber + 1
+        )

@@ -15,7 +15,9 @@ paths are provided:
   after the first replays memoized integer transitions, which is where
   the Li et al. observation (the same few content models are re-validated
   millions of times) turns into throughput.  Pass ``compiled=False`` to
-  validate on the direct matcher path instead.
+  validate on the direct matcher path instead.  The walk is iterative
+  and builds a path, a :class:`Violation` and a diagnosis only for an
+  element that fails; a report stops at :data:`MAX_VIOLATIONS`.
 * :class:`StreamingContentChecker` — incremental validation of one child
   sequence, fed name by name, exercising the streamability of the
   matchers (the paper notes all its matching algorithms are streaming).
@@ -24,7 +26,7 @@ paths are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from ..api import Pattern, compile as compile_pattern
 from ..diagnostics import ValidationResult, diagnose
@@ -34,6 +36,53 @@ from ..matching.plan import PLANNER, ExecutionPlan
 from ..matching.runtime import CompiledRun, CompiledRuntime, aggregate_stats
 from .document import Document, Element
 from .dtd import DTD, ContentModel, content_model_expression, describe_expected
+
+
+#: A report lists at most this many violations, the first in document
+#: order; a document with more is still invalid.  A path costs up to its
+#: element's depth, so the cap keeps a report linear in the document.
+MAX_VIOLATIONS = 100
+
+
+def _walk(root: Element, check: Callable) -> ValidationResult:
+    """Run *check* on *root* and its descendants in document order, iteratively.
+
+    ``check(element, locate)`` returns an element's violations and calls
+    ``locate()`` only if there are any; ``locate`` renders the element's
+    ``/catalog/product[2]`` path from ``slots``, the 1-based child
+    positions from the root down.  Both validators report through here,
+    up to :data:`MAX_VIOLATIONS` violations.
+    """
+    slots: list[int] = []
+
+    def locate() -> str:
+        element, parts = root, [f"/{root.name}"]
+        for slot in slots:
+            element = element.children[slot - 1]
+            parts.append(f"/{element.name}[{slot}]")
+        return "".join(parts)
+
+    violations = list(check(root, locate))
+    levels = [root.children]
+    slots.append(0)
+    while levels:
+        children, slot = levels[-1], slots[-1]
+        if slot == len(children):
+            levels.pop()
+            slots.pop()
+            continue
+        slots[-1] = slot + 1
+        child = children[slot]
+        found = check(child, locate)
+        if found:
+            violations += found
+            if len(violations) >= MAX_VIOLATIONS:
+                del violations[MAX_VIOLATIONS:]
+                break
+        if child.children:
+            levels.append(child.children)
+            slots.append(0)
+    return ValidationResult(not violations, violations)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,8 +186,9 @@ class DTDValidator:
         The result is truthy exactly when the document is valid and
         list-like over its :class:`Violation` objects (iteration, ``len``,
         indexing), so pre-PR-9 code that looped over the returned
-        violation list keeps working.  Violations carry element paths
-        computed during this walk.
+        violation list keeps working.  Nesting depth costs memory, not
+        interpreter stack, and a valid element allocates no path or result.
+        The report stops at :data:`MAX_VIOLATIONS` violations.
 
         Thread-safe: a validator is immutable once constructed — its
         matchers and runtimes come from the (locked) module compile cache,
@@ -147,16 +197,7 @@ class DTDValidator:
         (the ``repro.service`` thread pool does exactly that).
         """
         root = document.root if isinstance(document, Document) else document
-        violations: list[Violation] = []
-        stack: list[tuple[Element, str]] = [(root, f"/{root.name}")]
-        while stack:
-            element, path = stack.pop()
-            violations.extend(self.validate_element(element, path=path))
-            children = element.children
-            for slot in range(len(children) - 1, -1, -1):
-                child = children[slot]
-                stack.append((child, f"{path}/{child.name}[{slot + 1}]"))
-        return ValidationResult(not violations, violations)
+        return _walk(root, self._check)
 
     def validate_many(self, documents: Sequence[Document | Element]) -> list[ValidationResult]:
         """Validate a corpus of documents; one :class:`ValidationResult` each.
@@ -177,28 +218,40 @@ class DTDValidator:
         """Check one element (its child sequence and text) against its declaration.
 
         Returns a :class:`ValidationResult` over this element's
-        violations only; *path* (supplied by the :meth:`validate` walk)
-        locates the element in diagnostics.
+        violations only; *path* locates the element in diagnostics.
         """
+        violations = self._check(element, lambda: path)
+        return ValidationResult(not violations, violations)
+
+    def _check(self, element: Element, locate: Callable[[], str]) -> Sequence[Violation]:
+        """*element*'s violations (``()`` if valid); *locate* runs only on failure."""
         model = self._models.get(element.name)
         if model is None:
-            if self.strict:
-                violation = Violation(
-                    element, "undeclared", "element name is not declared", path=path
-                )
-                return ValidationResult(False, (violation,))
-            return ValidationResult(True)
-        violations: list[Violation] = []
-        if element.has_text() and not model.allows_text:
+            if not self.strict:
+                return ()
+            return (Violation(element, "undeclared", "element name is not declared", locate()),)
+        text_ok = model.allows_text or not element.has_text()
+        children = element.children
+        plan = self._plans.get(element.name)
+        if model.kind == "any":
+            children_ok = True
+        elif plan is None:
+            # EMPTY, or mixed content with #PCDATA only: no element children.
+            children_ok = not children
+        else:
+            children_ok = plan.accepts_children([child.name for child in children])
+        if text_ok and children_ok:
+            return ()
+        path = locate()
+        violations = []
+        if not text_ok:
+            message = "character data is not allowed here"
+            violations.append(Violation(element, "unexpected-text", message, path=path))
+        if not children_ok:
             violations.append(
-                Violation(
-                    element, "unexpected-text", "character data is not allowed here", path=path
-                )
+                self._content_violation(element, model, element.child_sequence(), path)
             )
-        children = element.child_sequence()
-        if not self._children_allowed(element.name, model, children):
-            violations.append(self._content_violation(element, model, children, path))
-        return ValidationResult(not violations, violations)
+        return violations
 
     def _content_violation(
         self, element: Element, model: ContentModel, children: Sequence[str], path: str
@@ -228,17 +281,6 @@ class DTDValidator:
             child_index=index,
             expected=diagnosis.expected,
         )
-
-    def _children_allowed(self, name: str, model: ContentModel, children: Sequence[str]) -> bool:
-        if model.kind == "any":
-            return True
-        if model.kind == "empty":
-            return not children
-        plan = self._plans.get(name)
-        if plan is None:
-            # Mixed content with #PCDATA only: no element children allowed.
-            return not children
-        return plan.accepts_children(children)
 
     def stats(self) -> dict[str, dict]:
         """Lazy-DFA materialization telemetry, one entry per content model.

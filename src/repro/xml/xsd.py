@@ -20,7 +20,10 @@ particle — or the same schema validating many documents — share one warm
 :class:`~repro.api.Pattern`, including its memoized lazy-DFA transition
 rows.  Child sequences are interned once and replayed through the
 compiled runtime; pass ``compiled=False`` to validate on the direct
-(uncompiled) matcher path instead.
+(uncompiled) matcher path instead.  :meth:`XSDSchema.validate_element`
+walks the tree without recursion, asks each declared element's
+acceptance memo once, and builds a ``/orders/order[3]`` path only for an
+element that fails.
 
 >>> schema = XSDSchema(root="order")
 >>> schema.declare("order", sequence(element_particle("item", 1, None),
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..core.determinism import DeterminismReport
 from ..core.numeric import NumericDeterminismReport
@@ -53,7 +56,7 @@ from ..matching.runtime import aggregate_stats
 from ..regex.ast import Regex, Repeat, Sym, concat, union
 from .document import Element
 from .dtd import describe_expected
-from .validator import Violation
+from .validator import Violation, _walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports nothing from here)
     from ..api import Pattern
@@ -277,41 +280,43 @@ class XSDSchema:
         compiled runtime: the child names are interned into integer codes
         once, then replayed over transition rows shared with every other
         document — and every other schema — that exercised the same
-        content model.  *_element*/*_path* are supplied by the
-        :meth:`validate_element` walk to locate violations.
+        content model.  *_element*/*_path* locate the violation when the
+        caller has them.
         """
+        violations = self._content_check(name, child_names, _element, lambda: _path)
+        return ValidationResult(not violations, violations)
+
+    def _plan_for(self, name: str):
+        """The execution plan of *name*'s particle, memoized (``None`` if undeclared)."""
         plans = self._plans
         if name in plans:  # lock-free warm probe (the per-element steady state)
-            plan = plans[name]
-        else:
-            with self._memo_lock:
-                if name in plans:
-                    plan = plans[name]
-                else:
-                    pattern = self._pattern_for(name)
-                    if pattern is None:
-                        plan = None
-                    else:
-                        # ``compiled`` only overrides the execution mode;
-                        # the pattern's cache identity is unchanged, so
-                        # the underlying rows stay shared process-wide.
-                        plan = PLANNER.plan(pattern, compiled=self.compiled).prime()
-                    plan = plans[name] = plan
-        if plan is None:
-            # Undeclared elements are unconstrained in this mini-schema.
-            return ValidationResult(True)
-        # The plan memoized the engine choice: one chosen before the
-        # (mutable) `compiled` flag was flipped keeps working.
-        if plan.accepts_children(child_names):
-            return ValidationResult(True)
-        return ValidationResult(
-            False, (self._children_violation(name, child_names, _element, _path),)
-        )
+            return plans[name]
+        with self._memo_lock:
+            if name not in plans:
+                pattern = self._pattern_for(name)
+                plan = None
+                if pattern is not None:
+                    # ``compiled`` only overrides the execution mode; the
+                    # pattern's cache identity is unchanged, so the
+                    # underlying rows stay shared process-wide.
+                    plan = PLANNER.plan(pattern, compiled=self.compiled).prime()
+                plans[name] = plan
+            return plans[name]
 
-    def _children_violation(
-        self, name: str, child_names: Sequence[str], element: Element | None, path: str
-    ) -> Violation:
-        """Diagnose a failed child sequence (runs only on failures)."""
+    def _content_check(
+        self, name: str, child_names: Sequence[str], element: Element | None, locate: Callable
+    ) -> tuple[Violation, ...]:
+        """The violation of *child_names* under *name*'s particle (``()`` if accepted).
+
+        Asks the plan once; the diagnosis replays the sequence, so it and
+        *locate* run only on failures.
+        """
+        plan = self._plan_for(name)
+        # Undeclared elements are unconstrained in this mini-schema.  The
+        # plan memoized the engine choice: one chosen before the (mutable)
+        # `compiled` flag was flipped keeps working.
+        if plan is None or plan.accepts_children(child_names):
+            return ()
         particle = self.types[name]
         target = element if element is not None else Element(name)
         message = f"children {list(child_names)!r} do not match particle {particle.describe()}"
@@ -322,51 +327,44 @@ class XSDSchema:
         else:
             detail = f"content ended too early after {len(child_names)} child(ren)"
         wanted = describe_expected(diagnosis.expected, diagnosis.can_end)
-        return Violation(
+        violation = Violation(
             target,
             "content",
             f"{message}: {detail}; expected {wanted}",
-            path=path,
+            path=locate(),
             child_index=index,
             expected=diagnosis.expected,
         )
+        return (violation,)
 
     def validate_element(self, element: Element) -> ValidationResult:
-        """Recursively validate *element*; collects every located violation.
+        """Validate *element* and every descendant; collects every located violation.
 
         Returns a truthy/falsy :class:`~repro.diagnostics.ValidationResult`
         over :class:`~repro.xml.validator.Violation` objects with element
         paths.  Particles that violate Unique Particle Attribution are
         reported as ``"upa"`` violations (with the conflicting-position
         context from the counter-aware analysis) instead of being matched
-        — the Section 4 matchers are only correct under UPA.
+        — the Section 4 matchers are only correct under UPA.  The walk is
+        iterative, builds a path only for an element that fails, and stops
+        at :data:`~repro.xml.validator.MAX_VIOLATIONS` violations.
         """
-        violations: list[Violation] = []
-        stack: list[tuple[Element, str]] = [(element, f"/{element.name}")]
-        while stack:
-            node, path = stack.pop()
-            pattern = self._pattern_for(node.name)
-            if pattern is not None and not pattern.is_deterministic:
-                particle = self.types[node.name]
-                violations.append(
-                    Violation(
-                        node,
-                        "upa",
-                        f"particle {particle.describe()} violates Unique Particle "
-                        f"Attribution: {pattern.explain()}",
-                        path=path,
-                    )
-                )
-            else:
-                result = self.validate_children(
-                    node.name, node.child_sequence(), _element=node, _path=path
-                )
-                violations.extend(result)
-            children = node.children
-            for slot in range(len(children) - 1, -1, -1):
-                child = children[slot]
-                stack.append((child, f"{path}/{child.name}[{slot + 1}]"))
-        return ValidationResult(not violations, violations)
+        return _walk(element, self._check)
+
+    def _check(self, node: Element, locate: Callable[[], str]) -> tuple[Violation, ...]:
+        """*node*'s violations (``()`` if valid); *locate* runs only on failure."""
+        name = node.name
+        pattern = self._pattern_for(name)
+        if pattern is None:
+            return ()  # undeclared elements are unconstrained
+        if not pattern.is_deterministic:
+            particle = self.types[name]
+            message = (
+                f"particle {particle.describe()} violates Unique Particle "
+                f"Attribution: {pattern.explain()}"
+            )
+            return (Violation(node, "upa", message, path=locate()),)
+        return self._content_check(name, [child.name for child in node.children], node, locate)
 
     def _pattern_for(self, name: str) -> "Pattern | None":
         """The compiled pattern of *name*'s particle, memoized per element.

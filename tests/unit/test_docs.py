@@ -5,7 +5,8 @@ tier-1, so documentation rot fails fast everywhere:
 
 * the README quickstart (a text-file doctest);
 * the doctests embedded in the public-API module docstrings
-  (``repro.api``, ``repro.matching.runtime``, ``repro.xml.xsd``);
+  (``repro.api``, ``repro.matching.runtime``, ``repro.xml.xsd``,
+  ``repro.xml.parser``, ``repro.service.core``);
 * every script in ``examples/`` (executed as a subprocess, the way a
   reader would run it).
 """
@@ -23,6 +24,7 @@ import pytest
 import repro.api
 import repro.matching.runtime
 import repro.service.core
+import repro.xml.parser
 import repro.xml.xsd
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -38,7 +40,7 @@ def test_readme_doctests_pass():
 
 @pytest.mark.parametrize(
     "module",
-    [repro.api, repro.matching.runtime, repro.xml.xsd, repro.service.core],
+    [repro.api, repro.matching.runtime, repro.xml.xsd, repro.xml.parser, repro.service.core],
     ids=lambda module: module.__name__,
 )
 def test_module_docstring_examples_pass(module):

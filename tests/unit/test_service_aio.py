@@ -23,6 +23,8 @@ from repro.service.autosize import Autosizer
 from repro.service.core import ValidationService
 from repro.service.wire import WireError
 from repro.xml.memo import AcceptanceMemo
+from repro.xml.parser import MAX_DEPTH
+from repro.xml.validator import MAX_VIOLATIONS
 
 PATTERN = "(ab+b(b?)a)*"
 DTD_TEXT = "<!ELEMENT a (b, c?)> <!ELEMENT b EMPTY> <!ELEMENT c EMPTY>"
@@ -282,6 +284,50 @@ class TestRoutes:
                 assert status == 404
                 status, _, _ = await _roundtrip(front.port, "DELETE", "/match")
                 assert status == 405
+
+        asyncio.run(scenario())
+
+    def test_deeply_nested_document_gets_a_json_reply(self):
+        """Nesting depth costs the parser and the validator heap, not stack:
+        a 900-deep document is validated like any other, and the server
+        stays healthy."""
+
+        async def scenario():
+            async with Front() as front:
+                valid = "<a>" * 900 + "</a>" * 900
+                invalid = "<a>" * 900 + "<b/>" + "</a>" * 900
+                payload = {"dtd": "<!ELEMENT a (a?)>", "documents": [valid, invalid]}
+                status, body = await _json_roundtrip(front.port, "POST", "/validate", payload)
+                assert status == 200
+                assert [verdict["valid"] for verdict in body["verdicts"]] == [True, False]
+                status, health = await _json_roundtrip(front.port, "GET", "/healthz")
+                assert (status, health["status"]) == (200, "ok")
+
+        asyncio.run(scenario())
+
+    def test_deep_documents_cost_bounded_work(self):
+        """A document failing at every one of 20 000 levels gets the first
+        MAX_VIOLATIONS violations, quickly; one nested deeper than
+        MAX_DEPTH is a 400."""
+
+        async def scenario():
+            async with Front() as front:
+                depth = 20_000
+                payload = {
+                    "dtd": "<!ELEMENT a (a?)> <!ELEMENT b EMPTY>",
+                    "documents": ["<a><b/>" * depth + "</a>" * depth],
+                }
+                started = time.perf_counter()
+                status, body = await _json_roundtrip(front.port, "POST", "/validate", payload)
+                assert time.perf_counter() - started < 5.0
+                assert status == 200
+                [verdict] = body["verdicts"]
+                assert verdict["valid"] is False
+                assert len(verdict["violations"]) == MAX_VIOLATIONS
+                payload["documents"] = ["<a>" * (MAX_DEPTH + 1)]
+                status, body = await _json_roundtrip(front.port, "POST", "/validate", payload)
+                assert status == 400
+                assert "nested deeper than" in body["error"]
 
         asyncio.run(scenario())
 

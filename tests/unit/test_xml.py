@@ -1,5 +1,9 @@
 """Unit tests for the XML layer: documents, parser, DTDs, XSD particles, validation."""
 
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.errors import DTDSyntaxError, NotDeterministicError, XMLSyntaxError
@@ -20,6 +24,8 @@ from repro.xml import (
     parse_xml,
     sequence,
 )
+from repro.xml.parser import MAX_DEPTH
+from repro.xml.validator import MAX_VIOLATIONS
 
 
 class TestDocumentModel:
@@ -95,6 +101,210 @@ class TestXMLParser:
         with pytest.raises(XMLSyntaxError) as excinfo:
             parse_xml("<a>\n  <b>\n</a>")
         assert excinfo.value.line >= 2
+
+
+#: CPython's default recursion limit; the deep-nesting tests run under it.
+DEFAULT_RECURSION_LIMIT = 1000
+
+#: Marks a case of :data:`DELIBERATE_DIFFERENCES` that must be rejected.
+REJECTED = object()
+INVALID = "not well-formed (invalid token)"
+
+
+def _text(parsed):
+    return parsed.document.root.text
+
+
+def _attributes(parsed):
+    return parsed.document.root.attributes
+
+
+def _names(parsed):
+    return [node.name for node in parsed.document.iter_elements()]
+
+
+def _subset(parsed):
+    return parsed.internal_subset
+
+
+#: One case per deliberate difference between the expat front end and the
+#: hand-written scanner it replaced (the table in ``docs/service.md``):
+#: ``(text, probe, expected)``.  *probe* reads the observed value off the
+#: :class:`ParsedXML`; a rejected input pins expat's error wording instead.
+DELIBERATE_DIFFERENCES = [
+    pytest.param("<a>&#65;&#x42;</a>", _text, "AB", id="character-references"),
+    pytest.param("<a>&amp;lt;</a>", _text, "&lt;", id="decoded-once"),
+    pytest.param("<a>&foo;</a>", REJECTED, "undefined entity", id="undefined-entity"),
+    pytest.param("<a>AT&T</a>", REJECTED, INVALID, id="bare-ampersand"),
+    pytest.param("<a b='<'/>", REJECTED, INVALID, id="lt-in-attribute"),
+    pytest.param("<a b='1' b='2'/>", REJECTED, "duplicate attribute", id="duplicate-attribute"),
+    pytest.param("<a>]]></a>", REJECTED, INVALID, id="cdata-end-in-content"),
+    pytest.param("<a>\x01</a>", REJECTED, INVALID, id="c0-control"),
+    pytest.param("\xa0<a/>", REJECTED, INVALID, id="nbsp-in-prolog"),
+    pytest.param(
+        " <?xml version='1.0'?><a/>",
+        REJECTED,
+        "XML or text declaration not at start of entity",
+        id="late-xml-declaration",
+    ),
+    pytest.param(
+        '<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>',
+        REJECTED,
+        "entity declarations are not supported (<!ENTITY e>)",
+        id="entity-declaration",
+    ),
+    pytest.param(
+        '<!DOCTYPE a [<!ENTITY % e "x">]><a/>',
+        REJECTED,
+        "parameter entity declarations are not supported (<!ENTITY e>)",
+        id="parameter-entity-declaration",
+    ),
+    pytest.param("<!DOCTYPE a [%pe;]><a/>", REJECTED, "undefined entity %pe;", id="pe-reference"),
+    pytest.param("<a><!-- x -- y --></a>", REJECTED, INVALID, id="double-hyphen-in-comment"),
+    pytest.param("<a><? x?></a>", REJECTED, INVALID, id="pi-without-target"),
+    pytest.param("<!DOCTYPE a [<!ELEMENT a>]><a/>", REJECTED, "syntax error", id="subset-syntax"),
+    pytest.param("<café><naïve/></café>", _names, ["café", "naïve"], id="non-ascii-names"),
+    pytest.param("\ufeff<a/>", _names, ["a"], id="leading-bom"),
+    pytest.param("<a><!-->--></a>", _text, "", id="comment-starting-with-gt"),
+    pytest.param("<!DOCTYPE a [<!-- ] -->]><a/>", _subset, "<!-- ] -->", id="bracket-in-subset"),
+    pytest.param("<a>x\r\ny\rz</a>", _text, "x\ny\nz", id="line-ends"),
+    pytest.param("<a v='x\ty\nz\r'/>", _attributes, {"v": "x y z "}, id="attribute-whitespace"),
+    pytest.param(
+        "<!DOCTYPE a [<!ATTLIST a id ID #IMPLIED>]><a id=' x  y '/>",
+        _attributes,
+        {"id": "x y"},
+        id="tokenized-attribute",
+    ),
+    pytest.param("<a></b>", REJECTED, "mismatched tag", id="expat-wording"),
+    pytest.param(
+        "<a>" * (MAX_DEPTH + 1),
+        REJECTED,
+        f"elements nested deeper than {MAX_DEPTH} levels",
+        id="nesting-beyond-max-depth",
+    ),
+]
+
+
+class TestExpatFrontEnd:
+    @pytest.mark.parametrize("text, probe, expected", DELIBERATE_DIFFERENCES)
+    def test_deliberate_difference(self, text, probe, expected):
+        if probe is REJECTED:
+            with pytest.raises(XMLSyntaxError) as excinfo:
+                parse_xml(text)
+            assert excinfo.value.args[0] == expected
+            assert excinfo.value.line >= 1 and excinfo.value.column >= 1
+        else:
+            assert probe(parse_xml(text)) == expected
+
+    def test_error_positions_count_characters(self):
+        with pytest.raises(XMLSyntaxError) as excinfo:
+            parse_xml("<a>\n\U0001f600é<</a>")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 4)
+
+    def test_lone_surrogate_is_a_syntax_error_at_its_position(self):
+        with pytest.raises(XMLSyntaxError) as excinfo:
+            parse_xml("<a>\n <b>\ud800</b></a>")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 5)
+
+    def test_declared_encoding_is_not_applied_to_decoded_text(self):
+        parsed = parse_xml('<?xml version="1.0" encoding="ISO-8859-1"?><a>é</a>')
+        assert parsed.document.root.text == "é"
+
+    @pytest.mark.parametrize(
+        "text", ['<!DOCTYPE a SYSTEM "a.dtd"><a/>', '<!DOCTYPE a PUBLIC "-//x" "a.dtd"><a/>']
+    )
+    def test_external_subsets_stay_rejected(self, text):
+        with pytest.raises(XMLSyntaxError, match="external DTD subsets"):
+            parse_xml(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<!DOCTYPE a [%pe;]><a>&foo;</a>",
+            '<!DOCTYPE a [%pe;]><a x="1&foo;2"/>',
+            '<!DOCTYPE a [%pe; <!ENTITY e "x">]><a/>',
+        ],
+    )
+    def test_parameter_entity_references_are_rejected(self, text):
+        # Left alone, expat would skip the rest of the subset and drop
+        # unknown entities from attribute values without an error.
+        with pytest.raises(XMLSyntaxError, match="undefined entity %pe;") as excinfo:
+            parse_xml(text)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 14)
+
+    def test_attribute_defaults_are_not_injected(self):
+        parsed = parse_xml('<!DOCTYPE a [<!ATTLIST a v CDATA "d">]><a/>')
+        assert parsed.document.root.attributes == {}
+
+    def test_text_joins_runs_split_by_comments_and_cdata(self):
+        doc = parse_document("<a>x<!-- c -->y<![CDATA[<z>]]><?pi?>w<b/>v</a>")
+        assert doc.root.text == "xy<z>wv"
+        assert doc.root.children[0].text == ""
+
+    def test_serialised_carriage_returns_and_attribute_whitespace_survive(self):
+        root = element("a", text="x\r\ny", v="1\t2\n3\r")
+        parsed = parse_document(root.to_xml())
+        assert parsed.root.text == "x\r\ny"
+        assert parsed.root.attributes == {"v": "1\t2\n3\r"}
+
+
+class TestDeepDocuments:
+    DEPTH = 100_000
+
+    @staticmethod
+    def _at_default_recursion_limit(job):
+        """Run *job* on a pool thread under CPython's default recursion limit."""
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                return pool.submit(job).result()
+        finally:
+            sys.setrecursionlimit(previous)
+
+    def test_deep_document_parses_and_validates(self):
+        depth = self.DEPTH
+        text = "<a>" * depth + "</a>" * depth
+        validator = DTDValidator(parse_dtd("<!ELEMENT a (a?)>"))
+        schema = XSDSchema(root="a")
+        schema.declare("a", sequence(element_particle("a", 0, 1)))
+
+        def job():
+            document = parse_document(text)
+            return (
+                document.element_count(),
+                bool(validator.validate(document)),
+                bool(schema.validate_element(document.root)),
+            )
+
+        assert self._at_default_recursion_limit(job) == (depth, True, True)
+
+    def test_deep_failure_is_located(self):
+        depth = self.DEPTH
+        text = "<a>" * (depth - 1) + "<b/>" + "</a>" * (depth - 1)
+        validator = DTDValidator(parse_dtd("<!ELEMENT a (a?)> <!ELEMENT b EMPTY>"))
+
+        def job():
+            return [(v.kind, v.path) for v in validator.validate(parse_document(text))]
+
+        [(kind, path)] = self._at_default_recursion_limit(job)
+        assert kind == "content"
+        assert path == "/a" + "/a[1]" * (depth - 2)
+
+    def test_failures_at_every_level_stop_at_the_report_cap(self):
+        """A path costs its element's depth; without the cap, d failing
+        levels would render paths totalling about 2.5 d^2 characters."""
+        depth = 20_000
+        document = parse_document("<a><b/>" * depth + "</a>" * depth)
+        validator = DTDValidator(parse_dtd("<!ELEMENT a (a?)> <!ELEMENT b EMPTY>"))
+        schema = XSDSchema(root="a")
+        schema.declare("a", sequence(element_particle("a", 0, 1)))
+        expected = ["/a" + "/a[2]" * level for level in range(MAX_VIOLATIONS)]
+        started = time.perf_counter()
+        for result in (validator.validate(document), schema.validate_element(document.root)):
+            assert not result
+            assert [violation.path for violation in result] == expected
+        assert time.perf_counter() - started < 5.0
 
 
 class TestContentModels:
