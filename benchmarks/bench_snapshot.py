@@ -184,6 +184,10 @@ def workload(tmp_path_factory):
     corpus = _corpus()
     corpus_path = directory / "corpus.json"
     corpus_path.write_text(json.dumps(corpus))
+    # Drop any patterns other modules left in the process cache:
+    # save_snapshot persists the whole cache, and stowaway patterns
+    # would be loaded inside the measured child's load window.
+    repro.purge()
     # Warm this process and persist its rows (complete=True densifies
     # everything the corpus exercised).
     for expr in corpus["patterns"]:

@@ -49,6 +49,7 @@ from .errors import (
     DiagnosticsError,
     DTDSyntaxError,
     InvalidExpressionError,
+    InvalidWordError,
     LexError,
     NotDeterministicError,
     RegexSyntaxError,
@@ -72,6 +73,7 @@ __all__ = [
     "DiagnosticsError",
     "FollowIndex",
     "InvalidExpressionError",
+    "InvalidWordError",
     "LexError",
     "Lexer",
     "MatchResult",

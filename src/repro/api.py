@@ -91,6 +91,7 @@ from .diagnostics import MatchResult
 from .errors import NotDeterministicError
 from .matching.base import DeterministicMatcher, MatchRun
 from .matching.dispatch import build_matcher
+from .matching.kernel import Corpus
 from .matching.plan import PLANNER, ExecutionPlan
 from .matching.runtime import CompiledRun, CompiledRuntime, compile_runtime
 from .regex.ast import Regex
@@ -272,7 +273,8 @@ class Pattern:
         hold), with lazy diagnostics — ``error_index``, ``expected``,
         ``repairs``, the witness ``trace`` — computed by replaying the
         word only when first accessed.  The verdict itself runs the same
-        hot path as before.
+        hot path as before; a word that is neither a string nor a
+        sequence raises :class:`~repro.errors.InvalidWordError`.
         """
         symbols = parse_word(word)
         return MatchResult(self.plan.match(symbols), symbols, pattern=self)
@@ -282,26 +284,27 @@ class Pattern:
     ) -> list[bool] | list[MatchResult]:
         """Match several words in one batch.
 
-        Each word is parsed and integer-encoded exactly once; the batch
+        The batch is deduplicated once, into a
+        :class:`~repro.matching.kernel.Corpus` keyed on the raw words, so
+        each distinct word is parsed, encoded and answered once; the batch
         then runs whatever route the pattern's :attr:`plan` owns.
         Star-free deterministic patterns run as *one* encoded-corpus pass
         of the multi-word matcher (Theorem 4.12) — the whole batch is
         answered during a single scan of the expression's positions.
         Every other compiled pattern runs through the batch kernel
         (:mod:`repro.matching.kernel`): the runtime's rows are flattened
-        into one premultiplied scan table, the corpus is dedup-encoded
-        once, and each distinct word is a branch-free stride over that
-        table; words crossing not-yet-materialized state replay per-word
-        through the compiled runtime — filling those rows, so repeated
-        corpora converge to the all-kernel path.  A batch over a runtime
-        with no rows yet replays instead of building a table it would
-        only miss in.  Tiny batches (and machines too large for a kernel
-        table) keep the per-word replay driver.  :meth:`describe` reports
-        which path a pattern takes under ``"batch_path"``.  With
-        ``compiled=False`` this falls back to the direct path — one
-        :meth:`match` per word on the uncompiled matcher — which keeps the
-        per-symbol structure queries observable (that is what the
-        benchmarks compare against).
+        into one premultiplied scan table and each distinct word is a
+        branch-free stride over that table; words crossing
+        not-yet-materialized state replay per-word through the compiled
+        runtime — filling those rows, so repeated corpora converge to the
+        all-kernel path.  A batch over a runtime with no rows yet replays
+        instead of building a table it would only miss in.  Tiny batches
+        (and machines too large for a kernel table) keep the per-word
+        replay driver.  :meth:`describe` reports which path a pattern
+        takes under ``"batch_path"``.  With ``compiled=False`` this falls
+        back to the direct path — the uncompiled matcher per word — which
+        keeps the per-symbol structure queries observable (that is what
+        the benchmarks compare against).
 
         *detail* selects the result shape: ``"verdict"`` (default) keeps
         the historical ``list[bool]`` and the untraced kernel hot path;
@@ -309,12 +312,12 @@ class Pattern:
         per word — kernel fallback (byte-2) words route their replay
         through a :class:`~repro.diagnostics.TraceRecorder`, so the
         witness they were paying for anyway is kept, and every other
-        word diagnoses lazily on field access.
+        word diagnoses lazily on field access.  A word that is neither a
+        string nor a sequence raises :class:`~repro.errors.InvalidWordError`.
         """
         if detail not in ("verdict", "full"):
             raise ValueError(f"unknown detail level {detail!r}: expected 'verdict' or 'full'")
-        parsed = [parse_word(word) for word in words]
-        return self.plan.match_all(parsed, detail=detail)
+        return self.plan.match_all(Corpus(words, parse_word), detail=detail)
 
     def acceptance_memo(self):
         """The pattern's whole-sequence acceptance memo (built on first use).

@@ -21,6 +21,8 @@ paper's algorithms:
   conflict.
 * :class:`AlphabetError` — strict APIs reject symbols outside the
   expression alphabet.
+* :class:`InvalidWordError` — a word to match is neither a string nor a
+  sequence of symbols (``None``, a number); also a ``TypeError``.
 
 Runtime errors — raised while consuming input with a correct machine:
 
@@ -118,6 +120,13 @@ class AlphabetError(ReproError):
     Matchers treat unknown symbols as an immediate mismatch by default; the
     strict APIs raise this error instead so schema authors can distinguish
     "wrong order" from "unknown element".
+    """
+
+
+class InvalidWordError(ReproError, TypeError):
+    """Raised when a word to match is neither a string nor a sequence of symbols.
+
+    Also a ``TypeError``, so ``except TypeError`` callers keep working.
     """
 
 

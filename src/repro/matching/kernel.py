@@ -33,11 +33,12 @@ composition, so the loop body has **no branch at all** — dead and
 not-yet-materialized paths simply keep striding through their absorbing
 rows, and the verdict byte at the final offset says which case happened.
 
-**Repeated-match corpora.**  Encoding dedups the corpus: each distinct
-word is scanned once and the verdicts fan back out through an index array.
-Real schema corpora re-match the same few child sequences millions of
-times (the Li et al. observation the benchmarks model), which a per-word
-driver cannot exploit but a corpus-level kernel gets for free.
+**Repeated-match corpora.**  A batch arrives as a :class:`Corpus`, built
+once by ``Pattern.match_all``: each distinct word is encoded and scanned
+once and the verdicts fan back out through the corpus's index.  Real
+schema corpora re-match the same few child sequences millions of times
+(the Li et al. observation the benchmarks model), which a per-word driver
+cannot exploit but a corpus-level kernel gets for free.
 
 **Fallback semantics.**  A verdict byte of 2 means the scan crossed a
 transition the runtime has not materialized (or ended in a state whose
@@ -245,29 +246,77 @@ def build_native(verbose: bool = False) -> str | None:
 # -- programs ----------------------------------------------------------------------------
 
 
-class KernelCorpus:
-    """A corpus pre-encoded for one program shape (encode once, scan many).
+class Corpus:
+    """One batch, deduplicated: its distinct ``words`` plus every word's slot.
 
-    ``distinct`` holds each distinct word group-encoded for the program's
-    stride; ``index`` maps every corpus position back to its distinct slot
-    (the dedup fan-out); ``raw`` keeps the distinct words' plain symbol
-    codes so kernel-miss words can replay through the runtime.  Instances
-    are immutable after construction and safe to scan concurrently.
+    Words are keyed as they arrive (a ``str`` as it is, any other sequence
+    as a tuple), so *normalise* — ``parse_word`` at the facade — runs once
+    per distinct spelling; spellings that normalise alike share a slot.
+
+    >>> from repro.regex.parser import parse_word
+    >>> corpus = Corpus(["ab", ["b"], "ab", ("a", "b")], parse_word)
+    >>> corpus.words, list(corpus.index), len(corpus)
+    ([['a', 'b'], ['b']], [0, 1, 0, 0], 4)
+    >>> corpus.fan_out([True, False])
+    [True, False, True, True]
     """
 
-    __slots__ = ("distinct", "raw", "index", "span", "_packed")
+    __slots__ = ("words", "index")
 
-    def __init__(self, distinct: list, raw: list, index: "array[int]", span: int):
+    def __init__(self, batch: Iterable, normalise=None):
+        slots: dict = {}
+        words: list = []
+        index = array("i")
+        for word in batch:
+            try:
+                key = word if isinstance(word, str) else tuple(word)
+                slot = slots.get(key)
+            except TypeError:  # not a sequence, or an unhashable symbol
+                key = slot = None
+            if slot is None:
+                if normalise is not None:
+                    word = normalise(word if key is None else key)
+                symbols = tuple(word)
+                slot = slots.get(symbols)
+                if slot is None:
+                    slot = slots[symbols] = len(words)
+                    words.append(word)
+                # A raw tuple is a safe key only when normalising keeps it:
+                # (1,) and (True,) are equal keys but parse to "1" and "True".
+                if isinstance(key, str) or key == symbols:
+                    slots[key] = slot
+            index.append(slot)
+        self.words = words
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def fan_out(self, values: Sequence) -> list:
+        """One value per batch word, from one value per distinct word."""
+        return [values[slot] for slot in self.index]
+
+
+class KernelCorpus(Corpus):
+    """A :class:`Corpus` encoded for one program shape (encode once, scan many).
+
+    ``distinct`` holds each distinct word group-encoded for the program's
+    stride; ``raw`` keeps the distinct words' plain symbol codes so
+    kernel-miss words can replay through the runtime.  Instances are
+    immutable after construction and safe to scan concurrently.
+    """
+
+    __slots__ = ("distinct", "raw", "span", "_packed")
+
+    def __init__(self, corpus: Corpus, distinct: list, raw: list, span: int):
+        self.words = corpus.words
+        self.index = corpus.index
         self.distinct = distinct
         self.raw = raw
-        self.index = index
         self.span = span
         #: lazily built (flat ``array('i')``, bounds ``array('q')``) pair
         #: for the native backend; built at most once, races benign.
         self._packed: tuple | None = None
-
-    def __len__(self) -> int:
-        return len(self.index)
 
     def packed(self) -> tuple:
         """Flat ``int32`` group buffer plus ``int64`` word bounds (native scan)."""
@@ -336,8 +385,8 @@ class KernelProgram:
         self._encode_cache: dict = {}
 
     # -- corpus encoding -----------------------------------------------------------------
-    def encode_corpus(self, words: Iterable[Sequence[str]]) -> KernelCorpus:
-        """Dedup and group-encode *words* (symbol sequences) for this program.
+    def encode_corpus(self, words: "Corpus | Iterable[Sequence[str]]") -> KernelCorpus:
+        """Group-encode the distinct words of *words* (a :class:`Corpus`).
 
         Each distinct word is encoded exactly once: symbols intern through
         the frozen alphabet (unknown symbols take the dead column), the
@@ -347,8 +396,9 @@ class KernelProgram:
         same runtime — stride and width are functions of the machine
         shape, not of how much of it is materialized.  Distinct-word
         encodings are additionally memoized on the program itself, so a
-        corpus of already-seen words costs one dict probe per word.
+        word an earlier batch brought costs one dict probe.
         """
+        corpus = words if isinstance(words, Corpus) else Corpus(words)
         get = self.codes.get
         width = self.width
         wp = self.wp
@@ -356,43 +406,37 @@ class KernelProgram:
         span = self.span
         pad = width + 1
         cache = self._encode_cache
-        seen: dict = {}
         distinct: list = []
         raw: list = []
-        index = array("i")
         small = span <= 256
         medium = span <= 65536
-        for word in words:
+        for word in corpus.words:
             key = tuple(word)
-            slot = seen.get(key)
-            if slot is None:
-                entry = cache.get(key)
-                if entry is None:
-                    codes = [get(symbol, -1) for symbol in word]
-                    padded = [width if code < 0 else code for code in codes]
-                    while len(padded) % stride:
-                        padded.append(pad)
-                    groups = []
-                    for at in range(0, len(padded), stride):
-                        group = 0
-                        for offset in range(at, at + stride):
-                            group = group * wp + padded[offset]
-                        groups.append(group)
-                    if small:
-                        encoded = bytes(groups)
-                    elif medium:
-                        encoded = array("H", groups)
-                    else:
-                        encoded = array("i", groups)
-                    if len(cache) >= ENCODE_CACHE_LIMIT:
-                        cache.clear()
-                    entry = cache[key] = (encoded, codes)
-                slot = seen[key] = len(distinct)
-                distinct.append(entry[0])
-                raw.append(entry[1])
-            index.append(slot)
+            entry = cache.get(key)
+            if entry is None:
+                codes = [get(symbol, -1) for symbol in word]
+                padded = [width if code < 0 else code for code in codes]
+                while len(padded) % stride:
+                    padded.append(pad)
+                groups = []
+                for at in range(0, len(padded), stride):
+                    group = 0
+                    for offset in range(at, at + stride):
+                        group = group * wp + padded[offset]
+                    groups.append(group)
+                if small:
+                    encoded = bytes(groups)
+                elif medium:
+                    encoded = array("H", groups)
+                else:
+                    encoded = array("i", groups)
+                if len(cache) >= ENCODE_CACHE_LIMIT:
+                    cache.clear()
+                entry = cache[key] = (encoded, codes)
+            distinct.append(entry[0])
+            raw.append(entry[1])
         _bump(corpora_encoded=1)
-        return KernelCorpus(distinct, raw, index, span)
+        return KernelCorpus(corpus, distinct, raw, span)
 
     # -- scanning ------------------------------------------------------------------------
     def scan(self, corpus: KernelCorpus, backend: str | None = None) -> bytearray:
@@ -564,26 +608,22 @@ def match_corpus(runtime, program: KernelProgram, corpus: KernelCorpus, replay=N
     """
     raw_verdicts = program.scan(corpus)
     resolved: list[bool] = []
-    fallback_slots = 0
     accepts_encoded = runtime.accepts_encoded if replay is None else replay
     for slot, verdict in enumerate(raw_verdicts):
         if verdict == VERDICT_FALLBACK:
-            fallback_slots += 1
             resolved.append(accepts_encoded(corpus.raw[slot]))
         else:
             resolved.append(verdict == VERDICT_ACCEPT)
-    index = corpus.index
-    verdicts = [resolved[slot] for slot in index]
-    if fallback_slots:
-        fallback = sum(1 for slot in index if raw_verdicts[slot] == VERDICT_FALLBACK)
-    else:
-        fallback = 0
-    kernel_count = len(index) - fallback
+    verdicts = corpus.fan_out(resolved)
+    fallback = 0
+    if VERDICT_FALLBACK in raw_verdicts:
+        fallback = corpus.fan_out(raw_verdicts).count(VERDICT_FALLBACK)
+    kernel_count = len(corpus) - fallback
     _bump(kernel_words=kernel_count, fallback_words=fallback)
     return verdicts, kernel_count, fallback
 
 
-def replay_words(runtime, words: Sequence[Sequence[str]], replay=None) -> list[bool]:
+def replay_words(runtime, corpus: Corpus, replay=None) -> list[bool]:
     """Answer a batch by per-word replay alone, each distinct word once.
 
     The batch path for a cold runtime (see ``CompiledRuntime.cold``): a
@@ -593,19 +633,12 @@ def replay_words(runtime, words: Sequence[Sequence[str]], replay=None) -> list[b
     """
     accepts_encoded = runtime.accepts_encoded if replay is None else replay
     encode = runtime.encode
-    seen: dict[tuple, bool] = {}
-    verdicts = []
-    for word in words:
-        key = tuple(word)
-        verdict = seen.get(key)
-        if verdict is None:
-            verdict = seen[key] = accepts_encoded(encode(word))
-        verdicts.append(verdict)
-    _bump(fallback_words=len(verdicts))
+    verdicts = corpus.fan_out([accepts_encoded(encode(word)) for word in corpus.words])
+    _bump(fallback_words=len(corpus))
     return verdicts
 
 
-def match_words(runtime, words: Sequence[Sequence[str]], replay=None):
+def match_words(runtime, words: "Corpus | Sequence[Sequence[str]]", replay=None):
     """One-call batch driver: program export, corpus encode, scan, fallback.
 
     Returns ``(verdicts, kernel_words, fallback_words)`` or ``None`` when

@@ -102,8 +102,8 @@ class ExecutionPlan:
         """Verdict for one parsed word."""
         raise NotImplementedError
 
-    def match_all(self, parsed: Sequence[Sequence[str]], detail: str = "verdict"):
-        """Verdicts (or full results) for a batch of parsed words."""
+    def match_all(self, corpus: "kernel.Corpus", detail: str = "verdict"):
+        """One verdict (or full result) per batch word, each distinct word answered once."""
         raise NotImplementedError
 
     def stream(self):
@@ -173,16 +173,14 @@ class DirectPlan(ExecutionPlan):
     def match(self, symbols: Sequence[str]) -> bool:
         return self.pattern.matcher.accepts(symbols)
 
-    def match_all(self, parsed: Sequence[Sequence[str]], detail: str = "verdict"):
-        matcher = self.pattern.matcher
-        if detail == "full":
-            from ..diagnostics import MatchResult
+    def match_all(self, corpus: "kernel.Corpus", detail: str = "verdict"):
+        accepts = self.pattern.matcher.accepts
+        if detail != "full":
+            return corpus.fan_out([bool(accepts(word)) for word in corpus.words])
+        from ..diagnostics import MatchResult
 
-            return [
-                MatchResult(matcher.accepts(word), word, pattern=self.pattern)
-                for word in parsed
-            ]
-        return [bool(matcher.accepts(word)) for word in parsed]
+        results = [MatchResult(accepts(word), word, pattern=self.pattern) for word in corpus.words]
+        return corpus.fan_out(results)
 
     def stream(self):
         return self.pattern.matcher.start()
@@ -233,45 +231,36 @@ class CompiledPlan(ExecutionPlan):
     def stream(self):
         return self.runtime.start()
 
-    def match_all(self, parsed: Sequence[Sequence[str]], detail: str = "verdict"):
+    def match_all(self, corpus: "kernel.Corpus", detail: str = "verdict"):
         if detail == "full":
-            return self._match_all_full(parsed)
-        return self._match_verdicts(parsed)
+            return self._match_all_full(corpus)
+        return self._verdicts(corpus)
 
-    def _kernel_attempt(self, parsed, replay=None):
-        """One kernel pass over the batch, or ``None`` (stay on per-word).
+    def _verdicts(self, corpus: "kernel.Corpus", replay=None) -> list[bool]:
+        """One verdict per batch word: a kernel pass, else per-word replay.
 
-        Returns the verdict list and books the pattern's kernel traffic
-        split.  Building a composed table costs milliseconds; tiny batches
-        only route through the kernel when a program is already cached.
-        A batch over a *cold* runtime builds no table either — every scan
-        would miss on its first symbol — so its distinct words replay
-        through *replay* (filling the rows the next batch's program is
-        built over) and are all booked as fallback words.
+        Kernel passes book the pattern's kernel traffic split.  Building a
+        composed table costs milliseconds; tiny batches only route through
+        the kernel when a program is already cached.  A batch over a
+        *cold* runtime builds no table either — every scan would miss on
+        its first symbol — so its distinct words replay through *replay*
+        (filling the rows the next batch's program is built over) and
+        every batch word is booked as a fallback word.
         """
         runtime = self.runtime
-        if len(parsed) < kernel.MIN_BATCH and not runtime._kernel_programs:
-            return None
-        if runtime.cold and kernel.eligible(runtime.tree):
-            verdicts = kernel.replay_words(runtime, parsed, replay=replay)
-            self.pattern._record_kernel_traffic(0, len(verdicts))
-            return verdicts
-        result = kernel.match_words(runtime, parsed, replay=replay)
-        if result is None:
-            return None
-        verdicts, kernel_words, fallback_words = result
-        self.pattern._record_kernel_traffic(kernel_words, fallback_words)
-        return verdicts
+        if len(corpus) >= kernel.MIN_BATCH or runtime._kernel_programs:
+            if runtime.cold and kernel.eligible(runtime.tree):
+                verdicts = kernel.replay_words(runtime, corpus, replay=replay)
+                self.pattern._record_kernel_traffic(0, len(corpus))
+                return verdicts
+            result = kernel.match_words(runtime, corpus, replay=replay)
+            if result is not None:
+                verdicts, kernel_words, fallback_words = result
+                self.pattern._record_kernel_traffic(kernel_words, fallback_words)
+                return verdicts
+        return corpus.fan_out(runtime.match_many(corpus.words))
 
-    def _match_verdicts(self, parsed: Sequence[Sequence[str]]) -> list[bool]:
-        verdicts = self._kernel_attempt(parsed)
-        if verdicts is not None:
-            return verdicts
-        runtime = self.runtime
-        accepts_encoded = runtime.accepts_encoded
-        return [accepts_encoded(runtime.encode(word)) for word in parsed]
-
-    def _match_all_full(self, parsed: Sequence[Sequence[str]]):
+    def _match_all_full(self, corpus: "kernel.Corpus"):
         """The ``detail="full"`` batch path: one lazy MatchResult per word.
 
         Kernel batches route their byte-2 fallback words through a
@@ -285,29 +274,17 @@ class CompiledPlan(ExecutionPlan):
 
         runtime = self.runtime
         recorder = diagnostics.TraceRecorder(runtime)
-        verdicts = self._kernel_attempt(parsed, replay=recorder)
-        if verdicts is not None:
-            results = []
-            for word, verdict in zip(parsed, verdicts):
-                seed = recorder.traces.get(tuple(runtime.encode(word)))
-                diagnosis = None
-                if seed is not None:
-                    diagnosis = diagnostics.complete_from_trace(
-                        self.pattern, word, seed[0], seed[1]
-                    )
-                results.append(
-                    diagnostics.MatchResult(
-                        verdict, word, pattern=self.pattern, diagnosis=diagnosis
-                    )
-                )
-            return results
-        accepts_encoded = runtime.accepts_encoded
-        return [
-            diagnostics.MatchResult(
-                accepts_encoded(runtime.encode(word)), word, pattern=self.pattern
+        verdicts = self._verdicts(corpus, replay=recorder)
+        results = []
+        for word, verdict in zip(corpus.fan_out(corpus.words), verdicts):
+            seed = recorder.traces.get(tuple(runtime.encode(word)))
+            diagnosis = None
+            if seed is not None:
+                diagnosis = diagnostics.complete_from_trace(self.pattern, word, seed[0], seed[1])
+            results.append(
+                diagnostics.MatchResult(verdict, word, pattern=self.pattern, diagnosis=diagnosis)
             )
-            for word in parsed
-        ]
+        return results
 
     def accepts_children(self, children: Sequence[str]) -> bool:
         memo = self._memo
@@ -396,9 +373,11 @@ class StarFreePlan(CompiledPlan):
     def built_star_free(self):
         return self._multi
 
-    def _match_verdicts(self, parsed: Sequence[Sequence[str]]) -> list[bool]:
-        encoded = self.pattern.tree.alphabet.encode_many(iter(parsed))
-        return self.star_free().match_all_encoded(encoded)
+    def match_all(self, corpus: "kernel.Corpus", detail: str = "verdict"):
+        if detail == "full":
+            return self._match_all_full(corpus)
+        encoded = self.pattern.tree.alphabet.encode_many(corpus.words)
+        return corpus.fan_out(self.star_free().match_all_encoded(encoded))
 
 
 class KernelPlan(CompiledPlan):

@@ -101,8 +101,7 @@ class StarFreeMultiMatcher:
         All words are matched during a single scan of the expression's
         positions in document order.  Words are interned through the
         tree's alphabet first; see :meth:`match_all_encoded` for callers
-        (``Pattern.match_all``, the validation service) that already hold
-        encoded corpora.
+        (``Pattern.match_all``) that already hold encoded corpora.
         """
         return self.match_all_encoded(self.tree.alphabet.encode_many(words))
 
@@ -118,29 +117,11 @@ class StarFreeMultiMatcher:
         can carry, so such words simply never advance — the same verdict
         the string-keyed scan produced.
 
-        Repeated words are deduplicated up front — the same corpus-level
-        optimization the batch kernel applies: the scan's waiting-stack
-        work is per *distinct* word, and verdicts fan back out through an
-        index, so log-like streams that re-match the same few lines cost
-        one scanned copy each.
+        Every word is scanned, duplicates included: ``Pattern.match_all``
+        hands over only a batch's distinct words (its
+        :class:`~repro.matching.kernel.Corpus`) and fans the verdicts back
+        out itself.
         """
-        seen: dict[tuple[int, ...], int] = {}
-        index: list[int] = []
-        distinct: list[Sequence[int]] = []
-        for word in words:
-            key = tuple(word)
-            slot = seen.get(key)
-            if slot is None:
-                slot = seen[key] = len(distinct)
-                distinct.append(word)
-            index.append(slot)
-        if len(distinct) < len(words):
-            verdicts = self._match_all_encoded_distinct(distinct)
-            return [verdicts[slot] for slot in index]
-        return self._match_all_encoded_distinct(words)
-
-    def _match_all_encoded_distinct(self, words: Sequence[Sequence[int]]) -> list[bool]:
-        """One waiting-stack scan over an already-distinct encoded corpus."""
         follow = self.follow
         tree = self.tree
         symbol_codes = tree.alphabet.codes

@@ -158,9 +158,8 @@ class Alphabet:
         """Encode a whole corpus in one pass (the batch APIs' front door).
 
         One bound ``dict.get`` is hoisted across every word, so batch
-        callers (``Pattern.match_all``, the star-free multi-matcher, the
-        validation service) pay the method-dispatch cost once per corpus
-        instead of once per word.
+        callers (the star-free route, which passes a batch's distinct
+        words) pay the method-dispatch cost once per corpus, not per word.
         """
         get = self._codes.get
         return [[get(symbol, UNKNOWN_CODE) for symbol in word] for word in words]

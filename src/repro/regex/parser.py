@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import RegexSyntaxError
+from ..errors import InvalidWordError, RegexSyntaxError
 from .alphabet import SENTINELS
 from .ast import (
     Concat,
@@ -80,10 +80,15 @@ def parse_word(text: str | Sequence[str]) -> list[str]:
     Strings without whitespace or commas are split into characters (the
     paper-dialect convention); strings containing whitespace or commas are
     split on those separators; any other sequence is returned as a list of
-    its elements unchanged.
+    its elements, each as a string.  Anything else (``None``, a number)
+    raises :class:`~repro.errors.InvalidWordError`.
     """
     if not isinstance(text, str):
-        return [str(symbol) for symbol in text]
+        try:
+            symbols = iter(text)
+        except TypeError:
+            raise InvalidWordError(f"not a word (a string or symbol sequence): {text!r}") from None
+        return [str(symbol) for symbol in symbols]
     if "," in text:
         return text.replace(",", " ").split()
     # One C-level split covers both the whitespace-separated and the

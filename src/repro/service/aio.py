@@ -657,16 +657,7 @@ class AsyncServiceServer:
             "batch_path": description.get("batch_path"),
             "detail": detail,
         }
-        if detail == "verdict":
-            # The untraced hot path: bare booleans straight off match_all.
-            return pattern.match_all, (lambda verdict: verdict), response_header
-
-        def work(chunk: list):
-            # Witness-recording mode; shaping runs on the pool thread so
-            # diagnosis replays never execute on the event loop.
-            results = pattern.match_all(chunk, detail="full")
-            return [wire.shape_match(result, detail) for result in results]
-
+        work = self.service._match_work(pattern, detail)
         return work, (lambda verdict: verdict), response_header
 
     async def _prepare_validate(self, header: dict, detail: str):

@@ -3,10 +3,9 @@
 :class:`ValidationService` is the object the HTTP layer (and any embedding
 application) talks to.  It owns a ``ThreadPoolExecutor`` and exposes batch
 operations whose per-item cost rides the warm paths built in earlier PRs:
-words and child sequences are interned once through the pattern's
-:class:`~repro.regex.alphabet.Alphabet`, then either answered in a single
-encoded-corpus pass of the star-free multi-matcher (Theorem 4.12) or
-replayed over the lazy-DFA rows every worker thread shares.
+a match batch is one ``Pattern.match_all`` call (deduplicated once, then
+answered by the pattern's batch route over the lazy-DFA rows every
+worker thread shares), and documents fan out across the pool.
 
 Metrics are first-class: each public call is wrapped in a request context
 that maintains ``total`` / ``in_flight`` / ``errors`` counters and a
@@ -48,8 +47,8 @@ from .wire import DETAIL_LEVELS, shape_match
 #: Default worker-thread count; the acceptance workloads run at 8.
 DEFAULT_WORKERS = 8
 
-#: Batches smaller than this run inline on the calling thread — the
-#: cross-thread handoff costs more than matching a handful of words.
+#: Document batches below this (scaled by the per-document cost) run
+#: inline — the cross-thread handoff costs more than a few documents.
 MIN_CHUNK = 64
 
 #: How many distinct schemas/DTDs (keyed by payload) and patterns the
@@ -255,20 +254,18 @@ class ValidationService:
         dialect: str = "paper",
         detail: str = "verdict",
     ) -> list:
-        """Match a corpus of words against one pattern, in parallel.
+        """Match a corpus of words against one pattern; order is preserved.
 
         The pattern comes from the module compile cache (warm across
-        requests and across service instances); the corpus is split into
-        chunks that each take the pattern's batch path —
-        ``Pattern.match_all`` pre-encodes the chunk through the interned
-        alphabet, then runs one star-free multi-matcher pass or a compiled
-        replay over the shared rows.  Order is preserved.  Small corpora
-        run inline: below :data:`MIN_CHUNK` words the pool handoff would
-        dominate the matching itself.
+        requests and across service instances).  The batch is one
+        ``Pattern.match_all`` call on the calling thread, which answers
+        each distinct word once.  Splitting it across the pool would buy
+        no parallelism (matching holds the GIL) and would parse a
+        repeated word once per chunk.
 
         *detail* selects the verdict shape (the wire negotiation levels):
         ``"verdict"`` keeps the historical list of booleans on the
-        untraced hot path; ``"summary"`` / ``"full"`` run the chunks in
+        untraced hot path; ``"summary"`` / ``"full"`` run the batch in
         witness-recording mode and return the JSON-ready shapes of
         :func:`~repro.service.wire.shape_match` (failing index,
         expected-next set, repair hints).
@@ -279,7 +276,7 @@ class ValidationService:
         with self._request():
             pattern = api.compile(expr, dialect=dialect)
             self._remember_pattern(pattern, dialect)
-            return self._map_chunked(self._match_work(pattern, detail), list(words))
+            return self._match_work(pattern, detail)(words)
 
     async def match_batch_async(
         self,
@@ -290,12 +287,12 @@ class ValidationService:
     ) -> list:
         """:meth:`match_batch` for event loops — no thread ever blocks.
 
-        The sync path would park the calling thread (for the async front:
-        the *event loop*) in ``Future.result()`` while the pool matches;
-        here the compile (CPU-bound for a cold pattern: parse, determinism
-        test) and every corpus chunk run on the pool while the loop only
-        awaits.  Verdicts are identical to the sync path by construction —
-        both call ``Pattern.match_all`` on the same chunks.
+        The sync path would run the batch on the calling thread (for the
+        async front: the *event loop*); here the compile (CPU-bound for a
+        cold pattern: parse, determinism test) and the batch each run as
+        one pool job while the loop only awaits.  Verdicts are identical
+        to the sync path by construction — both make the same
+        ``Pattern.match_all`` call on the whole batch.
         """
         self._ensure_open()
         if detail not in DETAIL_LEVELS:
@@ -303,23 +300,21 @@ class ValidationService:
         with self._request():
             pattern = await self.submit_async(api.compile, expr, dialect=dialect)
             self._remember_pattern(pattern, dialect)
-            return await self._map_chunked_async(
-                self._match_work(pattern, detail), list(words)
-            )
+            return await self.submit_async(self._match_work(pattern, detail), list(words))
 
     @staticmethod
     def _match_work(pattern: api.Pattern, detail: str) -> Callable[[list], list]:
-        """The per-chunk matching closure for one negotiated detail level.
+        """The batch matching closure for one negotiated detail level.
 
-        ``verdict`` is exactly the pre-PR-9 hot path (no tracing, bare
-        booleans); richer levels record witnesses and shape them on the
-        worker thread, so diagnosis replays never run on a serving loop.
+        ``verdict`` is the untraced hot path (bare booleans); richer
+        levels record witnesses and shape them on the worker thread, so
+        diagnosis replays never run on a serving loop.
         """
         if detail == "verdict":
             return pattern.match_all
 
-        def work(chunk: list) -> list:
-            results = pattern.match_all(chunk, detail="full")
+        def work(batch: list) -> list:
+            results = pattern.match_all(batch, detail="full")
             return [shape_match(result, detail) for result in results]
 
         return work
@@ -335,8 +330,8 @@ class ValidationService:
         *schema* may be a prepared :class:`~repro.xml.validator.DTDValidator`,
         an :class:`~repro.xml.xsd.XSDSchema`, or a raw
         :class:`~repro.xml.dtd.DTD` (wrapped in a validator on the fly).
-        Documents fan out across the worker pool in chunks (sized like
-        :meth:`match_batch`'s, scaled for the heavier per-item cost); they
+        Documents fan out across the worker pool in chunks (sized by
+        :data:`MIN_CHUNK`, scaled for the per-document cost); they
         all replay the same warm per-model runtimes, so the marginal
         document costs pure transition replay.  DTD verdicts carry the
         violation messages, XSD verdicts the boolean outcome.

@@ -5,21 +5,31 @@ verdict: for any deterministic expression and any corpus — member words,
 mutated near-members, random noise, words with out-of-alphabet symbols —
 ``match_words`` must agree with per-word ``accepts_encoded`` replay, at any
 warmth level (cold all-fallback programs, mid-corpus densification, rows
-adopted from a snapshot export) and through either scan backend.
+adopted from a snapshot export) and through either scan backend.  One level
+up, ``Pattern.match_all`` — which dedups each batch once into a
+:class:`~repro.matching.kernel.Corpus` — must agree with per-word
+``Pattern.match`` on every planner route.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
+import repro
 from repro.matching import CompiledRuntime, build_matcher
 from repro.matching import kernel
 from repro.matching.kernel import VERDICT_FALLBACK, match_words
-from repro.regex.generators import random_deterministic_expression
+from repro.regex.ast import Concat, Star, Sym
+from repro.regex.generators import (
+    random_deterministic_expression,
+    random_expression,
+    star_free_chain,
+)
 from repro.regex.parse_tree import build_parse_tree
 from repro.regex.words import mutate_word, sample_member
 
@@ -122,3 +132,69 @@ def test_pure_and_native_scans_are_byte_identical(seed: int, leaf_count: int):
     native = program.scan(corpus, backend="native")
     assert bytes(pure) == bytes(native)
     assert set(pure) <= {0, 1, VERDICT_FALLBACK}
+
+
+def _route_workload(seed: int, leaf_count: int):
+    """A star-free and a starred deterministic expression plus one batch.
+
+    The batch draws with replacement from a small pool and spells each
+    word at random as a ``str`` or a ``list``, so the facade's dedup sees
+    repeats under both spellings.
+    """
+    rng = random.Random(seed)
+    star_free = star_free_chain(2)
+    for _ in range(100):
+        candidate = random_expression(rng, leaf_count, star_probability=0.0)
+        if repro.is_deterministic(candidate):
+            star_free = candidate
+            break
+    # A trailing z* over a fresh symbol keeps the expression deterministic
+    # and guarantees an iteration, hence a compiled (kernel) route.
+    starred = Concat(random_deterministic_expression(rng, leaf_count), Star(Sym("z")))
+    alphabet = {"q"}  # plus a symbol neither expression uses
+    for expr in (star_free, starred):
+        alphabet.update(build_parse_tree(expr).alphabet.as_list())
+    symbols = sorted(alphabet)
+    pool: list[list[str]] = [[]]
+    for expr in (star_free, starred):
+        for _ in range(3):
+            member = sample_member(expr, rng)
+            pool.append(list(member))
+            pool.append(list(mutate_word(member, symbols, rng)))
+    pool.append([rng.choice(symbols) for _ in range(rng.randint(1, 6))])
+
+    def spell(word):
+        if rng.random() < 0.5:
+            return list(word)
+        joiner = "" if all(len(symbol) == 1 for symbol in word) else " "
+        return joiner.join(word)
+
+    batch = [spell(rng.choice(pool)) for _ in range(30)]
+    return star_free, starred, batch
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def test_match_all_agrees_with_per_word_match_on_every_route(seed: int, leaf_count: int):
+    star_free, starred, batch = _route_workload(seed, leaf_count)
+    cases = [
+        (star_free, False, "per-word"),
+        (star_free, True, "star-free-multi"),
+        (starred, True, "compiled-kernel"),
+        (starred, True, "compiled-runtime"),
+    ]
+    for expr, compiled, route in cases:
+        limit = 1 if route == "compiled-runtime" else kernel.TABLE_LIMIT
+        with mock.patch.object(kernel, "TABLE_LIMIT", limit):
+            pattern = repro.Pattern(expr, compiled=compiled)
+            assert pattern.plan.route == route
+            batches = [pattern.match_all(batch) for _ in range(2)]  # cold, then warm
+            full = pattern.match_all(batch, detail="full")
+            singles = [pattern.match(word) for word in batch]
+            expected = [bool(single) for single in singles]
+            for verdicts in batches:
+                assert verdicts == expected, route
+            for result, single in zip(full, singles):
+                assert bool(result) == bool(single), route
+                assert result.error_index == single.error_index, route
+                assert result.expected == single.expected, route

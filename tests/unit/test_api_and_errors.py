@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.core.xpath_check import xpath_determinism_check
-from repro.errors import NotDeterministicError, RegexSyntaxError, ReproError
+from repro.errors import InvalidWordError, NotDeterministicError, RegexSyntaxError, ReproError
 from repro.regex.parser import parse
 
 
@@ -20,6 +20,14 @@ class TestPattern:
     def test_match_all(self):
         pattern = repro.compile("(ab)*c")
         assert pattern.match_all(["c", "abc", "ab"]) == [True, True, False]
+
+    def test_match_all_dedups_words_by_their_parsed_form(self):
+        # (1,) == (True,) == (1.0,) as raw keys, but they parse to "1",
+        # "True" and "1.0"; "1 2" and [1, 2] parse alike.
+        pattern = repro.compile("1 2?", dialect="named")
+        words = [[1], [True], [1.0], [1, 2], "1 2", (1.0, 2), "1"]
+        assert pattern.match_all(words) == [bool(pattern.match(word)) for word in words]
+        assert pattern.match_all(words) == [True, False, False, True, True, False, True]
 
     def test_streaming(self):
         pattern = repro.compile("a?bc*")
@@ -139,3 +147,28 @@ class TestErrors:
         from repro.errors import XMLSyntaxError
 
         assert "line 3" in str(XMLSyntaxError("boom", line=3, column=7))
+
+    @pytest.mark.parametrize(
+        ("word", "verdict"),
+        [
+            (None, InvalidWordError),
+            (7, InvalidWordError),
+            (2.5, InvalidWordError),
+            ([["a"]], False),  # symbols are str()-ed, as they always were
+            (b"ab", False),
+            ([1, 2], False),
+            ("abab", True),
+        ],
+        ids=["none", "int", "float", "nested-list", "bytes", "int-symbols", "word"],
+    )
+    def test_a_word_that_is_not_a_word_gets_a_taxonomy_error(self, word, verdict):
+        pattern = repro.compile("(ab)*")
+        if verdict is InvalidWordError:
+            for call in (lambda: repro.match("(ab)*", word), lambda: pattern.match_all([word])):
+                with pytest.raises(InvalidWordError) as raised:
+                    call()
+                assert isinstance(raised.value, ReproError)
+                assert isinstance(raised.value, TypeError)  # `except TypeError` keeps working
+        else:
+            assert bool(repro.match("(ab)*", word)) is verdict
+            assert pattern.match_all([word, "ab"]) == [verdict, True]

@@ -71,6 +71,31 @@ class TestRouteMatrix:
         pattern.match_all(WORDS)
         assert pattern.describe()["batch_path"] == route
 
+    @pytest.mark.parametrize("detail", ["verdict", "full"])
+    @pytest.mark.parametrize(
+        ("label", "build", "compiled", "route"),
+        ROUTE_MATRIX + [("oversized", lambda: "(ab+b(b?)a)*", True, "compiled-runtime")],
+        ids=[row[0] for row in ROUTE_MATRIX] + ["oversized"],
+    )
+    def test_batch_parses_each_distinct_word_once(
+        self, forced_backend, monkeypatch, label, build, compiled, route, detail
+    ):
+        """The facade dedups a batch once: ``parse_word`` runs per distinct word."""
+        if route == "compiled-runtime":
+            monkeypatch.setattr(kernel, "TABLE_LIMIT", 1)
+        pattern = repro.Pattern(build(), compiled=compiled)
+        assert pattern.plan.route == route
+        parsed = []
+        parse_word = repro.api.parse_word
+        monkeypatch.setattr(
+            repro.api, "parse_word", lambda word: parsed.append(word) or parse_word(word)
+        )
+        batches = [pattern.match_all(WORDS, detail=detail) for _ in range(2)]  # cold, warm
+        assert len(parsed) == 2 * len(set(WORDS)) == 20
+        expected = [bool(pattern.match(word)) for word in WORDS]
+        for results in batches:
+            assert [bool(result) for result in results] == expected
+
     def test_lexer_union_routes_through_the_kernel_plan(self, forced_backend):
         lexer = Lexer([("AB", "ab(ab)*"), ("C", "cc*")])
         assert lexer.pattern.plan.route == "compiled-kernel"

@@ -33,6 +33,7 @@ EXPECTED_ALL = [
     "DiagnosticsError",
     "FollowIndex",
     "InvalidExpressionError",
+    "InvalidWordError",
     "LexError",
     "Lexer",
     "MatchResult",
