@@ -119,7 +119,7 @@ def test_batch_requests_star_free(benchmark):
 
 def test_batch_verdicts_identical_to_per_word_and_oracle():
     """Batch, per-word-loop and fresh-pattern control must all agree."""
-    with ValidationService(workers=8, min_chunk=64) as service:
+    with ValidationService(workers=8) as service:
         for label, expr in PATTERNS.items():
             words, oracle = _corpus(expr)
             assert any(oracle) and not all(oracle), label  # both verdicts present
@@ -390,6 +390,7 @@ def test_streaming_peak_rss_stays_below_the_corpus():
     finally:
         process.terminate()
         process.wait(timeout=30)
+        process.stdout.close()
 
 
 def test_streaming_request_timing(benchmark):

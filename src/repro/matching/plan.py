@@ -261,12 +261,13 @@ class CompiledPlan(ExecutionPlan):
         return corpus.fan_out(runtime.match_many(corpus.words))
 
     def _match_all_full(self, corpus: "kernel.Corpus"):
-        """The ``detail="full"`` batch path: one lazy MatchResult per word.
+        """The ``detail="full"`` batch path: one lazy MatchResult per distinct word.
 
         Kernel batches route their byte-2 fallback words through a
         :class:`~repro.diagnostics.TraceRecorder`, so the traces those
         replays walk anyway seed the results and no prefix is walked
-        twice.  This path is route-independent across the compiled plans:
+        twice.  Repeats of a word share its result, as on the direct
+        plan.  This path is route-independent across the compiled plans:
         full results need per-word traces, which the star-free corpus
         scan does not produce.
         """
@@ -274,17 +275,20 @@ class CompiledPlan(ExecutionPlan):
 
         runtime = self.runtime
         recorder = diagnostics.TraceRecorder(runtime)
-        verdicts = self._verdicts(corpus, replay=recorder)
+        # The verdicts come batch-shaped; scatter them back to one per slot.
+        verdicts = dict(zip(corpus.index, self._verdicts(corpus, replay=recorder)))
         results = []
-        for word, verdict in zip(corpus.fan_out(corpus.words), verdicts):
+        for slot, word in enumerate(corpus.words):
             seed = recorder.traces.get(tuple(runtime.encode(word)))
             diagnosis = None
             if seed is not None:
                 diagnosis = diagnostics.complete_from_trace(self.pattern, word, seed[0], seed[1])
             results.append(
-                diagnostics.MatchResult(verdict, word, pattern=self.pattern, diagnosis=diagnosis)
+                diagnostics.MatchResult(
+                    verdicts[slot], word, pattern=self.pattern, diagnosis=diagnosis
+                )
             )
-        return results
+        return corpus.fan_out(results)
 
     def accepts_children(self, children: Sequence[str]) -> bool:
         memo = self._memo

@@ -19,10 +19,11 @@ the stack was made safe to share:
 Entry points:
 
 * :class:`ValidationService` — an in-process facade owning a thread pool,
-  with batch operations (:meth:`~ValidationService.match_batch`,
-  :meth:`~ValidationService.validate_documents`) that pre-encode corpora
-  through the interned alphabet, and a :meth:`~ValidationService.stats`
-  snapshot aggregating every telemetry surface the library exposes;
+  with batch operations (:meth:`~ValidationService.match_batch`, one
+  deduplicated ``Pattern.match_all`` call per batch;
+  :meth:`~ValidationService.validate_documents`, one pass over the
+  documents) and a :meth:`~ValidationService.stats` snapshot aggregating
+  every telemetry surface the library exposes;
 * :mod:`repro.service.aio` — the HTTP front (``python -m repro.service``,
   :func:`serve`): ``POST /match``, ``POST /validate``, ``GET /stats``,
   ``GET /snapshot`` (the fleet-bootstrap stream) and ``GET /healthz``

@@ -4,10 +4,17 @@ Serves the validation service's endpoints (``POST /match``, ``POST
 /validate``, ``GET /stats``, ``GET /snapshot``, ``GET /healthz``) from
 one event loop per process:
 
-* **Buffered JSON** requests (``Content-Type: application/json``) get
-  one JSON response; the shapes are documented in ``docs/service.md``.
-  The response head and body go out in a single write, so a keep-alive
-  client never waits on Nagle's algorithm between the two.
+* **One request path**: both shapes of ``POST /match`` and ``POST
+  /validate`` run the endpoint's one prepare job (compile and
+  determinism check, or schema build and UPA check), then its batch
+  work from :mod:`repro.service.core`, and answer every failure from
+  one error table (:func:`_error_reply`; anything outside the library's
+  taxonomy is a ``500``).  The shapes differ only in framing:
+* **Buffered JSON** requests (``Content-Type: application/json``) are
+  the one-batch case and get one JSON response; the shapes are
+  documented in ``docs/service.md``.  The response head and body go out
+  in a single write, so a keep-alive client never waits on Nagle's
+  algorithm between the two.
 * **Streaming NDJSON** on ``POST /match`` and ``POST /validate``
   (``Content-Type: application/x-ndjson``, request body streamed via
   ``Content-Length`` or chunked transfer encoding): *header object, one
@@ -26,10 +33,10 @@ one event loop per process:
   mid-stream → an ``{"error": ...}`` line (no ``"done"`` trailer) and
   the connection closes, so a client can always distinguish a complete
   stream from a truncated one.
-* **CPU stays off the loop**: compiles, matching and document parsing
-  all run on the service's worker pool
-  (:meth:`~repro.service.core.ValidationService.submit_async`); the loop
-  only frames bytes.
+* **CPU stays off the loop**: compiles, schema builds, matching and
+  document parsing all run on the service's worker pool
+  (:meth:`~repro.service.core.ValidationService.submit`); the loop
+  only checks request fields and frames bytes.
 * **Auth hook**: pass ``auth_token`` (``Authorization: Bearer ...``) or
   override :meth:`AsyncServiceServer.authorize` for anything richer;
   ``/healthz`` stays open for probes.
@@ -50,19 +57,22 @@ import hmac
 import json
 import os
 import socket
+from functools import partial
+from typing import Callable
 
 from .. import api
 from ..errors import NotDeterministicError, ReproError
-from ..xml.parser import parse_document
 from . import wire
 from .aio_frames import (
     COPY_BLOCK as _COPY_BLOCK,
     DEADLINE_HEADER as DEADLINE_HEADER,  # noqa: PLC0414 - re-exported wire constant
     body_lines as _body_lines,
+    check_document,
+    check_word,
+    chunked_frames as _chunked_frames,
     deadline_seconds as _deadline_seconds,
+    decode_item as _decode_item,
     head_bytes as _head_bytes,
-    parse_document_item as _parse_document_text,
-    parse_word_item as _parse_word,
 )
 from .core import ValidationService
 from .prefork import StatsBoard, cluster_payload
@@ -83,8 +93,72 @@ MAX_PENDING_BATCHES = 8
 IDLE_TIMEOUT = 75.0
 
 
+#: Per POST endpoint: the buffered body's item list field, the reply when
+#: it is missing, and the item check both request shapes apply.
+_ITEMS = {
+    "/match": ("words", 'a list "words" field is required', check_word),
+    "/validate": ("documents", 'a list "documents" field (XML text) is required', check_document),
+}
+
+
 class _ResponseStarted(Exception):
     """Internal: an error surfaced after response bytes were written."""
+
+
+class _Progress:
+    """How far one POST got, which decides how a failure is answered."""
+
+    __slots__ = ("body_read", "started")
+
+    def __init__(self) -> None:
+        #: a buffered body was read whole, so the connection can carry on
+        self.body_read = False
+        #: the 200 head is out, so a failure becomes an in-stream error line
+        self.started = False
+
+
+def _error_reply(error: Exception) -> tuple[int, str]:
+    """The one exception-to-reply table of ``POST /match`` and ``/validate``.
+
+    Returns ``(status, message)``; the table is documented in
+    ``docs/service.md``.  Anything outside the library's taxonomy (a
+    ``RecursionError`` from a pattern nested past the interpreter stack,
+    say) is a 500 naming only the exception class.
+    """
+    if isinstance(error, WireError):
+        return error.status, str(error)
+    if isinstance(error, NotDeterministicError):
+        return 422, str(error)
+    if isinstance(error, ReproError):
+        return 400, str(error)
+    if isinstance(error, (TypeError, ValueError, KeyError)):
+        return 400, f"malformed request: {error!r}"
+    if isinstance(error, TimeoutError):
+        return 504, "deadline exceeded"
+    return 500, f"internal error: {type(error).__name__}"
+
+
+def _verbatim(verdict):
+    """The ``/match`` verdict shaper: batch work already shaped the verdict."""
+    return verdict
+
+
+def _buffered_body(header: dict, verdicts: list) -> dict:
+    """A buffered reply: the stream's response header fields around the verdicts.
+
+    The first field (``pattern`` or ``schema``) leads, then ``count``,
+    ``detail`` and ``verdicts``; the other fields (``strategy``,
+    ``batch_path``) follow, in the buffered shape's documented order.
+    """
+    subject, *rest = (key for key in header if key != "detail")
+    body = {
+        subject: header[subject],
+        "count": len(verdicts),
+        "detail": header["detail"],
+        "verdicts": verdicts,
+    }
+    body.update((key, header[key]) for key in rest)
+    return body
 
 
 class AsyncServiceServer:
@@ -326,19 +400,52 @@ class AsyncServiceServer:
     async def _handle_post(
         self, head: wire.RequestHead, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
-        if head.path not in ("/match", "/validate"):
-            await self._send_json(
-                writer, 404, {"error": f"no such endpoint: {head.path}"}, close=True
-            )
-            return False
-        # Match endpoints default to the historical bare booleans; validate
-        # keeps full violation detail.
-        default = "verdict" if head.path == "/match" else "full"
-        detail = wire.negotiate_detail(head.headers, head.query, default=default)
-        deadline = _deadline_seconds(head)
-        if head.wants_ndjson():
-            return await self._handle_stream(head, reader, writer, detail, deadline)
-        return await self._handle_buffered(head, reader, writer, detail, deadline)
+        """One ``POST /match`` or ``POST /validate``, buffered or NDJSON.
+
+        Both shapes run the endpoint's prepare job (one pool job), then
+        its batch work (one pool job per batch; a buffered request is one
+        batch), and answer every failure from :func:`_error_reply`.
+        Before the response head is out a failure gets a JSON reply: a
+        buffered request whose body was read whole keeps its connection,
+        any other closes it.  After the head it is an in-stream error
+        line, and the connection closes.  Client disconnects propagate
+        to :meth:`_handle_connection`.  The whole POST is one
+        :meth:`~repro.service.core.ValidationService.track_request`
+        scope, so every POST that does not end in a complete 200 is
+        booked under ``requests.errors``.
+        """
+        progress = _Progress()
+        try:
+            with self.service.track_request():
+                if head.path not in _ITEMS:
+                    raise WireError(404, f"no such endpoint: {head.path}")
+                # Match endpoints default to the historical bare booleans;
+                # validate keeps full violation detail.
+                default = "verdict" if head.path == "/match" else "full"
+                detail = wire.negotiate_detail(head.headers, head.query, default=default)
+                deadline = _deadline_seconds(head)
+                if head.wants_ndjson():
+                    self.streams += 1
+                    async with asyncio.timeout(deadline):
+                        await self._run_stream(head, reader, writer, detail, progress)
+                else:
+                    payload = await self._read_buffered_body(head, reader)
+                    progress.body_read = True
+                    async with asyncio.timeout(deadline):
+                        body = await self._run_buffered(head.path, payload, detail)
+                    await self._send_json(writer, 200, body)
+        except (ConnectionError, asyncio.IncompleteReadError, _ResponseStarted):
+            raise
+        except Exception as error:  # noqa: BLE001 - the error table answers every failure
+            if isinstance(error, TimeoutError):
+                self.deadline_hits += 1
+            status, message = _error_reply(error)
+            if progress.started:
+                await self._finish_stream_error(writer, message)
+                return False
+            await self._send_json(writer, status, {"error": message}, close=not progress.body_read)
+            return progress.body_read and head.keep_alive()
+        return head.keep_alive()
 
     async def _read_buffered_body(
         self, head: wire.RequestHead, reader: asyncio.StreamReader
@@ -367,190 +474,40 @@ class AsyncServiceServer:
             raise WireError(400, "the JSON body must be an object")
         return payload
 
-    async def _handle_buffered(
-        self,
-        head: wire.RequestHead,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        detail: str,
-        deadline: float | None,
-    ) -> bool:
-        """One buffered JSON request, one JSON response (``docs/service.md``)."""
-        try:
-            payload = await self._read_buffered_body(head, reader)
-        except WireError as error:
-            await self._send_json(writer, error.status, {"error": str(error)}, close=True)
-            return False
-        try:
-            async with asyncio.timeout(deadline):
-                if head.path == "/match":
-                    status, body = await self._match_buffered(payload, detail)
-                else:
-                    status, body = await self._validate_buffered(payload, detail)
-        except TimeoutError:
-            self.deadline_hits += 1
-            await self._send_json(writer, 504, {"error": "deadline exceeded"})
-            return head.keep_alive()
-        except NotDeterministicError as error:
-            status, body = 422, {"error": str(error)}
-        except ReproError as error:
-            status, body = 400, {"error": str(error)}
-        except (TypeError, ValueError, KeyError) as error:
-            status, body = 400, {"error": f"malformed request: {error!r}"}
-        await self._send_json(writer, status, body)
-        return head.keep_alive()
+    async def _run_buffered(self, path: str, payload: dict, detail: str) -> dict:
+        """A buffered request: the stream's one-batch case, as one JSON body.
 
-    async def _match_buffered(self, payload: dict, detail: str) -> tuple[int, dict]:
-        expr = payload.get("pattern")
-        if not isinstance(expr, str):
-            return 400, {"error": 'a string "pattern" field is required'}
-        words = payload.get("words")
-        if not isinstance(words, list):
-            return 400, {"error": 'a list "words" field is required'}
-        for word in words:
-            if isinstance(word, str):
-                continue
-            if isinstance(word, list) and all(isinstance(symbol, str) for symbol in word):
-                continue
-            return 400, {
-                "error": '"words" entries must be strings or lists of symbol strings'
-            }
-        dialect = payload.get("dialect", "paper")
-        pattern = await self.service.submit_async(api.compile, expr, dialect=dialect)
-        if not pattern.is_deterministic:
-            return 422, {"error": f"pattern is not deterministic: {pattern.explain()}"}
-        verdicts = await self.service.match_batch_async(
-            expr, words, dialect=dialect, detail=detail
-        )
-        description = pattern.describe()
-        return 200, {
-            "pattern": expr,
-            "count": len(verdicts),
-            "detail": detail,
-            "verdicts": verdicts,
-            "strategy": description.get("strategy"),
-            "batch_path": description.get("batch_path"),
-        }
-
-    async def _validate_buffered(self, payload: dict, detail: str) -> tuple[int, dict]:
-        documents = payload.get("documents")
-        if not isinstance(documents, list):
-            return 400, {"error": 'a list "documents" field (XML text) is required'}
-        if not all(isinstance(text, str) for text in documents):
-            return 400, {"error": '"documents" must be a list of XML strings'}
-        try:
-            kind, validator = await self._build_validator(payload)
-        except WireError as error:
-            return error.status, {"error": str(error)}
-        verdicts = await self.service.validate_document_texts_async(validator, documents)
-        return 200, {
-            "schema": kind,
-            "count": len(verdicts),
-            "detail": detail,
-            "verdicts": [
-                wire.shape_verdict(v.valid, v.details or v.violations, detail)
-                for v in verdicts
-            ],
-        }
-
-    async def _build_validator(self, header: dict):
-        """The schema named by a request header/payload, built off-loop."""
-        dtd_text = header.get("dtd")
-        xsd_data = header.get("xsd")
-        if (dtd_text is None) == (xsd_data is None):
-            raise WireError(
-                400, 'exactly one of "dtd" (text) or "xsd" (object) is required'
-            )
-        if dtd_text is not None:
-            if not isinstance(dtd_text, str):
-                raise WireError(400, '"dtd" must be the DTD as a string')
-            validator = await self.service.submit_async(
-                self.service.validator_for_dtd, dtd_text
-            )
-            return "dtd", validator
-        if not isinstance(xsd_data, dict):
-            raise WireError(400, '"xsd" must be a schema object')
-        validator = await self.service.submit_async(
-            self.service.schema_for_payload,
-            json.dumps(xsd_data, sort_keys=True),
-            xsd_data,
-        )
-        if not validator.is_valid_schema():
-            raise WireError(
-                422, "schema violates Unique Particle Attribution (non-deterministic)"
-            )
-        return "xsd", validator
+        Every item is checked before any pool work; the items then go to
+        the endpoint's batch work as a single job.
+        """
+        prepare = self._preparation(path, payload, detail)
+        field, missing, check = _ITEMS[path]
+        items = payload.get(field)
+        if not isinstance(items, list):
+            raise WireError(400, missing)
+        for item in items:
+            check(item)
+        work, shape, header = await self.service.submit_async(prepare)
+        verdicts = await self.service.submit_async(work, items)
+        return _buffered_body(header, [shape(verdict) for verdict in verdicts])
 
     # -- the streaming pipeline ---------------------------------------------------------
-    async def _handle_stream(
-        self,
-        head: wire.RequestHead,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        detail: str,
-        deadline: float | None,
-    ) -> bool:
-        """One NDJSON stream: header line, items, verdicts, trailer.
-
-        Memory bound: items are parsed line by line, batched into
-        :attr:`stream_batch`-sized pool submissions through a queue of
-        :attr:`max_pending` — when the pool lags, ``queue.put`` blocks
-        the reader and TCP backpressure reaches the client.  Verdicts
-        are written in order through ``drain()``.  The ``requests``
-        counters see the whole stream as *one* request.
-        """
-        self.streams += 1
-        started = [False]  # set by _run_stream the moment the 200 head goes out
-        with self.service.track_request():
-            try:
-                async with asyncio.timeout(deadline):
-                    await self._run_stream(head, reader, writer, detail, started)
-            except TimeoutError:
-                self.deadline_hits += 1
-                if not started[0]:
-                    await self._send_json(
-                        writer, 504, {"error": "deadline exceeded"}, close=True
-                    )
-                else:
-                    await self._finish_stream_error(writer, "deadline exceeded")
-                return False
-            except WireError as error:
-                if not started[0]:
-                    await self._send_json(
-                        writer, error.status, {"error": str(error)}, close=True
-                    )
-                else:
-                    await self._finish_stream_error(writer, str(error))
-                return False
-            except NotDeterministicError as error:
-                if not started[0]:
-                    await self._send_json(
-                        writer, 422, {"error": str(error)}, close=True
-                    )
-                else:
-                    await self._finish_stream_error(writer, str(error))
-                return False
-            except ReproError as error:
-                # e.g. an XMLSyntaxError from a malformed document parsed
-                # by the pool after verdicts already went out: the error
-                # must surface in-stream, never as a second status line.
-                if not started[0]:
-                    await self._send_json(
-                        writer, 400, {"error": str(error)}, close=True
-                    )
-                else:
-                    await self._finish_stream_error(writer, str(error))
-                return False
-        return head.keep_alive()
-
     async def _run_stream(
         self,
         head: wire.RequestHead,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         detail: str,
-        started: list,
+        progress: _Progress,
     ) -> None:
+        """One NDJSON stream: header line, items, verdicts, trailer.
+
+        Memory bound: items are parsed line by line, batched into
+        :attr:`stream_batch`-sized pool submissions through a queue of
+        :attr:`max_pending` — when the pool lags, ``queue.put`` blocks
+        the reader and TCP backpressure reaches the client.  Verdicts
+        are written in order through ``drain()``.
+        """
         lines = _body_lines(reader, head)
         header_line = await anext(lines, None)
         if header_line is None:
@@ -561,18 +518,14 @@ class AsyncServiceServer:
             raise WireError(400, f"invalid stream header: {error}") from None
         if not isinstance(header, dict):
             raise WireError(400, "the stream header must be a JSON object")
-
-        if head.path == "/match":
-            work, shape, response_header = await self._prepare_match(header, detail)
-            parse_item = _parse_word
-        else:
-            work, shape, response_header = await self._prepare_validate(header, detail)
-            parse_item = _parse_document_text
+        prepare = self._preparation(head.path, header, detail)
+        check = _ITEMS[head.path][2]
+        work, shape, response_header = await self.service.submit_async(prepare)
 
         # Response head + header line go out before the first verdict:
         # from here on, errors surface *in-stream* (a missing "done"
         # trailer), never as a status code.
-        started[0] = True
+        progress.started = True
         writer.write(
             _head_bytes(
                 200,
@@ -597,7 +550,7 @@ class AsyncServiceServer:
                 async for line in lines:
                     if not line.strip():
                         continue
-                    batch.append(parse_item(line))
+                    batch.append(check(_decode_item(line)))
                     if len(batch) >= self.stream_batch:
                         in_hand = asyncio.wrap_future(self.service.submit(work, batch))
                         await queue.put(in_hand)
@@ -642,35 +595,63 @@ class AsyncServiceServer:
                 if isinstance(leftover, asyncio.Future):
                     leftover.cancel()
 
-    async def _prepare_match(self, header: dict, detail: str):
-        expr = header.get("pattern")
-        if not isinstance(expr, str):
-            raise WireError(400, 'the stream header needs a string "pattern" field')
-        dialect = header.get("dialect", "paper")
-        pattern = await self.service.submit_async(api.compile, expr, dialect=dialect)
+    # -- the per-endpoint preparation ----------------------------------------------------
+    def _preparation(self, path: str, header: dict, detail: str) -> Callable[[], tuple]:
+        """The endpoint's prepare job for a request header, fields checked here.
+
+        The header's fields are checked on the loop (cheap, and before any
+        pool work); the returned job runs in the pool and gives
+        ``(work, shape, response_header)``: the batch closure, the
+        per-verdict wire shaper and the fields every reply carries.
+        """
+        if path == "/match":
+            expr = header.get("pattern")
+            if not isinstance(expr, str):
+                raise WireError(400, 'a string "pattern" field is required')
+            return partial(self._prepare_match, expr, header.get("dialect", "paper"), detail)
+        dtd_text = header.get("dtd")
+        xsd_data = header.get("xsd")
+        if (dtd_text is None) == (xsd_data is None):
+            raise WireError(400, 'exactly one of "dtd" (text) or "xsd" (object) is required')
+        if dtd_text is not None and not isinstance(dtd_text, str):
+            raise WireError(400, '"dtd" must be the DTD as a string')
+        if xsd_data is not None and not isinstance(xsd_data, dict):
+            raise WireError(400, '"xsd" must be a schema object')
+        return partial(self._prepare_validate, dtd_text, xsd_data, detail)
+
+    def _prepare_match(self, expr: str, dialect: str, detail: str) -> tuple:
+        """Pool job: compile, check determinism, read the header off the pattern."""
+        pattern = api.compile(expr, dialect=dialect)
         if not pattern.is_deterministic:
-            raise WireError(422, f"pattern is not deterministic: {pattern.explain()}")
-        description = pattern.describe()
+            raise NotDeterministicError(
+                f"pattern is not deterministic: {pattern.explain()}", pattern.report
+            )
+        self.service._remember_pattern(pattern, dialect)
         response_header = {
             "pattern": expr,
-            "strategy": description.get("strategy"),
-            "batch_path": description.get("batch_path"),
+            "strategy": pattern.strategy,
+            "batch_path": pattern.plan.route,
             "detail": detail,
         }
-        work = self.service._match_work(pattern, detail)
-        return work, (lambda verdict: verdict), response_header
+        return self.service._match_work(pattern, detail), _verbatim, response_header
 
-    async def _prepare_validate(self, header: dict, detail: str):
-        kind, validator = await self._build_validator(header)
-        verdict_of = self.service._verdict
-
-        def work(chunk: list):
-            return [verdict_of(validator, parse_document(text)) for text in chunk]
+    def _prepare_validate(self, dtd_text: str | None, xsd_data: dict | None, detail: str) -> tuple:
+        """Pool job: build (or reuse) the schema's validator, checking UPA for XSD."""
+        service = self.service
+        if dtd_text is not None:
+            kind, validator = "dtd", service.validator_for_dtd(dtd_text)
+        else:
+            key = json.dumps(xsd_data, sort_keys=True)
+            kind, validator = "xsd", service.schema_for_payload(key, xsd_data)
+            if not validator.is_valid_schema():
+                raise WireError(
+                    422, "schema violates Unique Particle Attribution (non-deterministic)"
+                )
 
         def shape(verdict):
             return wire.shape_verdict(verdict.valid, verdict.details or verdict.violations, detail)
 
-        return work, shape, {"schema": kind, "detail": detail}
+        return service._document_work(validator), shape, {"schema": kind, "detail": detail}
 
     async def _finish_stream_error(self, writer: asyncio.StreamWriter, message: str) -> None:
         """Terminate a started stream: error line, end chunk, no trailer."""

@@ -2,9 +2,10 @@
 
 Everything here is connection plumbing with no service semantics: HTTP
 response heads, deadline-header parsing, chunked-transfer decoding,
-incremental NDJSON line splitting and per-item JSON parsing.  The
-handlers in :mod:`repro.service.aio` compose these; keeping them apart
-keeps the front module focused on routing and the streaming pipeline.
+incremental NDJSON line splitting, per-item JSON decoding and the item
+checks both request shapes share.  The handlers in
+:mod:`repro.service.aio` compose these; keeping them apart keeps the
+front module focused on routing and the streaming pipeline.
 
 All generators yield bounded pieces: a frame is consumed in
 :data:`COPY_BLOCK` blocks and the line splitter buffers at most one
@@ -105,37 +106,38 @@ async def body_lines(reader: asyncio.StreamReader, head: wire.RequestHead):
         yield tail[:-1] if tail.endswith(b"\r") else tail
 
 
-def parse_word_item(line: bytes):
-    """One ``POST /match`` stream item: a word (string or symbol list)."""
+def decode_item(line: bytes):
+    """One NDJSON item line, JSON-decoded; the endpoint's check judges the value."""
     try:
-        word = json.loads(line)
+        return json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise WireError(400, f"invalid NDJSON item: {error}") from None
+
+
+def check_word(word):
+    """One ``POST /match`` item, buffered or streamed: a string or a list of symbol strings."""
     if isinstance(word, str):
         return word
     if isinstance(word, list) and all(isinstance(symbol, str) for symbol in word):
         return word
-    raise WireError(400, "stream items must be strings or lists of symbol strings")
+    raise WireError(400, "words must be strings or lists of symbol strings")
 
 
-def parse_document_item(line: bytes):
-    """One ``POST /validate`` stream item: an XML document string."""
-    try:
-        text = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise WireError(400, f"invalid NDJSON item: {error}") from None
-    if not isinstance(text, str):
-        raise WireError(400, "stream items must be XML document strings")
-    return text
+def check_document(text):
+    """One ``POST /validate`` item, buffered or streamed: an XML document string."""
+    if isinstance(text, str):
+        return text
+    raise WireError(400, "documents must be XML strings")
 
 
 __all__ = [
     "COPY_BLOCK",
     "DEADLINE_HEADER",
     "body_lines",
+    "check_document",
+    "check_word",
     "chunked_frames",
     "deadline_seconds",
+    "decode_item",
     "head_bytes",
-    "parse_document_item",
-    "parse_word_item",
 ]

@@ -5,7 +5,8 @@ application) talks to.  It owns a ``ThreadPoolExecutor`` and exposes batch
 operations whose per-item cost rides the warm paths built in earlier PRs:
 a match batch is one ``Pattern.match_all`` call (deduplicated once, then
 answered by the pattern's batch route over the lazy-DFA rows every
-worker thread shares), and documents fan out across the pool.
+worker thread shares), and a document batch is one pass that parses and
+validates each document against the validator's warm content models.
 
 Metrics are first-class: each public call is wrapped in a request context
 that maintains ``total`` / ``in_flight`` / ``errors`` counters and a
@@ -47,10 +48,6 @@ from .wire import DETAIL_LEVELS, shape_match
 #: Default worker-thread count; the acceptance workloads run at 8.
 DEFAULT_WORKERS = 8
 
-#: Document batches below this (scaled by the per-document cost) run
-#: inline — the cross-thread handoff costs more than a few documents.
-MIN_CHUNK = 64
-
 #: How many distinct schemas/DTDs (keyed by payload) and patterns the
 #: service keeps warm for reuse and for the stats surface.
 MEMO_SIZE = 32
@@ -89,16 +86,10 @@ class ValidationService:
     :meth:`close` to release the pool.
     """
 
-    def __init__(
-        self,
-        workers: int = DEFAULT_WORKERS,
-        min_chunk: int = MIN_CHUNK,
-        latency_window: int = LATENCY_WINDOW,
-    ):
+    def __init__(self, workers: int = DEFAULT_WORKERS, latency_window: int = LATENCY_WINDOW):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.min_chunk = max(1, min_chunk)
         self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-service")
         self._metrics_lock = threading.Lock()
         self._requests = 0
@@ -143,10 +134,11 @@ class ValidationService:
     def track_request(self):
         """The request-accounting context manager, for embedding fronts.
 
-        The asyncio front wraps one *streaming* request (which internally
-        dispatches many micro-batches through :meth:`submit`) in a single
-        scope, so ``requests.total`` counts client requests, not batches,
-        and ``in_flight`` reflects open streams.  The scope is a plain
+        The asyncio front wraps each whole POST (its prepare job and every
+        batch it dispatches through :meth:`submit`) in a single scope, so
+        ``requests.total`` counts client requests, not pool jobs, and
+        ``in_flight`` reflects open requests.  An exception leaving the
+        scope books the request under ``errors``.  The scope is a plain
         sync context manager: entering/leaving only bumps counters under
         the metrics lock, so holding it across ``await`` points is safe.
         """
@@ -170,35 +162,7 @@ class ValidationService:
                 self._in_flight -= 1
                 self._latencies.append(elapsed)
 
-    # -- fan-out plumbing ---------------------------------------------------------------
-    def _map_chunked(self, work, items: list, per_item_cost: int = 1):
-        """Apply *work* to every item, chunked across the pool, in order.
-
-        ``work`` receives a list (one chunk) and returns a list of results.
-        Chunk size follows the :data:`MIN_CHUNK` rule scaled down by
-        *per_item_cost* (documents are heavier than words), and a corpus
-        that fits one chunk runs inline — the pool handoff would dominate.
-        """
-        chunk = max(1, self.min_chunk // per_item_cost, -(-len(items) // self.workers))
-        if len(items) <= chunk or self.workers == 1:
-            return work(items)
-        futures = [
-            self._pool.submit(work, items[low : low + chunk])
-            for low in range(0, len(items), chunk)
-        ]
-        results: list = []
-        try:
-            for future in futures:
-                results.extend(future.result())
-        except BaseException:
-            # One poisoned chunk must not keep burning the pool: cancel
-            # everything still queued (running chunks finish; their
-            # results are discarded with the request).
-            for pending in futures:
-                pending.cancel()
-            raise
-        return results
-
+    # -- pool plumbing ------------------------------------------------------------------
     def submit(self, work: Callable, *args, **kwargs) -> Future:
         """Submit one unit of work to the pool (the async tier's leaf call).
 
@@ -215,36 +179,11 @@ class ValidationService:
         """Await one unit of pool work without blocking the event loop.
 
         Cancelling the returned awaitable cancels the pool future: a
-        queued chunk is dropped before it ever runs (a disconnected
+        queued job is dropped before it ever runs (a disconnected
         client stops consuming pool capacity), a running one finishes and
         its result is discarded.
         """
         return await asyncio.wrap_future(self.submit(work, *args, **kwargs))
-
-    async def _map_chunked_async(self, work, items: list, per_item_cost: int = 1):
-        """:meth:`_map_chunked`, awaited: same chunking, no blocked thread.
-
-        The sync path parks the calling thread in ``Future.result()``;
-        here every chunk is awaited through ``asyncio.wrap_future``, so
-        the event loop keeps serving other connections while the pool
-        works.
-        A failed chunk cancels the siblings still queued, mirroring the
-        sync path's poisoned-chunk rule.
-        """
-        chunk = max(1, self.min_chunk // per_item_cost, -(-len(items) // self.workers))
-        if len(items) <= chunk or self.workers == 1:
-            return await self.submit_async(work, items)
-        futures = [
-            asyncio.wrap_future(self._pool.submit(work, items[low : low + chunk]))
-            for low in range(0, len(items), chunk)
-        ]
-        try:
-            chunks = await asyncio.gather(*futures)
-        except BaseException:
-            for pending in futures:
-                pending.cancel()
-            raise
-        return [result for piece in chunks for result in piece]
 
     # -- batch matching -----------------------------------------------------------------
     def match_batch(
@@ -330,42 +269,50 @@ class ValidationService:
         *schema* may be a prepared :class:`~repro.xml.validator.DTDValidator`,
         an :class:`~repro.xml.xsd.XSDSchema`, or a raw
         :class:`~repro.xml.dtd.DTD` (wrapped in a validator on the fly).
-        Documents fan out across the worker pool in chunks (sized by
-        :data:`MIN_CHUNK`, scaled for the per-document cost); they
-        all replay the same warm per-model runtimes, so the marginal
+        The batch runs inline on the calling thread, as
+        :meth:`match_batch` does: validation holds the GIL, so splitting
+        it across the pool would buy no parallelism.  Every document
+        replays the same warm per-model runtimes, so the marginal
         document costs pure transition replay.  DTD verdicts carry the
         violation messages, XSD verdicts the boolean outcome.
         """
         self._ensure_open()
         with self._request():
             validator = DTDValidator(schema) if isinstance(schema, DTD) else schema
-
-            def verdicts(chunk: list) -> list[DocumentVerdict]:
-                return [self._verdict(validator, document) for document in chunk]
-
-            return self._map_chunked(verdicts, list(documents), per_item_cost=8)
+            return [self._verdict(validator, document) for document in documents]
 
     async def validate_document_texts_async(
         self,
         schema: DTDValidator | XSDSchema | DTD,
         texts: Sequence[str],
     ) -> list[DocumentVerdict]:
-        """Validate documents given as XML text — the ``POST /validate`` body.
+        """Validate documents given as XML text, as one pool job.
 
-        Parsing is usually the dominant per-document cost, so it happens
-        *inside* the pool fan-out: each chunk parses and validates its own
-        documents instead of the caller parsing the whole corpus serially
-        before any validation starts.  Every chunk is awaited, so the
-        event loop never parses a document or replays a transition itself.
+        Parsing is usually the dominant per-document cost, so it runs in
+        the job too (:meth:`_document_work`, the closure both shapes of
+        ``POST /validate`` use): the event loop never parses a document
+        or replays a transition itself.
         """
         self._ensure_open()
         with self._request():
             validator = DTDValidator(schema) if isinstance(schema, DTD) else schema
+            return await self.submit_async(self._document_work(validator), list(texts))
 
-            def verdicts(chunk: list) -> list[DocumentVerdict]:
-                return [self._verdict(validator, parse_document(text)) for text in chunk]
+    @classmethod
+    def _document_work(
+        cls, validator: DTDValidator | XSDSchema
+    ) -> Callable[[list], list[DocumentVerdict]]:
+        """The batch closure that parses and validates XML texts, one verdict each.
 
-            return await self._map_chunked_async(verdicts, list(texts), per_item_cost=8)
+        ``parse_document`` is looked up in this module when the closure
+        runs, so wrapping the module attribute (as a profiler does) sees
+        every document parse.
+        """
+
+        def work(texts: list) -> list[DocumentVerdict]:
+            return [cls._verdict(validator, parse_document(text)) for text in texts]
+
+        return work
 
     @staticmethod
     def _verdict(

@@ -96,6 +96,37 @@ class TestRouteMatrix:
         for results in batches:
             assert [bool(result) for result in results] == expected
 
+    @pytest.mark.parametrize(
+        ("label", "build", "compiled", "route"),
+        ROUTE_MATRIX + [("oversized", lambda: "(ab+b(b?)a)*", True, "compiled-runtime")],
+        ids=[row[0] for row in ROUTE_MATRIX] + ["oversized"],
+    )
+    def test_full_batch_diagnoses_each_distinct_word_once(
+        self, forced_backend, monkeypatch, label, build, compiled, route
+    ):
+        """A full-detail batch builds one result per distinct word, shared by
+        its repeats; a cold batch completes each replayed word's trace once."""
+        if route == "compiled-runtime":
+            monkeypatch.setattr(kernel, "TABLE_LIMIT", 1)
+        pattern = repro.Pattern(build(), compiled=compiled)
+        assert pattern.plan.route == route
+        completed = []
+        complete = repro.diagnostics.complete_from_trace
+        monkeypatch.setattr(
+            repro.diagnostics,
+            "complete_from_trace",
+            lambda *args: completed.append(args[1]) or complete(*args),
+        )
+        results = pattern.match_all(WORDS, detail="full")  # cold: replays seed the traces
+        half = len(set(WORDS))
+        assert all(results[i] is results[i + half] for i in range(half))
+        seeded = route not in ("per-word", "compiled-runtime")
+        assert len(completed) == (half if seeded else 0)
+        for result, word in zip(results, WORDS):
+            single = pattern.match(word)
+            assert bool(result) == bool(single)
+            assert result.error_index == single.error_index
+
     def test_lexer_union_routes_through_the_kernel_plan(self, forced_backend):
         lexer = Lexer([("AB", "ab(ab)*"), ("C", "cc*")])
         assert lexer.pattern.plan.route == "compiled-kernel"

@@ -60,14 +60,14 @@ def _word_corpus(expr: str, count: int, rng: random.Random):
 class TestMatchBatch:
     def test_agrees_with_single_threaded_oracle(self):
         words, oracle = _word_corpus("(ab+b(b?)a)*", 800, random.Random(1))
-        with ValidationService(workers=8, min_chunk=32) as service:
+        with ValidationService(workers=8) as service:
             assert service.match_batch("(ab+b(b?)a)*", words) == oracle
 
     def test_star_free_pattern_takes_the_multi_matcher_path(self):
         words, oracle = _word_corpus("(a+b)(c?)d", 600, random.Random(2))
         pattern = repro.compile("(a+b)(c?)d")
         assert pattern.describe()["batch_path"] == "star-free-multi"
-        with ValidationService(workers=8, min_chunk=16) as service:
+        with ValidationService(workers=8) as service:
             assert service.match_batch("(a+b)(c?)d", words) == oracle
 
     def test_small_batches_run_inline(self):
@@ -77,7 +77,7 @@ class TestMatchBatch:
     def test_order_is_preserved_across_chunks(self):
         words = ["ab" * (index % 4) for index in range(257)]
         expected = [repro.Pattern("(ab)*", compiled=False).match(word) for word in words]
-        with ValidationService(workers=8, min_chunk=16) as service:
+        with ValidationService(workers=8) as service:
             assert service.match_batch("(ab)*", words) == expected
 
     def test_non_deterministic_pattern_raises_and_counts_an_error(self):
@@ -178,7 +178,7 @@ class TestStats:
     def test_stats_snapshots_stay_consistent_under_traffic(self):
         """Snapshots probed from another thread never show torn counters."""
         words = ["abba" * 6] * 400
-        with ValidationService(workers=4, min_chunk=16) as service:
+        with ValidationService(workers=4) as service:
             stop = threading.Event()
             snapshots: list[dict] = []
 
@@ -238,51 +238,3 @@ class TestLifecycle:
             asyncio.run(service.validate_document_texts_async(parse_dtd("<!ELEMENT a EMPTY>"), []))
         # stats stays readable on a closed service (monitoring keeps working)
         assert service.stats()["service"]["closed"] is True
-
-
-class TestChunkedFailure:
-    class _StubPool:
-        """A controllable executor double: futures resolve only when the
-        test says so, which makes the cancel-on-first-failure behaviour
-        of ``_map_chunked`` deterministic to observe."""
-
-        def __init__(self):
-            self.futures = []
-
-        def submit(self, fn, *args):
-            from concurrent.futures import Future
-
-            future = Future()
-            self.futures.append(future)
-            return future
-
-        def shutdown(self, wait=True):
-            pass
-
-    def test_first_failure_cancels_outstanding_chunks(self):
-        """Regression (ISSUE 5): remaining chunks used to keep running
-        after one future raised, burning the pool on a poisoned corpus."""
-        service = ValidationService(workers=2, min_chunk=1)
-        service._pool.shutdown(wait=True)
-        stub = service._pool = self._StubPool()
-        outcome: dict = {}
-
-        def run():
-            try:
-                service._map_chunked(lambda chunk: chunk, [0, 1])
-            except ValueError as error:
-                outcome["error"] = error
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        for _ in range(200):
-            if len(stub.futures) == 2:
-                break
-            threading.Event().wait(0.01)
-        assert len(stub.futures) == 2, "expected two chunks to be submitted"
-        stub.futures[0].set_exception(ValueError("poisoned chunk"))
-        thread.join(timeout=5)
-        assert not thread.is_alive(), "_map_chunked hung on the failed chunk"
-        assert isinstance(outcome.get("error"), ValueError)
-        assert stub.futures[1].cancelled(), "the outstanding chunk was not cancelled"
-        service.close()

@@ -604,6 +604,209 @@ class TestStreaming:
 
 
 # ---------------------------------------------------------------------------
+# One request path: a prepare job, batch jobs, one error table
+# ---------------------------------------------------------------------------
+
+def _count_jobs(service: ValidationService) -> list:
+    """Wrap ``service.submit``; every pool job submitted lands in the returned list."""
+    jobs: list = []
+    original = service.submit
+
+    def counting_submit(work, *args, **kwargs):
+        jobs.append(work)
+        return original(work, *args, **kwargs)
+
+    service.submit = counting_submit
+    return jobs
+
+
+def _chunked(body: bytes, size: int = 7) -> bytes:
+    """*body* in chunked transfer encoding, *size* bytes per chunk."""
+    pieces = [body[low : low + size] for low in range(0, len(body), size)]
+    frames = b"".join(f"{len(piece):x}\r\n".encode() + piece + b"\r\n" for piece in pieces)
+    return frames + b"0\r\n\r\n"
+
+
+class TestOneRequestPath:
+    def test_a_buffered_post_is_one_prepare_job_and_one_batch_job(self, monkeypatch):
+        """One compile per /match (the header is read off the compiled
+        pattern, never off ``describe()``), one schema build per /validate,
+        then the whole batch as one job."""
+
+        def no_describe(_pattern):
+            raise AssertionError("the front called Pattern.describe()")
+
+        compiled = []
+        compile_pattern = repro.api.compile
+        monkeypatch.setattr(repro.api.Pattern, "describe", no_describe)
+        monkeypatch.setattr(
+            repro.api, "compile", lambda *a, **k: compiled.append(a) or compile_pattern(*a, **k)
+        )
+
+        async def scenario():
+            async with Front() as front:
+                jobs = _count_jobs(front.service)
+                payload = {"pattern": PATTERN, "words": ["abba", "bb", "abba"]}
+                status, body = await _json_roundtrip(front.port, "POST", "/match", payload)
+                assert status == 200
+                assert body["verdicts"] == [True, False, True]
+                assert body["batch_path"] == "compiled-kernel"
+                assert (len(jobs), len(compiled)) == (2, 1)
+                jobs.clear()
+                payload = {"dtd": DTD_TEXT, "documents": [VALID_DOC, INVALID_DOC] * 50}
+                status, body = await _json_roundtrip(front.port, "POST", "/validate", payload)
+                assert status == 200
+                assert [verdict["valid"] for verdict in body["verdicts"]] == [True, False] * 50
+                assert len(jobs) == 2
+
+        asyncio.run(scenario())
+
+    def test_streamed_patterns_appear_under_stats_patterns(self):
+        async def scenario():
+            async with Front() as front:
+                status, _, verdicts, _ = await _stream_roundtrip(
+                    front.port, "/match", {"pattern": "(ab)*"}, ["ab", "b"]
+                )
+                assert (status, verdicts) == (200, [True, False])
+                _, stats = await _json_roundtrip(front.port, "GET", "/stats")
+                assert "paper:(ab)*" in stats["patterns"]
+
+        asyncio.run(scenario())
+
+    def test_every_post_is_one_request_and_every_failure_an_error(self):
+        async def scenario():
+            async with Front(stream_batch=1) as front:
+                await _json_roundtrip(
+                    front.port, "POST", "/match", {"pattern": PATTERN, "words": []}
+                )
+                await _json_roundtrip(
+                    front.port, "POST", "/match", {"pattern": "(a*ba+bb)*", "words": ["a"]}
+                )
+                await _json_roundtrip(front.port, "POST", "/match", {"pattern": "((", "words": []})
+                await _json_roundtrip(
+                    front.port, "POST", "/validate", {"dtd": DTD_TEXT, "documents": [42]}
+                )
+                await _stream_roundtrip(front.port, "/match", {"pattern": PATTERN}, ["abba"])
+                await _stream_roundtrip(front.port, "/match", {"pattern": "(a*ba+bb)*"}, [])
+                # Fails after the head: an in-stream error line.
+                await _stream_roundtrip(front.port, "/match", {"pattern": PATTERN}, ["abba", 7])
+                await _json_roundtrip(front.port, "POST", "/nope", {})
+                requests = front.service.stats()["requests"]
+                assert (requests["total"], requests["errors"]) == (8, 6)
+                assert requests["in_flight"] == 0
+
+        asyncio.run(scenario())
+
+    def test_items_are_checked_alike_before_any_pool_work(self):
+        async def scenario():
+            async with Front() as front:
+                jobs = _count_jobs(front.service)
+                payload = {"pattern": PATTERN, "words": ["abba", ["a", 7]]}
+                status, body = await _json_roundtrip(front.port, "POST", "/match", payload)
+                assert status == 400
+                assert jobs == []
+                status, _, raw = await _roundtrip(
+                    front.port,
+                    "POST",
+                    "/match",
+                    {"Content-Type": "application/x-ndjson"},
+                    _ndjson_body({"pattern": PATTERN}, ["abba", ["a", 7]]),
+                )
+                assert status == 200
+                streamed = [json.loads(line) for line in raw.splitlines()]
+                assert streamed[-1] == body  # the same message, in-stream
+
+        asyncio.run(scenario())
+
+    def test_a_bad_dialect_is_a_400_in_both_shapes(self):
+        async def scenario():
+            async with Front() as front:
+                status, body = await _json_roundtrip(
+                    front.port, "POST", "/match", {"pattern": "(ab)*", "words": [], "dialect": 5}
+                )
+                assert status == 400 and "dialect" in body["error"]
+                status, streamed, _, _ = await _stream_roundtrip(
+                    front.port, "/match", {"pattern": "(ab)*", "dialect": 5}, ["ab"]
+                )
+                assert (status, streamed) == (400, body)
+
+        asyncio.run(scenario())
+
+    def test_errors_outside_the_taxonomy_are_a_json_500(self, monkeypatch):
+        def overflow(*_args, **_kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        async def scenario():
+            async with Front() as front:
+                reader, writer = await _open(front.port)
+                try:
+                    # A buffered 500 keeps the connection, as any reply
+                    # after a whole body does.
+                    body = json.dumps({"pattern": "(ab)*", "words": ["ab"]}).encode()
+                    headers = {"Content-Type": "application/json", "Content-Length": str(len(body))}
+                    for _ in range(2):
+                        writer.write(_request_bytes("POST", "/match", headers, body))
+                        await writer.drain()
+                        status, _, raw = await _read_response(reader)
+                        assert status == 500
+                        assert json.loads(raw) == {"error": "internal error: RecursionError"}
+                finally:
+                    writer.close()
+                status, reply, _, _ = await _stream_roundtrip(
+                    front.port, "/match", {"pattern": "(ab)*"}, ["ab"]
+                )
+                assert (status, reply) == (500, {"error": "internal error: RecursionError"})
+                status, health = await _json_roundtrip(front.port, "GET", "/healthz")
+                assert (status, health["status"]) == (200, "ok")
+
+        monkeypatch.setattr(repro.api, "compile", overflow)
+        asyncio.run(scenario())
+
+    def test_a_failure_after_the_head_is_an_in_stream_500(self, monkeypatch):
+        def broken_work(_validator):
+            def work(_texts):
+                raise RuntimeError("boom")
+
+            return work
+
+        monkeypatch.setattr(ValidationService, "_document_work", staticmethod(broken_work))
+
+        async def scenario():
+            async with Front() as front:
+                status, _, raw = await _roundtrip(
+                    front.port,
+                    "POST",
+                    "/validate",
+                    {"Content-Type": "application/x-ndjson"},
+                    _ndjson_body({"dtd": DTD_TEXT}, [VALID_DOC]),
+                )
+                assert status == 200
+                lines = [json.loads(line) for line in raw.splitlines()]
+                assert lines == [
+                    {"schema": "dtd", "detail": "full"},
+                    {"error": "internal error: RuntimeError"},
+                ]
+
+        asyncio.run(scenario())
+
+    def test_buffered_json_over_a_chunked_body(self):
+        async def scenario():
+            async with Front() as front:
+                body = json.dumps({"pattern": PATTERN, "words": ["abba", "bb"]}).encode()
+                status, _, raw = await _roundtrip(
+                    front.port,
+                    "POST",
+                    "/match",
+                    {"Content-Type": "application/json", "Transfer-Encoding": "chunked"},
+                    _chunked(body),
+                )
+                assert status == 200
+                assert json.loads(raw)["verdicts"] == [True, False]
+
+        asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
 # Deadlines
 # ---------------------------------------------------------------------------
 

@@ -339,3 +339,71 @@ class TestCommandLine:
         completed = self._cli("--help")
         assert completed.returncode == 0
         assert "--front" not in completed.stdout
+
+
+class TestPoisonRequests:
+    """Requests that overflow the interpreter stack still get a JSON reply.
+
+    The server is its own process with stderr on a pipe the test never
+    reads while it runs: one traceback per request written there would
+    fill the pipe and block the event loop, so ``/healthz`` answering
+    quickly afterwards also shows that nothing was logged.
+    """
+
+    DEEP = "(" * 900 + "a" + ")" * 900
+    WIDE = " | ".join(f"n{index}" for index in range(1000))
+
+    @staticmethod
+    def _post(port: int, content_type: str, body: bytes) -> tuple[int, dict]:
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            connection.request("POST", "/match", body=body, headers={"Content-Type": content_type})
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_every_poison_request_gets_a_json_reply(self):
+        def ndjson(header: dict, *items) -> bytes:
+            return "\n".join(json.dumps(line) for line in (header, *items)).encode() + b"\n"
+
+        poison = [
+            ("application/json", json.dumps({"pattern": self.DEEP, "words": ["a"]}).encode()),
+            ("application/x-ndjson", ndjson({"pattern": self.DEEP}, "a")),
+            (
+                "application/json",
+                json.dumps({"pattern": self.WIDE, "dialect": "named", "words": [["n1"]]}).encode(),
+            ),
+            ("application/x-ndjson", ndjson({"pattern": "(ab)*", "dialect": 5}, "ab")),
+            ("application/json", json.dumps({"pattern": self.DEEP, "words": ["a"]}).encode()),
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--port", "0", "--workers", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            line = process.stdout.readline()
+            assert "listening on http://" in line, line
+            port = int(line.split("http://")[1].split(" ")[0].rsplit(":", 1)[1])
+            for content_type, body in poison:
+                status, reply = self._post(port, content_type, body)
+                assert 400 <= status < 600 and isinstance(reply.get("error"), str), (status, reply)
+            started = time.perf_counter()
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=1) as response:
+                assert response.status == 200
+            assert time.perf_counter() - started < 1.0
+            requests = _get(port, "/stats")[1]["requests"]
+            assert (requests["total"], requests["errors"]) == (len(poison), len(poison))
+        finally:
+            process.terminate()
+            try:
+                _, stderr = process.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                _, stderr = process.communicate(timeout=30)
+        assert "Traceback" not in stderr

@@ -483,6 +483,7 @@ class TestSnapshotEndpoint:
             port = front.address()[1]
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"http://127.0.0.1:{port}/snapshot")
+            excinfo.value.close()
             assert excinfo.value.code == 404
         service.close()
 
