@@ -294,17 +294,21 @@ class Pattern:
         Every other compiled pattern runs through the batch kernel
         (:mod:`repro.matching.kernel`): the runtime's rows are flattened
         into one premultiplied scan table and each distinct word is a
-        branch-free stride over that table; words crossing
-        not-yet-materialized state replay per-word through the compiled
-        runtime — filling those rows, so repeated corpora converge to the
-        all-kernel path.  A batch over a runtime with no rows yet replays
-        instead of building a table it would only miss in.  Tiny batches
-        (and machines too large for a kernel table) keep the per-word
-        replay driver.  :meth:`describe` reports which path a pattern
-        takes under ``"batch_path"``.  With ``compiled=False`` this falls
-        back to the direct path — the uncompiled matcher per word — which
-        keeps the per-symbol structure queries observable (that is what
-        the benchmarks compare against).
+        branch-free stride over that table.  A batch over a runtime with
+        no rows yet replays instead of building a table it would only miss
+        in.  The next batch completes the reachable machine once when the
+        kernel would stride it (cheaper than one composed-table build), so
+        one program answers that batch and every later one without a
+        fallback word.  Stride-1 machines (a wide union) and runtimes whose
+        matcher is still deferred behind snapshot rows stay lazy: words
+        crossing not-yet-materialized state replay per-word through the
+        compiled runtime — filling those rows, so repeated corpora converge
+        to the all-kernel path.  Tiny batches (and machines too large for a
+        kernel table) keep the per-word replay driver.  :meth:`describe`
+        reports which path a pattern takes under ``"batch_path"``.  With
+        ``compiled=False`` this falls back to the direct path — the
+        uncompiled matcher per word — which keeps the per-symbol structure
+        queries observable (that is what the benchmarks compare against).
 
         *detail* selects the result shape: ``"verdict"`` (default) keeps
         the historical ``list[bool]`` and the untraced kernel hot path;

@@ -43,12 +43,17 @@ cannot exploit but a corpus-level kernel gets for free.
 **Fallback semantics.**  A verdict byte of 2 means the scan crossed a
 transition the runtime has not materialized (or ended in a state whose
 acceptance is unresolved).  Those words replay through
-``CompiledRuntime.accepts_encoded`` — which *fills* the missing rows — so
-a corpus converges to the all-kernel path: the next
-:meth:`CompiledRuntime.export_kernel_program` sees the bumped generation
-counter and rebuilds the program over the now-complete rows.  Kernel scans
-never mutate the runtime, so ``transitions_memoized == misses`` (the
-invariant the runtime tests pin) is untouched.
+``CompiledRuntime.accepts_encoded``, which *fills* the missing rows and
+bumps the runtime's generation, so the next
+:meth:`CompiledRuntime.export_kernel_program` rebuilds the program over
+the larger row set.  ``Pattern.match_all`` avoids that churn for every
+machine the kernel strides (:func:`stride_for` ≥ 2): before the first
+program it completes the warm runtime's reachable machine once
+(``CompiledRuntime.complete``), so no word falls back and one program
+serves every later batch.  Stride-1 machines, and direct callers of
+:func:`match_words`, converge by rebuilding.  Kernel scans never mutate
+the runtime, so ``transitions_memoized == misses`` (the invariant the
+runtime tests pin) is untouched.
 
 **Backends.**  :func:`KernelProgram.scan` runs the loop either in pure
 Python (the permanent oracle) or through an optional C helper
@@ -92,9 +97,10 @@ MIN_BATCH = 8
 
 #: Distinct-word encodings memoized per program before the cache is
 #: dropped and restarted.  Repeated-match traffic re-sends the same few
-#: word tuples forever (their hashes are cached by CPython), so the cap
-#: only ever trips under a flood of genuinely distinct words — where the
-#: cache was not helping anyway.
+#: words forever (a word-tuple probe rehashes the tuple, but its ``str``
+#: symbols keep their cached hashes), so the cap only ever trips under a
+#: flood of genuinely distinct words — where the cache was not helping
+#: anyway.
 ENCODE_CACHE_LIMIT = 1 << 16
 
 #: Verdict bytes produced by a scan.
@@ -347,7 +353,6 @@ class KernelProgram:
         "states",
         "start_offset",
         "dead_offset",
-        "generation",
         "_c_table",
         "_c_accepts",
         "_encode_cache",
@@ -373,9 +378,6 @@ class KernelProgram:
         self.states = states
         self.start_offset = start_state * self.span
         self.dead_offset = states * self.span
-        #: runtime generation the table was built from (set by
-        #: ``CompiledRuntime.export_kernel_program``)
-        self.generation = -1
         self._c_table = None
         self._c_accepts = None
         #: word tuple → (group encoding, raw codes); shape-compatible
@@ -490,17 +492,41 @@ class KernelProgram:
         return verdicts
 
 
+def stride_for(
+    states: int,
+    width: int,
+    max_entries: int | None = None,
+    max_stride: int | None = None,
+) -> int:
+    """The deepest stride whose composed table fits, or 0 when none does.
+
+    A machine of *states* states over an alphabet of *width* symbols has
+    a stride-``k`` table of ``(states + 2) · (width + 2)^k`` entries.  The
+    limits default to :data:`TABLE_LIMIT` and :data:`MAX_STRIDE`, read at
+    call time.
+
+    >>> stride_for(4, 2), stride_for(202, 200), stride_for(10**6, 10)
+    (3, 1, 0)
+    """
+    if max_entries is None:
+        max_entries = TABLE_LIMIT
+    if max_stride is None:
+        max_stride = MAX_STRIDE
+    stride = 0
+    while stride < max_stride and (states + 2) * (width + 2) ** (stride + 1) <= max_entries:
+        stride += 1
+    return stride
+
+
 def eligible(tree) -> bool:
     """Cheap pre-check: can *tree*'s machine fit a kernel table at all?"""
-    states = len(tree.positions)
-    width = len(tree.alphabet)
-    return (states + 2) * (width + 2) <= TABLE_LIMIT
+    return stride_for(len(tree.positions), len(tree.alphabet)) > 0
 
 
 def build_program(
     runtime,
-    max_entries: int = TABLE_LIMIT,
-    max_stride: int = MAX_STRIDE,
+    max_entries: int | None = None,
+    max_stride: int | None = None,
 ) -> KernelProgram | None:
     """Flatten *runtime*'s current rows into a :class:`KernelProgram`.
 
@@ -510,20 +536,19 @@ def build_program(
     still verdict-exact — it just sends more words to the fallback path.
     Adopted (snapshot) rows are read exactly like locally densified ones,
     which is what hands snapshot-preloaded processes a complete kernel
-    program without a single matcher delegation.  Returns ``None`` when
-    even the stride-1 table would exceed *max_entries*.
+    program without a single matcher delegation.  The stride is
+    :func:`stride_for` of the machine's shape; returns ``None`` when even
+    the stride-1 table would exceed *max_entries*.
     """
     width = runtime._width
     states = len(runtime._positions)
+    stride = stride_for(states, width, max_entries, max_stride)
+    if not stride:
+        return None
     wp = width + 2
     dead = states
     miss = states + 1
     synthetic = states + 2
-    if synthetic * wp > max_entries:
-        return None
-    stride = 1
-    while stride < max_stride and synthetic * wp ** (stride + 1) <= max_entries:
-        stride += 1
 
     rows = runtime._rows
     base: list[list[int]] = []

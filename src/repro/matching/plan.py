@@ -42,8 +42,10 @@ The four built-in routes (and their unchanged wire names):
     of the expression's positions.
 ``"compiled-kernel"``
     The runtime's dense rows flatten into one premultiplied kernel table
-    (:mod:`repro.matching.kernel`); batches stride over it branch-free,
-    with per-word replay as the convergence fallback.
+    (:mod:`repro.matching.kernel`); batches stride over it branch-free.
+    A warm machine the kernel strides is completed once, so its one
+    program never misses; per-word replay stays the fallback for cold
+    runtimes, deferred matchers and stride-1 machines.
 ``"compiled-runtime"``
     Per-word replay over the memoized lazy-DFA rows — the terminal
     compiled fallback for machines too large for a kernel table.
@@ -127,10 +129,12 @@ class ExecutionPlan:
     def scan_program(self):
         """The stride-1 kernel program for longest-match scanning.
 
-        Materializes the whole reachable machine, then exports (and
-        caches) the flat table.  Returns ``(program, accepting_states)``;
-        ``program`` is ``None`` when the machine exceeds the kernel table
-        ceiling.  Only compiled plans support scanning.
+        Materializes the whole reachable machine once
+        (:meth:`CompiledRuntime.complete`, which also lists its accepting
+        states), then exports (and caches) the flat table.  Returns
+        ``(program, accepting_states)``; ``program`` is ``None`` when the
+        machine exceeds the kernel table ceiling.  Only compiled plans
+        support scanning.
         """
         raise NotImplementedError(f"route {self.route!r} does not support scan programs")
 
@@ -203,10 +207,11 @@ class CompiledPlan(ExecutionPlan):
 
     Single matches replay the memoized lazy-DFA rows; batches attempt the
     kernel scan (building a composed table costs milliseconds, so tiny
-    batches only take it when a program is already cached) and fall back
-    to per-word replay; child sequences go through the pattern's
-    acceptance memo.  Subclasses only change the *verdict* batch path and
-    the route name.
+    batches only take it when a program is already cached; a warm machine
+    the kernel strides is completed once first, so one program serves
+    every later batch) and fall back to per-word replay; child sequences
+    go through the pattern's acceptance memo.  Subclasses only change the
+    *verdict* batch path and the route name.
     """
 
     __slots__ = ("_memo", "_runtime", "_scan")
@@ -246,13 +251,30 @@ class CompiledPlan(ExecutionPlan):
         its first symbol — so its distinct words replay through *replay*
         (filling the rows the next batch's program is built over) and
         every batch word is booked as a fallback word.
+
+        A warm runtime whose machine the kernel would stride (stride ≥ 2)
+        is completed once before its first program: walking the reachable
+        machine costs less than one composed-table build, and afterwards
+        no word misses, so that one program serves every later batch
+        instead of being rebuilt after each batch that fills a row.  A
+        runtime whose matcher is still deferred (snapshot-adopted rows) is
+        not completed until a fallback replay has built the matcher, and a
+        stride-1 machine (a wide union, say) stays lazy: completing it
+        costs more than twenty of its cheap stride-1 builds.
         """
         runtime = self.runtime
         if len(corpus) >= kernel.MIN_BATCH or runtime._kernel_programs:
-            if runtime.cold and kernel.eligible(runtime.tree):
+            stride = kernel.stride_for(len(runtime.tree.positions), len(runtime.alphabet))
+            if runtime.cold and stride:
                 verdicts = kernel.replay_words(runtime, corpus, replay=replay)
                 self.pattern._record_kernel_traffic(0, len(corpus))
                 return verdicts
+            if (
+                stride > 1
+                and runtime._reachable_accepting is None
+                and runtime._matcher_obj is not None
+            ):
+                runtime.complete()
             result = kernel.match_words(runtime, corpus, replay=replay)
             if result is not None:
                 verdicts, kernel_words, fallback_words = result
@@ -308,20 +330,7 @@ class CompiledPlan(ExecutionPlan):
         scan = self._scan
         if scan is None:
             runtime = self.runtime
-            width = len(runtime.alphabet)
-            accepting: list[int] = []
-            seen = {runtime._start_state}
-            queue = [runtime._start_state]
-            step = runtime.step
-            while queue:
-                state = queue.pop()
-                if runtime.state_accepts(state):
-                    accepting.append(state)
-                for code in range(width):
-                    target = step(state, code)
-                    if target >= 0 and target not in seen:
-                        seen.add(target)
-                        queue.append(target)
+            accepting = runtime.complete()
             program = runtime.export_kernel_program(max_stride=1)
             scan = self._scan = (program, accepting)
         return scan

@@ -209,6 +209,7 @@ class CompiledRuntime:
         "_generation",
         "_kernel_programs",
         "kernel_programs_built",
+        "_reachable_accepting",
     )
 
     def __init__(
@@ -256,6 +257,9 @@ class CompiledRuntime:
         self._kernel_programs: dict[int, tuple[int, object]] = {}
         #: kernel programs compiled for this runtime (telemetry)
         self.kernel_programs_built = 0
+        #: accepting states of the reachable machine once :meth:`complete`
+        #: has materialized it; ``None`` while the machine is still lazy
+        self._reachable_accepting: list[int] | None = None
 
     @property
     def matcher(self) -> DeterministicMatcher:
@@ -366,6 +370,36 @@ class CompiledRuntime:
                     self._generation += 1
         return verdict == 1
 
+    def complete(self) -> list[int]:
+        """Materialize the whole reachable machine once; returns its accepting states.
+
+        Walks every symbol code from every state reachable from the start
+        state through :meth:`step`, so each missing transition is filled
+        (and counted) exactly as a word would fill it, and resolves the
+        acceptance verdict of every state it reaches.  Afterwards no word
+        can miss: a kernel program built over the rows never falls back
+        and the generation stops moving.  The walk runs once; later calls
+        return the same list.  Unreachable states stay unmaterialized.
+        """
+        accepting = self._reachable_accepting
+        if accepting is None:
+            width = self._width
+            step = self.step
+            accepting = []
+            seen = {self._start_state}
+            queue = [self._start_state]
+            while queue:
+                state = queue.pop()
+                if self.state_accepts(state):
+                    accepting.append(state)
+                for code in range(width):
+                    target = step(state, code)
+                    if target >= 0 and target not in seen:
+                        seen.add(target)
+                        queue.append(target)
+            self._reachable_accepting = accepting
+        return accepting
+
     # -- whole-word drivers ----------------------------------------------------------
     def accepts_encoded(self, codes: Iterable[int]) -> bool:
         """Membership test over an already-encoded word (the hot loop).
@@ -443,10 +477,10 @@ class CompiledRuntime:
                 if verdict >= 0:
                     accepts[state] = verdict
             if complete and 0xFF in accepts:
-                # Only touch the matcher when some verdict is actually
-                # unresolved: re-exporting a snapshot-adopted runtime
-                # (complete accepts) must keep its matcher deferred.
-                accepts_at = self.matcher.follow.accepts_at
+                # Verdicts come off the tree's own follow index, as in
+                # state_accepts: re-exporting a snapshot-adopted runtime
+                # must keep its matcher deferred.
+                accepts_at = self.tree.follow.accepts_at
                 for state in range(len(self._positions)):
                     if accepts[state] == 0xFF:
                         verdict = 1 if accepts_at(self._positions[state]) else 0
@@ -474,7 +508,10 @@ class CompiledRuntime:
 
         Rows are installed as-is (typically mmap-backed memoryviews, so
         forked workers share the pages) but only into states this runtime
-        has never visited; locally exercised rows always win.
+        has never visited; locally exercised rows always win.  The
+        generation moves only when a row or an acceptance verdict was
+        installed, so re-adopting rows the runtime already holds keeps its
+        cached kernel programs.
         """
         position_count = len(self._positions)
         width = self._width
@@ -505,6 +542,7 @@ class CompiledRuntime:
                 bad = sorted(set(accepts) - {0, 1, 0xFF})[0]
                 raise SnapshotError("malformed", f"invalid acceptance byte {bad}")
         adopted = 0
+        resolved = 0
         with self._lock:
             for state, row in rows.items():
                 if self._rows[state] is None:
@@ -515,7 +553,9 @@ class CompiledRuntime:
                 for state, value in enumerate(accepts):
                     if value != 0xFF and self._accepts[state] < 0:
                         self._accepts[state] = value
-            self._generation += 1
+                        resolved += 1
+            if adopted or resolved:
+                self._generation += 1
         return adopted
 
     # -- kernel export -------------------------------------------------------------------
@@ -524,13 +564,15 @@ class CompiledRuntime:
 
         Programs (see :mod:`repro.matching.kernel`) are cached per
         requested stride against :attr:`_generation`, which every row
-        fill, densification, acceptance resolution and snapshot adoption
-        bumps — so a cached program is exactly as warm as the machine,
-        and a batch call after new traffic rebuilds it over the larger
-        row set.  Building only *reads* rows (missing transitions become
-        fallback edges), so exporting never delegates to the wrapped
-        matcher: a snapshot-preloaded runtime with adopted rows yields a
-        complete kernel program while its matcher stays deferred.
+        fill, densification, acceptance resolution and installing
+        snapshot adoption bumps — so a cached program is exactly as warm
+        as the machine, and a call after new row fills rebuilds it over
+        the larger row set.  After :meth:`complete` no word fills a row,
+        so one program serves every later call.  Building only *reads*
+        rows (missing transitions become fallback edges), so exporting
+        never delegates to the wrapped matcher: a snapshot-preloaded
+        runtime with adopted rows yields a complete kernel program while
+        its matcher stays deferred.
 
         Returns ``None`` when the machine cannot fit *max_entries* table
         slots (callers then keep the per-word driver).  Two threads
@@ -538,10 +580,8 @@ class CompiledRuntime:
         and the last store wins — the cache is an optimization, not a
         correctness gate.
         """
-        from .kernel import MAX_STRIDE, TABLE_LIMIT, build_program
+        from .kernel import MAX_STRIDE, build_program
 
-        if max_entries is None:
-            max_entries = TABLE_LIMIT
         if max_stride is None:
             max_stride = MAX_STRIDE
         generation = self._generation
@@ -556,7 +596,6 @@ class CompiledRuntime:
             # generation bump never changes: the rebuilt program inherits
             # the superseded program's memoized word encodings
             program._encode_cache = cached[1]._encode_cache
-        program.generation = generation
         self._kernel_programs[max_stride] = (generation, program)
         self.kernel_programs_built += 1
         return program

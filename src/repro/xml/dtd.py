@@ -18,6 +18,7 @@ quadratic; it is modelled explicitly (:class:`ContentModel` with kind
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
@@ -25,10 +26,35 @@ from typing import Iterator
 from ..errors import DTDSyntaxError
 from ..regex.ast import Optional, Plus, Regex, Star, Sym, Union, concat, star, sym, union
 
-_NAME = r"[A-Za-z_:][A-Za-z0-9_.:-]*"
-_ELEMENT_DECL = re.compile(rf"<!ELEMENT\s+({_NAME})\s+(.*?)>", re.S)
-_ATTLIST_DECL = re.compile(rf"<!ATTLIST\s+{_NAME}.*?>", re.S)
+# The XML 1.0 Name production, NameStartChar NameChar*, as sorted
+# half-open code-point bounds: a character is in a set when an odd number
+# of its bounds lie at or below it.  Checked per character: compiled into
+# a regex class, the large Unicode ranges cost about 5 ms per class.
+_NAME_START = (
+    0x3A, 0x3B, 0x41, 0x5B, 0x5F, 0x60, 0x61, 0x7B, 0xC0, 0xD7, 0xD8, 0xF7,
+    0xF8, 0x300, 0x370, 0x37E, 0x37F, 0x2000, 0x200C, 0x200E, 0x2070, 0x2190,
+    0x2C00, 0x2FF0, 0x3001, 0xD800, 0xF900, 0xFDD0, 0xFDF0, 0xFFFE, 0x10000, 0xF0000,
+)  # fmt: skip
+# NameChar adds "-", ".", the digits, U+00B7, U+0300-036F and U+203F-2040.
+_NAME_MORE = (0x2D, 0x2F, 0x30, 0x3A, 0xB7, 0xB8, 0x300, 0x370, 0x203F, 0x2041)
+_NAME_TOKEN = re.compile(r"[^\s,|()?*+]+")
+_ELEMENT_DECL = re.compile(r"<!ELEMENT\s+([^\s>]+)\s+(.*?)>", re.S)
+_ATTLIST_DECL = re.compile(r"<!ATTLIST\s.*?>", re.S)
 _COMMENT = re.compile(r"<!--.*?-->", re.S)
+
+
+def _is_name(text: str) -> bool:
+    """True when *text* matches the XML 1.0 ``Name`` production.
+
+    >>> [_is_name(name) for name in ("目录", "a-b.c", "·a", "1a", "")]
+    [True, True, False, False, False]
+    """
+    if not text or not bisect_right(_NAME_START, ord(text[0])) & 1:
+        return False
+    return all(
+        bisect_right(_NAME_START, code) & 1 or bisect_right(_NAME_MORE, code) & 1
+        for code in map(ord, text[1:])
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +189,7 @@ def _parse_mixed(text: str) -> ContentModel:
         raise DTDSyntaxError("mixed content must start with #PCDATA")
     names = tuple(part for part in parts[1:] if part)
     for name in names:
-        if not re.fullmatch(_NAME, name):
+        if not _is_name(name):
             raise DTDSyntaxError(f"invalid element name in mixed content: {name!r}")
     return ContentModel("mixed", mixed_names=names)
 
@@ -219,8 +245,8 @@ class _ContentParser:
                 raise DTDSyntaxError("expected ')' in content model")
             self.index += 1
             return self._parse_postfix(inner)
-        match = re.compile(_NAME).match(self.text, self.index)
-        if match is None:
+        match = _NAME_TOKEN.match(self.text, self.index)
+        if match is None or not _is_name(match.group(0)):
             raise DTDSyntaxError(
                 f"expected an element name at offset {self.index} in content model"
             )
@@ -244,13 +270,23 @@ class _ContentParser:
 # ---------------------------------------------------------------------------
 
 def parse_dtd(text: str, root: str | None = None) -> DTD:
-    """Parse the ``<!ELEMENT ...>`` declarations of a DTD (internal subset or file)."""
+    """Parse the ``<!ELEMENT ...>`` declarations of a DTD (internal subset or file).
+
+    Element names follow the XML 1.0 ``Name`` production.  A declaration
+    the scanner cannot read (a malformed name, a missing content model)
+    raises :class:`~repro.errors.DTDSyntaxError` instead of vanishing.
+    """
     cleaned = _COMMENT.sub("", text)
     cleaned = _ATTLIST_DECL.sub("", cleaned)
     dtd = DTD(root=root)
-    for match in _ELEMENT_DECL.finditer(cleaned):
-        name, model_text = match.group(1), match.group(2)
-        dtd.declare(name, parse_content_model(model_text))
+    at = cleaned.find("<!ELEMENT")
+    while at >= 0:
+        match = _ELEMENT_DECL.match(cleaned, at)
+        if match is None or not _is_name(match.group(1)):
+            excerpt = cleaned[at : at + 40].split(">")[0]
+            raise DTDSyntaxError(f"malformed element declaration: {excerpt!r}")
+        dtd.declare(match.group(1), parse_content_model(match.group(2)))
+        at = cleaned.find("<!ELEMENT", match.end())
     if dtd.root is None and dtd.elements:
         dtd.root = next(iter(dtd.elements))
     return dtd

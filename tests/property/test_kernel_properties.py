@@ -135,11 +135,14 @@ def test_pure_and_native_scans_are_byte_identical(seed: int, leaf_count: int):
 
 
 def _route_workload(seed: int, leaf_count: int):
-    """A star-free and a starred deterministic expression plus one batch.
+    """A star-free and a starred deterministic expression plus two batches.
 
     The batch draws with replacement from a small pool and spells each
     word at random as a ``str`` or a ``list``, so the facade's dedup sees
-    repeats under both spellings.
+    repeats under both spellings.  The fresh batch holds only words the
+    pool never drew — new members, their mutations and noise with
+    out-of-alphabet symbols — so it reaches rows the first batch left
+    unfilled.
     """
     rng = random.Random(seed)
     star_free = star_free_chain(2)
@@ -170,13 +173,23 @@ def _route_workload(seed: int, leaf_count: int):
         return joiner.join(word)
 
     batch = [spell(rng.choice(pool)) for _ in range(30)]
-    return star_free, starred, batch
+    drawn = {tuple(word) for word in pool}
+    fresh_pool: list[list[str]] = []
+    for expr in (star_free, starred):
+        for _ in range(4):
+            member = list(sample_member(expr, rng))
+            fresh_pool.append(member)
+            fresh_pool.append(list(mutate_word(member, symbols, rng)))
+    fresh_pool.append([rng.choice(symbols) for _ in range(rng.randint(1, 6))] + ["#"])
+    fresh_pool = [word for word in fresh_pool if tuple(word) not in drawn]
+    fresh = [spell(rng.choice(fresh_pool)) for _ in range(20)]
+    return star_free, starred, batch, fresh
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 def test_match_all_agrees_with_per_word_match_on_every_route(seed: int, leaf_count: int):
-    star_free, starred, batch = _route_workload(seed, leaf_count)
+    star_free, starred, batch, fresh = _route_workload(seed, leaf_count)
     cases = [
         (star_free, False, "per-word"),
         (star_free, True, "star-free-multi"),
@@ -189,11 +202,13 @@ def test_match_all_agrees_with_per_word_match_on_every_route(seed: int, leaf_cou
             pattern = repro.Pattern(expr, compiled=compiled)
             assert pattern.plan.route == route
             batches = [pattern.match_all(batch) for _ in range(2)]  # cold, then warm
+            fresh_verdicts = pattern.match_all(fresh)  # after any completion
             full = pattern.match_all(batch, detail="full")
             singles = [pattern.match(word) for word in batch]
             expected = [bool(single) for single in singles]
             for verdicts in batches:
                 assert verdicts == expected, route
+            assert fresh_verdicts == [bool(pattern.match(word)) for word in fresh], route
             for result, single in zip(full, singles):
                 assert bool(result) == bool(single), route
                 assert result.error_index == single.error_index, route

@@ -9,6 +9,8 @@ equivalence lives in ``tests/property/test_kernel_properties.py``.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import repro
@@ -24,7 +26,9 @@ from repro.matching.kernel import (
     match_words,
     reset_kernel_stats,
 )
+from repro.regex.generators import chare, mixed_content
 from repro.regex.parse_tree import build_parse_tree
+from repro.regex.words import mutate_word, sample_member
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +107,44 @@ class TestConvergence:
         assert fallback_words == 0
         assert kernel_words == len(WORDS)
 
+    @pytest.mark.parametrize("expr", [mixed_content(12), chare(6)], ids=["mixed12", "chare6"])
+    def test_warm_strided_machine_builds_one_program(self, expr):
+        """A strided machine is completed once: one program serves every warm batch."""
+        pattern = repro.compile(expr)
+        alphabet = pattern.tree.alphabet.as_list()
+        assert kernel.stride_for(len(pattern.tree.positions), len(alphabet)) > 1
+        rng = random.Random(7)
+        pool = [sample_member(expr, rng) for _ in range(20)]
+        pattern.match_all(pool)  # cold: replays, builds the matcher
+        cold_fallback = pattern.stats()["kernel_fallback_words"]
+        for _ in range(20):
+            batch = [rng.choice(pool) for _ in range(12)]
+            batch += [sample_member(expr, rng), mutate_word(rng.choice(pool), alphabet, rng)]
+            batch.append([rng.choice(alphabet) for _ in range(rng.randint(1, 9))] + ["zz"])
+            assert pattern.match_all(batch) == [bool(pattern.match(word)) for word in batch]
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 1
+        assert stats["kernel_fallback_words"] == cold_fallback
+        assert stats["transitions_memoized"] == stats["misses"]
+
+    def test_stride_one_machine_stays_lazy(self):
+        """A stride-1 machine is not completed; new rows still rebuild its program."""
+        expr = mixed_content(200)
+        pattern = repro.compile(expr)
+        states, width = len(pattern.tree.positions), len(pattern.tree.alphabet)
+        assert kernel.stride_for(states, width) == 1
+        words = [[f"a{i}", f"a{i + 1}"] for i in range(0, 20, 2)]
+        for _ in range(3):  # cold, then two warm batches
+            pattern.match_all(words)
+        stats = pattern.stats()
+        assert stats["transitions_memoized"] < states * width
+        built = stats["kernel_programs"]
+        assert built >= 1
+        fresh = [[f"a{i}", f"a{i + 1}"] for i in range(100, 120, 2)]
+        assert pattern.match_all(fresh) == [True] * len(fresh)
+        assert pattern.match_all(fresh) == [True] * len(fresh)
+        assert pattern.stats()["kernel_programs"] > built
+
     def test_dedup_fans_verdicts_back_out(self):
         runtime = _runtime("(ab)*")
         words = [tuple("ab"), tuple("aa"), tuple("ab"), tuple("ab"), tuple("aa")]
@@ -145,6 +187,16 @@ class TestProgramCache:
         rebuilt = runtime.export_kernel_program()
         assert rebuilt._encode_cache is first._encode_cache
 
+    def test_adopting_rows_already_held_keeps_the_program(self):
+        runtime = _runtime("(ab+b(b?)a)*")
+        for word in WORDS:
+            runtime.accepts_encoded(runtime.encode(word))
+        export = runtime.export_rows()
+        program = runtime.export_kernel_program()
+        assert runtime.adopt_rows(export["accepts"], export["rows"]) == 0
+        assert runtime.export_kernel_program() is program
+        assert runtime.kernel_programs_built == 1
+
     def test_strides_cache_independently(self):
         runtime = _runtime("(ab)*")
         wide = runtime.export_kernel_program()
@@ -167,6 +219,20 @@ class TestProgramCache:
         verdicts, _, fallback_words = match_words(adopter, words)
         assert verdicts == _oracle("(ab+b(b?)a)*", WORDS)
         assert fallback_words == 0
+
+    def test_re_export_with_unresolved_verdicts_keeps_the_matcher_deferred(self):
+        donor = _runtime("(ab+b(b?)a)*")
+        for word in WORDS:
+            donor.accepts_encoded(donor.encode(word))
+        export = donor.export_rows(complete=True)
+        partial = bytes([0xFF]) + export["accepts"][1:]
+
+        def explode():
+            raise AssertionError("matcher must stay deferred")
+
+        adopter = CompiledRuntime(tree=build_parse_tree("(ab+b(b?)a)*"), matcher_factory=explode)
+        adopter.adopt_rows(partial, export["rows"])
+        assert adopter.export_rows()["accepts"] == export["accepts"]
 
 
 class TestPatternRouting:
@@ -261,6 +327,25 @@ class TestColdBatches:
         assert stats["kernel_programs"] == 1
         assert stats["kernel_words"] == len(WORDS)
         assert stats["kernel_fallback_words"] == 0
+
+    def test_partial_snapshot_keeps_the_matcher_deferred(self, tmp_path):
+        warm = repro.compile("(ab+b(b?)a)*")
+        for word in ["ab", "abab"]:  # leaves the b-branch of the machine cold
+            warm.match(word)
+        path = str(tmp_path / "rows.snapshot")
+        repro.save_snapshot(path)
+        repro.purge()
+        repro.load_snapshot(path)
+        pattern = repro.compile("(ab+b(b?)a)*")
+        covered = ["", "a", "b", "aa", "ab", "abb", "abab", "ababab", "ab", "a"]
+        for _ in range(2):
+            assert pattern.match_all(covered) == _oracle("(ab+b(b?)a)*", covered)
+        assert pattern._matcher is None
+        assert pattern.runtime._matcher_obj is None
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 1
+        assert stats["kernel_fallback_words"] == 0
+        assert stats["states_visited"] < len(pattern.tree.positions)
 
 
 class TestTelemetry:

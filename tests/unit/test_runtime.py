@@ -57,6 +57,20 @@ class TestCompiledRuntime:
         stats = runtime.stats()
         assert stats["transitions_memoized"] == warm
 
+    def test_complete_materializes_the_reachable_machine_once(self):
+        runtime = _runtime("(ab+b(b?)a)*")
+        accepting = runtime.complete()
+        assert sorted(accepting) == [
+            state for state in range(len(runtime._positions)) if runtime._accepts[state] == 1
+        ]
+        stats = runtime.stats()
+        assert stats["transitions_memoized"] == stats["misses"] > 0
+        warm = runtime.misses
+        assert runtime.complete() is accepting
+        for word in ["", "ab", "abba", "bba", "bb", "a", "ba", "abab", "zz"]:
+            assert runtime.accepts(word) == runtime.matcher.accepts(word), word
+        assert runtime.misses == warm
+
     def test_dead_transitions_are_memoized_too(self):
         runtime = _runtime("(ab)*")
         assert not runtime.accepts("aa")

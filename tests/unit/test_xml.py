@@ -390,6 +390,30 @@ class TestDTD:
         assert set(reparsed.declared_names()) == set(dtd.declared_names())
         assert reparsed.content_model("book").expression == dtd.content_model("book").expression
 
+    def test_element_names_follow_the_xml_name_production(self):
+        dtd = parse_dtd("<!ELEMENT 目录 (产品*)><!ELEMENT 产品 (#PCDATA)>")
+        assert dtd.declared_names() == ["目录", "产品"]
+        validator = DTDValidator(dtd)
+        assert validator.is_valid(parse_xml("<目录><产品>x</产品></目录>").document)
+        assert not validator.is_valid(parse_xml("<目录><货物/></目录>").document)
+        dtd = parse_dtd("<!ELEMENT katalog (würfel·a*, _x-1.b?)> <!ELEMENT a (#PCDATA | ñ)*>")
+        assert dtd.content_model("katalog").expression.positions() == ["würfel·a", "_x-1.b"]
+        assert dtd.content_model("a").mixed_names == ("ñ",)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<!ELEMENT a>",
+            "<!ELEMENT 1a EMPTY>",
+            "<!ELEMENT ·a EMPTY>",
+            "<!ELEMENT a$b EMPTY>",
+            "<!ELEMENT a EMPTY> <!ELEMENT>",
+        ],
+    )
+    def test_unreadable_element_declarations_raise(self, text):
+        with pytest.raises(DTDSyntaxError, match="malformed element declaration"):
+            parse_dtd(text)
+
 
 class TestDTDValidator:
     def _dtd(self):
