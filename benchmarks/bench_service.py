@@ -126,7 +126,7 @@ def test_batch_verdicts_identical_to_per_word_and_oracle():
             batch = service.match_batch(expr, words)
             assert batch == oracle, f"{label}: batch diverged from the oracle"
             assert _per_word_loop(service, expr, words) == oracle, label
-    # the two batch paths really are distinct
+    # both run the kernel; the routes keep their wire names
     assert repro.compile(PATTERNS["starred"]).describe()["batch_path"] == "compiled-kernel"
     assert repro.compile(PATTERNS["star-free"]).describe()["batch_path"] == "star-free-multi"
 

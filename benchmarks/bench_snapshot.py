@@ -298,11 +298,10 @@ with open(corpus_path) as handle:
 schema = schema_from_dict(corpus["schema"])
 assert schema.is_valid_schema()  # the serving layer's schema-install step
 start = time.perf_counter()
-adopted = {"rows": 0, "tables": 0, "memo_entries": 0}
+adopted = {"rows": 0, "memo_entries": 0}
 if mode == "snapshot":
     report = repro.load_snapshot(snapshot_path)
-    adopted = {"rows": report["rows_loaded"], "tables": report["tables_loaded"],
-               "memo_entries": report["memo_entries_loaded"]}
+    adopted = {"rows": report["rows_loaded"], "memo_entries": report["memo_entries_loaded"]}
 bits = []
 for name, children in corpus["sequences"]:
     bits.append("1" if schema.validate_children(name, children) else "0")

@@ -1,8 +1,9 @@
 """Shared workload construction for the benchmark harness.
 
-Each experiment (see DESIGN.md, Section 3) uses deterministic-by-construction
-expression families from :mod:`repro.regex.generators` plus pre-generated
-member words, built once per parameter value and cached so that the timed
+Each experiment (E1–E9, one ``bench_*.py`` module each, whose docstring
+says what it measures) uses deterministic-by-construction expression
+families from :mod:`repro.regex.generators` plus pre-generated member
+words, built once per parameter value and cached so that the timed
 sections measure only the algorithm under test.
 """
 

@@ -20,8 +20,10 @@ Quick start::
     assert not report.deterministic
     print(report.describe())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-reproduction of the paper's complexity claims.
+See ``docs/architecture.md`` for the system inventory.  The paper's
+complexity claims are reproduced by the experiments in ``benchmarks/``
+(E1–E9, one ``bench_*.py`` module each, whose docstring says what it
+measures).
 """
 
 from .api import (

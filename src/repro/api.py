@@ -288,22 +288,18 @@ class Pattern:
         :class:`~repro.matching.kernel.Corpus` keyed on the raw words, so
         each distinct word is parsed, encoded and answered once; the batch
         then runs whatever route the pattern's :attr:`plan` owns.
-        Star-free deterministic patterns run as *one* encoded-corpus pass
-        of the multi-word matcher (Theorem 4.12) — the whole batch is
-        answered during a single scan of the expression's positions.
-        Every other compiled pattern runs through the batch kernel
-        (:mod:`repro.matching.kernel`): the runtime's rows are flattened
-        into one premultiplied scan table and each distinct word is a
-        branch-free stride over that table.  A batch over a runtime with
-        no rows yet replays instead of building a table it would only miss
-        in.  The next batch completes the reachable machine once when the
-        kernel would stride it (cheaper than one composed-table build), so
-        one program answers that batch and every later one without a
-        fallback word.  Stride-1 machines (a wide union) and runtimes whose
-        matcher is still deferred behind snapshot rows stay lazy: words
-        crossing not-yet-materialized state replay per-word through the
-        compiled runtime — filling those rows, so repeated corpora converge
-        to the all-kernel path.  Tiny batches (and machines too large for a
+        Every compiled pattern, star-free ones included, runs through the
+        batch kernel (:mod:`repro.matching.kernel`): the runtime's rows
+        are flattened into one premultiplied scan table and each distinct
+        word is a branch-free stride over that table.  A batch over a
+        runtime with no rows yet replays instead of building a table it
+        would only miss in.  The next batch completes the reachable
+        machine once, so one program answers that batch and every later
+        one without a fallback word.  Runtimes whose matcher is still
+        deferred behind snapshot rows stay lazy: words crossing
+        not-yet-materialized state replay per-word through the compiled
+        runtime — filling those rows, so repeated corpora converge to the
+        all-kernel path.  Tiny batches (and machines too large for a
         kernel table) keep the per-word replay driver.  :meth:`describe`
         reports which path a pattern takes under ``"batch_path"``.  With
         ``compiled=False`` this falls back to the direct path — the
@@ -366,12 +362,12 @@ class Pattern:
 
         ``"batch_path"`` is the :attr:`plan`'s stable route name — the
         route :meth:`match_all` actually takes, not a reconstruction:
-        ``"star-free-multi"`` (one encoded-corpus pass, Theorem 4.12),
         ``"compiled-kernel"`` (dedup-encoded corpus strided over the flat
         kernel table, per-word replay as the convergence fallback),
-        ``"compiled-runtime"`` (per-word replay only — the machine is too
-        large for a kernel table) or ``"per-word"`` (the uncompiled
-        fallback).
+        ``"star-free-multi"`` (the same kernel batches, named for the
+        star-free class Theorem 4.12 covers), ``"compiled-runtime"``
+        (per-word replay only — the machine is too large for a kernel
+        table) or ``"per-word"`` (the uncompiled fallback).
         """
         summary = classify(self.expression)
         summary["deterministic"] = self.is_deterministic
@@ -397,16 +393,6 @@ class Pattern:
         if matcher is None:
             return None
         return getattr(matcher, "_compiled_runtime", None)
-
-    def _built_plan(self) -> ExecutionPlan | None:
-        """The execution plan if already planned, without forcing it.
-
-        The telemetry/persistence counterpart of :meth:`_built_runtime`:
-        snapshot walks read the star-free tables off the plan's
-        ``built_star_free()`` accessor, which stays ``None`` until some
-        call has routed through the Theorem-4.12 batch path.
-        """
-        return self._plan
 
     def _record_kernel_traffic(self, kernel_words: int, fallback_words: int) -> None:
         """Book one kernel batch's traffic split (called by the plan)."""

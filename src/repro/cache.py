@@ -10,13 +10,10 @@ owns the two pieces of *process-wide* mutable state —
   ``repro.stats()["snapshot"]`` — plus the snapshot walk itself
   (:func:`save_snapshot` / :func:`load_snapshot`), which persists and
   re-adopts every warm pattern's materialized matching state (dense
-  lazy-DFA rows, star-free decision tables, validator acceptance memos).
+  lazy-DFA rows and validator acceptance memos).
 
-Engine state is read exclusively through each pattern's
-:class:`~repro.matching.plan.ExecutionPlan` accessors (plus the
-pattern-owned runtime/memo), so star-free batch routing has exactly one
-owner — the planner — and a future dialect engine that registers its own
-snapshot section only extends the plan protocol, not this walk.
+Engine state is read through the pattern-owned runtime and memo, never
+forced: a pattern that has not matched yet contributes nothing.
 
 The public spellings stay on :mod:`repro.api` (``repro.save_snapshot``,
 ``repro.load_snapshot``, ``repro.stats``...); the private names live
@@ -204,38 +201,27 @@ class SnapshotTelemetry:
         self.format_v2 = 0
         self.patterns_saved = 0
         self.rows_saved = 0
-        self.tables_saved = 0
         self.memo_entries_saved = 0
         self.patterns_skipped = 0
         self.patterns_loaded = 0
         self.rows_loaded = 0
-        self.tables_loaded = 0
         self.memo_entries_loaded = 0
         self.snapshot_rejected = 0
         self.rejected_reasons: dict[str, int] = {}
         self.last_error: str | None = None
 
-    def record_save(
-        self,
-        patterns: int,
-        rows: int,
-        skipped: int,
-        tables: int = 0,
-        memo_entries: int = 0,
-    ) -> None:
+    def record_save(self, patterns: int, rows: int, skipped: int, memo_entries: int = 0) -> None:
         with self._lock:
             self.saves += 1
             self.patterns_saved += patterns
             self.rows_saved += rows
             self.patterns_skipped += skipped
-            self.tables_saved += tables
             self.memo_entries_saved += memo_entries
 
     def record_load(
         self,
         patterns: int,
         rows: int,
-        tables: int = 0,
         memo_entries: int = 0,
         format_version: int = 2,
     ) -> None:
@@ -243,7 +229,6 @@ class SnapshotTelemetry:
             self.loads += 1
             self.patterns_loaded += patterns
             self.rows_loaded += rows
-            self.tables_loaded += tables
             self.memo_entries_loaded += memo_entries
             if format_version == 1:
                 self.format_v1 += 1
@@ -257,6 +242,8 @@ class SnapshotTelemetry:
             self.last_error = message
 
     def stats(self) -> dict:
+        # ``tables_saved``/``tables_loaded`` counted the retired star-free
+        # snapshot tables; they read 0 and keep their place on the wire.
         with self._lock:
             return {
                 "saves": self.saves,
@@ -265,12 +252,12 @@ class SnapshotTelemetry:
                 "format_v2": self.format_v2,
                 "patterns_saved": self.patterns_saved,
                 "rows_saved": self.rows_saved,
-                "tables_saved": self.tables_saved,
+                "tables_saved": 0,
                 "memo_entries_saved": self.memo_entries_saved,
                 "patterns_skipped": self.patterns_skipped,
                 "patterns_loaded": self.patterns_loaded,
                 "rows_loaded": self.rows_loaded,
-                "tables_loaded": self.tables_loaded,
+                "tables_loaded": 0,
                 "memo_entries_loaded": self.memo_entries_loaded,
                 "snapshot_rejected": self.snapshot_rejected,
                 "rejected_reasons": dict(self.rejected_reasons),
@@ -330,7 +317,7 @@ def save_snapshot(path: str, complete: bool = True) -> dict:
     """Persist every warm pattern's materialized state to *path* (atomically).
 
     Walks the compile cache and writes one checksummed format-v2 file
-    (:func:`repro.matching.snapshot.write`) with up to three sections per
+    (:func:`repro.matching.snapshot.write`) with up to two sections per
     the state each pattern holds:
 
     * dense lazy-DFA rows
@@ -338,22 +325,19 @@ def save_snapshot(path: str, complete: bool = True) -> dict:
       *complete*, visited dict rows are densified and all acceptance
       verdicts resolved first, so the snapshot replays with zero matcher
       delegations);
-    * the star-free multi-matcher's decision/acceptance tables
-      (:meth:`~repro.matching.star_free.StarFreeMultiMatcher.export_tables`),
-      read off the pattern's execution plan;
     * the validators' per-element acceptance memos
       (:meth:`~repro.xml.memo.AcceptanceMemo.export`).
 
-    Patterns with no materialized state in any section — or whose
+    Patterns with no materialized state in either section — or whose
     expression text does not round-trip — are skipped and counted.
     Returns ``{"path", "patterns", "rows", "pool_rows",
     "star_free_patterns", "decisions", "memo_patterns", "memo_entries",
-    "sections", "bytes", "skipped"}``.
+    "sections", "bytes", "skipped"}``; ``star_free_patterns`` and
+    ``decisions`` counted the retired star-free tables and read 0.
     """
     from .matching import snapshot as snapshot_format
 
     rows_entries = []
-    table_entries = []
     memo_entries = []
     skipped = 0
     for key, pattern in PATTERN_CACHE.items():
@@ -363,16 +347,9 @@ def save_snapshot(path: str, complete: bool = True) -> dict:
             row_export = runtime.export_rows(complete=complete)
             if not row_export["rows"]:
                 row_export = None
-        table_export = None
-        plan = pattern._built_plan()
-        multi = plan.built_star_free() if plan is not None else None
-        if multi is not None:
-            table_export = multi.export_tables()
-            if not table_export["accepts"] and not table_export["decisions"]:
-                table_export = None
         memo = pattern._acceptance_memo
         memo_export = memo.export() if memo is not None and len(memo) else None
-        if row_export is None and table_export is None and memo_export is None:
+        if row_export is None and memo_export is None:
             skipped += 1
             continue
         meta = snapshot_meta(key, pattern)
@@ -389,28 +366,16 @@ def save_snapshot(path: str, complete: bool = True) -> dict:
                     "rows": row_export["rows"],
                 }
             )
-        if table_export is not None:
-            table_entries.append(
-                {
-                    "fingerprint": fingerprint,
-                    "meta": meta,
-                    "accepts": table_export["accepts"],
-                    "decisions": table_export["decisions"],
-                }
-            )
         if memo_export is not None:
             memo_entries.append(
                 {"fingerprint": fingerprint, "meta": meta, "entries": memo_export}
             )
-    written = snapshot_format.write(path, rows_entries, star_free=table_entries, memos=memo_entries)
+    written = snapshot_format.write(path, rows_entries, memos=memo_entries)
     SNAPSHOT_TELEMETRY.record_save(
-        written["patterns"],
-        written["rows"],
-        skipped,
-        tables=written["star_free_patterns"],
-        memo_entries=written["memo_entries"],
+        written["patterns"], written["rows"], skipped, memo_entries=written["memo_entries"]
     )
-    return {"path": str(path), "skipped": skipped, **written}
+    retired = {"star_free_patterns": 0, "decisions": 0}
+    return {"path": str(path), "skipped": skipped, **written, **retired}
 
 
 #: Timeout (seconds) for fetching a snapshot over HTTP (``--snapshot-url``).
@@ -514,13 +479,12 @@ def load_snapshot(path: str) -> dict:
     shares the row pages copy-on-write across every worker); each entry
     re-compiles its pattern from the recorded identity, re-derives the
     fingerprint from the *live* pattern and adopts only on an exact
-    match.  All three v2 sections are adopted independently — dense rows
-    into the compiled runtimes, star-free tables into the Theorem-4.12
-    batch matchers (through each pattern's execution plan), acceptance
-    memos onto the patterns — and v1 files (rows only) still load,
-    counted under ``format_v1``.  Given an ``http://``/``https://`` URL
-    the file is first fetched from a running server's ``GET /snapshot``
-    (fleet bootstrap).
+    match.  The v2 sections are adopted independently — dense rows into
+    the compiled runtimes, acceptance memos onto the patterns; an older
+    writer's ``SFTB`` star-free tables are skipped unread — and v1 files
+    (rows only) still load, counted under ``format_v1``.  Given an
+    ``http://``/``https://`` URL the file is first fetched from a running
+    server's ``GET /snapshot`` (fleet bootstrap).
 
     Corrupt or stale input degrades, never breaks: any validation
     failure — at the file level, per section, or per entry — is counted
@@ -533,7 +497,9 @@ def load_snapshot(path: str) -> dict:
     "memos_loaded", "memo_entries_loaded", "rejected", "errors"}``;
     ``kernel_ready_loaded`` counts entries that adopted the *whole*
     machine, whose first batch call therefore exports a zero-fallback
-    kernel program without ever building a matcher.
+    kernel program without ever building a matcher.  ``tables_loaded``
+    and ``table_entries_loaded`` counted the retired star-free tables and
+    read 0.
     """
     from .matching import snapshot as snapshot_format
 
@@ -573,10 +539,10 @@ def load_snapshot(path: str) -> dict:
     for tag, section_error in snapshot.section_errors:
         reject(section_error, prefix=f"section {tag}: ")
 
-    # One pattern typically appears in several sections (rows + tables +
-    # memos); resolve each fingerprint once per load so the bootstrap
-    # window does not re-parse and re-hash the same expression per
-    # section (the cost the bench gate puts on the clock).
+    # One pattern typically appears in both sections (rows + memos);
+    # resolve each fingerprint once per load so the bootstrap window does
+    # not re-parse and re-hash the same expression per section (the cost
+    # the bench gate puts on the clock).
     resolved: dict[bytes, "Pattern"] = {}
 
     def resolve(meta: dict, fingerprint: bytes) -> "Pattern":
@@ -595,22 +561,6 @@ def load_snapshot(path: str) -> dict:
                 # the whole machine adopted: the first batch call exports
                 # a zero-fallback kernel program with the matcher deferred
                 result["kernel_ready_loaded"] += 1
-        except (SnapshotError, ReproError, KeyError, TypeError, ValueError) as error:
-            reject(error)
-    for table_entry in snapshot.star_free:
-        try:
-            pattern = resolve(table_entry.meta, table_entry.fingerprint)
-            multi = pattern.plan.star_free()
-            if multi is None:
-                raise SnapshotError(
-                    "star-free",
-                    f"{table_entry.meta.get('expr')!r} does not take the star-free "
-                    "batch path in this build",
-                )
-            result["table_entries_loaded"] += multi.adopt_tables(
-                table_entry.accepts, table_entry.decisions
-            )
-            result["tables_loaded"] += 1
         except (SnapshotError, ReproError, KeyError, TypeError, ValueError) as error:
             reject(error)
     for memo_entry in snapshot.memos:
@@ -632,7 +582,6 @@ def load_snapshot(path: str) -> dict:
         SNAPSHOT_TELEMETRY.record_load(
             result["patterns_loaded"],
             result["rows_loaded"],
-            tables=result["tables_loaded"],
             memo_entries=result["memo_entries_loaded"],
             format_version=snapshot.format_version,
         )
@@ -643,35 +592,28 @@ def materialization() -> dict:
     """Gauge of the matching state currently materialized in this process.
 
     Walks the compile cache without forcing anything: memoized lazy-DFA
-    transitions/acceptances, star-free decision/acceptance table entries
-    (read off each pattern's execution plan) and validator memo entries,
-    plus a ``total``.  The snapshot auto-refresh policy compares
-    ``total`` across time to decide when the on-disk snapshot has gone
-    stale.
+    transitions/acceptances and validator memo entries, plus a ``total``.
+    The snapshot auto-refresh policy compares ``total`` across time to
+    decide when the on-disk snapshot has gone stale.
+    ``star_free_entries`` gauged the retired star-free tables and reads 0.
     """
     patterns = 0
     transitions = 0
-    star_free_entries = 0
     memo_entries = 0
     for _key, pattern in PATTERN_CACHE.items():
         patterns += 1
         runtime = pattern._built_runtime()
         if runtime is not None:
             transitions += runtime.materialized()
-        plan = pattern._built_plan()
-        multi = plan.built_star_free() if plan is not None else None
-        if multi is not None:
-            table = multi.table_stats()
-            star_free_entries += table["decisions"] + table["accepts"]
         memo = pattern._acceptance_memo
         if memo is not None:
             memo_entries += len(memo)
     return {
         "patterns": patterns,
         "transitions": transitions,
-        "star_free_entries": star_free_entries,
+        "star_free_entries": 0,
         "memo_entries": memo_entries,
-        "total": transitions + star_free_entries + memo_entries,
+        "total": transitions + memo_entries,
     }
 
 
@@ -681,7 +623,7 @@ def snapshot_stats() -> dict:
     ``snapshot_rejected`` counts every validation failure — whole files,
     v2 sections and individual entries — with ``rejected_reasons``
     breaking them down by kind (``"checksum"``, ``"version"``,
-    ``"fingerprint"``, ``"alphabet-width"``, ``"table-bounds"``,
+    ``"fingerprint"``, ``"alphabet-width"``, ``"row-bounds"``,
     ``"memo-entry"``, ``"fetch"``, ...); rejects are the designed
     degradation path, so a non-zero count means cold starts, never wrong
     verdicts.  ``format_v1``/``format_v2`` count successful loads per

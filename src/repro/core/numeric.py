@@ -29,9 +29,11 @@ the text).  This module reconstructs the analysis:
 The test is exact on every example discussed in the paper and in [19]'s
 abstract; because the count-rigidity test is sufficient but not necessary,
 it may flag as non-deterministic some exotic rigid nestings that a full
-implementation of [19, Theorem 5.5] would accept.  The direction of the
-approximation (never accepting a truly ambiguous expression) and the
-O(σ|e|) cost of the constant-multiplicity maps are recorded in DESIGN.md.
+implementation of [19, Theorem 5.5] would accept.  The approximation errs
+in that direction only: it never accepts a truly ambiguous expression.
+The constant-multiplicity maps cost O(σ|e|), above the linear bound of the
+star-only test; experiment E7 (``benchmarks/bench_numeric.py``) measures
+the whole test.
 """
 
 from __future__ import annotations

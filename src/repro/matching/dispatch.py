@@ -12,9 +12,12 @@ obvious dispatch rule (the one a validator such as Xerces would apply):
 * anything else → the lowest-colored-ancestor matcher of Theorem 4.2.
 
 Star-free expressions additionally support the batch matcher of
-Theorem 4.12 (:class:`~repro.matching.star_free.StarFreeMultiMatcher`),
-which is selected explicitly because its interface (many words at once)
-differs from the streaming one.
+Theorem 4.12 (:class:`~repro.matching.star_free.StarFreeMultiMatcher`).
+It is not a strategy here, because its interface (many words at once)
+differs from the streaming one, and ``Pattern.match_all`` does not use it
+either: star-free batches run on the completed kernel table
+(:mod:`repro.matching.plan`).  It is built explicitly, as its tests and
+``benchmarks/bench_star_free.py`` do.
 """
 
 from __future__ import annotations

@@ -47,13 +47,13 @@ acceptance is unresolved).  Those words replay through
 bumps the runtime's generation, so the next
 :meth:`CompiledRuntime.export_kernel_program` rebuilds the program over
 the larger row set.  ``Pattern.match_all`` avoids that churn for every
-machine the kernel strides (:func:`stride_for` ≥ 2): before the first
-program it completes the warm runtime's reachable machine once
-(``CompiledRuntime.complete``), so no word falls back and one program
-serves every later batch.  Stride-1 machines, and direct callers of
-:func:`match_words`, converge by rebuilding.  Kernel scans never mutate
-the runtime, so ``transitions_memoized == misses`` (the invariant the
-runtime tests pin) is untouched.
+machine the kernel can tabulate: before the first program it completes
+the warm runtime's reachable machine once (``CompiledRuntime.complete``),
+so no word falls back and one program serves every later batch.  Direct
+callers of :func:`match_words`, and runtimes whose matcher is still
+deferred behind snapshot rows, converge by rebuilding.  Kernel scans
+never mutate the runtime, so ``transitions_memoized == misses`` (the
+invariant the runtime tests pin) is untouched.
 
 **Backends.**  :func:`KernelProgram.scan` runs the loop either in pure
 Python (the permanent oracle) or through an optional C helper
@@ -96,12 +96,12 @@ MAX_STRIDE = 3
 MIN_BATCH = 8
 
 #: Distinct-word encodings memoized per program before the cache is
-#: dropped and restarted.  Repeated-match traffic re-sends the same few
-#: words forever (a word-tuple probe rehashes the tuple, but its ``str``
-#: symbols keep their cached hashes), so the cap only ever trips under a
-#: flood of genuinely distinct words — where the cache was not helping
-#: anyway.
-ENCODE_CACHE_LIMIT = 1 << 16
+#: dropped and restarted.  A program that meets a stream of new words
+#: would otherwise keep them all: with all five match-stream patterns on
+#: the kernel, ``1 << 16`` took that workload's peak RSS to 170 MB
+#: against 41 MB at ``1 << 10``.  Each drop re-encodes the hot words
+#: once more, which costs serve-aio some throughput (``docs/kernel.md``).
+ENCODE_CACHE_LIMIT = 1 << 10
 
 #: Verdict bytes produced by a scan.
 VERDICT_REJECT = 0

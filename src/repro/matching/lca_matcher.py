@@ -11,8 +11,9 @@ lowest-colored-ancestor query plus at most three constant-time
 Lowest colored ancestor queries are answered by
 :class:`~repro.structures.colored_ancestor.ColoredAncestorIndex`
 (heavy paths + van Emde Boas predecessor search), giving the
-``O(|e| + |w| log log |e|)``-style bound of Theorem 4.2 (see DESIGN.md for
-the precise query cost of our substitute structure).
+``O(|e| + |w| log log |e|)``-style bound of Theorem 4.2.  Our substitute
+structure answers a query in ``O(log |e| · log log |e|)``; its module
+docstring gives the derivation.
 """
 
 from __future__ import annotations

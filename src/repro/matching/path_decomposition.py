@@ -20,10 +20,12 @@ algorithm follows the paper closely:
 * ``FindNext`` (Algorithm 3) walks the jump sequence up to ``pSupLast(p)``,
   then performs the final First-set lookup of lines 8-14.
 
-The paper stores ``h`` in lazy arrays; as discussed in DESIGN.md we use
-per-head hash maps (the paper itself notes hash maps are the practical
-choice), and :class:`~repro.structures.lazy_array.LazyArray` is exercised
-on its own and by the star-free matcher.
+The paper stores ``h`` in lazy arrays; we use per-head hash maps, the
+practical choice the paper itself names: ``h`` is filled once per
+expression and never reset, so the lazy array's constant-time reset buys
+nothing here.  :class:`~repro.structures.lazy_array.LazyArray` implements
+the paper's structure, but no matcher uses it; only its own tests and
+``benchmarks/bench_structures.py`` do.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ time for its ``batch_path`` field, the diagnostics replay picked its
 adapter from ``pattern._compiled``, the lexer rebuilt the kernel-program
 export, and the DTD/XSD validators each kept their own
 runtime-vs-matcher-vs-memo dispatch.  Adding a new scenario class (a
-Section-4 matcher family, the star-free tables, the kernel programs —
+Section-4 matcher family, the kernel programs —
 or the planned back-reference dialects) meant one cross-cutting edit per
 surface.
 
@@ -37,15 +37,20 @@ The four built-in routes (and their unchanged wire names):
     ``compiled=False`` — the per-symbol structure queries stay observable,
     which is what the benchmarks compare against.
 ``"star-free-multi"``
-    Star-free deterministic patterns batch through the Theorem 4.12
-    multi-word matcher: the whole corpus is answered during a single scan
-    of the expression's positions.
+    Star-free deterministic patterns.  They batch exactly as
+    ``"compiled-kernel"`` does; the route keeps its own wire name so
+    ``describe()["batch_path"]`` is unchanged.  The Theorem 4.12
+    multi-word matcher (:mod:`repro.matching.star_free`) answers the same
+    verdicts in one scan of the positions, but a completed kernel table
+    answers a warm batch with one table step per symbol group, so the
+    multi-matcher stays a reproduction of the theorem, not a serving
+    engine.
 ``"compiled-kernel"``
     The runtime's dense rows flatten into one premultiplied kernel table
     (:mod:`repro.matching.kernel`); batches stride over it branch-free.
-    A warm machine the kernel strides is completed once, so its one
-    program never misses; per-word replay stays the fallback for cold
-    runtimes, deferred matchers and stride-1 machines.
+    A warm machine is completed once, so its one program never misses;
+    per-word replay stays the fallback for cold runtimes and deferred
+    matchers.
 ``"compiled-runtime"``
     Per-word replay over the memoized lazy-DFA rows — the terminal
     compiled fallback for machines too large for a kernel table.
@@ -53,9 +58,8 @@ The four built-in routes (and their unchanged wire names):
 Plans are deliberately thin: the pattern keeps owning the lazily built
 matcher, runtime and acceptance memo (and their locks), so a plan never
 duplicates engine state — it only decides *which* engine runs and keeps
-the telemetry accessors (:meth:`built_runtime`, :meth:`built_star_free`,
-:meth:`built_memo`) that snapshot persistence reads without forcing
-construction.
+the telemetry accessors (:meth:`built_runtime`, :meth:`built_memo`) that
+snapshot persistence reads without forcing construction.
 
 >>> import repro
 >>> repro.compile("ab(a+b)").plan.route      # star-free and deterministic
@@ -147,16 +151,8 @@ class ExecutionPlan:
         """The compiled runtime if this plan uses one and it exists, else ``None``."""
         return None
 
-    def built_star_free(self):
-        """The star-free multi-matcher if already built, else ``None``."""
-        return None
-
     def built_memo(self):
         """The acceptance memo if already built, else ``None``."""
-        return None
-
-    def star_free(self):
-        """The (force-built) star-free multi-matcher, or ``None`` off that route."""
         return None
 
     def prime(self) -> "ExecutionPlan":
@@ -208,10 +204,9 @@ class CompiledPlan(ExecutionPlan):
     Single matches replay the memoized lazy-DFA rows; batches attempt the
     kernel scan (building a composed table costs milliseconds, so tiny
     batches only take it when a program is already cached; a warm machine
-    the kernel strides is completed once first, so one program serves
-    every later batch) and fall back to per-word replay; child sequences
-    go through the pattern's acceptance memo.  Subclasses only change the
-    *verdict* batch path and the route name.
+    is completed once first, so one program serves every later batch)
+    and fall back to per-word replay; child sequences go through the
+    pattern's acceptance memo.  Subclasses only change the route name.
     """
 
     __slots__ = ("_memo", "_runtime", "_scan")
@@ -252,15 +247,17 @@ class CompiledPlan(ExecutionPlan):
         (filling the rows the next batch's program is built over) and
         every batch word is booked as a fallback word.
 
-        A warm runtime whose machine the kernel would stride (stride ≥ 2)
-        is completed once before its first program: walking the reachable
-        machine costs less than one composed-table build, and afterwards
-        no word misses, so that one program serves every later batch
-        instead of being rebuilt after each batch that fills a row.  A
-        runtime whose matcher is still deferred (snapshot-adopted rows) is
-        not completed until a fallback replay has built the matcher, and a
-        stride-1 machine (a wide union, say) stays lazy: completing it
-        costs more than twenty of its cheap stride-1 builds.
+        A warm runtime is completed once before its first program,
+        whatever the stride the kernel tabulates it at: afterwards no word
+        misses, so that one program serves every later batch instead of
+        being rebuilt after each batch that fills a row.  One completion
+        costs about one composed-table build on a strided machine; on a
+        dense stride-1 machine (a wide union) it costs what some twenty
+        cheap stride-1 builds do, which a pattern that keeps meeting new
+        words pays back.  A runtime whose matcher is still deferred
+        (snapshot-adopted rows) is not completed until a fallback replay
+        has built the matcher, and a machine too large for any table
+        (stride 0) replays per word.
         """
         runtime = self.runtime
         if len(corpus) >= kernel.MIN_BATCH or runtime._kernel_programs:
@@ -269,11 +266,8 @@ class CompiledPlan(ExecutionPlan):
                 verdicts = kernel.replay_words(runtime, corpus, replay=replay)
                 self.pattern._record_kernel_traffic(0, len(corpus))
                 return verdicts
-            if (
-                stride > 1
-                and runtime._reachable_accepting is None
-                and runtime._matcher_obj is not None
-            ):
+            matcher_built = runtime._matcher_obj is not None
+            if stride and matcher_built and runtime._reachable_accepting is None:
                 runtime.complete()
             result = kernel.match_words(runtime, corpus, replay=replay)
             if result is not None:
@@ -289,9 +283,7 @@ class CompiledPlan(ExecutionPlan):
         :class:`~repro.diagnostics.TraceRecorder`, so the traces those
         replays walk anyway seed the results and no prefix is walked
         twice.  Repeats of a word share its result, as on the direct
-        plan.  This path is route-independent across the compiled plans:
-        full results need per-word traces, which the star-free corpus
-        scan does not produce.
+        plan.  Every compiled route, star-free included, takes this path.
         """
         from .. import diagnostics
 
@@ -353,50 +345,18 @@ class CompiledPlan(ExecutionPlan):
         return self
 
 
-class StarFreePlan(CompiledPlan):
-    """Star-free deterministic patterns: Theorem 4.12 corpus batching.
-
-    Single matches, streaming and child sequences still run on the
-    compiled runtime (sharing its memoized rows with every other
-    surface); *verdict batches* are answered by one encoded-corpus pass
-    of the multi-word matcher.
-    """
-
-    route = "star-free-multi"
-
-    __slots__ = ("_multi",)
-
-    def __init__(self, pattern: "Pattern"):
-        super().__init__(pattern)
-        self._multi = None
-
-    def star_free(self):
-        """The multi-word matcher, built once under the pattern's init lock."""
-        multi = self._multi
-        if multi is None:
-            with self.pattern._init_lock:
-                multi = self._multi
-                if multi is None:
-                    from .star_free import StarFreeMultiMatcher
-
-                    multi = StarFreeMultiMatcher(self.pattern.tree, verify=False)
-                    self._multi = multi
-        return multi
-
-    def built_star_free(self):
-        return self._multi
-
-    def match_all(self, corpus: "kernel.Corpus", detail: str = "verdict"):
-        if detail == "full":
-            return self._match_all_full(corpus)
-        encoded = self.pattern.tree.alphabet.encode_many(corpus.words)
-        return corpus.fan_out(self.star_free().match_all_encoded(encoded))
-
-
 class KernelPlan(CompiledPlan):
     """Kernel-table batching over the dense rows (per-word replay fallback)."""
 
     route = "compiled-kernel"
+
+    __slots__ = ()
+
+
+class StarFreePlan(KernelPlan):
+    """Star-free deterministic patterns: the kernel route under its own wire name."""
+
+    route = "star-free-multi"
 
     __slots__ = ()
 
@@ -517,8 +477,9 @@ def _qualifies_direct(pattern: "Pattern", compiled: bool) -> bool:
 
 
 def _qualifies_star_free(pattern: "Pattern", compiled: bool) -> bool:
-    # The rewritten tree must be star-free *and* deterministic under the
-    # tree semantics — the +/counter fallback cases run on the
+    # The class Theorem 4.12 covers: the rewritten tree must be star-free
+    # *and* deterministic under the tree semantics — the +/counter fallback
+    # cases run on the
     # k-occurrence matcher, whose transition simulation the multi-matcher
     # does not reproduce.
     return compiled and pattern.tree_report.deterministic and not any(

@@ -9,7 +9,7 @@ models repeat heavily across schemas — exactly the workload where the
 state one warm process has materialized is the state the next thousand
 processes will need.  This module persists it.
 
-**Format v2** stores three independent *sections* behind one CRC-checked
+**Format v2** stores independent *sections* behind one CRC-checked
 header + directory:
 
 * ``ROWS`` — the dense lazy-DFA rows (the v1 payload, unchanged): per
@@ -17,19 +17,18 @@ header + directory:
   per-state acceptance verdicts and every completed dense ``array('i')``
   row, with rows written through a **file-level interning pool**
   mirroring the in-memory registry;
-* ``SFTB`` — the star-free multi-matcher's memoized tables
-  (:meth:`repro.matching.star_free.StarFreeMultiMatcher.export_tables`):
-  per pattern the ``(entry, scanned) → advance/dead/retain`` decision
-  memo and the per-position acceptance verdicts, keyed by the same
-  fingerprints;
 * ``MEMO`` — the XML validators' per-element acceptance memos
-  (:mod:`repro.xml.memo`): ``child-sequence → verdict`` entries, again
-  keyed by pattern fingerprint.
+  (:mod:`repro.xml.memo`): ``child-sequence → verdict`` entries, keyed
+  by the same pattern fingerprints.
+
+Older writers also emitted ``SFTB`` (the star-free multi-matcher's
+decision tables); star-free patterns now batch on their kernel rows, so
+a reader skips that tag like any other it does not know.
 
 Every section carries its own CRC-32 in the directory, so corruption
 **degrades per section**: a bit flip inside one section rejects only
 that section (recorded in :attr:`Snapshot.section_errors`, counted by
-the API layer) while the other two still adopt.  Header/directory
+the API layer) while the other still adopts.  Header/directory
 corruption, truncation, or a foreign file reject the whole load.  In
 either case the fallback is the normal lazy rebuild — **corruption can
 never change a verdict** (the property suite flips random bits end to
@@ -89,13 +88,13 @@ _HEADER_V2 = struct.Struct("<8sHBBII")
 #: file offset, payload length.
 _SECTION = struct.Struct("<4sIQQ")
 
-#: Section tags.  Unknown tags are skipped on load (forward compatibility).
+#: Section tags.  Unknown tags — a newer writer's, or the retired
+#: ``SFTB`` star-free tables of an older one — are skipped on load.
 SECTION_ROWS = b"ROWS"
-SECTION_TABLES = b"SFTB"
 SECTION_MEMOS = b"MEMO"
 
 #: Upper bound on the section count a reader will accept; the writer
-#: emits at most three.
+#: emits at most two.
 MAX_SECTIONS = 16
 
 #: Dense rows are ``array('i')``; snapshots record the writer's itemsize
@@ -131,7 +130,7 @@ class SnapshotError(Exception):
     """A snapshot failed validation; carries a machine-readable *reason*.
 
     Reasons are short tags (``"truncated"``, ``"checksum"``,
-    ``"fingerprint"``, ``"alphabet-width"``, ``"table-bounds"``, ...)
+    ``"fingerprint"``, ``"alphabet-width"``, ``"row-bounds"``, ...)
     that the API layer's ``snapshot_rejected`` telemetry counts per
     kind.  The error is always recoverable: callers degrade to the
     normal lazy fill.
@@ -211,24 +210,6 @@ class SnapshotEntry:
 
 
 @dataclass(frozen=True, slots=True)
-class StarFreeEntry:
-    """One pattern's persisted star-free multi-matcher tables (``SFTB``).
-
-    ``accepts`` maps a position's pre-order number to its 0/1 acceptance
-    verdict; ``decisions`` maps ``(entry_pre, scanned_pre)`` pairs to the
-    0/1/2 dead/advance/retain decision codes of
-    :mod:`repro.matching.star_free`.  Value-range validation happens in
-    :meth:`~repro.matching.star_free.StarFreeMultiMatcher.adopt_tables`,
-    strictly before any mutation.
-    """
-
-    fingerprint: bytes
-    meta: dict
-    accepts: dict[int, int]
-    decisions: dict[tuple[int, int], int]
-
-
-@dataclass(frozen=True, slots=True)
 class MemoEntry:
     """One pattern's persisted validator acceptance memo (``MEMO``).
 
@@ -261,7 +242,6 @@ class Snapshot:
     path: str
     format_version: int = VERSION
     entries: list[SnapshotEntry] = field(default_factory=list)
-    star_free: list[StarFreeEntry] = field(default_factory=list)
     memos: list[MemoEntry] = field(default_factory=list)
     #: tags of the sections that validated and parsed completely; the
     #: API layer counts a load as successful only when this is non-empty
@@ -373,31 +353,6 @@ def _encode_rows(entries: Sequence[dict]) -> tuple[bytes, dict]:
     return payload.getvalue(), stats
 
 
-def _encode_tables(entries: Sequence[dict]) -> tuple[bytes, dict]:
-    """The ``SFTB`` payload: star-free decision/acceptance tables."""
-    payload = io.BytesIO()
-    payload.write(struct.pack("<I", len(entries)))
-    total_decisions = 0
-    for entry in entries:
-        fingerprint: bytes = entry["fingerprint"]
-        if len(fingerprint) != 32:
-            raise ValueError("fingerprints must be 32-byte SHA-256 digests")
-        payload.write(fingerprint)
-        _write_padded(payload, json.dumps(entry["meta"], sort_keys=True).encode("utf-8"))
-        accepts: Mapping[int, int] = entry["accepts"]
-        payload.write(struct.pack("<I", len(accepts)))
-        for pre in sorted(accepts):
-            payload.write(struct.pack("<II", pre, accepts[pre]))
-        decisions: Mapping[tuple[int, int], int] = entry["decisions"]
-        payload.write(struct.pack("<I", len(decisions)))
-        for entry_pre, scanned_pre in sorted(decisions):
-            payload.write(
-                struct.pack("<III", entry_pre, scanned_pre, decisions[(entry_pre, scanned_pre)])
-            )
-        total_decisions += len(decisions)
-    return payload.getvalue(), {"star_free_patterns": len(entries), "decisions": total_decisions}
-
-
 def _encode_memos(entries: Sequence[dict]) -> tuple[bytes, dict]:
     """The ``MEMO`` payload: validator acceptance memos (JSON bodies)."""
     payload = io.BytesIO()
@@ -437,7 +392,6 @@ def _atomic_write(path: str | os.PathLike, blob: bytes) -> None:
 def write(
     path: str | os.PathLike,
     entries: Iterable[dict],
-    star_free: Iterable[dict] = (),
     memos: Iterable[dict] = (),
 ) -> dict:
     """Atomically write a format-v2 snapshot file; returns a stats dict.
@@ -445,22 +399,14 @@ def write(
     *entries* is the dense-row section (``{"fingerprint": bytes, "meta":
     dict, "accepts": bytes, "rows": {state: int-sequence}}`` — the shape
     :meth:`CompiledRuntime.export_rows` plus the API layer's meta builder
-    produce).  *star_free* entries carry ``accepts``/``decisions`` table
-    dicts (:meth:`StarFreeMultiMatcher.export_tables`), *memos* carry
-    ``entries`` pairs (:meth:`AcceptanceMemo.export`).  Empty optional
-    sections are omitted from the file.  The file appears atomically via
-    ``os.replace``, so a reader can never observe a half-written
-    snapshot — at worst a stale complete one.
+    produce); *memos* carry ``entries`` pairs
+    (:meth:`AcceptanceMemo.export`).  An empty memo section is omitted
+    from the file.  The file appears atomically via ``os.replace``, so a
+    reader can never observe a half-written snapshot — at worst a stale
+    complete one.
     """
     rows_payload, stats = _encode_rows(list(entries))
     sections: list[tuple[bytes, bytes]] = [(SECTION_ROWS, rows_payload)]
-    star_free = list(star_free)
-    if star_free:
-        payload, table_stats = _encode_tables(star_free)
-        sections.append((SECTION_TABLES, payload))
-        stats.update(table_stats)
-    else:
-        stats.update({"star_free_patterns": 0, "decisions": 0})
     memos = list(memos)
     if memos:
         payload, memo_stats = _encode_memos(memos)
@@ -555,29 +501,6 @@ def _read_meta(reader: _Reader) -> dict:
     if not isinstance(meta, dict):
         raise SnapshotError("malformed", "snapshot meta must be a JSON object")
     return meta
-
-
-def _parse_tables(data: memoryview) -> list[StarFreeEntry]:
-    reader = _Reader(data)
-    entries: list[StarFreeEntry] = []
-    for _ in range(reader.u32()):
-        fingerprint = bytes(reader.take(32))
-        meta = _read_meta(reader)
-        accepts: dict[int, int] = {}
-        for _ in range(reader.u32()):
-            pre = reader.u32()
-            accepts[pre] = reader.u32()
-        decisions: dict[tuple[int, int], int] = {}
-        for _ in range(reader.u32()):
-            entry_pre = reader.u32()
-            scanned_pre = reader.u32()
-            decisions[(entry_pre, scanned_pre)] = reader.u32()
-        entries.append(
-            StarFreeEntry(
-                fingerprint=fingerprint, meta=meta, accepts=accepts, decisions=decisions
-            )
-        )
-    return entries
 
 
 def _parse_memos(data: memoryview) -> list[MemoEntry]:
@@ -713,13 +636,12 @@ def _load_v2(path: str, mm: mmap.mmap) -> Snapshot:
                 raise SnapshotError("checksum", f"CRC mismatch in section {tag!r}")
             if tag == SECTION_ROWS:
                 _parse_rows(snapshot, data, expected_count=None)
-            elif tag == SECTION_TABLES:
-                snapshot.star_free = _parse_tables(data)
             elif tag == SECTION_MEMOS:
                 snapshot.memos = _parse_memos(data)
             else:
                 # Unknown tags are skipped: a newer writer may add
-                # sections this reader does not understand yet.
+                # sections this reader does not understand yet, and an
+                # older one wrote the retired SFTB tables.
                 continue
             snapshot.sections.append(tag.decode("ascii"))
         except SnapshotError as error:

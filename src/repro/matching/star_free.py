@@ -24,30 +24,34 @@ per-symbol stack.  Each popped entry either
   bounds how often a retained entry can be re-examined for a fixed
   symbol).
 
-The deviation from the paper's explicit skeleton data structure — and why
-it preserves the linear behaviour on the star-free workloads measured in
-experiment E6 — is discussed in DESIGN.md.
+The stack replaces the paper's explicit skeleton climb.  Advancing and
+dead entries leave the stack on their first examination, so they cost one
+examination per symbol a word reads; only retained entries are examined
+again, as often as (P1) allows for their symbol.  ``examined_entries``
+counts examinations, and the unit and property tests bound it by
+``3 · (Σ|w_i| + N)`` for ``N`` words.
+
+The serving path does not use this matcher: star-free patterns batch on
+the completed kernel table (:mod:`repro.matching.plan`), which answers the
+same verdicts.  It stays as the reproduction of Theorem 4.12, exercised by
+its tests and by ``benchmarks/bench_star_free.py``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..core.determinism import DeterminismChecker
 from ..errors import NotDeterministicError
 from ..regex.ast import Regex
 from ..regex.parse_tree import NodeKind, ParseTree, TreeNode, build_parse_tree
-from .snapshot import SnapshotError
 
 #: Decision codes for one ``(waiting entry, scanned position)`` pair —
 #: what happens when the scan examines the entry.  Pure functions of the
-#: parse tree, so they are memoized per pair and can be persisted in the
-#: ``SFTB`` snapshot section (see :meth:`StarFreeMultiMatcher.export_tables`).
+#: parse tree, so they are memoized per pair.
 DECISION_DEAD = 0
 DECISION_ADVANCE = 1
 DECISION_RETAIN = 2
-
-_DECISIONS = (DECISION_DEAD, DECISION_ADVANCE, DECISION_RETAIN)
 
 
 class _WaitingEntry:
@@ -87,12 +91,6 @@ class StarFreeMultiMatcher:
         self._decisions: dict[tuple[int, int], int] = {}
         #: memoized ``position_pre → 0/1`` acceptance table (same contract).
         self._accepts_memo: dict[int, int] = {}
-        #: largest pre-order number any node of this tree carries; the
-        #: bound :meth:`adopt_tables` validates persisted keys against.
-        self._pre_limit = max(node.pre for node in self.tree.nodes)
-        #: entries installed from a persisted snapshot (telemetry).
-        self._adopted_decisions = 0
-        self._adopted_accepts = 0
 
     # ------------------------------------------------------------------------------
     def match_all(self, words: Sequence[Sequence[str]]) -> list[bool]:
@@ -101,7 +99,7 @@ class StarFreeMultiMatcher:
         All words are matched during a single scan of the expression's
         positions in document order.  Words are interned through the
         tree's alphabet first; see :meth:`match_all_encoded` for callers
-        (``Pattern.match_all``) that already hold encoded corpora.
+        that already hold encoded corpora.
         """
         return self.match_all_encoded(self.tree.alphabet.encode_many(words))
 
@@ -117,10 +115,8 @@ class StarFreeMultiMatcher:
         can carry, so such words simply never advance — the same verdict
         the string-keyed scan produced.
 
-        Every word is scanned, duplicates included: ``Pattern.match_all``
-        hands over only a batch's distinct words (its
-        :class:`~repro.matching.kernel.Corpus`) and fans the verdicts back
-        out itself.
+        Every word is scanned, duplicates included; a caller that wants
+        each distinct word scanned once dedups first.
         """
         follow = self.follow
         tree = self.tree
@@ -202,7 +198,7 @@ class StarFreeMultiMatcher:
         return results
 
     def _accepts_at(self, position: TreeNode) -> bool:
-        """Memoized ``$ ∈ Follow(position)`` (persisted in the SFTB tables)."""
+        """Memoized ``$ ∈ Follow(position)``."""
         verdict = self._accepts_memo.get(position.pre)
         if verdict is None:
             verdict = 1 if self.follow.accepts_at(position) else 0
@@ -212,84 +208,3 @@ class StarFreeMultiMatcher:
     def accepts(self, word: Sequence[str]) -> bool:
         """Single-word convenience wrapper around :meth:`match_all`."""
         return self.match_all([list(word)])[0]
-
-    # -- snapshot export / adoption -----------------------------------------------------
-    def export_tables(self) -> dict:
-        """Exportable view of the memoized tables (for snapshots).
-
-        Returns ``{"accepts": {position_pre: 0/1}, "decisions":
-        {(entry_pre, scanned_pre): code}, "pre_limit": int}`` — the shape
-        :func:`repro.matching.snapshot.write` persists in the ``SFTB``
-        section.  Mirrors the compiled runtime's
-        :meth:`~repro.matching.runtime.CompiledRuntime.export_rows` row
-        contract: everything exported was either computed locally from
-        the parse tree or adopted from a fingerprint-matched snapshot,
-        so re-exporting an adopted matcher is a fixpoint.
-        """
-        return {
-            "accepts": dict(self._accepts_memo),
-            "decisions": dict(self._decisions),
-            "pre_limit": self._pre_limit,
-        }
-
-    def adopt_tables(
-        self,
-        accepts: Mapping[int, int],
-        decisions: Mapping[tuple[int, int], int],
-    ) -> int:
-        """Install persisted tables into this matcher; returns entries adopted.
-
-        Validation is strict and happens *before* any mutation (the
-        :meth:`CompiledRuntime.adopt_rows` contract), so a rejected
-        snapshot leaves the matcher exactly as it was: every pre-order
-        key must fall inside this tree's numbering and every value must
-        be a known decision/verdict code.  A violation raises
-        :class:`~repro.matching.snapshot.SnapshotError` — the API layer
-        counts it as ``snapshot_rejected`` and carries on with the lazy
-        computation.  Entries are installed only for keys this matcher
-        has not computed locally; local results always win.
-        """
-        limit = self._pre_limit
-        for pre, verdict in accepts.items():
-            if not (isinstance(pre, int) and 0 <= pre <= limit):
-                raise SnapshotError(
-                    "table-bounds", f"acceptance key {pre!r} outside pre-order range 0..{limit}"
-                )
-            if verdict not in (0, 1):
-                raise SnapshotError("malformed", f"invalid acceptance verdict {verdict!r}")
-        for key, decision in decisions.items():
-            try:
-                entry_pre, scanned_pre = key
-            except (TypeError, ValueError):
-                raise SnapshotError("malformed", f"invalid decision key {key!r}") from None
-            for pre in (entry_pre, scanned_pre):
-                if not (isinstance(pre, int) and 0 <= pre <= limit):
-                    raise SnapshotError(
-                        "table-bounds",
-                        f"decision key {key!r} outside pre-order range 0..{limit}",
-                    )
-            if decision not in _DECISIONS:
-                raise SnapshotError("malformed", f"invalid decision code {decision!r}")
-        adopted = 0
-        accepts_memo = self._accepts_memo
-        for pre, verdict in accepts.items():
-            if pre not in accepts_memo:
-                accepts_memo[pre] = verdict
-                adopted += 1
-                self._adopted_accepts += 1
-        decision_memo = self._decisions
-        for key, decision in decisions.items():
-            if key not in decision_memo:
-                decision_memo[key] = decision
-                adopted += 1
-                self._adopted_decisions += 1
-        return adopted
-
-    def table_stats(self) -> dict[str, int]:
-        """How much of the decision/acceptance tables is materialized."""
-        return {
-            "decisions": len(self._decisions),
-            "accepts": len(self._accepts_memo),
-            "adopted_decisions": self._adopted_decisions,
-            "adopted_accepts": self._adopted_accepts,
-        }

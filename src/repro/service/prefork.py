@@ -86,11 +86,11 @@ class SnapshotRefresher:
 
     Every *interval* seconds it reads the live materialization gauge
     (``repro.stats()["snapshot"]["materialized"]["total"]``: memoized
-    lazy-DFA transitions + star-free table entries + validator memo
-    entries) and, when the level has grown by at least *min_growth*
-    since the last persist, atomically rewrites *path* via
-    :func:`repro.save_snapshot` — so ``GET /snapshot`` and the next
-    process boot always see a recent complete file, never a torn one.
+    lazy-DFA transitions + validator memo entries) and, when the level
+    has grown by at least *min_growth* since the last persist,
+    atomically rewrites *path* via :func:`repro.save_snapshot` — so
+    ``GET /snapshot`` and the next process boot always see a recent
+    complete file, never a torn one.
 
     Used by the single-process server and by every prefork worker (the
     write is atomic, so concurrent workers racing on one path leave the
@@ -277,8 +277,7 @@ def describe_preload(source: str, report: dict) -> str:
     """One line summarising a snapshot preload (single-process and prefork)."""
     return (
         f"snapshot {source}: {report['patterns_loaded']} patterns / "
-        f"{report['rows_loaded']} rows, {report['tables_loaded']} star-free tables, "
-        f"{report['memo_entries_loaded']} memo entries preloaded, "
+        f"{report['rows_loaded']} rows, {report['memo_entries_loaded']} memo entries preloaded, "
         f"{report['rejected']} rejected"
     )
 

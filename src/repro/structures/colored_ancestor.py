@@ -18,7 +18,10 @@ A query walks the heavy paths met on the way from ``v`` to the root (at
 most ``O(log n)`` of them) and performs one predecessor query per path,
 for a worst-case cost of ``O(log |e| · log log |e|)`` — slightly weaker
 than the cited bound but with the same "effectively constant" behaviour
-that experiment E5 measures; the substitution is recorded in DESIGN.md.
+that experiment E5 (``benchmarks/bench_lca_matcher.py``) measures.  The
+substitution builds the query from two substrates that are simpler to
+implement and test than the cited structure, at that extra
+``log |e|`` factor.
 
 Nodes must expose ``children()``, ``parent`` and a dense integer
 ``index`` (as parse-tree nodes do).

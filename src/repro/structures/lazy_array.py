@@ -18,8 +18,9 @@ Python cannot allocate genuinely uninitialised memory, so ``__init__`` is
 O(N); everything else — including :meth:`reset` — is O(1), which is the
 property the algorithms rely on (the paper itself remarks that hash maps
 are the practical alternative and that only the constant-time *reset* is
-unmatched).  The structure is also used by the star-free multi-word
-matcher to clear per-symbol scratch state between words.
+unmatched).  No matcher in this package uses it — the path-decomposition
+matcher keeps ``h`` in hash maps, which it never resets — so only its own
+tests and ``benchmarks/bench_structures.py`` exercise it.
 """
 
 from __future__ import annotations

@@ -39,8 +39,11 @@ _NAME_START = (
 _NAME_MORE = (0x2D, 0x2F, 0x30, 0x3A, 0xB7, 0xB8, 0x300, 0x370, 0x203F, 0x2041)
 _NAME_TOKEN = re.compile(r"[^\s,|()?*+]+")
 _ELEMENT_DECL = re.compile(r"<!ELEMENT\s+([^\s>]+)\s+(.*?)>", re.S)
-_ATTLIST_DECL = re.compile(r"<!ATTLIST\s.*?>", re.S)
-_COMMENT = re.compile(r"<!--.*?-->", re.S)
+# Quoted default values may hold ">".
+_ATTLIST_DECL = re.compile(r"""<!ATTLIST\s(?:[^>"']|"[^"]*"|'[^']*')*>""")
+# The markup a DTD may hold between declarations: whitespace, comments and
+# processing instructions (an external DTD may open with ``<?xml …?>``).
+_BETWEEN = re.compile(r"(?:\s+|<!--.*?-->|<\?.*?\?>)*", re.S)
 
 
 def _is_name(text: str) -> bool:
@@ -272,21 +275,29 @@ class _ContentParser:
 def parse_dtd(text: str, root: str | None = None) -> DTD:
     """Parse the ``<!ELEMENT ...>`` declarations of a DTD (internal subset or file).
 
-    Element names follow the XML 1.0 ``Name`` production.  A declaration
-    the scanner cannot read (a malformed name, a missing content model)
-    raises :class:`~repro.errors.DTDSyntaxError` instead of vanishing.
+    Element names follow the XML 1.0 ``Name`` production.  Besides
+    ``<!ELEMENT`` the reader consumes whitespace, comments, processing
+    instructions and ``<!ATTLIST`` declarations (which it skips).
+    Anything else — a declaration it cannot read, a misspelt or
+    lower-case keyword, ``<!ENTITY``, ``<!NOTATION``, a ``%pe;``
+    reference, stray text — raises :class:`~repro.errors.DTDSyntaxError`
+    instead of vanishing.
     """
-    cleaned = _COMMENT.sub("", text)
-    cleaned = _ATTLIST_DECL.sub("", cleaned)
     dtd = DTD(root=root)
-    at = cleaned.find("<!ELEMENT")
-    while at >= 0:
-        match = _ELEMENT_DECL.match(cleaned, at)
-        if match is None or not _is_name(match.group(1)):
-            excerpt = cleaned[at : at + 40].split(">")[0]
-            raise DTDSyntaxError(f"malformed element declaration: {excerpt!r}")
-        dtd.declare(match.group(1), parse_content_model(match.group(2)))
-        at = cleaned.find("<!ELEMENT", match.end())
+    at = _BETWEEN.match(text).end()
+    while at < len(text):
+        if text.startswith("<!ELEMENT", at):
+            match = _ELEMENT_DECL.match(text, at)
+            if match is None or not _is_name(match.group(1)):
+                excerpt = text[at : at + 40].split(">")[0]
+                raise DTDSyntaxError(f"malformed element declaration: {excerpt!r}")
+            dtd.declare(match.group(1), parse_content_model(match.group(2)))
+        else:
+            match = _ATTLIST_DECL.match(text, at)
+            if match is None:
+                excerpt = text[at : at + 40].split(">")[0]
+                raise DTDSyntaxError(f"unsupported DTD markup or text: {excerpt!r}")
+        at = _BETWEEN.match(text, match.end()).end()
     if dtd.root is None and dtd.elements:
         dtd.root = next(iter(dtd.elements))
     return dtd

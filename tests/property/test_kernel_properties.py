@@ -8,7 +8,9 @@ warmth level (cold all-fallback programs, mid-corpus densification, rows
 adopted from a snapshot export) and through either scan backend.  One level
 up, ``Pattern.match_all`` — which dedups each batch once into a
 :class:`~repro.matching.kernel.Corpus` — must agree with per-word
-``Pattern.match`` on every planner route.
+``Pattern.match`` on every planner route.  Star-free batches run on the
+kernel too, so the Theorem 4.12 multi-matcher, which no route reaches,
+is pinned to the language oracle on the same star-free expressions.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ import repro
 from repro.matching import CompiledRuntime, build_matcher
 from repro.matching import kernel
 from repro.matching.kernel import VERDICT_FALLBACK, match_words
+from repro.matching.star_free import StarFreeMultiMatcher
 from repro.regex.ast import Concat, Star, Sym
 from repro.regex.generators import (
     random_deterministic_expression,
     random_expression,
     star_free_chain,
 )
+from repro.regex.language import LanguageOracle
 from repro.regex.parse_tree import build_parse_tree
 from repro.regex.words import mutate_word, sample_member
 
@@ -134,6 +138,15 @@ def test_pure_and_native_scans_are_byte_identical(seed: int, leaf_count: int):
     assert set(pure) <= {0, 1, VERDICT_FALLBACK}
 
 
+def _star_free_expression(rng: random.Random, leaf_count: int):
+    """A random star-free deterministic expression (a fixed chain if none is drawn)."""
+    for _ in range(100):
+        candidate = random_expression(rng, leaf_count, star_probability=0.0)
+        if repro.is_deterministic(candidate):
+            return candidate
+    return star_free_chain(2)
+
+
 def _route_workload(seed: int, leaf_count: int):
     """A star-free and a starred deterministic expression plus two batches.
 
@@ -145,12 +158,7 @@ def _route_workload(seed: int, leaf_count: int):
     unfilled.
     """
     rng = random.Random(seed)
-    star_free = star_free_chain(2)
-    for _ in range(100):
-        candidate = random_expression(rng, leaf_count, star_probability=0.0)
-        if repro.is_deterministic(candidate):
-            star_free = candidate
-            break
+    star_free = _star_free_expression(rng, leaf_count)
     # A trailing z* over a fresh symbol keeps the expression deterministic
     # and guarantees an iteration, hence a compiled (kernel) route.
     starred = Concat(random_deterministic_expression(rng, leaf_count), Star(Sym("z")))
@@ -213,3 +221,24 @@ def test_match_all_agrees_with_per_word_match_on_every_route(seed: int, leaf_cou
                 assert bool(result) == bool(single), route
                 assert result.error_index == single.error_index, route
                 assert result.expected == single.expected, route
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_star_free_multi_matcher_agrees_with_the_oracle(seed: int, leaf_count: int):
+    """Theorem 4.12: one scan answers every word, in linearly many examinations."""
+    rng = random.Random(seed)
+    expr = _star_free_expression(rng, leaf_count)
+    tree = build_parse_tree(expr)
+    symbols = tree.alphabet.as_list() + ["q"]  # plus a symbol outside the alphabet
+    words = [[], ["#"], ["q"]]
+    for _ in range(6):
+        member = list(sample_member(expr, rng))
+        words.append(member)
+        words.append(list(mutate_word(member, symbols, rng)))
+        words.append([rng.choice(symbols) for _ in range(rng.randint(1, 8))])
+    words += [rng.choice(words) for _ in range(5)]  # a batch repeats words
+    matcher = StarFreeMultiMatcher(tree)
+    oracle = LanguageOracle(tree)
+    assert matcher.match_all(words) == [oracle.accepts(word) for word in words]
+    assert matcher.examined_entries <= 3 * (sum(len(word) for word in words) + len(words))

@@ -14,11 +14,11 @@ words (including unknown symbols and sentinels):
    path and never changes an answer.  (Byte flips that survive CRC-32 in
    this file's small payloads do not exist, but the property is stated —
    and checked — end to end through ``load_snapshot``.)
-4. **section independence** (format v2, ISSUE 5) — a random byte flip
-   inside any *one* of the three sections (dense rows, star-free
-   tables, validator memos) rejects only that section: the other two
-   still adopt, and every verdict — matching and document validation —
-   agrees with an uncompiled oracle.
+4. **section independence** (format v2) — a random byte flip inside
+   either section (dense rows, validator memos) rejects only that
+   section: the other still adopts, and every verdict — matching,
+   star-free batches and document validation — agrees with an
+   uncompiled oracle.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _live_verdicts() -> dict:
 
 
 @given(
-    tag=st.sampled_from(["ROWS", "SFTB", "MEMO"]),
+    tag=st.sampled_from(["ROWS", "MEMO"]),
     data=st.data(),
 )
 @settings(max_examples=24, deadline=None)
@@ -175,7 +175,7 @@ def test_section_byte_flips_leave_other_sections_adopting(tag: str, data):
         repro.save_snapshot(path)
 
         description = snapshot_format.describe_file(path)
-        assert [s["tag"] for s in description["sections"]] == ["ROWS", "SFTB", "MEMO"]
+        assert [s["tag"] for s in description["sections"]] == ["ROWS", "MEMO"]
         section = next(s for s in description["sections"] if s["tag"] == tag)
         offset = section["offset"] + data.draw(
             st.integers(min_value=0, max_value=section["length"] - 1)
@@ -190,12 +190,10 @@ def test_section_byte_flips_leave_other_sections_adopting(tag: str, data):
         repro.purge()
         report = repro.load_snapshot(path)  # must not raise, whatever the flip hit
         # CRC-32 catches every single-bit flip, so exactly the targeted
-        # section is rejected and the other two still adopt.
+        # section is rejected and the other still adopts.
         assert report["rejected"] >= 1, report
         if tag != "ROWS":
             assert report["patterns_loaded"] >= 2, report
-        if tag != "SFTB":
-            assert report["tables_loaded"] == 1, report
         if tag != "MEMO":
             assert report["memos_loaded"] >= 1, report
         assert _live_verdicts() == expected, (

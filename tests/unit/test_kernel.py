@@ -127,23 +127,27 @@ class TestConvergence:
         assert stats["kernel_fallback_words"] == cold_fallback
         assert stats["transitions_memoized"] == stats["misses"]
 
-    def test_stride_one_machine_stays_lazy(self):
-        """A stride-1 machine is not completed; new rows still rebuild its program."""
+    def test_stride_one_machine_completes_once(self):
+        """A warm stride-1 machine is completed too: fresh words build no second program."""
         expr = mixed_content(200)
         pattern = repro.compile(expr)
         states, width = len(pattern.tree.positions), len(pattern.tree.alphabet)
         assert kernel.stride_for(states, width) == 1
         words = [[f"a{i}", f"a{i + 1}"] for i in range(0, 20, 2)]
         for _ in range(3):  # cold, then two warm batches
-            pattern.match_all(words)
+            assert pattern.match_all(words) == [True] * len(words)
         stats = pattern.stats()
-        assert stats["transitions_memoized"] < states * width
-        built = stats["kernel_programs"]
-        assert built >= 1
+        assert stats["kernel_programs"] == 1
+        assert stats["transitions_memoized"] == stats["misses"]
+        fallback = stats["kernel_fallback_words"]
+        assert fallback == len(words)  # the cold batch's only
         fresh = [[f"a{i}", f"a{i + 1}"] for i in range(100, 120, 2)]
-        assert pattern.match_all(fresh) == [True] * len(fresh)
-        assert pattern.match_all(fresh) == [True] * len(fresh)
-        assert pattern.stats()["kernel_programs"] > built
+        fresh.append(["a3", "zz"])
+        for _ in range(2):
+            assert pattern.match_all(fresh) == [True] * (len(fresh) - 1) + [False]
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 1
+        assert stats["kernel_fallback_words"] == fallback
 
     def test_dedup_fans_verdicts_back_out(self):
         runtime = _runtime("(ab)*")
@@ -267,11 +271,17 @@ class TestPatternRouting:
         assert pattern.match_all(["ab", "aba"]) == [True, False]
         assert pattern.stats()["kernel_words"] > kernel_words_before
 
-    def test_star_free_patterns_keep_the_multi_matcher_path(self):
+    def test_star_free_patterns_batch_on_the_kernel(self):
         pattern = repro.compile("(a+b)(c?)d")
         assert pattern.describe()["batch_path"] == "star-free-multi"
-        assert pattern.match_all(["acd", "bd", "dd"]) == [True, True, False]
-        assert pattern.stats() is None or pattern.stats()["kernel_words"] == 0
+        words = ["acd", "bd", "dd", "", "ad", "bcd", "acdd", "bz", "acd", "bd"]
+        expected = _oracle("(a+b)(c?)d", words)
+        assert pattern.match_all(words) == expected  # cold: replays
+        assert pattern.match_all(words) == expected  # warm: completes, one program
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 1
+        assert stats["kernel_words"] == len(words)
+        assert stats["kernel_fallback_words"] == len(words)
 
     def test_match_all_agrees_with_match_on_rejecting_traffic(self):
         pattern = repro.compile("(ab+b(b?)a)*")

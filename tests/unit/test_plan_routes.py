@@ -144,12 +144,23 @@ class TestRouteMatrix:
 class TestRouteMatchesExecution:
     """``batch_path`` names the plan that actually ran, not a prediction."""
 
-    def test_star_free_route_builds_the_multi_not_the_runtime(self, forced_backend):
+    def test_star_free_route_batches_on_the_kernel(self, forced_backend, monkeypatch):
+        from repro.matching.star_free import StarFreeMultiMatcher
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the serving path built the Theorem 4.12 matcher")
+
+        monkeypatch.setattr(StarFreeMultiMatcher, "__init__", refuse)
+        oracle = repro.Pattern("ab(a+b)", compiled=False)
+        expected = [bool(oracle.match(word)) for word in WORDS]
         pattern = repro.Pattern("ab(a+b)")
-        assert pattern.match_all(["aba", "abb", "ab", ""]) == [True, True, False, False]
-        assert pattern.plan.built_star_free() is not None
-        # The verdict batch ran on the multi-matcher alone: no lazy DFA.
-        assert pattern._built_runtime() is None
+        assert pattern.plan.route == "star-free-multi"
+        for _ in range(3):  # cold, then warm: completed once, one program
+            assert pattern.match_all(WORDS) == expected
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 1
+        assert stats["kernel_words"] == 2 * len(WORDS)
+        assert stats["kernel_fallback_words"] == len(WORDS)  # the cold batch's
 
     def test_kernel_route_books_batch_words_on_the_pattern(self, forced_backend):
         pattern = repro.Pattern("(ab+b(b?)a)*")
@@ -171,7 +182,6 @@ class TestRouteMatchesExecution:
         pattern = repro.Pattern("ab(a+b)", compiled=False)
         assert pattern.match_all(["aba", "ba"]) == [True, False]
         assert pattern.plan.built_runtime() is None
-        assert pattern.plan.built_star_free() is None
 
 
 class TestSharedFollowIndex:

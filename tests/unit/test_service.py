@@ -63,12 +63,16 @@ class TestMatchBatch:
         with ValidationService(workers=8) as service:
             assert service.match_batch("(ab+b(b?)a)*", words) == oracle
 
-    def test_star_free_pattern_takes_the_multi_matcher_path(self):
+    def test_star_free_pattern_batches_on_the_kernel(self):
         words, oracle = _word_corpus("(a+b)(c?)d", 600, random.Random(2))
         pattern = repro.compile("(a+b)(c?)d")
         assert pattern.describe()["batch_path"] == "star-free-multi"
         with ValidationService(workers=8) as service:
-            assert service.match_batch("(a+b)(c?)d", words) == oracle
+            for _ in range(2):  # cold, then warm
+                assert service.match_batch("(a+b)(c?)d", words) == oracle
+        stats = pattern.stats()
+        assert stats["kernel_programs"] == 1
+        assert stats["kernel_words"] == len(words)
 
     def test_small_batches_run_inline(self):
         with ValidationService(workers=4) as service:

@@ -1,13 +1,14 @@
-"""Snapshot format v2: three sections, v1 compatibility, live lifecycle.
+"""Snapshot format v2: sections, v1 compatibility, live lifecycle.
 
-The contract under test (ISSUE 5): the v2 file persists star-free tables
-and validator memos next to the dense rows; v1 files keep loading
-(counted ``format_v1``; the committed ``tests/data/rows.v1.snapshot``
-is the reference file, since nothing writes v1 any more); corrupt or
-stale v2 *sections* degrade
-per-section to lazy rebuild — never a changed verdict; and the serving
-layer streams the current file over ``GET /snapshot`` so a fresh host
-bootstraps from a running fleet.
+The contract under test: the v2 file persists validator memos next to the
+dense rows; v1 files keep loading (counted ``format_v1``; the committed
+``tests/data/rows.v1.snapshot`` is the reference file, since nothing
+writes v1 any more); an older v2 file's ``SFTB`` star-free tables are
+skipped while its rows and memos adopt (``tests/data/sftb.v2.snapshot``,
+written by the last writer that emitted them); corrupt or stale v2
+*sections* degrade per-section to lazy rebuild — never a changed verdict;
+and the serving layer streams the current file over ``GET /snapshot`` so
+a fresh host bootstraps from a running fleet.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro import cache
 from repro.matching import snapshot as snapshot_format
 from repro.matching.snapshot import SnapshotError
 from repro.matching.star_free import StarFreeMultiMatcher
+from repro.regex.language import LanguageOracle
 from repro.service import SnapshotRefresher, ValidationService
 from repro.xml import parse_dtd
 from repro.xml.memo import AcceptanceMemo
@@ -36,6 +38,11 @@ ROWS_WORDS = ["abba", "ab", "bb", "abab", "ba", "", "abbaab"]
 #: A version-1 (rows-only) snapshot of ROWS_EXPR warmed by ROWS_WORDS,
 #: written by the last release that could write v1.
 V1_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "rows.v1.snapshot"
+
+#: A v2 snapshot with ROWS, SFTB and MEMO sections for STAR_FREE_EXPR
+#: (rows and memo warmed by STAR_FREE_WORDS), written by the last writer
+#: that emitted star-free tables.
+SFTB_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "sftb.v2.snapshot"
 
 STAR_FREE_EXPR = "(a+b)(c?)d"
 STAR_FREE_WORDS = ["acd", "bd", "dd", "", "ad", "bcd"]
@@ -52,7 +59,7 @@ def _fresh_caches():
 
 
 def _warm_everything() -> None:
-    """Materialize state in all three sections: rows, tables, memos."""
+    """Materialize state in both sections: rows (star-free batches too) and memos."""
     pattern = repro.compile(ROWS_EXPR)
     for word in ROWS_WORDS:
         pattern.match(word)
@@ -86,33 +93,33 @@ def _verdicts_now() -> dict:
 
 
 class TestV2RoundTrip:
-    def test_all_three_sections_round_trip(self, tmp_path):
+    def test_rows_and_memos_round_trip(self, tmp_path):
         path = tmp_path / "state.snapshot"
         _warm_everything()
         saved = repro.save_snapshot(str(path))
         assert saved["patterns"] >= 2, saved
-        assert saved["star_free_patterns"] == 1, saved
-        assert saved["decisions"] > 0, saved
+        # the retired star-free table counters keep their keys and read 0
+        assert saved["star_free_patterns"] == 0, saved
+        assert saved["decisions"] == 0, saved
         assert saved["memo_patterns"] >= 1, saved
         assert saved["memo_entries"] >= len({("b",), ("b", "c"), ("c",), ("c", "b")}), saved
-        assert saved["sections"] == ["ROWS", "SFTB", "MEMO"]
+        assert saved["sections"] == ["ROWS", "MEMO"]
 
         repro.purge()
         report = repro.load_snapshot(str(path))
         assert report["format"] == 2
         assert report["rejected"] == 0, report
         assert report["patterns_loaded"] >= 2
-        assert report["tables_loaded"] == 1
-        assert report["table_entries_loaded"] > 0
+        assert report["tables_loaded"] == 0
+        assert report["table_entries_loaded"] == 0
         assert report["memos_loaded"] >= 1
         assert report["memo_entries_loaded"] >= 4
         assert _verdicts_now() == _oracle()
 
-        # The adopted star-free tables really landed on the matcher.
-        multi = repro.compile(STAR_FREE_EXPR).plan.built_star_free()
-        assert multi is not None
-        stats = multi.table_stats()
-        assert stats["adopted_decisions"] > 0 or stats["adopted_accepts"] > 0
+        # The star-free pattern's batches warmed rows, and they adopted.
+        restored = repro.compile(STAR_FREE_EXPR).stats()
+        assert restored["adopted_rows"] > 0
+        assert restored["misses"] == 0
 
     def test_save_load_counts_into_telemetry(self, tmp_path):
         path = tmp_path / "state.snapshot"
@@ -123,8 +130,7 @@ class TestV2RoundTrip:
         repro.load_snapshot(str(path))
         stats = repro.stats()["snapshot"]
         assert stats["format_v2"] == before["format_v2"] + 1
-        assert stats["tables_saved"] == before["tables_saved"] + 1
-        assert stats["tables_loaded"] == before["tables_loaded"] + 1
+        assert stats["tables_saved"] == stats["tables_loaded"] == 0
         assert stats["memo_entries_saved"] > before["memo_entries_saved"]
         assert stats["memo_entries_loaded"] > before["memo_entries_loaded"]
 
@@ -135,7 +141,7 @@ class TestV2RoundTrip:
         description = snapshot_format.describe_file(path)
         assert description["format"] == 2
         assert description["bytes"] == saved["bytes"]
-        assert [s["tag"] for s in description["sections"]] == ["ROWS", "SFTB", "MEMO"]
+        assert [s["tag"] for s in description["sections"]] == ["ROWS", "MEMO"]
         total = sum(s["length"] for s in description["sections"])
         assert description["sections"][0]["offset"] + total == saved["bytes"]
 
@@ -146,17 +152,15 @@ class TestV2RoundTrip:
         saved = repro.save_snapshot(str(tmp_path / "memo.snapshot"))
         assert saved["memo_patterns"] >= 1
 
-    def test_materialized_gauge_tracks_all_sections(self):
+    def test_materialized_gauge_tracks_rows_and_memos(self):
         base = repro.stats()["snapshot"]["materialized"]
         assert base["total"] == 0
         _warm_everything()
         gauge = repro.stats()["snapshot"]["materialized"]
         assert gauge["transitions"] > 0
-        assert gauge["star_free_entries"] > 0
+        assert gauge["star_free_entries"] == 0  # retired, kept on the wire
         assert gauge["memo_entries"] > 0
-        assert gauge["total"] == (
-            gauge["transitions"] + gauge["star_free_entries"] + gauge["memo_entries"]
-        )
+        assert gauge["total"] == gauge["transitions"] + gauge["memo_entries"]
 
 
 class TestV1Compatibility:
@@ -191,8 +195,8 @@ class TestSectionDegradation:
         blob[section["offset"] + section["length"] // 2] ^= 0x20
         path.write_bytes(bytes(blob))
 
-    @pytest.mark.parametrize("corrupt", ["ROWS", "SFTB", "MEMO"])
-    def test_one_bad_section_leaves_the_others_adopting(self, tmp_path, corrupt):
+    @pytest.mark.parametrize("corrupt", ["ROWS", "MEMO"])
+    def test_one_bad_section_leaves_the_other_adopting(self, tmp_path, corrupt):
         path = tmp_path / "state.snapshot"
         _warm_everything()
         oracle = _oracle()
@@ -206,8 +210,6 @@ class TestSectionDegradation:
         assert repro.stats()["snapshot"]["rejected_reasons"].get("checksum", 0) >= 1
         if corrupt != "ROWS":
             assert report["patterns_loaded"] >= 2
-        if corrupt != "SFTB":
-            assert report["tables_loaded"] == 1
         if corrupt != "MEMO":
             assert report["memos_loaded"] >= 1
         assert _verdicts_now() == oracle, f"verdict changed with a corrupt {corrupt} section"
@@ -249,7 +251,7 @@ class TestSectionDegradation:
         assert report["rejected"] == 1, report
         assert report["patterns_loaded"] == 0, "a rejected ROWS section partially adopted"
         assert report["rows_loaded"] == 0, report
-        assert report["tables_loaded"] == 1 and report["memos_loaded"] >= 1, report
+        assert report["memos_loaded"] >= 1, report
         assert _verdicts_now() == _oracle()
 
     def test_fully_rejected_file_is_not_counted_as_a_load(self, tmp_path):
@@ -257,12 +259,12 @@ class TestSectionDegradation:
         path = tmp_path / "state.snapshot"
         _warm_everything()
         repro.save_snapshot(str(path))
-        for tag in ("ROWS", "SFTB", "MEMO"):
+        for tag in ("ROWS", "MEMO"):
             self._flip_in_section(path, tag)
         repro.purge()
         before = repro.stats()["snapshot"]
         report = repro.load_snapshot(str(path))
-        assert report["rejected"] == 3, report
+        assert report["rejected"] == 2, report
         stats = repro.stats()["snapshot"]
         assert stats["loads"] == before["loads"], "an all-rejected file was counted as a load"
         assert stats["format_v2"] == before["format_v2"]
@@ -290,24 +292,23 @@ class TestSectionDegradation:
         meta = cache.snapshot_meta(key, pattern)
         stale = dict(meta)
         stale["alphabet"] = meta["alphabet"] + ["zzz"]
-        tables = pattern.plan.built_star_free().export_tables()
+        rows = pattern.runtime.export_rows()
         path = tmp_path / "stale.snapshot"
         snapshot_format.write(
             path,
-            [],
-            star_free=[
+            [
                 {
                     "fingerprint": snapshot_format.pattern_fingerprint(stale),
                     "meta": stale,
-                    "accepts": tables["accepts"],
-                    "decisions": tables["decisions"],
+                    "accepts": rows["accepts"],
+                    "rows": rows["rows"],
                 }
             ],
         )
         repro.purge()
         report = repro.load_snapshot(str(path))
         assert report["rejected"] == 1
-        assert report["tables_loaded"] == 0
+        assert report["patterns_loaded"] == 0
         assert repro.stats()["snapshot"]["rejected_reasons"].get("fingerprint", 0) >= 1
         oracle = repro.Pattern(STAR_FREE_EXPR, compiled=False)
         fresh = repro.compile(STAR_FREE_EXPR)
@@ -316,63 +317,48 @@ class TestSectionDegradation:
         ]
 
 
-class TestAdoptTables:
-    """Star-free table adoption: reject before any mutation."""
+class TestRetiredStarFreeTables:
+    """An older writer's ``SFTB`` section is skipped; rows and memos adopt."""
 
-    def _matcher(self) -> StarFreeMultiMatcher:
-        return StarFreeMultiMatcher(STAR_FREE_EXPR, verify=False)
+    def test_legacy_file_adopts_rows_and_memos(self):
+        report = repro.load_snapshot(str(SFTB_FIXTURE))
+        assert report["format"] == 2
+        assert report["rejected"] == 0, report
+        assert report["patterns_loaded"] == 1 and report["rows_loaded"] > 0
+        assert report["memos_loaded"] == 1 and report["memo_entries_loaded"] > 0
+        assert report["tables_loaded"] == report["table_entries_loaded"] == 0
+        pattern = repro.compile(STAR_FREE_EXPR)
+        assert pattern.stats()["adopted_rows"] == report["rows_loaded"]
+        oracle = LanguageOracle(pattern.tree)
+        expected = [oracle.accepts(list(word)) for word in STAR_FREE_WORDS]
+        assert pattern.match_all(STAR_FREE_WORDS) == expected
+        assert [pattern.plan.accepts_children(list(w)) for w in STAR_FREE_WORDS] == expected
+        assert pattern.stats()["misses"] == 0
 
-    def test_roundtrip_reproduces_verdicts(self):
-        warm = self._matcher()
-        expected = warm.match_all([list(w) for w in STAR_FREE_WORDS])
-        tables = warm.export_tables()
-        assert tables["decisions"] or tables["accepts"]
-        fresh = self._matcher()
-        adopted = fresh.adopt_tables(tables["accepts"], tables["decisions"])
-        assert adopted == len(tables["accepts"]) + len(tables["decisions"])
-        assert fresh.match_all([list(w) for w in STAR_FREE_WORDS]) == expected
-        # Fixpoint: re-export reproduces the same tables.
-        assert fresh.export_tables()["decisions"] == tables["decisions"]
+    def test_reader_skips_the_sftb_section_without_an_error(self):
+        described = snapshot_format.describe_file(SFTB_FIXTURE)["sections"]
+        assert [section["tag"] for section in described] == ["ROWS", "SFTB", "MEMO"]
+        loaded = snapshot_format.load(SFTB_FIXTURE)
+        assert loaded.sections == ["ROWS", "MEMO"]
+        assert loaded.section_errors == []
+        before = repro.stats()["snapshot"]["snapshot_rejected"]
+        repro.load_snapshot(str(SFTB_FIXTURE))
+        assert repro.stats()["snapshot"]["snapshot_rejected"] == before
 
-    def test_rejects_out_of_range_pre_numbers(self):
-        matcher = self._matcher()
-        with pytest.raises(SnapshotError) as excinfo:
-            matcher.adopt_tables({}, {(99999, 0): 1})
-        assert excinfo.value.reason == "table-bounds"
-        assert matcher.table_stats()["decisions"] == 0
+    def test_resaving_a_legacy_load_drops_the_section(self, tmp_path):
+        repro.load_snapshot(str(SFTB_FIXTURE))
+        path = tmp_path / "resaved.snapshot"
+        saved = repro.save_snapshot(str(path))
+        assert saved["sections"] == ["ROWS", "MEMO"]
+        described = snapshot_format.describe_file(path)["sections"]
+        assert [section["tag"] for section in described] == ["ROWS", "MEMO"]
 
-    def test_rejects_invalid_decision_code(self):
-        matcher = self._matcher()
-        with pytest.raises(SnapshotError) as excinfo:
-            matcher.adopt_tables({}, {(0, 1): 7})
-        assert excinfo.value.reason == "malformed"
-
-    def test_rejects_invalid_accept_verdict(self):
-        matcher = self._matcher()
-        with pytest.raises(SnapshotError) as excinfo:
-            matcher.adopt_tables({0: 2}, {})
-        assert excinfo.value.reason == "malformed"
-
-    def test_partial_failure_mutates_nothing(self):
-        warm = self._matcher()
-        warm.match_all([list(w) for w in STAR_FREE_WORDS])
-        tables = warm.export_tables()
-        bad_decisions = dict(tables["decisions"])
-        bad_decisions[(0, 99999)] = 1  # one bad key among good ones
-        fresh = self._matcher()
-        with pytest.raises(SnapshotError):
-            fresh.adopt_tables(tables["accepts"], bad_decisions)
-        stats = fresh.table_stats()
-        assert stats["decisions"] == 0 and stats["accepts"] == 0
-
-    def test_local_results_win(self):
-        warm = self._matcher()
-        warm.match_all([list(w) for w in STAR_FREE_WORDS])
-        tables = warm.export_tables()
-        other = self._matcher()
-        other.match_all([list(w) for w in STAR_FREE_WORDS])
-        adopted = other.adopt_tables(tables["accepts"], tables["decisions"])
-        assert adopted == 0, "locally computed entries must win"
+    def test_multi_matcher_keeps_no_persistence_surface(self, tmp_path):
+        matcher = StarFreeMultiMatcher(STAR_FREE_EXPR, verify=False)
+        for name in ("export_tables", "adopt_tables", "table_stats"):
+            assert not hasattr(matcher, name), name
+        with pytest.raises(TypeError):
+            snapshot_format.write(tmp_path / "x.snapshot", [], star_free=[])
 
 
 class TestAcceptanceMemo:
@@ -495,7 +481,7 @@ class TestSnapshotEndpoint:
         assert report["url"].endswith("/snapshot")
         assert report["rejected"] == 0, report
         assert report["patterns_loaded"] >= 2
-        assert report["tables_loaded"] == 1
+        assert report["tables_loaded"] == 0
         assert report["memos_loaded"] >= 1
         assert _verdicts_now() == _oracle()
 

@@ -414,6 +414,42 @@ class TestDTD:
         with pytest.raises(DTDSyntaxError, match="malformed element declaration"):
             parse_dtd(text)
 
+    @pytest.mark.parametrize(
+        ("text", "excerpt"),
+        [
+            ("<!ELEMNT a EMPTY>", "<!ELEMNT a EMPTY"),
+            ("<!element a EMPTY>", "<!element a EMPTY"),
+            ("<!ATTLISTa x CDATA #IMPLIED>", "<!ATTLISTa x CDATA #IMPLIED"),
+            ("<!ELEMENT a EMPTY> junk <!ELEMENT b EMPTY>", "junk <!ELEMENT b EMPTY"),
+            ("<!ELEMENT a EMPTY>\n)", ")"),
+            ('<!ENTITY e "x"> <!ELEMENT a EMPTY>', '<!ENTITY e "x"'),
+            ('<!NOTATION n SYSTEM "n">', '<!NOTATION n SYSTEM "n"'),
+            ("%pe; <!ELEMENT a EMPTY>", "%pe; <!ELEMENT a EMPTY"),
+            ("<!-- <!ELEMENT a EMPTY>", "<!-- <!ELEMENT a EMPTY"),
+            ("<![INCLUDE[<!ELEMENT a EMPTY>]]>", "<![INCLUDE[<!ELEMENT a EMPTY"),
+            ("<!DOCTYPE a [<!ELEMENT a EMPTY>]>", "<!DOCTYPE a [<!ELEMENT a EMPTY"),
+        ],
+    )
+    def test_markup_the_reader_does_not_consume_raises(self, text, excerpt):
+        with pytest.raises(DTDSyntaxError) as excinfo:
+            parse_dtd(text)
+        assert str(excinfo.value) == f"unsupported DTD markup or text: {excerpt!r}"
+
+    def test_a_comment_inside_a_declaration_is_not_stripped(self):
+        with pytest.raises(DTDSyntaxError, match="content model"):
+            parse_dtd("<!ELEMENT a (b, <!-- x --> c)> <!ELEMENT b EMPTY> <!ELEMENT c EMPTY>")
+
+    def test_prolog_comments_instructions_and_attlists_are_consumed(self):
+        dtd = parse_dtd(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            "<!-- the <!ELEMENT x EMPTY> in this comment declares nothing -->\n"
+            "<!ELEMENT a (b)><?app hint?>\n"
+            "<!ATTLIST a note CDATA \"1 > 0\" kind (x|y) 'x'>\t"
+            "<!ELEMENT b EMPTY>\n"
+        )
+        assert dtd.declared_names() == ["a", "b"]
+        assert parse_dtd("").declared_names() == parse_dtd(" \n ").declared_names() == []
+
 
 class TestDTDValidator:
     def _dtd(self):
