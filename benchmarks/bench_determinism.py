@@ -13,11 +13,16 @@ class-a nodes.  Scanning every position or colored node once per symbol
 keeps the verdicts right but makes the test O(|Σ|·|e|), a log-log slope
 of about 1.7-1.9 on the large-alphabet families.  The complexity gate
 (``test_determinism_slope_in_alphabet_size``) fits that slope over
-|Σ| ∈ {1k, ..., 16k} on a flat sequence and on ``(a1+...+an)*`` and
-fails above :data:`MAX_SLOPE`.  It takes the minimum CPU time of three
-runs with the garbage collector off, on a fresh parse tree each run, so
-the tree's follow index is built inside the timed call; it runs with
-timings disabled too.
+|Σ| ∈ {1k, ..., 16k} and fails above :data:`MAX_SLOPE`.  Its families
+are a flat sequence, ``(a1+...+an)*`` and ``((x_i a_i) y_i?) a_i``
+blocks.  The first two are SOREs: every symbol has one position, so the
+test builds no skeleton and no follow index on them, and they time the
+colors, (P1) and the CheckNode pass.  In the third every ``a_i`` has two
+positions, so each block builds its a-skeleton, closes it under LCA on
+the tree's follow index and runs ``BuildNext`` inside the timed call.
+The gate takes the minimum CPU time of seven runs with the garbage
+collector off, on a fresh parse tree each run; it runs with timings
+disabled too.
 """
 
 import gc
@@ -29,7 +34,7 @@ import pytest
 
 from repro.automata.glushkov import GlushkovAutomaton
 from repro.core.determinism import DeterminismChecker, check_deterministic
-from repro.regex.ast import concat, sym
+from repro.regex.ast import concat, optional, sym
 from repro.regex.generators import mixed_content
 from repro.regex.parse_tree import build_parse_tree
 
@@ -41,14 +46,26 @@ MIXED_SIZES = [64, 256, 1024]
 SLOPE_SIZES = [1000, 2000, 4000, 8000, 16000]
 #: Largest accepted log-log slope of determinism time against |Σ|.
 MAX_SLOPE = 1.15
+
+
+def _repeated(count: int):
+    """``((x_i a_i) y_i?) a_i`` blocks over about *count* names: every ``a_i`` repeats."""
+    blocks = []
+    for index in range(count // 3):
+        head = concat(sym(f"x{index}"), sym(f"a{index}"))
+        blocks.append(concat(concat(head, optional(sym(f"y{index}"))), sym(f"a{index}")))
+    return concat(*blocks)
+
+
 #: Large-alphabet families of the gate, by name.
 SLOPE_FAMILIES = {
     "flat": lambda count: concat(*[sym(f"a{index}") for index in range(count)]),
     "mixed": mixed_content,
+    "repeated": _repeated,
 }
 
 
-def _fastest_checks(exprs, repeats: int = 3) -> list[float]:
+def _fastest_checks(exprs, repeats: int = 7) -> list[float]:
     """Minimum ``check_deterministic`` CPU time per expression, GC off while timing.
 
     Each run gets a fresh parse tree, and the repeats go round-robin over

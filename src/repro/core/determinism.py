@@ -32,6 +32,7 @@ from typing import Sequence
 
 from ..regex.ast import Regex
 from ..regex.parse_tree import ParseTree, TreeNode, build_parse_tree
+from .follow import FollowIndex
 from .skeleton import SkeletonIndex
 
 
@@ -88,15 +89,23 @@ class DeterminismChecker:
     The checker exposes the intermediate structures (follow index and
     skeleton index) because the matchers reuse them; constructing this
     object once is the whole O(|e|) preprocessing of Theorems 3.5 and 4.2.
-    The follow index is the tree's own (:attr:`ParseTree.follow`), so the
-    matchers built over the same tree never rebuild it.
+    Its cost follows the symbols that repeat: only their skeleta are built
+    here and only their colors reach CheckNode, because a symbol with one
+    position cannot clash with itself.  The follow index is the tree's own
+    (:attr:`ParseTree.follow`), built on first use: the LCA closure of a
+    skeleton or a conflict reconstruction needs it, a SORE's verdict does
+    not, and the matchers over the same tree then share it.
     """
 
     def __init__(self, tree: ParseTree):
         self.tree = tree
-        self.follow = tree.follow
         self.skeletons = SkeletonIndex(tree)
         self._report: DeterminismReport | None = None
+
+    @property
+    def follow(self) -> FollowIndex:
+        """The tree's follow index (built on first use, see :attr:`ParseTree.follow`)."""
+        return self.tree.follow
 
     # -- public API ------------------------------------------------------------------
     def report(self) -> DeterminismReport:
@@ -135,11 +144,17 @@ class DeterminismChecker:
             conflict = DeterminismConflict(violation.symbol, first, second, source)
             return DeterminismReport(False, "overflow", conflict)
 
-        # CheckNode (Algorithm 2) on every colored node.
-        for node, symbol in self.skeletons.color_assignments():
-            outcome = self._check_node(node, symbol)
-            if outcome is not None:
-                return outcome
+        # CheckNode (Algorithm 2) on every colored node whose color repeats:
+        # with one a-position, Witness, FirstPos and Next cannot differ.
+        repeated = self.skeletons.repeated
+        if repeated:
+            nodes = self.tree.nodes
+            for index, by_symbol in self.skeletons.colors.items():
+                for symbol in by_symbol:
+                    if symbol in repeated:
+                        outcome = self._check_node(nodes[index], symbol)
+                        if outcome is not None:
+                            return outcome
         return DeterminismReport(True)
 
     def _check_node(self, node: TreeNode, symbol: str) -> DeterminismReport | None:

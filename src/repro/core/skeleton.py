@@ -22,17 +22,31 @@ share a decomposition of the parse tree built here:
   non-determinism on the fly, and property (P2) — every ``Next`` set has
   at most one element — is checked as the sets are produced.
 
-Positions come bucketed by symbol from the parse tree and colored nodes are
-bucketed by symbol while the colors are assigned, so building the a-skeleton
-only touches class-a nodes and everything is computed in one pass over all
-skeleta, i.e. in O(|e|) (up to sorting each skeleton's nodes in pre-order).
+Positions come bucketed by symbol from the parse tree, and the a-colored
+nodes are read off the a-positions (each witness colors the parent of its
+``pSupFirst`` node), so building the a-skeleton only touches class-a nodes
+and all skeleta together cost O(|e|) (up to sorting each skeleton's nodes in
+pre-order).
+
+**Eager and on-demand skeleta.**  Every rule that proves non-determinism
+compares two distinct a-positions: (P1), (P2), the ``BuildNext`` overflow
+and both CheckNode clashes of Theorem 3.5.  A symbol with a single position
+can fire none of them, so :class:`SkeletonIndex` builds the skeleton of a
+symbol eagerly only when the symbol has two or more positions.  The
+skeleton of every other symbol (the ``$`` sentinel included) is built on its
+first lookup, under a lock, because the matchers of Section 4 still walk the
+full structure.  On SOREs, the bulk of real content models, the determinism
+test thus builds no skeleton, and so never asks for the tree's follow index,
+whose LCA structure only the skeleta and conflict reports need.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from ..regex.parse_tree import NodeKind, ParseTree, TreeNode
 
@@ -138,55 +152,85 @@ class SkeletonDiagnostics:
 
 
 class SkeletonIndex:
-    """Colors, witnesses, a-skeleta and the Next structure for a parse tree."""
+    """Colors, witnesses, a-skeleta and the Next structure for a parse tree.
+
+    Colors, witnesses and (P1) cover every symbol at construction; the
+    skeleta of single-position symbols are built on first lookup (see the
+    module docstring).
+    """
 
     def __init__(self, tree: ParseTree):
         self.tree = tree
-        self.follow = tree.follow
         self.diagnostics = SkeletonDiagnostics()
         #: colors per node: ``colors[node.index][symbol] -> witness position``
         self.colors: dict[int, dict[str, TreeNode]] = {}
-        #: colored nodes per symbol, in pre-order (bucketed by :meth:`_assign_colors`)
-        self._colored: dict[str, list[TreeNode]] = {}
-        #: skeleton per symbol (only symbols that actually occur)
-        self.skeletons: dict[str, SymbolSkeleton] = {}
+        #: the skeleta built so far, per symbol (only symbols that actually occur)
+        self._skeletons: dict[str, SymbolSkeleton] = {}
+        # The table lists the symbols in alphabet order between the two
+        # sentinels.  The $ sentinel participates like an ordinary symbol:
+        # its skeleton is what lets matchers decide acceptance with the same
+        # machinery; the # sentinel follows nothing and gets no skeleton.
+        table = tree.symbol_positions
+        repeated = [symbol for symbol, positions in table.items() if len(positions) >= 2]
+        #: symbols with two or more positions, whose skeleta are built here
+        self.repeated = frozenset(repeated)
+        #: symbols whose skeleton is built on first lookup.  One position
+        #: cannot break (P1), (P2) or the overflow rule, so building these
+        #: skeleta later records no diagnostic.
+        self._pending = {symbol for symbol, positions in table.items() if len(positions) == 1}
+        self._pending.discard(tree.start.symbol)
+        #: serialises on-demand builds among matcher threads sharing this index
+        self._lock = threading.Lock()
         self._assign_colors()
-        self._build_skeletons()
+        for symbol in repeated:
+            self._build_symbol(symbol)
 
     # ------------------------------------------------------------------------------
     # Colors, witnesses and property (P1)
     # ------------------------------------------------------------------------------
     def _assign_colors(self) -> None:
-        witness_by_sup_first: dict[tuple[int, str], TreeNode] = {}
+        # A pSupFirst node is always the right child of a concatenation with
+        # a non-nullable left child (every other parent passes its children's
+        # First sets up whole), so the colored node determines the pSupFirst
+        # node and two positions share (pSupFirst, label) exactly when they
+        # share (colored node, label): (P1) is a collision in ``colors``.
+        colors = self.colors
         for position in self.tree.positions:
             sup_first = position.p_sup_first
             if sup_first is None:
                 # Only the # sentinel: it never follows anything.
                 continue
-            key = (sup_first.index, position.symbol)
-            earlier = witness_by_sup_first.get(key)
-            if earlier is not None:
-                self.diagnostics.p1_violations.append(
-                    P1Violation(position.symbol, earlier, position, sup_first)
-                )
-                continue
-            witness_by_sup_first[key] = position
             colored = sup_first.parent
             if colored is None:  # pragma: no cover - SupFirst nodes have parents
                 continue
-            self.colors.setdefault(colored.index, {})[position.symbol] = position
-        # Bucket the colored nodes by symbol with one pre-order walk
-        # (``nodes`` is in pre-order), so each skeleton reads its own list.
-        colors = self.colors
-        for node in self.tree.nodes:
-            by_symbol = colors.get(node.index)
-            if by_symbol is not None:
-                for symbol in by_symbol:
-                    self._colored.setdefault(symbol, []).append(node)
+            symbol = position.symbol
+            by_symbol = colors.get(colored.index)
+            if by_symbol is None:
+                colors[colored.index] = {symbol: position}
+            elif symbol in by_symbol:
+                self.diagnostics.p1_violations.append(
+                    P1Violation(symbol, by_symbol[symbol], position, sup_first)
+                )
+            else:
+                by_symbol[symbol] = position
 
     def colored_nodes(self, symbol: str) -> list[TreeNode]:
-        """The nodes carrying color *symbol*, in pre-order."""
-        return list(self._colored.get(symbol, ()))
+        """The nodes carrying color *symbol*, in pre-order.
+
+        Read off the symbol's own positions (each witness colors the parent
+        of its ``pSupFirst`` node), so the cost is that of the symbol's
+        class, not of the tree.
+        """
+        colors = self.colors
+        nodes = []
+        for position in self.tree.positions_by_symbol(symbol):
+            sup_first = position.p_sup_first
+            if sup_first is not None and sup_first.parent is not None:
+                node = sup_first.parent
+                if colors[node.index].get(symbol) is position:
+                    nodes.append(node)
+        nodes.sort(key=_pre)
+        return nodes
 
     def witness(self, node: TreeNode, symbol: str) -> TreeNode | None:
         """``Witness(node, symbol)`` — the witness position, if the node has the color."""
@@ -202,24 +246,21 @@ class SkeletonIndex:
     # ------------------------------------------------------------------------------
     # Skeleton construction (Lemma 3.1)
     # ------------------------------------------------------------------------------
-    def _build_skeletons(self) -> None:
-        symbols = list(self.tree.alphabet)
-        # The $ sentinel participates like an ordinary symbol: its skeleton is
-        # what lets matchers decide acceptance with the same machinery.
-        symbols.append(self.tree.end.symbol)
-        for symbol in symbols:
-            skeleton = self._build_one_skeleton(symbol)
-            if skeleton is not None:
-                self.skeletons[symbol] = skeleton
-                self._compute_first_pos(skeleton)
-                self._attach_witnesses(skeleton)
-                self._build_next(skeleton)
+    def _build_symbol(self, symbol: str) -> None:
+        """Build, decorate and publish the a-skeleton of *symbol*."""
+        skeleton = self._build_one_skeleton(symbol)
+        if skeleton is not None:
+            self._compute_first_pos(skeleton)
+            self._attach_witnesses(skeleton)
+            self._build_next(skeleton)
+            # Published last, so a lock-free reader never sees a half-built one.
+            self._skeletons[symbol] = skeleton
 
     def _build_one_skeleton(self, symbol: str) -> SymbolSkeleton | None:
         # Positions are leaves and colored nodes are internal, so the two
         # pre-order runs are disjoint; sorting their concatenation merges them.
         base = sorted(
-            self.tree.positions_by_symbol(symbol) + self._colored.get(symbol, []),
+            self.tree.positions_by_symbol(symbol) + self.colored_nodes(symbol),
             key=_pre,
         )
         if not base:
@@ -228,8 +269,9 @@ class SkeletonIndex:
         # Close under LCA: with the nodes sorted in pre-order it suffices to
         # add the LCA of every consecutive pair (Proposition 4.4 of [7]).
         members: dict[int, TreeNode] = {node.index: node for node in base}
+        lca = self.tree.follow.lca
         for left, right in zip(base, base[1:]):
-            ancestor = self.follow.lca(left, right)
+            ancestor = lca(left, right)
             members[ancestor.index] = ancestor
         # Add the pSupLast and pStar nodes of every class-a node; the set
         # stays closed under LCA because only ancestors are added.
@@ -266,7 +308,7 @@ class SkeletonIndex:
     # ------------------------------------------------------------------------------
     def _compute_first_pos(self, skeleton: SymbolSkeleton) -> None:
         """Bottom-up computation of ``FirstPos(n, a)`` on one skeleton."""
-        in_first = self.follow.in_first
+        in_first = self.tree.follow.in_first
         symbol = skeleton.symbol
         for node in reversed(skeleton.nodes):  # children before parents (pre-order list)
             candidates: list[TreeNode] = []
@@ -336,12 +378,29 @@ class SkeletonIndex:
     # Lookups used by the determinism checker and the matchers
     # ------------------------------------------------------------------------------
     def skeleton_for(self, symbol: str) -> SymbolSkeleton | None:
-        """The a-skeleton for *symbol*, or ``None`` when the symbol does not occur."""
-        return self.skeletons.get(symbol)
+        """The a-skeleton for *symbol*, or ``None`` when the symbol does not occur.
+
+        A pending skeleton is built here, once, however many threads ask.
+        """
+        skeleton = self._skeletons.get(symbol)
+        if skeleton is None and symbol in self._pending:
+            with self._lock:
+                if symbol in self._pending:
+                    self._build_symbol(symbol)
+                    self._pending.discard(symbol)
+            skeleton = self._skeletons.get(symbol)
+        return skeleton
+
+    @property
+    def skeletons(self) -> Mapping[str, SymbolSkeleton]:
+        """Every a-skeleton by symbol (read-only); builds the pending ones first."""
+        for symbol in list(self._pending):
+            self.skeleton_for(symbol)
+        return MappingProxyType(self._skeletons)
 
     def first_pos(self, node: TreeNode, symbol: str) -> TreeNode | None:
         """``FirstPos(node, symbol)`` if *node* belongs to the symbol's skeleton."""
-        skeleton = self.skeletons.get(symbol)
+        skeleton = self.skeleton_for(symbol)
         if skeleton is None:
             return None
         skeleton_node = skeleton.node_for(node)
@@ -349,7 +408,7 @@ class SkeletonIndex:
 
     def next_position(self, node: TreeNode, symbol: str) -> TreeNode | None:
         """``Next(node, symbol)`` (None when empty, absent or ambiguous)."""
-        skeleton = self.skeletons.get(symbol)
+        skeleton = self.skeleton_for(symbol)
         if skeleton is None:
             return None
         skeleton_node = skeleton.node_for(node)

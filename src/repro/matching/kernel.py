@@ -95,12 +95,11 @@ MAX_STRIDE = 3
 #: which only a real corpus amortizes.
 MIN_BATCH = 8
 
-#: Distinct-word encodings memoized per program before the cache is
-#: dropped and restarted.  A program that meets a stream of new words
-#: would otherwise keep them all: with all five match-stream patterns on
-#: the kernel, ``1 << 16`` took that workload's peak RSS to 170 MB
-#: against 41 MB at ``1 << 10``.  Each drop re-encodes the hot words
-#: once more, which costs serve-aio some throughput (``docs/kernel.md``).
+#: Distinct-word encodings memoized per program (:class:`EncodeMemo`).
+#: A program that meets a stream of new words would otherwise keep them
+#: all: with all five match-stream patterns on the kernel, ``1 << 16``
+#: took that workload's peak RSS to 170 MB against 41 MB at ``1 << 10``
+#: (``docs/kernel.md``).
 ENCODE_CACHE_LIMIT = 1 << 10
 
 #: Verdict bytes produced by a scan.
@@ -339,6 +338,46 @@ class KernelCorpus(Corpus):
         return packed
 
 
+class EncodeMemo:
+    """Word → encoding memo of at most ``ENCODE_CACHE_LIMIT`` words, in two generations.
+
+    New words go into the young generation.  When it holds half the limit
+    it becomes the old generation and the previous old one is dropped.  A
+    hit in the old generation moves the word back to the young one, so a
+    word re-used within every half-limit of new words is never evicted,
+    however many words pass through once.  It takes no lock: threads
+    racing on one program can lose an entry or overfill a generation by
+    one entry each, which costs a re-encode, never a wrong encoding.
+    """
+
+    __slots__ = ("young", "old", "half")
+
+    def __init__(self):
+        self.young: dict = {}
+        self.old: dict = {}
+        self.half = ENCODE_CACHE_LIMIT // 2
+
+    def __len__(self) -> int:
+        return len(self.young) + len(self.old)
+
+    def get(self, key):
+        """The entry memoized for *key*, or ``None``."""
+        entry = self.young.get(key)
+        if entry is None:
+            entry = self.old.pop(key, None)
+            if entry is not None:
+                self.put(key, entry)
+        return entry
+
+    def put(self, key, entry) -> None:
+        """Memoize *entry* for *key* in the young generation."""
+        young = self.young
+        if len(young) >= self.half:
+            self.old = young
+            self.young = young = {}
+        young[key] = entry
+
+
 class KernelProgram:
     """One pattern's flat scan table (see the module docstring for layout)."""
 
@@ -384,7 +423,7 @@ class KernelProgram:
         #: rebuilds inherit it (see ``CompiledRuntime.export_kernel_program``)
         #: so repeated corpora skip re-encoding across generations.  Under
         #: the GIL concurrent fills at worst duplicate work.
-        self._encode_cache: dict = {}
+        self._encode_cache = EncodeMemo()
 
     # -- corpus encoding -----------------------------------------------------------------
     def encode_corpus(self, words: "Corpus | Iterable[Sequence[str]]") -> KernelCorpus:
@@ -432,9 +471,8 @@ class KernelProgram:
                     encoded = array("H", groups)
                 else:
                     encoded = array("i", groups)
-                if len(cache) >= ENCODE_CACHE_LIMIT:
-                    cache.clear()
-                entry = cache[key] = (encoded, codes)
+                entry = (encoded, codes)
+                cache.put(key, entry)
             distinct.append(entry[0])
             raw.append(entry[1])
         _bump(corpora_encoded=1)

@@ -23,7 +23,9 @@ header + directory:
 
 Older writers also emitted ``SFTB`` (the star-free multi-matcher's
 decision tables); star-free patterns now batch on their kernel rows, so
-a reader skips that tag like any other it does not know.
+a reader skips that tag like any other it does not know, without
+reading it: a damaged section the reader would not parse rejects
+nothing.
 
 Every section carries its own CRC-32 in the directory, so corruption
 **degrades per section**: a bit flip inside one section rejects only
@@ -627,22 +629,22 @@ def _load_v2(path: str, mm: mmap.mmap) -> Snapshot:
     snapshot._mm = mm
     seen: set[bytes] = set()
     for tag, crc, offset, length in sections:
-        data = view[offset : offset + length]
         try:
             if tag in seen:
                 raise SnapshotError("malformed", f"duplicate section {tag!r}")
             seen.add(tag)
+            if tag not in (SECTION_ROWS, SECTION_MEMOS):
+                # Unknown tags are skipped unread, CRC included: a newer
+                # writer may add sections this reader does not understand
+                # yet, and an older one wrote the retired SFTB tables.
+                continue
+            data = view[offset : offset + length]
             if zlib.crc32(data) & 0xFFFFFFFF != crc:
                 raise SnapshotError("checksum", f"CRC mismatch in section {tag!r}")
             if tag == SECTION_ROWS:
                 _parse_rows(snapshot, data, expected_count=None)
-            elif tag == SECTION_MEMOS:
-                snapshot.memos = _parse_memos(data)
             else:
-                # Unknown tags are skipped: a newer writer may add
-                # sections this reader does not understand yet, and an
-                # older one wrote the retired SFTB tables.
-                continue
+                snapshot.memos = _parse_memos(data)
             snapshot.sections.append(tag.decode("ascii"))
         except SnapshotError as error:
             snapshot.section_errors.append((tag.decode("ascii", "replace"), error))

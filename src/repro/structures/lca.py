@@ -2,12 +2,18 @@
 
 Theorem 2.4 of the paper needs LCA queries in O(1) after linear-time
 preprocessing of the parse tree (citing Harel & Tarjan / Bender &
-Farach-Colton).  This module implements the Euler-tour + RMQ reduction:
+Farach-Colton).  This module implements the RMQ reduction over the
+pre-order instead of the Euler tour:
 
-* walk the tree once, recording the Euler tour (node visited every time
-  the traversal enters or returns to it) and each node's depth;
-* an LCA query becomes a range-minimum query on the depth array between
-  the first occurrences of the two nodes.
+* walk the tree once in pre-order, recording each node's depth and
+  parent;
+* for ``u`` before ``v`` in pre-order, every node after ``u`` and up to
+  ``v`` lies below ``LCA(u, v)``, and the shallowest of them are children
+  of it, so ``LCA(u, v)`` is the parent of a range-minimum of depth over
+  that range (``u`` itself when ``u`` is an ancestor of ``v``).
+
+The depth array has n entries where the Euler tour has 2n − 1, so the
+sparse table is half the size and the walk visits each node once.
 
 The structure is generic over any tree exposing ``children()`` and an
 integer ``index`` attribute (as :class:`repro.regex.parse_tree.TreeNode`
@@ -32,48 +38,46 @@ N = TypeVar("N", bound=_TreeLike)
 
 
 class LCAIndex(Generic[N]):
-    """Euler tour + sparse-table RMQ giving O(1) LCA on a fixed tree.
+    """Pre-order depths + sparse-table RMQ giving O(1) LCA on a fixed tree.
 
     ``nodes`` must contain every node of the tree and ``nodes[i].index``
     must equal ``i`` (the convention used by :class:`ParseTree`); the tree
     is rooted at ``root``.
     """
 
-    __slots__ = ("root", "_nodes", "_first_occurrence", "_tour", "_rmq")
+    __slots__ = ("root", "_nodes", "_rank", "_parent", "_rmq")
 
     def __init__(self, root: N, nodes: Sequence[N]):
         self.root = root
         self._nodes = nodes
-        tour: list[int] = []
+        #: pre-order rank per node index, and depth and parent index per rank
+        rank: list[int] = [-1] * len(nodes)
         depths: list[int] = []
-        first: list[int] = [-1] * len(nodes)
+        parents: list[int] = []
 
-        # Iterative Euler tour: each frame is (node, depth, next-child cursor).
-        stack: list[tuple[N, int, int]] = [(root, 0, 0)]
+        stack: list[tuple[N, int, int]] = [(root, 0, -1)]
         while stack:
-            node, depth, cursor = stack.pop()
-            if first[node.index] < 0:
-                first[node.index] = len(tour)
-            tour.append(node.index)
+            node, depth, parent = stack.pop()
+            rank[node.index] = len(depths)
             depths.append(depth)
-            children = node.children()
-            if cursor < len(children):
-                stack.append((node, depth, cursor + 1))
-                stack.append((children[cursor], depth + 1, 0))
+            parents.append(parent)
+            for child in reversed(node.children()):
+                stack.append((child, depth + 1, node.index))
 
-        self._tour = tour
-        self._first_occurrence = first
+        self._rank = rank
+        self._parent = parents
         self._rmq = SparseTableRMQ(depths)
 
     def lca(self, a: N, b: N) -> N:
         """Return the lowest common ancestor of *a* and *b*."""
-        ia = self._first_occurrence[a.index]
-        ib = self._first_occurrence[b.index]
+        ia = self._rank[a.index]
+        ib = self._rank[b.index]
         if ia < 0 or ib < 0:
             raise KeyError("node does not belong to the indexed tree")
-        lo, hi = (ia, ib) if ia <= ib else (ib, ia)
-        winner = self._rmq.argmin(lo, hi + 1)
-        return self._nodes[self._tour[winner]]
+        if ia == ib:
+            return a
+        lo, hi = (ia, ib) if ia < ib else (ib, ia)
+        return self._nodes[self._parent[self._rmq.argmin(lo + 1, hi + 1)]]
 
     def is_ancestor(self, ancestor: N, node: N) -> bool:
         """Reflexive ancestor test expressed through LCA (used in tests)."""
@@ -81,7 +85,7 @@ class LCAIndex(Generic[N]):
 
     def depth_of(self, node: N) -> int:
         """Depth of *node* (root has depth 0)."""
-        return self._rmq.values[self._first_occurrence[node.index]]
+        return self._rmq.values[self._rank[node.index]]
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -1,12 +1,12 @@
 """Sparse-table range minimum queries.
 
-The constant-time LCA structure of Bender & Farach-Colton reduces LCA to
-range-minimum queries over the Euler tour of the tree.  This module
-provides the classic sparse table: ``O(n log n)`` preprocessing and
+The constant-time LCA structure (:mod:`repro.structures.lca`) reduces LCA
+to range-minimum queries over the depths of the tree's nodes.  This
+module provides the classic sparse table: ``O(n log n)`` preprocessing and
 ``O(1)`` per query.  (The paper's bound only needs linear preprocessing;
 the ``n log n`` table is the standard practical choice and is what the
 benchmarks measure.  A strictly linear variant would use the ±1 block
-decomposition; the API would be identical.)
+decomposition over the Euler tour; the API would be identical.)
 """
 
 from __future__ import annotations
@@ -26,25 +26,19 @@ class SparseTableRMQ:
     def __init__(self, values: Sequence[int]):
         if len(values) == 0:
             raise ValueError("RMQ requires a non-empty array")
-        self.values = list(values)
-        n = len(self.values)
+        self.values = values = list(values)
+        n = len(values)
         # _log[i] = floor(log2(i)) for 1 <= i <= n
-        log = [0] * (n + 1)
-        for i in range(2, n + 1):
-            log[i] = log[i >> 1] + 1
-        self._log = log
-        levels = log[n] + 1
+        self._log = [0] + [i.bit_length() - 1 for i in range(1, n + 1)]
         table: list[list[int]] = [list(range(n))]
-        for level in range(1, levels):
-            span = 1 << level
-            half = span >> 1
-            previous = table[level - 1]
-            row = []
-            for start in range(n - span + 1):
-                left = previous[start]
-                right = previous[start + half]
-                row.append(left if self.values[left] <= self.values[right] else right)
-            table.append(row)
+        for level in range(1, self._log[n] + 1):
+            # Row ``level`` covers spans of 2**level: pair each span's two
+            # halves from the row below (ties keep the left, i.e. leftmost, index).
+            previous = table[-1]
+            table.append([
+                left if values[left] <= values[right] else right
+                for left, right in zip(previous, previous[1 << (level - 1):])
+            ])
         self._table = table
 
     def argmin(self, lo: int, hi: int) -> int:

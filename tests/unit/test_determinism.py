@@ -103,6 +103,49 @@ class TestReports:
         assert checker.is_deterministic()
 
 
+def _pinned(report):
+    conflict = report.conflict
+    source = conflict.source.position_index if conflict.source is not None else None
+    return (
+        report.reason,
+        conflict.symbol,
+        conflict.first.position_index,
+        conflict.second.position_index,
+        source,
+    )
+
+
+class TestPinnedConflicts:
+    """One expression per rule, with the reason and conflict positions it reports."""
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("(a+a)b", ("P1", "a", 1, 2, 0)),
+            ("(a(aa)*)*", ("P2", "a", 1, 2, 1)),
+            ("(c(bd)?)b", ("witness-next", "b", 2, 4, 1)),
+            ("(a(ad)?)*", ("witness-first", "a", 2, 1, 1)),
+        ],
+    )
+    def test_rule_and_conflict_positions(self, text, expected):
+        assert _pinned(check_deterministic(text)) == expected
+
+    def test_overflow_rule_and_conflict_positions(self):
+        # An overflow never comes without a (P1) or (P2) violation, which
+        # the checker reports first; dropping those reaches its branch.
+        checker = DeterminismChecker(build_parse_tree("((aa*)*a)"))
+        diagnostics = checker.skeletons.diagnostics
+        assert _pinned(checker.report()) == ("P1", "a", 1, 3, 0)
+        assert [
+            [p.position_index for p in overflow.candidates]
+            for overflow in diagnostics.next_overflows
+        ] == [[3, 1, 2], [3, 1, 2]]
+        checker = DeterminismChecker(build_parse_tree("((aa*)*a)"))
+        checker.skeletons.diagnostics.p1_violations.clear()
+        checker.skeletons.diagnostics.p2_violations.clear()
+        assert _pinned(checker.report()) == ("overflow", "a", 3, 1, 0)
+
+
 class TestAgainstGlushkovBaseline:
     def test_agreement_on_random_expressions(self, rng):
         from repro.regex.generators import random_expression

@@ -191,6 +191,17 @@ class TestProgramCache:
         rebuilt = runtime.export_kernel_program()
         assert rebuilt._encode_cache is first._encode_cache
 
+    def test_encode_memo_keeps_a_reused_word_among_fresh_ones(self):
+        program = _runtime("(ab)*").export_kernel_program()
+        hot = tuple("abab")
+        encoded = program.encode_corpus([hot]).distinct[0]
+        fresh = 3 * kernel.ENCODE_CACHE_LIMIT
+        for start in range(0, fresh, 100):
+            batch = [("a", f"x{index}") for index in range(start, start + 100)]
+            corpus = program.encode_corpus(batch + [hot])
+            assert corpus.distinct[-1] is encoded
+            assert len(program._encode_cache) <= kernel.ENCODE_CACHE_LIMIT
+
     def test_adopting_rows_already_held_keeps_the_program(self):
         runtime = _runtime("(ab+b(b?)a)*")
         for word in WORDS:

@@ -185,7 +185,7 @@ class TestRouteMatchesExecution:
 
 
 class TestSharedFollowIndex:
-    """One ``FollowIndex`` (Euler tour plus RMQ) per parse tree, whatever runs."""
+    """One ``FollowIndex`` (pre-order depths plus RMQ) per parse tree, whatever runs."""
 
     @pytest.fixture
     def lca_builds(self, monkeypatch):

@@ -1,7 +1,15 @@
 """Unit tests for colors, witnesses, a-skeleta and BuildNext (Section 3.1)."""
 
+import sys
+import threading
+import time
+
+from repro.core.determinism import check_deterministic
 from repro.core.follow import FollowIndex
 from repro.core.skeleton import SkeletonIndex
+from repro.matching.lca_matcher import LowestColoredAncestorMatcher
+from repro.regex.ast import concat, sym
+from repro.regex.generators import mixed_content
 from repro.regex.language import LanguageOracle
 from repro.regex.parse_tree import NodeKind, build_parse_tree
 
@@ -200,3 +208,105 @@ class TestFirstPosAndNext:
         for _ in range(30):
             tree = build_parse_tree(random_deterministic_expression(rng, rng.randint(1, 8)))
             assert SkeletonIndex(tree).diagnostics.clean
+
+
+class TestOnDemandSkeleta:
+    """Only symbols with two or more positions get their skeleton eagerly."""
+
+    def test_single_occurrence_models_build_no_skeleton_and_no_lca_index(self):
+        flat = concat(*[sym(f"a{index}") for index in range(1, 2001)])
+        for expr in (flat, mixed_content(2000)):
+            tree = build_parse_tree(expr)
+            assert SkeletonIndex(tree)._skeletons == {}
+            assert check_deterministic(tree).deterministic
+            assert tree._follow is None
+
+    def test_large_model_builds_exactly_its_repeated_skeleta(self):
+        tree = build_parse_tree(LARGE_MODEL, dialect="named")
+        skeletons = SkeletonIndex(tree)
+        assert set(skeletons._skeletons) == {f"a{index}" for index in range(70)}
+        assert check_deterministic(tree).deterministic
+
+    def test_forcing_every_skeleton_matches_the_eager_ones(self):
+        tree = build_parse_tree(LARGE_MODEL, dialect="named")
+        skeletons = SkeletonIndex(tree)
+        forced = skeletons.skeletons
+        assert set(forced) == set(tree.alphabet) | {tree.end.symbol}
+        assert skeletons.skeleton_for("x0") is forced["x0"]
+        assert skeletons.skeleton_for("missing") is None
+
+    def test_threads_force_a_pending_skeleton_once(self, monkeypatch):
+        builds = []
+        build_symbol = SkeletonIndex._build_symbol
+
+        def slow_build(self, symbol):
+            builds.append(symbol)
+            time.sleep(0.01)  # widen the window in which a second build could start
+            build_symbol(self, symbol)
+
+        monkeypatch.setattr(SkeletonIndex, "_build_symbol", slow_build)
+        tree = build_parse_tree(LARGE_MODEL, dialect="named")
+        matcher = LowestColoredAncestorMatcher(tree)
+        builds.clear()
+        oracle = LanguageOracle(tree)
+        # x0 follows nothing: reading it again asks x0's skeleton for
+        # FirstPos and Next after its witness fails to follow.
+        words = [["x0", "x0"], ["x0", "a0", "y0", "a0", "x1", "a1", "a1"], ["x0", "a0", "a0"]]
+        barrier = threading.Barrier(2, timeout=10)
+        results = []
+
+        def run():
+            barrier.wait()
+            results.append([matcher.accepts(word) for word in words])
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert results[0] == results[1] == [oracle.accepts(word) for word in words]
+        assert builds.count("x0") == 1
+        assert len(builds) == len(set(builds))
+
+    def test_many_threads_force_every_pending_skeleton_once(self, monkeypatch):
+        builds = []
+        build_symbol = SkeletonIndex._build_symbol
+
+        def counted_build(self, symbol):
+            builds.append(symbol)
+            build_symbol(self, symbol)
+
+        monkeypatch.setattr(SkeletonIndex, "_build_symbol", counted_build)
+        tree = build_parse_tree(LARGE_MODEL, dialect="named")
+        skeletons = SkeletonIndex(tree)
+        eager = list(builds)
+        symbols = sorted(skeletons._pending)
+        workers = 8
+        barrier = threading.Barrier(workers, timeout=10)
+        seen = []
+
+        def run(offset):
+            barrier.wait()
+            order = symbols[offset:] + symbols[:offset]
+            seen.append({symbol: skeletons.skeleton_for(symbol) for symbol in order})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(index * len(symbols) // workers,))
+                for index in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == workers
+        assert sorted(builds[len(eager):]) == symbols
+        assert all(view == seen[0] for view in seen)
+        assert all(skeleton is not None for skeleton in seen[0].values())
+        assert set(skeletons.skeletons) == set(symbols) | set(eager)

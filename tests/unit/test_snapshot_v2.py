@@ -345,6 +345,27 @@ class TestRetiredStarFreeTables:
         repro.load_snapshot(str(SFTB_FIXTURE))
         assert repro.stats()["snapshot"]["snapshot_rejected"] == before
 
+    def test_a_damaged_sftb_section_is_skipped_before_its_crc(self, tmp_path):
+        section = next(
+            s for s in snapshot_format.describe_file(SFTB_FIXTURE)["sections"]
+            if s["tag"] == "SFTB"
+        )
+        blob = bytearray(SFTB_FIXTURE.read_bytes())
+        blob[section["offset"] + section["length"] // 2] ^= 0x20
+        path = tmp_path / "damaged-sftb.snapshot"
+        path.write_bytes(bytes(blob))
+        loaded = snapshot_format.load(path)
+        assert loaded.sections == ["ROWS", "MEMO"]
+        assert loaded.section_errors == []
+        report = repro.load_snapshot(str(path))
+        assert report["rejected"] == 0 and report["errors"] == [], report
+        assert report["rows_loaded"] > 0 and report["memo_entries_loaded"] > 0
+        pattern = repro.compile(STAR_FREE_EXPR)
+        assert pattern.stats()["adopted_rows"] == report["rows_loaded"]
+        oracle = LanguageOracle(pattern.tree)
+        expected = [oracle.accepts(list(word)) for word in STAR_FREE_WORDS]
+        assert pattern.match_all(STAR_FREE_WORDS) == expected
+
     def test_resaving_a_legacy_load_drops_the_section(self, tmp_path):
         repro.load_snapshot(str(SFTB_FIXTURE))
         path = tmp_path / "resaved.snapshot"
