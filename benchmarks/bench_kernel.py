@@ -2,19 +2,22 @@
 
 The compiled runtime already answers repeated matching with one dict/array
 probe per symbol, but its drivers re-enter the interpreter for every
-symbol of every word.  The kernel (:mod:`repro.matching.kernel`) flattens
-the runtime's rows into one premultiplied table, dedups the corpus, and
-strides each *distinct* word through the table — so a repeated-match
-stream (the Li et al. workload: few distinct child sequences, matched
-millions of times) collapses to a handful of branch-free scans plus an
-index fan-out.  This module tracks that gap:
+symbol of every word.  The kernel (:mod:`repro.matching.kernel`) reads the
+parse tree's follow relation into one premultiplied table, dedups the
+corpus, and strides each *distinct* word through the table — so a
+repeated-match stream (the Li et al. workload: few distinct child
+sequences, matched millions of times) collapses to a handful of
+branch-free scans plus an index fan-out.  This module tracks that gap:
 
 * pytest-benchmark timings of the per-word loop, the pure-Python kernel
   and (when the shared object is present) the native kernel;
-* a verdict-equivalence check, cold (fallback replays included) and warm;
+* a verdict-equivalence check, on a fresh runtime and on a warm one;
 * the throughput gate of the kernel's existence: on the repeated-match
   corpora the **pure-Python** kernel must beat the per-word loop ≥ 10×,
-  so the speedup never silently depends on a C compiler being around.
+  so the speedup never silently depends on a C compiler being around;
+* the build gate of the follow-relation rows: nested stars, whose Last
+  chains are long, must build their stride-1 program in at most 3× the
+  time of a flat union of the same table size.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ import pytest
 
 from repro.matching import CompiledRuntime, build_matcher
 from repro.matching import kernel
+from repro.regex.ast import Concat, Optional, Star, Sym
+from repro.regex.generators import mixed_content
+from repro.regex.parse_tree import build_parse_tree
 
 from .workloads import repeated_match_corpus
 
@@ -48,7 +54,7 @@ def _warm_runtime(tree, stream) -> CompiledRuntime:
     runtime.match_many(stream)
     program = runtime.export_kernel_program()
     assert program is not None, "bench corpora must fit a kernel table"
-    kernel.match_corpus(runtime, program, program.encode_corpus(stream))
+    kernel.match_corpus(program, program.encode_corpus(stream))
     return runtime
 
 
@@ -59,8 +65,7 @@ def _match_per_word(runtime, stream) -> list[bool]:
 
 
 def _match_kernel(runtime, stream) -> list[bool]:
-    verdicts, _, _ = kernel.match_words(runtime, stream)
-    return verdicts
+    return kernel.match_words(runtime, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -100,26 +105,23 @@ def test_kernel_native(benchmark, name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_kernel_verdicts_identical():
-    """Cold and warm kernel passes must agree with the per-word loop."""
+    """Kernel passes on a fresh and on a warm runtime must agree with the per-word loop."""
     for name, tree, stream in repeated_match_corpus():
         runtime = CompiledRuntime(build_matcher(tree, verify=False))
         reference = _match_per_word(runtime, stream)
 
-        # Cold: a fresh runtime's program is all MISS edges; every verdict
-        # comes from the fallback replay — which fills the rows.
-        cold_runtime = CompiledRuntime(build_matcher(tree, verify=False))
-        cold = _match_kernel(cold_runtime, stream)
-        assert cold == reference, f"{name}: cold kernel diverged"
+        # Fresh: the runtime has no row yet, but its program is complete
+        # (read off the parse tree), so every verdict comes from the scan
+        # and no row is filled.
+        fresh_runtime = CompiledRuntime(build_matcher(tree, verify=False))
+        fresh = _match_kernel(fresh_runtime, stream)
+        assert fresh == reference, f"{name}: fresh kernel diverged"
+        assert fresh_runtime.misses == 0, f"{name}: the kernel filled runtime rows"
 
-        # Warm: the rebuilt program answers everything without fallback.
-        program = cold_runtime.export_kernel_program()
-        corpus = program.encode_corpus(stream)
-        verdicts, kernel_words, fallback_words = kernel.match_corpus(
-            cold_runtime, program, corpus
-        )
+        # Warm: the runtime the reference filled, through match_corpus.
+        program = runtime.export_kernel_program()
+        verdicts = kernel.match_corpus(program, program.encode_corpus(stream))
         assert verdicts == reference, f"{name}: warm kernel diverged"
-        assert fallback_words == 0, f"{name}: warm corpus still falls back"
-        assert kernel_words == len(stream)
 
 
 def _best_of(rounds: int, work) -> float:
@@ -162,3 +164,34 @@ def test_kernel_speedup_at_least_10x(monkeypatch):
 
     speedup = per_word_total / kernel_total
     assert speedup >= 10.0, f"kernel only {speedup:.2f}x over the per-word loop"
+
+
+def _nested_stars(depth: int):
+    """``E_i = (a_i? E_{i-1} b_i?)*``: every Last chain climbs through all enclosing stars."""
+    expr = None
+    for level in range(1, depth + 1):
+        body = Optional(Sym(f"a{level}"))
+        if expr is not None:
+            body = Concat(body, expr)
+        expr = Star(Concat(body, Optional(Sym(f"b{level}"))))
+    return expr
+
+
+def test_nested_star_build_within_3x_of_a_flat_union():
+    """The follow-relation rows stay linear in the stride-1 table.
+
+    Nested stars at depth 200 (402 states, 400 symbols) and
+    ``mixed_content(400)`` (402 states, 400 symbols) have stride-1 tables
+    of one size.  Row by row along the Last chains, the nested stars
+    build in about 1.4× the union's time; relinking each
+    Last(left) × First(right) pair at every enclosing star read about
+    20×.  Best of 3 on each side.
+    """
+    nested = build_parse_tree(_nested_stars(200))
+    flat = build_parse_tree(mixed_content(400))
+    assert len(nested.positions) == len(flat.positions)
+    assert len(nested.alphabet) == len(flat.alphabet)
+    nested_s = _best_of(3, lambda: kernel.build_program(nested, max_stride=1))
+    flat_s = _best_of(3, lambda: kernel.build_program(flat, max_stride=1))
+    ratio = nested_s / flat_s
+    assert ratio <= 3.0, f"nested stars built in {ratio:.2f}x the flat union's time"

@@ -1,8 +1,8 @@
 """Experiment E9 — micro-benchmarks of the algorithmic substrates.
 
 These pin the per-operation costs the matching bounds rely on: O(1) LCA
-queries after linear preprocessing, O(1) lazy-array operations with
-constant-time reset, and O(log log U) van Emde Boas predecessor queries.
+queries after linear preprocessing and O(log log U) van Emde Boas
+predecessor queries.
 Expected shape: per-operation cost independent of (or barely growing with)
 the structure size.
 """
@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from repro.structures.lazy_array import LazyArray
 from repro.structures.lca import LCAIndex
 from repro.structures.veb import VanEmdeBoasTree
 
@@ -35,25 +34,6 @@ def test_lca_preprocessing(benchmark, factors):
     tree = chare_tree(factors)
     index = benchmark(lambda: LCAIndex(tree.root, tree.nodes))
     assert len(index) == len(tree.nodes)
-
-
-@pytest.mark.parametrize("size", [1 << 10, 1 << 14])
-def test_lazy_array_operations(benchmark, size):
-    generator = random.Random(SEED)
-    keys = [generator.randrange(size) for _ in range(QUERIES)]
-
-    def run():
-        array = LazyArray(size)
-        hits = 0
-        for index, key in enumerate(keys):
-            array[key] = index
-            if array[(key + 1) % size] is not None:
-                hits += 1
-            if index % 1000 == 999:
-                array.reset()
-        return hits
-
-    assert benchmark(run) >= 0
 
 
 @pytest.mark.parametrize("universe", [1 << 10, 1 << 16])

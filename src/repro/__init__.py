@@ -5,8 +5,8 @@ Expressions in Linear Time* (PODS 2012): the linear-time determinism test,
 constant-time follow queries, and the four matching algorithms for
 deterministic expressions, together with the XML validation application
 layer, the classical Glushkov/Thompson baselines and the algorithmic
-substrates (LCA, lazy arrays, van Emde Boas trees, lowest colored
-ancestors) everything is built on.
+substrates (LCA, van Emde Boas trees, lowest colored ancestors)
+everything is built on.
 
 Quick start::
 

@@ -34,9 +34,10 @@ matcher is lowered on the fly into integer transition rows
 (:class:`~repro.matching.runtime.CompiledRuntime`), so repeated matching
 against one pattern costs two array/dict probes per symbol instead of a
 structure query — hot rows even densify into C-level arrays.
-``Pattern.match_all`` runs whole corpora through the batch kernel on top
-of those rows (:mod:`repro.matching.kernel`: one flat premultiplied scan
-table, dedup-encoded words, several symbols per table probe), and
+``Pattern.match_all`` runs whole corpora through the batch kernel
+(:mod:`repro.matching.kernel`: one flat premultiplied scan table read
+off the parse tree, dedup-encoded words, several symbols per table
+probe), and
 :func:`compile` keeps an ``re``-style LRU cache so schema workloads that
 re-compile the same few content models millions of times (the Li et al.
 observation) hit a warm pattern:
@@ -289,18 +290,16 @@ class Pattern:
         each distinct word is parsed, encoded and answered once; the batch
         then runs whatever route the pattern's :attr:`plan` owns.
         Every compiled pattern, star-free ones included, runs through the
-        batch kernel (:mod:`repro.matching.kernel`): the runtime's rows
-        are flattened into one premultiplied scan table and each distinct
-        word is a branch-free stride over that table.  A batch over a
-        runtime with no rows yet replays instead of building a table it
-        would only miss in.  The next batch completes the reachable
-        machine once, so one program answers that batch and every later
-        one without a fallback word.  Runtimes whose matcher is still
-        deferred behind snapshot rows stay lazy: words crossing
-        not-yet-materialized state replay per-word through the compiled
-        runtime — filling those rows, so repeated corpora converge to the
-        all-kernel path.  Tiny batches (and machines too large for a
-        kernel table) keep the per-word replay driver.  :meth:`describe`
+        batch kernel (:mod:`repro.matching.kernel`): the parse tree's
+        follow relation becomes one complete, premultiplied scan table,
+        and each distinct word is a branch-free stride over that table.
+        A batch over a runtime that has matched nothing yet replays per
+        word instead of building a table for a pattern that may never see
+        a second batch.  From the next batch on, the pattern's one
+        program answers every word, and batches write no runtime row;
+        a snapshot-adopted pattern gets its program without building its
+        matcher.  Tiny batches (and machines too large for a kernel
+        table) keep the per-word replay driver.  :meth:`describe`
         reports which path a pattern takes under ``"batch_path"``.  With
         ``compiled=False`` this falls back to the direct path — the
         uncompiled matcher per word — which keeps the per-symbol structure
@@ -309,10 +308,10 @@ class Pattern:
         *detail* selects the result shape: ``"verdict"`` (default) keeps
         the historical ``list[bool]`` and the untraced kernel hot path;
         ``"full"`` returns one :class:`~repro.diagnostics.MatchResult`
-        per word — kernel fallback (byte-2) words route their replay
-        through a :class:`~repro.diagnostics.TraceRecorder`, so the
-        witness they were paying for anyway is kept, and every other
-        word diagnoses lazily on field access.  A word that is neither a
+        per word — the words of a cold batch route their replay through
+        a :class:`~repro.diagnostics.TraceRecorder`, so the witness they
+        were paying for anyway is kept, and every other word diagnoses
+        lazily on field access.  A word that is neither a
         string nor a sequence raises :class:`~repro.errors.InvalidWordError`.
         """
         if detail not in ("verdict", "full"):
@@ -363,7 +362,7 @@ class Pattern:
         ``"batch_path"`` is the :attr:`plan`'s stable route name — the
         route :meth:`match_all` actually takes, not a reconstruction:
         ``"compiled-kernel"`` (dedup-encoded corpus strided over the flat
-        kernel table, per-word replay as the convergence fallback),
+        kernel table, per-word replay for a cold runtime's batch),
         ``"star-free-multi"`` (the same kernel batches, named for the
         star-free class Theorem 4.12 covers), ``"compiled-runtime"``
         (per-word replay only — the machine is too large for a kernel
@@ -404,11 +403,11 @@ class Pattern:
         """Lazy-DFA materialization stats, or ``None`` before any matching.
 
         On top of :meth:`CompiledRuntime.stats` (which includes
-        ``kernel_programs``, the flat tables compiled from the rows), the
+        ``kernel_programs``, the flat tables built for the pattern), the
         pattern adds its own batch-kernel traffic split:
         ``kernel_words`` answered by table scans versus
-        ``kernel_fallback_words`` that replayed per-word while the rows
-        were still materializing.  Process-wide telemetry (compile cache,
+        ``kernel_fallback_words``, the words of cold batches, which
+        replayed per word.  Process-wide telemetry (compile cache,
         snapshots, kernel counters) lives in the module-level
         :func:`stats` namespace.
         """

@@ -491,14 +491,14 @@ def load_snapshot(path: str) -> dict:
     in ``repro.stats()["snapshot"]`` under ``snapshot_rejected`` and
     matching simply proceeds with the normal lazy rebuild of that piece.
     Adopted rows keep the underlying mapping alive for as long as they
-    are referenced; the snapshot object itself is not retained.  Returns
-    ``{"path", "format", "patterns_loaded", "rows_loaded",
-    "kernel_ready_loaded", "tables_loaded", "table_entries_loaded",
-    "memos_loaded", "memo_entries_loaded", "rejected", "errors"}``;
-    ``kernel_ready_loaded`` counts entries that adopted the *whole*
-    machine, whose first batch call therefore exports a zero-fallback
-    kernel program without ever building a matcher.  ``tables_loaded``
-    and ``table_entries_loaded`` counted the retired star-free tables and
+    are referenced; the snapshot object itself is not retained.  They
+    serve single words, streams, validators and cold batches; kernel
+    programs come off the parse tree, so every adopted pattern's first
+    warm batch gets a complete program while its matcher stays deferred.
+    Returns ``{"path", "format", "patterns_loaded", "rows_loaded",
+    "tables_loaded", "table_entries_loaded", "memos_loaded",
+    "memo_entries_loaded", "rejected", "errors"}``; ``tables_loaded`` and
+    ``table_entries_loaded`` counted the retired star-free tables and
     read 0.
     """
     from .matching import snapshot as snapshot_format
@@ -512,7 +512,6 @@ def load_snapshot(path: str) -> dict:
         "format": None,
         "patterns_loaded": 0,
         "rows_loaded": 0,
-        "kernel_ready_loaded": 0,
         "tables_loaded": 0,
         "table_entries_loaded": 0,
         "memos_loaded": 0,
@@ -557,10 +556,6 @@ def load_snapshot(path: str) -> dict:
             pattern = resolve(entry.meta, entry.fingerprint)
             result["rows_loaded"] += pattern.runtime.adopt_rows(entry.accepts, entry.rows())
             result["patterns_loaded"] += 1
-            if entry.kernel_ready:
-                # the whole machine adopted: the first batch call exports
-                # a zero-fallback kernel program with the matcher deferred
-                result["kernel_ready_loaded"] += 1
         except (SnapshotError, ReproError, KeyError, TypeError, ValueError) as error:
             reject(error)
     for memo_entry in snapshot.memos:

@@ -28,8 +28,6 @@ branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 from ..regex.ast import Regex
 from ..regex.parse_tree import ParseTree, TreeNode, build_parse_tree
 from .follow import FollowIndex
@@ -68,7 +66,7 @@ class DeterminismReport:
     """Outcome of a determinism check."""
 
     deterministic: bool
-    #: which rule fired: "P1", "P2", "overflow", "witness-next", "witness-first"
+    #: which rule fired: "P1", "P2", "witness-next", "witness-first"
     reason: str | None = None
     conflict: DeterminismConflict | None = None
 
@@ -120,6 +118,26 @@ class DeterminismChecker:
 
     # -- the test ---------------------------------------------------------------------
     def _check(self) -> DeterminismReport:
+        """(P1), then (P2), then CheckNode on the colored nodes of repeated symbols.
+
+        ``BuildNext``'s overflow record (``SkeletonDiagnostics.next_overflows``)
+        decides nothing here, because it never comes alone.  An overflow at
+        a skeleton node ``n`` holds three or more a-candidates, so two of
+        them lie on one side of ``n``:
+
+        * two from outside ``n``: those are ``Next(n, a)``, which breaks
+          (P2) at ``n``;
+        * two from inside ``n``: each is ``FirstPos`` of ``n`` or of an
+          enclosing iteration, so both are in ``First(n)`` (Lemma 2.3).
+          Two a-positions ``p``, ``q`` in ``First(n)`` share their
+          ``pSupFirst`` node: both nodes are ancestors of ``n``, and were
+          ``pSupFirst(q)`` strictly below ``pSupFirst(p)``, ``p`` would be
+          in First of the parent of ``pSupFirst(q)``, which a SupFirst node
+          shuts its whole subtree out of.  That breaks (P1).
+
+        The cut to two candidates after an overflow only keeps
+        ``BuildNext`` linear.
+        """
         diagnostics = self.skeletons.diagnostics
 
         if diagnostics.p1_violations:
@@ -136,13 +154,6 @@ class DeterminismChecker:
             source = self._common_predecessor(first, second)
             conflict = DeterminismConflict(violation.symbol, first, second, source)
             return DeterminismReport(False, "P2", conflict)
-
-        if diagnostics.next_overflows:
-            violation = diagnostics.next_overflows[0]
-            first, second = self._pick_conflicting_pair(violation.candidates)
-            source = self._common_predecessor(first, second)
-            conflict = DeterminismConflict(violation.symbol, first, second, source)
-            return DeterminismReport(False, "overflow", conflict)
 
         # CheckNode (Algorithm 2) on every colored node whose color repeats:
         # with one a-position, Witness, FirstPos and Next cannot differ.
@@ -205,14 +216,6 @@ class DeterminismChecker:
         while not current.is_position:
             current = current.right if current.right is not None else current.left
         return current
-
-    def _pick_conflicting_pair(self, candidates: Sequence[TreeNode]) -> tuple[TreeNode, TreeNode]:
-        """Pick two candidates that genuinely share a predecessor, if possible."""
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                if self._common_predecessor(candidates[i], candidates[j]) is not None:
-                    return candidates[i], candidates[j]
-        return candidates[0], candidates[1]
 
     def _common_predecessor(self, first: TreeNode, second: TreeNode) -> TreeNode | None:
         """Find a position followed by both *first* and *second* (brute force).

@@ -29,8 +29,9 @@ and all skeleta together cost O(|e|) (up to sorting each skeleton's nodes in
 pre-order).
 
 **Eager and on-demand skeleta.**  Every rule that proves non-determinism
-compares two distinct a-positions: (P1), (P2), the ``BuildNext`` overflow
-and both CheckNode clashes of Theorem 3.5.  A symbol with a single position
+compares two distinct a-positions: (P1), (P2) and both CheckNode clashes
+of Theorem 3.5 (a ``BuildNext`` overflow always comes with a (P1) or
+(P2) violation; see ``DeterminismChecker._check``).  A symbol with a single position
 can fire none of them, so :class:`SkeletonIndex` builds the skeleton of a
 symbol eagerly only when the symbol has two or more positions.  The
 skeleton of every other symbol (the ``$`` sentinel included) is built on its

@@ -20,9 +20,10 @@ observation into a result API:
 * :func:`diagnose` — the replay engine shared by patterns, validators
   and the lexer.
 * :class:`TraceRecorder` — a drop-in replacement for
-  ``CompiledRuntime.accepts_encoded`` used as the batch kernel's byte-2
-  replay hook: the fallback replay records the state trace it walks
-  anyway, so ``match_all(detail="full")`` reuses it as the witness.
+  ``CompiledRuntime.accepts_encoded`` used as the replay hook of cold
+  batches (``kernel.replay_words``): the replay records the state trace
+  it walks anyway, so ``match_all(detail="full")`` reuses it as the
+  witness.
 
 Expected-next exactness.  For a deterministic tree the set is read
 straight off the follow relation (:meth:`FollowIndex.next_symbols`):
@@ -428,19 +429,19 @@ def complete_from_trace(
     return _failure(engine, states[-1], symbols, states, index, reason, last_accepting)
 
 
-# -- kernel byte-2 replay hook -------------------------------------------------------------
+# -- cold-batch replay hook ----------------------------------------------------------------
 
 
 class TraceRecorder:
-    """Replay hook for the batch kernel's fallback (verdict byte 2) path.
+    """Replay hook for batches over a cold runtime.
 
     Callable exactly like ``CompiledRuntime.accepts_encoded`` — takes an
     encoded word, fills missing rows as it steps, returns the boolean
     verdict — but also records the state trace it walked, keyed by the
     word's code tuple.  ``match_all(detail="full")`` passes an instance
-    as :func:`repro.matching.kernel.match_corpus`'s ``replay`` hook so
-    fallback words get their witness for free; the kernel verdict path
-    itself is untouched.
+    as :func:`repro.matching.kernel.replay_words`'s ``replay`` hook, so
+    the words of a cold batch get their witness for free; warm batches
+    run on the kernel and diagnose lazily.
     """
 
     __slots__ = ("runtime", "traces")

@@ -5,11 +5,12 @@ expression.  The rules are joined into one union expression — determinism
 of the *union* is exactly the classical "no two rules fight over a
 prefix-extension" requirement, checked by the paper's linear-time test —
 and compiled down to a stride-1 kernel program
-(:meth:`repro.matching.runtime.CompiledRuntime.export_kernel_program`)
-whose reachable rows are materialized up front.  Scanning is then the
-maximal-munch loop of :func:`repro.matching.kernel.longest_match`: one
-premultiplied table index per character, a byte probe for "does a rule
-accept here", no per-symbol Python beyond the loop itself.
+(:meth:`repro.matching.runtime.CompiledRuntime.export_kernel_program`),
+complete by construction because it is read off the union's follow
+relation.  Scanning is then the maximal-munch loop of
+:func:`repro.matching.kernel.longest_match`: one premultiplied table
+index per character, a byte probe for "does a rule accept here", no
+per-symbol Python beyond the loop itself.
 
 Tagging uses a property of the Glushkov construction: every DFA state of
 the compiled runtime *is* a position of the marked expression, and every
@@ -142,11 +143,9 @@ class Lexer:
     def _compile(self):
         """Build the tag table over the plan's stride-1 scan program.
 
-        :meth:`ExecutionPlan.scan_program` materializes every transition
-        and acceptance verdict the scanner can reach (a breadth-first
-        sweep), so the exported program contains no ``MISS`` edges on
-        live paths and longest-match scanning needs no fallback handling
-        at all.
+        :meth:`ExecutionPlan.scan_program` returns the complete table and
+        its accepting states, so longest-match scanning needs no fallback
+        handling at all.
         """
         program, accepting = self._plan.scan_program()
         if program is None:

@@ -1,37 +1,49 @@
 """Batch matching kernel: whole corpora over flat tables, no per-symbol Python.
 
-The compiled runtime (:mod:`repro.matching.runtime`) already holds exactly
-the memory layout a tight scanner wants — interned ``array('i')`` dense
-rows over a frozen alphabet encoding — but its drivers still re-enter the
-interpreter once per symbol.  This module lowers those rows one step
-further, into a single flat *kernel program* that an entire encoded corpus
-runs through in chunks:
+The compiled runtime (:mod:`repro.matching.runtime`) answers single words
+over lazily filled integer rows, but its drivers re-enter the interpreter
+once per symbol.  This module gives a pattern one flat *kernel program* —
+its whole transition table, read off the parse tree — that an entire
+encoded corpus runs through in chunks:
 
-**Table layout.**  A program over ``S`` runtime states and alphabet width
-``W`` adds two absorbing synthetic states — ``DEAD`` (``S``, every
-rejection sink) and ``MISS`` (``S + 1``, "this transition has not been
-materialized") — and two synthetic columns: ``W`` (symbols outside the
-alphabet, which can never advance any state) and ``W + 1`` (``PAD``, an
-identity self-loop used to round words up to the stride).  With
-``WP = W + 2`` columns per state the table is conceptually
-``(S + 2) × WP``; to remove even the multiply from the inner loop it is
+**Table layout.**  A program over the ``S`` positions of the parse tree
+(the states) and alphabet width ``W`` adds one absorbing synthetic state,
+``DEAD`` (``S``, every rejection sink), and two synthetic columns: ``W``
+(symbols outside the alphabet, which can never advance any state) and
+``W + 1`` (``PAD``, an identity self-loop used to round words up to the
+stride).  With ``WP = W + 2`` columns per state the table is conceptually
+``(S + 1) × WP``; to remove even the multiply from the inner loop it is
 stored *premultiplied*: entry values are ``target_state * span`` where
 ``span = WP ** stride``, so the whole scan of a word is::
 
     off = start_offset            # start_state * span
     for g in groups:              # g encodes `stride` symbols in base WP
         off = table[off + g]
-    verdict = accepts[off]        # 0 reject, 1 accept, 2 kernel-miss
+    verdict = accepts[off]        # 0 reject, 1 accept
+
+**Programs from the follow relation.**  :func:`build_program` reads
+every row off the parse tree, so each program is complete by
+construction: it needs neither the runtime's rows nor a Section-4
+matcher.  By Lemma 2.3, ``p ∈ Last(n)`` exactly for the nodes ``n`` on
+``p``'s *Last chain*, from ``p`` up to ``pSupLast(p)``; by Lemma 2.2,
+``Follow(p)`` is then the union of ``C(n)`` over that chain, where
+``C(n)`` is First of the right sibling when ``n`` is the left child of a
+concatenation, plus ``First(n)`` when ``n`` is a star or a plus.  So one
+pre-order pass computes ``F(n) = C(n) ∪ F(parent(n))`` (``F(n) = C(n)``
+at a SupLast node, where the chain stops), one ``|Σ|``-wide row per node
+that adds anything, and ``Follow(p) = F(p)``: ``O(|e|·|Σ|)`` in all,
+linear in the stride-1 table.  ``$ ∈ Follow(p)`` iff ``pSupLast(p)`` is
+the left child of the root, which gives the accept bytes.
 
 **Striding.**  Because ``PAD`` is an identity column, tables compose:
 ``T²[s][c₁·WP + c₂] = T[T[s][c₁]][c₂]`` handles two symbols per Python-level
 loop iteration, ``T³`` three.  The builder picks the largest stride whose
 composed table stays within :data:`TABLE_LIMIT` entries, and corpora are
 group-encoded once to match (``bytes`` when a group fits a byte,
-``array('H')``/``array('i')`` otherwise).  Both absorbing states survive
-composition, so the loop body has **no branch at all** — dead and
-not-yet-materialized paths simply keep striding through their absorbing
-rows, and the verdict byte at the final offset says which case happened.
+``array('H')``/``array('i')`` otherwise).  ``DEAD`` survives composition,
+so the loop body has **no branch at all** — a dead path simply keeps
+striding through its absorbing row, and the verdict byte at the final
+offset says whether the word is in the language.
 
 **Repeated-match corpora.**  A batch arrives as a :class:`Corpus`, built
 once by ``Pattern.match_all``: each distinct word is encoded and scanned
@@ -40,20 +52,13 @@ schema corpora re-match the same few child sequences millions of times
 (the Li et al. observation the benchmarks model), which a per-word driver
 cannot exploit but a corpus-level kernel gets for free.
 
-**Fallback semantics.**  A verdict byte of 2 means the scan crossed a
-transition the runtime has not materialized (or ended in a state whose
-acceptance is unresolved).  Those words replay through
-``CompiledRuntime.accepts_encoded``, which *fills* the missing rows and
-bumps the runtime's generation, so the next
-:meth:`CompiledRuntime.export_kernel_program` rebuilds the program over
-the larger row set.  ``Pattern.match_all`` avoids that churn for every
-machine the kernel can tabulate: before the first program it completes
-the warm runtime's reachable machine once (``CompiledRuntime.complete``),
-so no word falls back and one program serves every later batch.  Direct
-callers of :func:`match_words`, and runtimes whose matcher is still
-deferred behind snapshot rows, converge by rebuilding.  Kernel scans
-never mutate the runtime, so ``transitions_memoized == misses`` (the
-invariant the runtime tests pin) is untouched.
+**Cold batches.**  A batch over a runtime that has answered nothing yet
+(``CompiledRuntime.cold``) builds no table: :func:`replay_words` answers
+it word by word through the runtime, so a pattern compiled to match one
+batch never pays for a program.  Those words are the only ones the
+``fallback_words`` counter books.  Kernel scans never touch the runtime,
+so ``transitions_memoized == misses`` (the invariant the runtime tests
+pin) is untouched.
 
 **Backends.**  :func:`KernelProgram.scan` runs the loop either in pure
 Python (the permanent oracle) or through an optional C helper
@@ -75,6 +80,8 @@ import threading
 from array import array
 from typing import Iterable, Sequence
 
+from ..regex.parse_tree import NodeKind
+
 #: Hard ceiling on flat-table entries (``int32``) per program.  The builder
 #: picks the deepest stride whose composed table fits; a machine whose
 #: *stride-1* table already exceeds the ceiling gets no program at all
@@ -91,8 +98,8 @@ TABLE_LIMIT = 1 << 21
 MAX_STRIDE = 3
 
 #: Batches smaller than this skip the kernel unless a program is already
-#: cached: building (or rebuilding) a composed table costs milliseconds,
-#: which only a real corpus amortizes.
+#: cached: building a composed table costs milliseconds, which only a
+#: real corpus amortizes.
 MIN_BATCH = 8
 
 #: Distinct-word encodings memoized per program (:class:`EncodeMemo`).
@@ -105,7 +112,6 @@ ENCODE_CACHE_LIMIT = 1 << 10
 #: Verdict bytes produced by a scan.
 VERDICT_REJECT = 0
 VERDICT_ACCEPT = 1
-VERDICT_FALLBACK = 2
 
 # -- module-wide telemetry ---------------------------------------------------------------
 
@@ -121,12 +127,12 @@ _STATS = {
 def stats() -> dict:
     """Process-wide kernel telemetry (``GET /stats`` serves this).
 
-    ``programs_built`` counts flat-table compilations (rebuilds after a
-    runtime generation bump included), ``kernel_words`` / ``fallback_words``
-    split batch traffic between words answered by the scan and words that
-    replayed through the runtime, and ``backend`` names the loop actually
-    in use right now (``requested`` preserves the ``REPRO_KERNEL`` ask
-    even when the native library is unavailable).
+    ``programs_built`` counts flat-table compilations, ``kernel_words`` /
+    ``fallback_words`` split batch traffic between words answered by the
+    scan and words of cold batches, which replayed through the runtime
+    (:func:`replay_words`), and ``backend`` names the loop actually in
+    use right now (``requested`` preserves the ``REPRO_KERNEL`` ask even
+    when the native library is unavailable).
     """
     with _STATS_LOCK:
         snapshot: dict = dict(_STATS)
@@ -306,18 +312,16 @@ class KernelCorpus(Corpus):
     """A :class:`Corpus` encoded for one program shape (encode once, scan many).
 
     ``distinct`` holds each distinct word group-encoded for the program's
-    stride; ``raw`` keeps the distinct words' plain symbol codes so
-    kernel-miss words can replay through the runtime.  Instances are
-    immutable after construction and safe to scan concurrently.
+    stride.  Instances are immutable after construction and safe to scan
+    concurrently.
     """
 
-    __slots__ = ("distinct", "raw", "span", "_packed")
+    __slots__ = ("distinct", "span", "_packed")
 
-    def __init__(self, corpus: Corpus, distinct: list, raw: list, span: int):
+    def __init__(self, corpus: Corpus, distinct: list, span: int):
         self.words = corpus.words
         self.index = corpus.index
         self.distinct = distinct
-        self.raw = raw
         self.span = span
         #: lazily built (flat ``array('i')``, bounds ``array('q')``) pair
         #: for the native backend; built at most once, races benign.
@@ -419,10 +423,9 @@ class KernelProgram:
         self.dead_offset = states * self.span
         self._c_table = None
         self._c_accepts = None
-        #: word tuple → (group encoding, raw codes); shape-compatible
-        #: rebuilds inherit it (see ``CompiledRuntime.export_kernel_program``)
-        #: so repeated corpora skip re-encoding across generations.  Under
-        #: the GIL concurrent fills at worst duplicate work.
+        #: word tuple → group encoding, so repeated corpora skip
+        #: re-encoding.  Under the GIL concurrent fills at worst duplicate
+        #: work.
         self._encode_cache = EncodeMemo()
 
     # -- corpus encoding -----------------------------------------------------------------
@@ -433,10 +436,7 @@ class KernelProgram:
         the frozen alphabet (unknown symbols take the dead column), the
         code list is padded to a stride multiple with the identity ``PAD``
         column and packed ``stride`` symbols per group in base ``WP``.
-        The returned corpus stays valid across program *rebuilds* of the
-        same runtime — stride and width are functions of the machine
-        shape, not of how much of it is materialized.  Distinct-word
-        encodings are additionally memoized on the program itself, so a
+        Distinct-word encodings are memoized on the program itself, so a
         word an earlier batch brought costs one dict probe.
         """
         corpus = words if isinstance(words, Corpus) else Corpus(words)
@@ -448,15 +448,13 @@ class KernelProgram:
         pad = width + 1
         cache = self._encode_cache
         distinct: list = []
-        raw: list = []
         small = span <= 256
         medium = span <= 65536
         for word in corpus.words:
             key = tuple(word)
-            entry = cache.get(key)
-            if entry is None:
-                codes = [get(symbol, -1) for symbol in word]
-                padded = [width if code < 0 else code for code in codes]
+            encoded = cache.get(key)
+            if encoded is None:
+                padded = [get(symbol, width) for symbol in word]
                 while len(padded) % stride:
                     padded.append(pad)
                 groups = []
@@ -471,16 +469,14 @@ class KernelProgram:
                     encoded = array("H", groups)
                 else:
                     encoded = array("i", groups)
-                entry = (encoded, codes)
-                cache.put(key, entry)
-            distinct.append(entry[0])
-            raw.append(entry[1])
+                cache.put(key, encoded)
+            distinct.append(encoded)
         _bump(corpora_encoded=1)
-        return KernelCorpus(corpus, distinct, raw, span)
+        return KernelCorpus(corpus, distinct, span)
 
     # -- scanning ------------------------------------------------------------------------
     def scan(self, corpus: KernelCorpus, backend: str | None = None) -> bytearray:
-        """Verdict bytes (0/1/2) for each *distinct* word of *corpus*.
+        """Verdict bytes (0 reject, 1 accept) for each *distinct* word of *corpus*.
 
         *backend* overrides the ``REPRO_KERNEL`` selection for this call
         (the equivalence tests diff ``pure`` against ``native`` directly).
@@ -539,7 +535,7 @@ def stride_for(
     """The deepest stride whose composed table fits, or 0 when none does.
 
     A machine of *states* states over an alphabet of *width* symbols has
-    a stride-``k`` table of ``(states + 2) · (width + 2)^k`` entries.  The
+    a stride-``k`` table of ``(states + 1) · (width + 2)^k`` entries.  The
     limits default to :data:`TABLE_LIMIT` and :data:`MAX_STRIDE`, read at
     call time.
 
@@ -551,7 +547,7 @@ def stride_for(
     if max_stride is None:
         max_stride = MAX_STRIDE
     stride = 0
-    while stride < max_stride and (states + 2) * (width + 2) ** (stride + 1) <= max_entries:
+    while stride < max_stride and (states + 1) * (width + 2) ** (stride + 1) <= max_entries:
         stride += 1
     return stride
 
@@ -561,57 +557,92 @@ def eligible(tree) -> bool:
     return stride_for(len(tree.positions), len(tree.alphabet)) > 0
 
 
+def _follow_rows(tree) -> list[list[int]]:
+    """One ``|Σ|``-wide row per position: ``row[c]`` follows on symbol ``c``.
+
+    Entries are position indices, or ``S`` (the number of positions) where
+    no position follows.  First(n) comes bottom-up as a tuple of position
+    indices; in a deterministic tree it holds at most one position per
+    symbol, because it lies inside some Follow(p).  Rows then go top-down
+    along the Last chains (see the module docstring): a node's row is its
+    parent's, or an empty one at a SupLast node, overwritten with the
+    positions the node adds, and a node that adds none shares its
+    parent's row.  Where a row meets two copies of one symbol (the
+    rewritten tree of a ``+``/counter model) the lowest position index
+    wins, which is the copy ``KOccurrenceMatcher.next_position`` returns;
+    since ``S`` exceeds every index, one ``<`` test both fills an empty
+    entry and keeps the lower copy.
+    """
+    nodes = tree.nodes
+    positions = tree.positions
+    none = len(positions)
+    codes = tree.alphabet.codes
+    code_of = [codes.get(position.symbol, -1) for position in positions]  # sentinels: -1
+    first: list[tuple[int, ...]] = [()] * len(nodes)
+    for node in reversed(nodes):  # children before parents
+        kind = node.kind
+        if kind is NodeKind.SYMBOL:
+            first[node.index] = (node.position_index,)
+        elif kind is NodeKind.CONCAT:
+            left = first[node.left.index]
+            first[node.index] = left + first[node.right.index] if node.left.nullable else left
+        elif kind is NodeKind.UNION:
+            first[node.index] = first[node.left.index] + first[node.right.index]
+        else:  # star, plus, optional: the child's First
+            first[node.index] = first[node.left.index]
+
+    empty = [none] * len(codes)
+    rows: list[list[int]] = [empty] * none
+    stack = [(tree.root, empty)]
+    while stack:
+        node, row = stack.pop()
+        added = first[node.index] if node.is_iteration else ()
+        parent = node.parent
+        if parent is not None and parent.kind is NodeKind.CONCAT and node is parent.left:
+            added += first[parent.right.index]
+        if node.sup_last:
+            row = empty
+        if added:
+            row = row[:]
+            for position in added:
+                code = code_of[position]
+                if code >= 0 and position < row[code]:
+                    row[code] = position
+        if node.left is None:
+            rows[node.position_index] = row
+        else:
+            stack.append((node.left, row))
+            if node.right is not None:
+                stack.append((node.right, row))
+    return rows
+
+
 def build_program(
-    runtime,
+    tree,
     max_entries: int | None = None,
     max_stride: int | None = None,
 ) -> KernelProgram | None:
-    """Flatten *runtime*'s current rows into a :class:`KernelProgram`.
+    """The complete :class:`KernelProgram` of *tree*'s position automaton.
 
-    Never mutates the runtime: unmaterialized transitions become edges
-    into the absorbing ``MISS`` state and unresolved acceptance verdicts
-    become fallback bytes, so a program built over a half-warm machine is
-    still verdict-exact — it just sends more words to the fallback path.
-    Adopted (snapshot) rows are read exactly like locally densified ones,
-    which is what hands snapshot-preloaded processes a complete kernel
-    program without a single matcher delegation.  The stride is
+    Rows come from :func:`_follow_rows` and accept bytes from the
+    ``pSupLast`` pointers, so the program reads nothing but the tree: no
+    runtime row and no Section-4 matcher.  The stride is
     :func:`stride_for` of the machine's shape; returns ``None`` when even
     the stride-1 table would exceed *max_entries*.
     """
-    width = runtime._width
-    states = len(runtime._positions)
+    positions = tree.positions
+    states = len(positions)
+    width = len(tree.alphabet)
     stride = stride_for(states, width, max_entries, max_stride)
     if not stride:
         return None
     wp = width + 2
     dead = states
-    miss = states + 1
-    synthetic = states + 2
+    synthetic = states + 1
 
-    rows = runtime._rows
-    base: list[list[int]] = []
-    for state in range(states):
-        row = rows[state]
-        if row is None:
-            entries = [miss] * width
-        elif type(row) is dict:
-            entries = []
-            get = row.get
-            for code in range(width):
-                target = get(code)
-                if target is None:
-                    entries.append(miss)
-                elif target < 0:
-                    entries.append(dead)
-                else:
-                    entries.append(target)
-        else:  # dense array or adopted memoryview: complete by construction
-            entries = [dead if target < 0 else target for target in row]
-        entries.append(dead)  # unknown-symbol column
-        entries.append(state)  # PAD column: identity self-loop
-        base.append(entries)
+    # The unknown-symbol column, then the PAD column: an identity self-loop.
+    base = [row + [dead, state] for state, row in enumerate(_follow_rows(tree))]
     base.append([dead] * wp)  # DEAD: absorbing, PAD included
-    base.append([miss] * wp)  # MISS: absorbing, PAD included
 
     # Compose T^k rows by concatenation: T²[s] is, for each first symbol c,
     # the whole T¹ row of T¹[s][c] — extend() copies at C speed, so deeper
@@ -630,21 +661,19 @@ def build_program(
     span = wp**stride
     table = array("i", [target * span for entries in composed for target in entries])
     accepts = bytearray(synthetic * span)
-    known = runtime._accepts
-    for state in range(states):
-        verdict = known[state]
-        accepts[state * span] = VERDICT_FALLBACK if verdict < 0 else verdict
-    accepts[miss * span] = VERDICT_FALLBACK
-    # the DEAD offset keeps its zero byte: a dead scan is a certain reject
+    final = tree.root.left  # $ follows p iff pSupLast(p) is the root's left child
+    for position in positions:
+        if position.p_sup_last is final:
+            accepts[position.position_index * span] = VERDICT_ACCEPT
 
     program = KernelProgram(
         table,
         accepts,
-        runtime._codes,
+        tree.alphabet.codes,
         width,
         stride,
         states,
-        runtime._start_state,
+        tree.start.position_index,
     )
     _bump(programs_built=1)
     return program
@@ -653,46 +682,26 @@ def build_program(
 # -- batch driver ------------------------------------------------------------------------
 
 
-def match_corpus(runtime, program: KernelProgram, corpus: KernelCorpus, replay=None):
-    """Run *corpus* through *program*; returns ``(verdicts, kernel, fallback)``.
+def match_corpus(program: KernelProgram, corpus: KernelCorpus) -> list[bool]:
+    """Run *corpus* through *program*: one verdict per corpus word.
 
-    ``verdicts`` is one bool per corpus word (original order and
-    multiplicity).  Words whose scan crossed unmaterialized state replay
-    through ``runtime.accepts_encoded`` — filling the missing rows, so
-    repeated corpora converge to the all-kernel path — and are counted in
-    ``fallback`` (by corpus multiplicity; ``kernel`` counts the rest).
-
-    *replay* substitutes the fallback driver: any callable taking an
-    encoded word and returning the boolean verdict.  The diagnostics
-    layer passes a :class:`repro.diagnostics.TraceRecorder` here so
-    byte-2 words route through the tracing path and their witnesses come
-    out of the replay they were paying for anyway; the default (and the
-    kernel verdict path) is unchanged.
+    Verdicts come in the corpus's original order and multiplicity, and
+    every word is booked as a kernel word.
     """
-    raw_verdicts = program.scan(corpus)
-    resolved: list[bool] = []
-    accepts_encoded = runtime.accepts_encoded if replay is None else replay
-    for slot, verdict in enumerate(raw_verdicts):
-        if verdict == VERDICT_FALLBACK:
-            resolved.append(accepts_encoded(corpus.raw[slot]))
-        else:
-            resolved.append(verdict == VERDICT_ACCEPT)
-    verdicts = corpus.fan_out(resolved)
-    fallback = 0
-    if VERDICT_FALLBACK in raw_verdicts:
-        fallback = corpus.fan_out(raw_verdicts).count(VERDICT_FALLBACK)
-    kernel_count = len(corpus) - fallback
-    _bump(kernel_words=kernel_count, fallback_words=fallback)
-    return verdicts, kernel_count, fallback
+    verdicts = corpus.fan_out([verdict == VERDICT_ACCEPT for verdict in program.scan(corpus)])
+    _bump(kernel_words=len(corpus))
+    return verdicts
 
 
 def replay_words(runtime, corpus: Corpus, replay=None) -> list[bool]:
     """Answer a batch by per-word replay alone, each distinct word once.
 
-    The batch path for a cold runtime (see ``CompiledRuntime.cold``): a
-    table built before any row exists would send every word to fallback,
-    so the words go straight to the fallback driver — *replay*, as in
-    :func:`match_corpus` — and are all counted as fallback words.
+    The batch path for a cold runtime (see ``CompiledRuntime.cold``): the
+    words replay through *replay* — any callable taking an encoded word
+    and returning the boolean verdict, ``runtime.accepts_encoded`` by
+    default — and are all counted as fallback words.  The diagnostics
+    layer passes a :class:`repro.diagnostics.TraceRecorder` here, so a
+    cold ``detail="full"`` batch keeps the traces its replays walk.
     """
     accepts_encoded = runtime.accepts_encoded if replay is None else replay
     encode = runtime.encode
@@ -701,19 +710,17 @@ def replay_words(runtime, corpus: Corpus, replay=None) -> list[bool]:
     return verdicts
 
 
-def match_words(runtime, words: "Corpus | Sequence[Sequence[str]]", replay=None):
-    """One-call batch driver: program export, corpus encode, scan, fallback.
+def match_words(runtime, words: "Corpus | Sequence[Sequence[str]]") -> list[bool] | None:
+    """One-call batch driver: program export, corpus encode, scan.
 
-    Returns ``(verdicts, kernel_words, fallback_words)`` or ``None`` when
-    the runtime's machine exceeds :data:`TABLE_LIMIT` (callers keep their
-    per-word driver for that case).  *replay* is forwarded to
-    :func:`match_corpus`.
+    Returns one verdict per word, or ``None`` when the runtime's machine
+    exceeds :data:`TABLE_LIMIT` (callers keep their per-word driver for
+    that case).
     """
     program = runtime.export_kernel_program()
     if program is None:
         return None
-    corpus = program.encode_corpus(words)
-    return match_corpus(runtime, program, corpus, replay=replay)
+    return match_corpus(program, program.encode_corpus(words))
 
 
 # -- tagged longest-match scanning (the Lexer workload) ----------------------------------
@@ -729,10 +736,9 @@ def longest_match(
 
     *tags* is an offset-indexed byte table (``tag + 1`` at accepting
     offsets, 0 elsewhere) built by :class:`repro.lexer.Lexer` over a
-    stride-1 program whose reachable rows are fully materialized, so the
-    scan needs no miss handling: it strides the same premultiplied table
-    as the batch path, remembers the last accepting boundary, and stops
-    at the absorbing DEAD offset.  ``end`` is the exclusive end of the
+    stride-1 program: it strides the same premultiplied table as the
+    batch path, remembers the last accepting boundary, and stops at the
+    absorbing DEAD offset.  ``end`` is the exclusive end of the
     longest token (``-1`` when no rule accepts any prefix) and ``tag``
     the winning rule's ``tag + 1``.
     """

@@ -23,9 +23,7 @@ algorithm follows the paper closely:
 The paper stores ``h`` in lazy arrays; we use per-head hash maps, the
 practical choice the paper itself names: ``h`` is filled once per
 expression and never reset, so the lazy array's constant-time reset buys
-nothing here.  :class:`~repro.structures.lazy_array.LazyArray` implements
-the paper's structure, but no matcher uses it; only its own tests and
-``benchmarks/bench_structures.py`` do.
+nothing here.
 """
 
 from __future__ import annotations

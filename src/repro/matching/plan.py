@@ -41,16 +41,16 @@ The four built-in routes (and their unchanged wire names):
     ``"compiled-kernel"`` does; the route keeps its own wire name so
     ``describe()["batch_path"]`` is unchanged.  The Theorem 4.12
     multi-word matcher (:mod:`repro.matching.star_free`) answers the same
-    verdicts in one scan of the positions, but a completed kernel table
-    answers a warm batch with one table step per symbol group, so the
+    verdicts in one scan of the positions, but a kernel table answers a
+    warm batch with one table step per symbol group, so the
     multi-matcher stays a reproduction of the theorem, not a serving
     engine.
 ``"compiled-kernel"``
-    The runtime's dense rows flatten into one premultiplied kernel table
-    (:mod:`repro.matching.kernel`); batches stride over it branch-free.
-    A warm machine is completed once, so its one program never misses;
-    per-word replay stays the fallback for cold runtimes and deferred
-    matchers.
+    The parse tree's follow relation becomes one complete, premultiplied
+    kernel table (:mod:`repro.matching.kernel`); batches stride over it
+    branch-free.  Only a batch over a cold runtime replays per word.
+    Single words, streams and child sequences run on the runtime's
+    memoized rows.
 ``"compiled-runtime"``
     Per-word replay over the memoized lazy-DFA rows — the terminal
     compiled fallback for machines too large for a kernel table.
@@ -133,12 +133,11 @@ class ExecutionPlan:
     def scan_program(self):
         """The stride-1 kernel program for longest-match scanning.
 
-        Materializes the whole reachable machine once
-        (:meth:`CompiledRuntime.complete`, which also lists its accepting
-        states), then exports (and caches) the flat table.  Returns
-        ``(program, accepting_states)``; ``program`` is ``None`` when the
-        machine exceeds the kernel table ceiling.  Only compiled plans
-        support scanning.
+        Exports (and caches) the flat table and reads its accepting
+        states off the accept bytes.  Returns ``(program,
+        accepting_states)``; ``program`` is ``None`` when the machine
+        exceeds the kernel table ceiling.  Only compiled plans support
+        scanning.
         """
         raise NotImplementedError(f"route {self.route!r} does not support scan programs")
 
@@ -203,9 +202,8 @@ class CompiledPlan(ExecutionPlan):
 
     Single matches replay the memoized lazy-DFA rows; batches attempt the
     kernel scan (building a composed table costs milliseconds, so tiny
-    batches only take it when a program is already cached; a warm machine
-    is completed once first, so one program serves every later batch)
-    and fall back to per-word replay; child sequences go through the
+    batches only take it when a program is already cached, and a cold
+    runtime's batch replays per word); child sequences go through the
     pattern's acceptance memo.  Subclasses only change the route name.
     """
 
@@ -242,48 +240,34 @@ class CompiledPlan(ExecutionPlan):
         Kernel passes book the pattern's kernel traffic split.  Building a
         composed table costs milliseconds; tiny batches only route through
         the kernel when a program is already cached.  A batch over a
-        *cold* runtime builds no table either — every scan would miss on
-        its first symbol — so its distinct words replay through *replay*
-        (filling the rows the next batch's program is built over) and
-        every batch word is booked as a fallback word.
-
-        A warm runtime is completed once before its first program,
-        whatever the stride the kernel tabulates it at: afterwards no word
-        misses, so that one program serves every later batch instead of
-        being rebuilt after each batch that fills a row.  One completion
-        costs about one composed-table build on a strided machine; on a
-        dense stride-1 machine (a wide union) it costs what some twenty
-        cheap stride-1 builds do, which a pattern that keeps meeting new
-        words pays back.  A runtime whose matcher is still deferred
-        (snapshot-adopted rows) is not completed until a fallback replay
-        has built the matcher, and a machine too large for any table
-        (stride 0) replays per word.
+        *cold* runtime builds no table either: a pattern compiled for one
+        batch (every schema-compile op) would pay for a table it uses
+        once.  Its distinct words replay through *replay* and every batch
+        word is booked as a fallback word.  Any other batch runs on the
+        pattern's one program, which is complete, so no word falls back;
+        a machine too large for any table (stride 0) replays per word.
         """
         runtime = self.runtime
         if len(corpus) >= kernel.MIN_BATCH or runtime._kernel_programs:
-            stride = kernel.stride_for(len(runtime.tree.positions), len(runtime.alphabet))
-            if runtime.cold and stride:
+            if runtime.cold and kernel.eligible(runtime.tree):
                 verdicts = kernel.replay_words(runtime, corpus, replay=replay)
                 self.pattern._record_kernel_traffic(0, len(corpus))
                 return verdicts
-            matcher_built = runtime._matcher_obj is not None
-            if stride and matcher_built and runtime._reachable_accepting is None:
-                runtime.complete()
-            result = kernel.match_words(runtime, corpus, replay=replay)
-            if result is not None:
-                verdicts, kernel_words, fallback_words = result
-                self.pattern._record_kernel_traffic(kernel_words, fallback_words)
+            verdicts = kernel.match_words(runtime, corpus)
+            if verdicts is not None:
+                self.pattern._record_kernel_traffic(len(corpus), 0)
                 return verdicts
         return corpus.fan_out(runtime.match_many(corpus.words))
 
     def _match_all_full(self, corpus: "kernel.Corpus"):
         """The ``detail="full"`` batch path: one lazy MatchResult per distinct word.
 
-        Kernel batches route their byte-2 fallback words through a
+        A cold batch replays its words through a
         :class:`~repro.diagnostics.TraceRecorder`, so the traces those
         replays walk anyway seed the results and no prefix is walked
-        twice.  Repeats of a word share its result, as on the direct
-        plan.  Every compiled route, star-free included, takes this path.
+        twice; kernel verdicts diagnose lazily on field access.  Repeats
+        of a word share its result, as on the direct plan.  Every
+        compiled route, star-free included, takes this path.
         """
         from .. import diagnostics
 
@@ -321,9 +305,13 @@ class CompiledPlan(ExecutionPlan):
     def scan_program(self):
         scan = self._scan
         if scan is None:
-            runtime = self.runtime
-            accepting = runtime.complete()
-            program = runtime.export_kernel_program(max_stride=1)
+            program = self.runtime.export_kernel_program(max_stride=1)
+            accepting = []
+            if program is not None:
+                accepts = program.accepts
+                accepting = [
+                    state for state in range(program.states) if accepts[state * program.span]
+                ]
             scan = self._scan = (program, accepting)
         return scan
 
@@ -346,7 +334,7 @@ class CompiledPlan(ExecutionPlan):
 
 
 class KernelPlan(CompiledPlan):
-    """Kernel-table batching over the dense rows (per-word replay fallback)."""
+    """Kernel-table batching over the follow relation (cold batches replay)."""
 
     route = "compiled-kernel"
 
@@ -364,9 +352,11 @@ class StarFreePlan(KernelPlan):
 class RuntimePlan(CompiledPlan):
     """Per-word replay on the memoized rows — the terminal compiled fallback.
 
-    The machine is too large for a kernel table; batch calls still probe
-    :func:`kernel.match_words` (which answers ``None`` without a program)
-    so a pattern whose rows later become table-eligible needs no re-plan.
+    The machine is too large for a kernel table.  Eligibility depends
+    only on the tree's shape — its positions and alphabet width — so no
+    amount of traffic changes the route.  Batch calls still probe
+    :func:`kernel.match_words`, which answers ``None`` before building
+    anything.
     """
 
     route = "compiled-runtime"

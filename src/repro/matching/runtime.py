@@ -36,6 +36,12 @@ deterministic, memoization can never change a verdict: the runtime and the
 wrapped matcher agree on every word by construction (the property tests
 check this against every registered strategy).
 
+The runtime is the engine for single words, streams, validator child
+sequences and a pattern's first (cold) batch.  Warm batches run on a
+kernel program (:meth:`CompiledRuntime.export_kernel_program`), the whole
+table read off the parse tree's follow relation, so batch traffic writes
+no row here.
+
 **Concurrency contract** (the ``repro.service`` thread pool relies on it):
 warm reads are lock-free — stepping through an already-memoized transition
 touches only a list index plus a dict/array probe, with no lock in the
@@ -206,10 +212,8 @@ class CompiledRuntime:
         "misses",
         "row_dedups",
         "_adopted_rows",
-        "_generation",
         "_kernel_programs",
         "kernel_programs_built",
-        "_reachable_accepting",
     )
 
     def __init__(
@@ -249,17 +253,10 @@ class CompiledRuntime:
         self.row_dedups = 0
         #: rows installed from a persisted snapshot (mmap-backed views)
         self._adopted_rows = 0
-        #: bumped on every mutation of rows or acceptance verdicts; kernel
-        #: programs are cached against it so a stale flat table is rebuilt
-        #: on the next batch call (see :meth:`export_kernel_program`)
-        self._generation = 0
-        #: per-stride cache of ``(generation, KernelProgram)`` pairs
-        self._kernel_programs: dict[int, tuple[int, object]] = {}
+        #: per-stride cache of kernel programs (see :meth:`export_kernel_program`)
+        self._kernel_programs: dict[int, object] = {}
         #: kernel programs compiled for this runtime (telemetry)
         self.kernel_programs_built = 0
-        #: accepting states of the reachable machine once :meth:`complete`
-        #: has materialized it; ``None`` while the machine is still lazy
-        self._reachable_accepting: list[int] | None = None
 
     @property
     def matcher(self) -> DeterministicMatcher:
@@ -314,7 +311,6 @@ class CompiledRuntime:
                 target = row[code] = self._miss(state, code)
                 if len(row) >= self._densify_at:
                     self._densify(state, row)
-                self._generation += 1
             return target
 
     def _densify(self, state: int, row: dict[int, int]) -> None:
@@ -342,7 +338,6 @@ class CompiledRuntime:
             else:
                 self.row_dedups += 1
         self._rows[state] = dense
-        self._generation += 1
 
     def step(self, state: int, code: int) -> int:
         """One memoized transition; returns :data:`DEAD` (< 0) on rejection."""
@@ -367,38 +362,7 @@ class CompiledRuntime:
                 if verdict < 0:
                     accepted = self.tree.follow.accepts_at(self._positions[state])
                     verdict = self._accepts[state] = 1 if accepted else 0
-                    self._generation += 1
         return verdict == 1
-
-    def complete(self) -> list[int]:
-        """Materialize the whole reachable machine once; returns its accepting states.
-
-        Walks every symbol code from every state reachable from the start
-        state through :meth:`step`, so each missing transition is filled
-        (and counted) exactly as a word would fill it, and resolves the
-        acceptance verdict of every state it reaches.  Afterwards no word
-        can miss: a kernel program built over the rows never falls back
-        and the generation stops moving.  The walk runs once; later calls
-        return the same list.  Unreachable states stay unmaterialized.
-        """
-        accepting = self._reachable_accepting
-        if accepting is None:
-            width = self._width
-            step = self.step
-            accepting = []
-            seen = {self._start_state}
-            queue = [self._start_state]
-            while queue:
-                state = queue.pop()
-                if self.state_accepts(state):
-                    accepting.append(state)
-                for code in range(width):
-                    target = step(state, code)
-                    if target >= 0 and target not in seen:
-                        seen.add(target)
-                        queue.append(target)
-            self._reachable_accepting = accepting
-        return accepting
 
     # -- whole-word drivers ----------------------------------------------------------
     def accepts_encoded(self, codes: Iterable[int]) -> bool:
@@ -486,7 +450,6 @@ class CompiledRuntime:
                         verdict = 1 if accepts_at(self._positions[state]) else 0
                         self._accepts[state] = verdict
                         accepts[state] = verdict
-                        self._generation += 1
         return {
             "accepts": bytes(accepts),
             "rows": rows,
@@ -508,10 +471,9 @@ class CompiledRuntime:
 
         Rows are installed as-is (typically mmap-backed memoryviews, so
         forked workers share the pages) but only into states this runtime
-        has never visited; locally exercised rows always win.  The
-        generation moves only when a row or an acceptance verdict was
-        installed, so re-adopting rows the runtime already holds keeps its
-        cached kernel programs.
+        has never visited; locally exercised rows always win.  Kernel
+        programs never read them (they come off the tree), so adoption
+        leaves cached programs alone.
         """
         position_count = len(self._positions)
         width = self._width
@@ -542,7 +504,6 @@ class CompiledRuntime:
                 bad = sorted(set(accepts) - {0, 1, 0xFF})[0]
                 raise SnapshotError("malformed", f"invalid acceptance byte {bad}")
         adopted = 0
-        resolved = 0
         with self._lock:
             for state, row in rows.items():
                 if self._rows[state] is None:
@@ -553,59 +514,44 @@ class CompiledRuntime:
                 for state, value in enumerate(accepts):
                     if value != 0xFF and self._accepts[state] < 0:
                         self._accepts[state] = value
-                        resolved += 1
-            if adopted or resolved:
-                self._generation += 1
         return adopted
 
     # -- kernel export -------------------------------------------------------------------
     def export_kernel_program(self, max_entries: int | None = None, max_stride: int | None = None):
-        """The flat batch-scan table over this runtime's current rows.
+        """This pattern's flat batch-scan table, built once per stride.
 
-        Programs (see :mod:`repro.matching.kernel`) are cached per
-        requested stride against :attr:`_generation`, which every row
-        fill, densification, acceptance resolution and installing
-        snapshot adoption bumps — so a cached program is exactly as warm
-        as the machine, and a call after new row fills rebuilds it over
-        the larger row set.  After :meth:`complete` no word fills a row,
-        so one program serves every later call.  Building only *reads*
-        rows (missing transitions become fallback edges), so exporting
-        never delegates to the wrapped matcher: a snapshot-preloaded
-        runtime with adopted rows yields a complete kernel program while
-        its matcher stays deferred.
+        Programs (see :mod:`repro.matching.kernel`) come off the parse
+        tree's follow relation, complete by construction, so they read
+        none of this runtime's rows and never delegate to the wrapped
+        matcher: a snapshot-preloaded runtime gets its program while its
+        matcher stays deferred.  Each requested stride is built once and
+        cached.
 
         Returns ``None`` when the machine cannot fit *max_entries* table
         slots (callers then keep the per-word driver).  Two threads
-        racing on a cold cache may both build; both programs are correct
-        and the last store wins — the cache is an optimization, not a
-        correctness gate.
+        racing on a cold cache may both build; both programs are equal
+        and the last store wins.
         """
-        from .kernel import MAX_STRIDE, build_program
+        from . import kernel
 
         if max_stride is None:
-            max_stride = MAX_STRIDE
-        generation = self._generation
-        cached = self._kernel_programs.get(max_stride)
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        program = build_program(self, max_entries, max_stride)
+            max_stride = kernel.MAX_STRIDE
+        program = self._kernel_programs.get(max_stride)
         if program is None:
-            return None
-        if cached is not None and cached[1].stride == program.stride:
-            # group encoding depends only on the machine shape, which a
-            # generation bump never changes: the rebuilt program inherits
-            # the superseded program's memoized word encodings
-            program._encode_cache = cached[1]._encode_cache
-        self._kernel_programs[max_stride] = (generation, program)
-        self.kernel_programs_built += 1
+            program = kernel.build_program(self.tree, max_entries, max_stride)
+            if program is None:
+                return None
+            self._kernel_programs[max_stride] = program
+            self.kernel_programs_built += 1
         return program
 
     @property
     def cold(self) -> bool:
         """True while the start row is unmaterialized and no kernel program is cached.
 
-        A kernel table built now would send every word whose first symbol
-        is in the alphabet to fallback; batch callers replay instead.
+        Nothing has matched on this runtime yet; batch callers replay
+        instead of building a table for a pattern that may never see a
+        second batch.
         """
         return self._rows[self._start_state] is None and not self._kernel_programs
 
@@ -639,9 +585,10 @@ class CompiledRuntime:
         matcher — adopted rows were exercised by some earlier process, so
         they are excluded and ``transitions_memoized == misses`` remains
         the invariant the unit tests pin down.  ``kernel_programs`` counts
-        flat batch-scan tables compiled from these rows
-        (:meth:`export_kernel_program`); kernel scans only read rows, so
-        they never perturb the other counters.
+        the flat batch-scan tables built for this pattern
+        (:meth:`export_kernel_program`); they come off the parse tree and
+        kernel scans touch no row, so batches on the kernel never perturb
+        the other counters.
         """
         visited = 0
         transitions = 0

@@ -190,26 +190,6 @@ class SnapshotEntry:
     def row_count(self) -> int:
         return len(self._row_refs)
 
-    @property
-    def kernel_ready(self) -> bool:
-        """True when adopting this entry materializes the *whole* machine.
-
-        Every state has a persisted row and every acceptance byte is
-        resolved, so a runtime adopting the entry can export a batch
-        kernel program (``CompiledRuntime.export_kernel_program``) with
-        zero fallback edges — and without ever building its matcher: the
-        flat scan table is assembled straight from the snapshot's
-        interned row pool.  Partial entries still adopt fine; their first
-        batch calls just send unseen words through the per-word fallback
-        until the remaining rows fill.
-        """
-        states = self.meta.get("positions", 0)
-        return (
-            len(self._row_refs) == states
-            and len(self.accepts) == states
-            and 0xFF not in self.accepts
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class MemoEntry:

@@ -49,7 +49,7 @@ class Alphabet:
     """An ordered set of symbols with dense integer codes.
 
     Several algorithms (the Glushkov baseline, the lowest colored ancestor
-    structure, lazy arrays) want symbols as small integers.  ``Alphabet``
+    structure, the kernel tables) want symbols as small integers.  ``Alphabet``
     assigns codes in first-seen order and supports lookups in both
     directions.
 

@@ -1,4 +1,4 @@
-"""Algorithmic substrates: LCA, RMQ, lazy arrays, vEB trees, colored ancestors.
+"""Algorithmic substrates: LCA, RMQ, vEB trees, colored ancestors.
 
 These data structures are the building blocks the paper's linear-time
 algorithms rely on; they are implemented from scratch (no external
@@ -7,7 +7,6 @@ dependencies) and tested independently of the regular-expression layers.
 
 from .colored_ancestor import ColoredAncestorIndex
 from .heavy_path import HeavyPathDecomposition
-from .lazy_array import LazyArray
 from .lca import LCAIndex
 from .rmq import SparseTableRMQ
 from .veb import VanEmdeBoasTree
@@ -16,7 +15,6 @@ __all__ = [
     "ColoredAncestorIndex",
     "HeavyPathDecomposition",
     "LCAIndex",
-    "LazyArray",
     "SparseTableRMQ",
     "VanEmdeBoasTree",
 ]

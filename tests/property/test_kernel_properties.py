@@ -1,12 +1,16 @@
 """Property tests: the batch kernel agrees with the compiled runtime.
 
-The kernel (:mod:`repro.matching.kernel`) may never change an accept/reject
-verdict: for any deterministic expression and any corpus — member words,
-mutated near-members, random noise, words with out-of-alphabet symbols —
-``match_words`` must agree with per-word ``accepts_encoded`` replay, at any
-warmth level (cold all-fallback programs, mid-corpus densification, rows
-adopted from a snapshot export) and through either scan backend.  One level
-up, ``Pattern.match_all`` — which dedups each batch once into a
+A kernel program (:mod:`repro.matching.kernel`) is read off the parse
+tree's follow relation, so its rows must be exactly the runtime's: for
+any deterministic expression, ``+``/counter models on the k-occurrence
+fallback included, every (state, symbol) entry and every accept byte of
+``build_program(tree)`` equals what the runtime's ``step`` walk gives,
+through either scan backend.  The kernel may never change an
+accept/reject verdict: for any corpus — member words, mutated
+near-members, random noise, words with out-of-alphabet symbols —
+``match_words`` must agree with per-word ``accepts_encoded`` replay, on
+fresh, warm and snapshot-adopted runtimes alike.  One level up,
+``Pattern.match_all`` — which dedups each batch once into a
 :class:`~repro.matching.kernel.Corpus` — must agree with per-word
 ``Pattern.match`` on every planner route.  Star-free batches run on the
 kernel too, so the Theorem 4.12 multi-matcher, which no route reaches,
@@ -20,14 +24,12 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-import pytest
-
 import repro
 from repro.matching import CompiledRuntime, build_matcher
 from repro.matching import kernel
-from repro.matching.kernel import VERDICT_FALLBACK, match_words
+from repro.matching.kernel import match_words
 from repro.matching.star_free import StarFreeMultiMatcher
-from repro.regex.ast import Concat, Star, Sym
+from repro.regex.ast import Concat, Repeat, Star, Sym
 from repro.regex.generators import (
     random_deterministic_expression,
     random_expression,
@@ -43,6 +45,10 @@ def _workload(seed: int, leaf_count: int):
     rng = random.Random(seed)
     expr = random_deterministic_expression(rng, leaf_count)
     tree = build_parse_tree(expr)
+    return tree, _corpus(expr, tree, rng)
+
+
+def _corpus(expr, tree, rng: random.Random) -> list[tuple[str, ...]]:
     alphabet = tree.alphabet.as_list() or ["a"]
     pool: list[tuple[str, ...]] = [()]
     for _ in range(5):
@@ -54,88 +60,135 @@ def _workload(seed: int, leaf_count: int):
     pool.append(("$",))  # sentinel characters must die on every path
     pool.append((alphabet[0], "#"))
     # draw with replacement so the dedup fan-out is actually exercised
-    words = [rng.choice(pool) for _ in range(40)]
-    return tree, words
+    return [rng.choice(pool) for _ in range(40)]
 
 
 def _per_word(runtime: CompiledRuntime, words) -> list[bool]:
     return [runtime.accepts_encoded(runtime.encode(word)) for word in words]
 
 
+def _deterministic_pattern(rng: random.Random, leaf_count: int) -> repro.Pattern:
+    """A random deterministic pattern, some of them on the k-occurrence fallback.
+
+    ``random_expression`` draws ``+`` nodes, and a counter wrapped around
+    the whole expression can be deterministic under the native semantics
+    while its rewritten tree is not — the ``tree_report`` / ``report``
+    split that sends a pattern to the k-occurrence matcher.
+    """
+    for _ in range(100):
+        expr = random_expression(rng, leaf_count)
+        if rng.random() < 0.5:
+            low = rng.randint(0, 2)
+            expr = Repeat(expr, low, low + rng.randint(1, 2))
+        pattern = repro.Pattern(expr)
+        if pattern.is_deterministic:
+            return pattern
+    return repro.Pattern("(a b?){1,3}", dialect="named")
+
+
+def _step_walk(runtime: CompiledRuntime) -> tuple[list[list[int]], list[int]]:
+    """The reference table: ``step`` over every (state, symbol), ``state_accepts`` per state.
+
+    Each entry comes from the pattern's own Section-4 matcher (through
+    the runtime's lazy rows) and each verdict from the follow index, so
+    the reference shares nothing with the parse-tree walk the kernel
+    builds its rows by.
+    """
+    states = len(runtime.tree.positions)
+    width = len(runtime.alphabet)
+    rows = []
+    for state in range(states):
+        row = [runtime.step(state, code) for code in range(width)]
+        rows.append([states if target < 0 else target for target in row])
+    accepts = [1 if runtime.state_accepts(state) else 0 for state in range(states)]
+    return rows, accepts
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=9))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_follow_built_rows_equal_the_step_walk(seed: int, leaf_count: int):
+    rng = random.Random(seed)
+    pattern = _deterministic_pattern(rng, leaf_count)
+    tree = pattern.tree
+    program = kernel.build_program(tree, max_stride=1)
+    assert program is not None
+    states, width, span = program.states, program.width, program.span
+    rows, accepts = _step_walk(pattern.runtime)
+    table = program.table
+    for state in range(states):
+        offset = state * span
+        assert [target // span for target in table[offset : offset + width]] == rows[state]
+        assert table[offset + width] // span == states  # unknown symbol: DEAD
+        assert table[offset + width + 1] // span == state  # PAD: identity
+        assert program.accepts[offset] == accepts[state], state
+    dead = states * span
+    assert list(table[dead : dead + program.wp]) == [dead] * program.wp
+    assert set(program.accepts) <= {kernel.VERDICT_REJECT, kernel.VERDICT_ACCEPT}
+
+    # The strided program of the same tree, through both backends.
+    strided = kernel.build_program(tree)
+    corpus = strided.encode_corpus(_corpus(pattern.expression, tree, rng))
+    pure = strided.scan(corpus, backend="pure")
+    assert set(pure) <= {kernel.VERDICT_REJECT, kernel.VERDICT_ACCEPT}
+    assert [bool(verdict) for verdict in pure] == _per_word(pattern.runtime, corpus.words)
+    if kernel.native_library() is not None:
+        assert bytes(strided.scan(corpus, backend="native")) == bytes(pure)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))
 @settings(max_examples=60, deadline=None)
-def test_kernel_agrees_cold_and_warm(seed: int, leaf_count: int):
+def test_kernel_agrees_on_fresh_and_warm_runtimes(seed: int, leaf_count: int):
+    """A fresh runtime's program answers everything and fills no row."""
     tree, words = _workload(seed, leaf_count)
-    oracle_runtime = CompiledRuntime(build_matcher(tree, verify=False))
-    expected = _per_word(oracle_runtime, words)
+    warm = CompiledRuntime(build_matcher(tree, verify=False))
+    expected = _per_word(warm, words)
+    assert match_words(warm, words) == expected, "warm kernel diverged"
 
-    runtime = CompiledRuntime(build_matcher(tree, verify=False))
-    cold = match_words(runtime, words)
-    assert cold is not None, "workload machines must fit a kernel table"
-    assert cold[0] == expected, "cold kernel diverged"
-
-    # The cold pass replayed (and thereby filled) every missed row; the
-    # rebuilt program must answer the same corpus without any fallback.
-    warm_verdicts, _, warm_fallback = match_words(runtime, words)
-    assert warm_verdicts == expected, "warm kernel diverged"
-    assert warm_fallback == 0
+    fresh = CompiledRuntime(build_matcher(tree, verify=False))
+    assert match_words(fresh, words) == expected, "fresh kernel diverged"
+    stats = fresh.stats()
+    assert stats["misses"] == stats["states_visited"] == 0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))
 @settings(max_examples=40, deadline=None)
-def test_kernel_survives_mid_corpus_densification(seed: int, leaf_count: int):
-    """Verdicts hold when rows densify (and the generation bumps) mid-run.
+def test_row_fills_leave_the_program_alone(seed: int, leaf_count: int):
+    """Per-word replays that densify rows never rebuild or perturb the program.
 
     Forcing the densify threshold to 1 promotes every visited state to a
-    dense row on its first transition, so each fallback replay flips row
-    representations under the cached program's feet; every subsequent
-    ``match_words`` call must rebuild and still agree.
+    dense row on its first transition, so the runtime's rows change
+    representation between the batches; the program, read off the tree,
+    stays the same object and keeps agreeing.
     """
     tree, words = _workload(seed, leaf_count)
-    oracle_runtime = CompiledRuntime(build_matcher(tree, verify=False))
-    expected = _per_word(oracle_runtime, words)
-
     runtime = CompiledRuntime(build_matcher(tree, verify=False))
     runtime._densify_at = 1
+    program = runtime.export_kernel_program()
     for split in (5, len(words)):
-        verdicts, _, _ = match_words(runtime, words[:split])
-        assert verdicts == expected[:split], f"diverged after densify split {split}"
+        expected = _per_word(runtime, words[:split])
+        before = runtime.stats()
+        assert match_words(runtime, words[:split]) == expected, f"diverged at split {split}"
+        assert runtime.stats() == before
+        assert runtime.export_kernel_program() is program
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))
 @settings(max_examples=40, deadline=None)
-def test_kernel_over_adopted_rows(seed: int, leaf_count: int):
-    """Snapshot-adopted rows must scan exactly like locally filled ones."""
+def test_kernel_needs_no_matcher(seed: int, leaf_count: int):
+    """Snapshot-adopted or not, a runtime with a deferred matcher batches on the kernel."""
     tree, words = _workload(seed, leaf_count)
     donor = CompiledRuntime(build_matcher(tree, verify=False))
     expected = _per_word(donor, words)
     export = donor.export_rows(complete=True)
 
     def explode():
-        raise AssertionError("adopted rows must answer without a matcher")
+        raise AssertionError("the kernel must answer without a matcher")
 
     adopter = CompiledRuntime(tree=tree, matcher_factory=explode)
     adopter.adopt_rows(export["accepts"], export["rows"])
-    verdicts, _, fallback = match_words(adopter, words)
-    assert verdicts == expected
-    assert fallback == 0
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))
-@settings(max_examples=40, deadline=None)
-def test_pure_and_native_scans_are_byte_identical(seed: int, leaf_count: int):
-    """Both backends walk the same buffers and must emit the same bytes."""
-    if kernel.native_library() is None:
-        pytest.skip("native kernel library not built")
-    tree, words = _workload(seed, leaf_count)
-    runtime = CompiledRuntime(build_matcher(tree, verify=False))
-    _per_word(runtime, words[: len(words) // 2])  # half-warm: some rows miss
-    program = runtime.export_kernel_program()
-    corpus = program.encode_corpus(words)
-    pure = program.scan(corpus, backend="pure")
-    native = program.scan(corpus, backend="native")
-    assert bytes(pure) == bytes(native)
-    assert set(pure) <= {0, 1, VERDICT_FALLBACK}
+    assert match_words(adopter, words) == expected
+    bare = CompiledRuntime(tree=tree, matcher_factory=explode)
+    assert match_words(bare, words) == expected
 
 
 def _star_free_expression(rng: random.Random, leaf_count: int):

@@ -11,7 +11,6 @@ from repro.regex.language import LanguageOracle
 from repro.regex.parse_tree import build_parse_tree
 from repro.regex.parser import parse
 from repro.regex.printer import to_text
-from repro.structures.lazy_array import LazyArray
 from repro.structures.lca import LCAIndex
 from repro.structures.rmq import SparseTableRMQ
 from repro.structures.veb import VanEmdeBoasTree
@@ -177,35 +176,6 @@ def test_veb_predecessor_successor(values, probe):
     assert tree.predecessor(probe) == max((v for v in stored if v <= probe), default=None)
     assert tree.successor(probe) == min((v for v in stored if v >= probe), default=None)
     assert sorted(tree) == sorted(stored)
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["set", "get", "reset", "delete"]),
-            st.integers(0, 15),
-            st.integers(0, 99),
-        ),
-        max_size=80,
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_lazy_array_behaves_like_dict(operations):
-    array = LazyArray(16)
-    reference: dict[int, int] = {}
-    for action, key, value in operations:
-        if action == "set":
-            array[key] = value
-            reference[key] = value
-        elif action == "get":
-            assert array[key] == reference.get(key)
-        elif action == "delete":
-            array.delete(key)
-            reference.pop(key, None)
-        else:
-            array.reset()
-            reference.clear()
-    assert dict(array.items()) == reference
 
 
 @given(_expressions(), st.data())

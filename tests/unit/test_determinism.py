@@ -1,6 +1,9 @@
 """Unit tests for the linear-time determinism test (Theorem 3.5)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.automata.glushkov import GlushkovAutomaton
 from repro.core.determinism import DeterminismChecker, check_deterministic, is_deterministic
@@ -88,7 +91,7 @@ class TestReports:
             expr = random_expression(rng, rng.randint(1, 10))
             report = check_deterministic(expr)
             if not report.deterministic:
-                assert report.reason in {"P1", "P2", "overflow", "witness-next", "witness-first"}
+                assert report.reason in {"P1", "P2", "witness-next", "witness-first"}
                 reasons.add(report.reason)
         assert "P1" in reasons  # the most common rule should certainly appear
 
@@ -130,20 +133,33 @@ class TestPinnedConflicts:
     def test_rule_and_conflict_positions(self, text, expected):
         assert _pinned(check_deterministic(text)) == expected
 
-    def test_overflow_rule_and_conflict_positions(self):
-        # An overflow never comes without a (P1) or (P2) violation, which
-        # the checker reports first; dropping those reaches its branch.
+    def test_next_overflow_is_recorded_beside_its_p1_violation(self):
+        # BuildNext records each overflow and cuts the candidates back to
+        # two; the (P1) violation that comes with it is what the report names.
         checker = DeterminismChecker(build_parse_tree("((aa*)*a)"))
         diagnostics = checker.skeletons.diagnostics
         assert _pinned(checker.report()) == ("P1", "a", 1, 3, 0)
+        assert diagnostics.p1_violations
         assert [
             [p.position_index for p in overflow.candidates]
             for overflow in diagnostics.next_overflows
         ] == [[3, 1, 2], [3, 1, 2]]
-        checker = DeterminismChecker(build_parse_tree("((aa*)*a)"))
-        checker.skeletons.diagnostics.p1_violations.clear()
-        checker.skeletons.diagnostics.p2_violations.clear()
-        assert _pinned(checker.report()) == ("overflow", "a", 3, 1, 0)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_every_next_overflow_comes_with_a_p1_or_p2_violation(seed):
+    """``BuildNext`` never overflows on its own, so no report needs an overflow rule."""
+    from repro.regex.generators import random_expression
+
+    rng = random.Random(seed)
+    for _ in range(10):
+        expr = random_expression(rng, rng.randint(3, 7), alphabet=("a", "b"))
+        checker = DeterminismChecker(build_parse_tree(expr))
+        diagnostics = checker.skeletons.diagnostics
+        if diagnostics.next_overflows:
+            assert diagnostics.p1_violations or diagnostics.p2_violations, str(expr)
+            assert checker.report().reason in ("P1", "P2")
 
 
 class TestAgainstGlushkovBaseline:

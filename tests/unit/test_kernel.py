@@ -1,15 +1,19 @@
 """Unit tests for the batch matching kernel and its wiring.
 
-Covers the program builder (fallback edges for unmaterialized state,
-generation-keyed caching, table limits), the batch drivers (dedup fan-out,
-cold→warm convergence), the ``Pattern.match_all`` / service routing, the
-telemetry surfaces and the backend selection knob.  The compiled-vs-pure
-equivalence lives in ``tests/property/test_kernel_properties.py``.
+Covers the program builder (complete tables off the parse tree, one
+program per stride, table limits), the batch drivers (dedup fan-out, cold
+batches that replay), the ``Pattern.match_all`` / service routing, the
+telemetry surfaces and the backend selection knob.  The follow-built rows
+are diffed against the runtime's step walk here on the generator
+families and a row that meets two copies of one symbol, and on random
+expressions, with the compiled-vs-pure equivalence, in
+``tests/property/test_kernel_properties.py``.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -19,14 +23,23 @@ from repro.matching import kernel
 from repro.matching.kernel import (
     MIN_BATCH,
     VERDICT_ACCEPT,
-    VERDICT_FALLBACK,
     VERDICT_REJECT,
     build_program,
     match_corpus,
     match_words,
     reset_kernel_stats,
 )
-from repro.regex.generators import chare, mixed_content
+from repro.regex.ast import Concat, Optional, Plus, Star, Sym
+from repro.regex.generators import (
+    bounded_occurrence,
+    chare,
+    deep_alternation,
+    mixed_content,
+    numeric_particles,
+    paper_example_e0,
+    paper_example_e1,
+    star_free_chain,
+)
 from repro.regex.parse_tree import build_parse_tree
 from repro.regex.words import mutate_word, sample_member
 
@@ -53,59 +66,130 @@ def _oracle(expr: str, words) -> list[bool]:
 
 
 class TestBuildProgram:
-    def test_cold_program_sends_everything_to_fallback(self):
-        runtime = _runtime("(ab+b(b?)a)*")
-        program = build_program(runtime)
-        corpus = program.encode_corpus([tuple("abba"), tuple("ab")])
+    def test_program_from_the_tree_is_complete(self):
+        tree = build_parse_tree("(ab+b(b?)a)*")
+        program = build_program(tree)
+        corpus = program.encode_corpus([tuple(word) for word in WORDS])
         verdicts = program.scan(corpus)
-        assert set(verdicts) == {VERDICT_FALLBACK}
+        assert set(verdicts) == {VERDICT_REJECT, VERDICT_ACCEPT}
+        resolved = [verdicts[slot] == VERDICT_ACCEPT for slot in corpus.index]
+        assert resolved == _oracle("(ab+b(b?)a)*", WORDS)
+
+    def test_only_dead_is_synthetic(self):
+        tree = build_parse_tree("(ab)*")
+        program = build_program(tree, max_stride=1)
+        states = len(tree.positions)
+        assert program.states == states
+        assert len(program.table) == (states + 1) * program.wp
+        assert program.dead_offset == states * program.span
+        assert set(program.accepts) == {0, 1}
 
     def test_warm_program_answers_without_fallback(self):
+        """Rows a runtime filled per word change nothing in its program."""
         runtime = _runtime("(ab+b(b?)a)*")
         words = [tuple(word) for word in WORDS]
         for word in words:
             runtime.accepts_encoded(runtime.encode(word))
-        program = build_program(runtime)
+        program = runtime.export_kernel_program(max_stride=1)
+        fresh = build_program(build_parse_tree("(ab+b(b?)a)*"), max_stride=1)
+        assert program.table == fresh.table
+        assert program.accepts == fresh.accepts
         corpus = program.encode_corpus(words)
         verdicts = program.scan(corpus)
-        assert VERDICT_FALLBACK not in verdicts
+        assert set(verdicts) <= {VERDICT_REJECT, VERDICT_ACCEPT}
         resolved = [verdicts[slot] == VERDICT_ACCEPT for slot in corpus.index]
         assert resolved == _oracle("(ab+b(b?)a)*", WORDS)
 
     def test_unknown_symbols_reject_via_the_dead_column(self):
-        runtime = _runtime("(ab)*")
-        runtime.accepts_encoded(runtime.encode("abab"))
-        runtime.accepts_encoded(runtime.encode("ba"))
-        program = build_program(runtime)
+        program = build_program(build_parse_tree("(ab)*"))
         corpus = program.encode_corpus([tuple("abzab")])
         assert program.scan(corpus)[0] == VERDICT_REJECT
 
     def test_table_limit_returns_none(self):
         runtime = _runtime("(ab+b(b?)a)*")
-        assert build_program(runtime, max_entries=10) is None
+        assert build_program(runtime.tree, max_entries=10) is None
         assert runtime.export_kernel_program(max_entries=10) is None
 
     def test_stride_grows_until_the_limit(self):
-        runtime = _runtime("(ab)*")
-        wide = build_program(runtime)
+        tree = build_parse_tree("(ab)*")
+        wide = build_program(tree)
         assert wide.stride == kernel.MAX_STRIDE
-        narrow = build_program(runtime, max_entries=(len(runtime._positions) + 2) * 4)
+        narrow = build_program(tree, max_entries=(len(tree.positions) + 1) * 4)
         assert narrow.stride == 1
 
 
-class TestConvergence:
-    def test_cold_corpus_converges_to_all_kernel(self):
+def _nested_stars(depth: int):
+    """``E_i = (a_i? E_{i-1} b_i?)*``: every Last chain climbs through all enclosing stars."""
+    expr = None
+    for level in range(1, depth + 1):
+        body = Optional(Sym(f"a{level}"))
+        if expr is not None:
+            body = Concat(body, expr)
+        expr = Star(Concat(body, Optional(Sym(f"b{level}"))))
+    return expr
+
+
+FAMILIES = {
+    "mixed12": lambda: mixed_content(12),
+    "chare6": lambda: chare(6),
+    "star-free-chain8": lambda: star_free_chain(8),
+    "deep-alternation5": lambda: deep_alternation(5),
+    "bounded-occurrence-2x3": lambda: bounded_occurrence(2, 3),
+    "numeric-particles3": lambda: numeric_particles(3),
+    "nested-stars6": lambda: _nested_stars(6),
+    "paper-e0": paper_example_e0,
+    "paper-e1": paper_example_e1,
+    "plus": lambda: Concat(Plus(Concat(Sym("a"), Optional(Sym("b")))), Sym("c")),
+}
+
+
+class TestFollowRows:
+    """Stride-1 rows and accept bytes off the tree equal the runtime's ``step`` walk."""
+
+    @staticmethod
+    def _assert_rows_match_the_step_walk(pattern: repro.Pattern) -> kernel.KernelProgram:
+        program = build_program(pattern.tree, max_stride=1)
+        runtime = pattern.runtime
+        states, width, span = program.states, program.width, program.span
+        assert states == len(pattern.tree.positions)
+        for state in range(states):
+            offset = state * span
+            row = [target // span for target in program.table[offset : offset + width]]
+            walked = [runtime.step(state, code) for code in range(width)]
+            assert row == [states if target < 0 else target for target in walked], state
+            assert program.accepts[offset] == int(runtime.state_accepts(state)), state
+        return program
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_equal_the_step_walk(self, family):
+        pattern = repro.Pattern(FAMILIES[family]())
+        assert pattern.is_deterministic
+        self._assert_rows_match_the_step_walk(pattern)
+
+    def test_lowest_copy_wins_where_a_row_meets_two_copies(self):
+        # The rewritten tree of (a?){2,3} is a? a? a?: its start row and
+        # the row of the first a both meet several copies of a, and the
+        # k-occurrence matcher steps to the lowest-indexed one.
+        pattern = repro.Pattern("(a?){2,3}", dialect="named")
+        assert not pattern.tree_report.deterministic
+        assert pattern.report.deterministic
+        program = self._assert_rows_match_the_step_walk(pattern)
+        code, span = pattern.tree.alphabet.codes["a"], program.span
+        steps = [program.table[state * span + code] // span for state in range(4)]
+        assert steps == [1, 2, 3, program.states]  # the last a dies
+        words = ["", "a", "aa", "aaa", "aaaa"]
+        assert pattern.match_all(words * 4) == [True, True, True, True, False] * 4
+
+
+class TestDrivers:
+    def test_match_words_answers_a_fresh_runtime_on_the_kernel(self):
         runtime = _runtime("(ab+b(b?)a)*")
         words = [tuple(word) for word in WORDS]
-        verdicts, kernel_words, fallback_words = match_words(runtime, words)
-        assert verdicts == _oracle("(ab+b(b?)a)*", WORDS)
-        assert fallback_words > 0  # the cold pass replays through the runtime
-
-        # The replays filled rows; the rebuilt program answers everything.
-        verdicts, kernel_words, fallback_words = match_words(runtime, words)
-        assert verdicts == _oracle("(ab+b(b?)a)*", WORDS)
-        assert fallback_words == 0
-        assert kernel_words == len(WORDS)
+        assert match_words(runtime, words) == _oracle("(ab+b(b?)a)*", WORDS)
+        stats = runtime.stats()
+        assert stats["misses"] == stats["states_visited"] == 0  # no row filled
+        assert kernel.stats()["kernel_words"] == len(WORDS)
+        assert kernel.stats()["fallback_words"] == 0
 
     @pytest.mark.parametrize("expr", [mixed_content(12), chare(6)], ids=["mixed12", "chare6"])
     def test_warm_strided_machine_builds_one_program(self, expr):
@@ -127,8 +211,8 @@ class TestConvergence:
         assert stats["kernel_fallback_words"] == cold_fallback
         assert stats["transitions_memoized"] == stats["misses"]
 
-    def test_stride_one_machine_completes_once(self):
-        """A warm stride-1 machine is completed too: fresh words build no second program."""
+    def test_stride_one_machine_builds_one_program(self):
+        """A stride-1 machine too: fresh words build no second program."""
         expr = mixed_content(200)
         pattern = repro.compile(expr)
         states, width = len(pattern.tree.positions), len(pattern.tree.alphabet)
@@ -156,40 +240,33 @@ class TestConvergence:
         corpus = program.encode_corpus(words)
         assert len(corpus.distinct) == 2
         assert list(corpus.index) == [0, 1, 0, 0, 1]
-        verdicts, _, _ = match_corpus(runtime, program, corpus)
-        assert verdicts == [True, False, True, True, False]
+        assert match_corpus(program, corpus) == [True, False, True, True, False]
 
     def test_scan_never_mutates_the_runtime(self):
         runtime = _runtime("(ab+b(b?)a)*")
         for word in WORDS:
             runtime.accepts_encoded(runtime.encode(word))
-        misses_before = runtime.misses
-        generation_before = runtime._generation
+        stats_before = runtime.stats()
         program = runtime.export_kernel_program()
         corpus = program.encode_corpus([tuple(word) for word in WORDS])
         program.scan(corpus)
-        assert runtime.misses == misses_before
-        assert runtime._generation == generation_before
+        stats_after = runtime.stats()
+        assert stats_after.pop("kernel_programs") == stats_before.pop("kernel_programs") + 1
+        assert stats_after == stats_before
 
 
 class TestProgramCache:
-    def test_program_is_cached_per_generation(self):
-        runtime = _runtime("(ab)*")
-        first = runtime.export_kernel_program()
-        assert runtime.export_kernel_program() is first
-        runtime.accepts_encoded(runtime.encode("ab"))  # bumps the generation
-        rebuilt = runtime.export_kernel_program()
-        assert rebuilt is not first
-        assert runtime.kernel_programs_built == 2
-
-    def test_rebuild_inherits_the_encode_cache(self):
+    def test_program_is_built_once(self):
+        """Row fills leave the program, and the encodings it memoized, in place."""
         runtime = _runtime("(ab)*")
         first = runtime.export_kernel_program()
         first.encode_corpus([tuple("ab")])
-        assert first._encode_cache
-        runtime.accepts_encoded(runtime.encode("ab"))
-        rebuilt = runtime.export_kernel_program()
-        assert rebuilt._encode_cache is first._encode_cache
+        assert runtime.export_kernel_program() is first
+        runtime.accepts_encoded(runtime.encode("ab"))  # fills rows
+        runtime.accepts_encoded(runtime.encode("ba"))
+        assert runtime.export_kernel_program() is first
+        assert first._encode_cache.get(tuple("ab")) is not None
+        assert runtime.kernel_programs_built == 1
 
     def test_encode_memo_keeps_a_reused_word_among_fresh_ones(self):
         program = _runtime("(ab)*").export_kernel_program()
@@ -231,9 +308,7 @@ class TestProgramCache:
         adopter = CompiledRuntime(tree=build_parse_tree("(ab+b(b?)a)*"), matcher_factory=explode)
         adopter.adopt_rows(export["accepts"], export["rows"])
         words = [tuple(word) for word in WORDS]
-        verdicts, _, fallback_words = match_words(adopter, words)
-        assert verdicts == _oracle("(ab+b(b?)a)*", WORDS)
-        assert fallback_words == 0
+        assert match_words(adopter, words) == _oracle("(ab+b(b?)a)*", WORDS)
 
     def test_re_export_with_unresolved_verdicts_keeps_the_matcher_deferred(self):
         donor = _runtime("(ab+b(b?)a)*")
@@ -288,7 +363,7 @@ class TestPatternRouting:
         words = ["acd", "bd", "dd", "", "ad", "bcd", "acdd", "bz", "acd", "bd"]
         expected = _oracle("(a+b)(c?)d", words)
         assert pattern.match_all(words) == expected  # cold: replays
-        assert pattern.match_all(words) == expected  # warm: completes, one program
+        assert pattern.match_all(words) == expected  # warm: one program
         stats = pattern.stats()
         assert stats["kernel_programs"] == 1
         assert stats["kernel_words"] == len(words)
@@ -349,7 +424,7 @@ class TestColdBatches:
         assert stats["kernel_words"] == len(WORDS)
         assert stats["kernel_fallback_words"] == 0
 
-    def test_partial_snapshot_keeps_the_matcher_deferred(self, tmp_path):
+    def test_adopted_pattern_batches_on_the_kernel_with_its_matcher_deferred(self, tmp_path):
         warm = repro.compile("(ab+b(b?)a)*")
         for word in ["ab", "abab"]:  # leaves the b-branch of the machine cold
             warm.match(word)
@@ -358,15 +433,32 @@ class TestColdBatches:
         repro.purge()
         repro.load_snapshot(path)
         pattern = repro.compile("(ab+b(b?)a)*")
-        covered = ["", "a", "b", "aa", "ab", "abb", "abab", "ababab", "ab", "a"]
-        for _ in range(2):
-            assert pattern.match_all(covered) == _oracle("(ab+b(b?)a)*", covered)
+        # Words through the b-branch too: no adopted row covers them.
+        words = ["", "ab", "abba", "bba", "bb", "abab", "babba", "ba", "ab", "a"]
+        assert pattern.match_all(words) == _oracle("(ab+b(b?)a)*", words)
         assert pattern._matcher is None
         assert pattern.runtime._matcher_obj is None
         stats = pattern.stats()
         assert stats["kernel_programs"] == 1
+        assert stats["kernel_words"] == len(words)
         assert stats["kernel_fallback_words"] == 0
         assert stats["states_visited"] < len(pattern.tree.positions)
+
+    def test_warm_batch_writes_no_row_and_asks_no_matcher(self):
+        pattern = repro.compile("(ab+b(b?)a)*")
+        pattern.match_all(WORDS)  # cold: replays, fills rows, builds the matcher
+        before = pattern.stats()
+        words = ["babba", "bbaab", "abbaab", "aab", "abz", "bab", "ab" * 9, "ba" * 9] + WORDS
+        expected = _oracle("(ab+b(b?)a)*", words)
+        with mock.patch.object(
+            type(pattern.matcher), "next_position", side_effect=AssertionError("matcher asked")
+        ) as next_position:
+            assert pattern.match_all(words) == expected
+        assert next_position.call_count == 0
+        after = pattern.stats()
+        for key in ("transitions_memoized", "misses", "states_visited"):
+            assert after[key] == before[key], key
+        assert after["kernel_words"] == len(words)
 
 
 class TestTelemetry:
@@ -415,5 +507,4 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_KERNEL", "pure")
         runtime = _runtime("(ab)*")
         words = [tuple("ab"), tuple("ba")] * 4
-        verdicts, _, _ = match_words(runtime, words)
-        assert verdicts == [True, False] * 4
+        assert match_words(runtime, words) == [True, False] * 4

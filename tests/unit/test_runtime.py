@@ -57,19 +57,24 @@ class TestCompiledRuntime:
         stats = runtime.stats()
         assert stats["transitions_memoized"] == warm
 
-    def test_complete_materializes_the_reachable_machine_once(self):
-        runtime = _runtime("(ab+b(b?)a)*")
-        accepting = runtime.complete()
-        assert sorted(accepting) == [
-            state for state in range(len(runtime._positions)) if runtime._accepts[state] == 1
-        ]
+    def test_kernel_program_comes_off_the_tree_once(self):
+        def explode():
+            raise AssertionError("the program must not need the matcher")
+
+        runtime = CompiledRuntime(tree=build_parse_tree("(ab+b(b?)a)*"), matcher_factory=explode)
+        program = runtime.export_kernel_program()
+        assert runtime.export_kernel_program() is program
         stats = runtime.stats()
-        assert stats["transitions_memoized"] == stats["misses"] > 0
-        warm = runtime.misses
-        assert runtime.complete() is accepting
-        for word in ["", "ab", "abba", "bba", "bb", "a", "ba", "abab", "zz"]:
-            assert runtime.accepts(word) == runtime.matcher.accepts(word), word
-        assert runtime.misses == warm
+        assert stats["kernel_programs"] == 1
+        assert stats["misses"] == stats["states_visited"] == stats["transitions_memoized"] == 0
+        accepts, span = program.accepts, program.span
+        accepting = [state for state in range(program.states) if accepts[state * span]]
+        follow = runtime.tree.follow
+        assert accepting == [
+            position.position_index
+            for position in runtime.tree.positions
+            if follow.accepts_at(position)
+        ]
 
     def test_dead_transitions_are_memoized_too(self):
         runtime = _runtime("(ab)*")

@@ -1,14 +1,11 @@
-"""Unit tests for the algorithmic substrates: RMQ, LCA, lazy arrays, vEB,
-heavy paths and lowest colored ancestors."""
-
-import random
+"""Unit tests for the algorithmic substrates: RMQ, LCA, vEB, heavy paths
+and lowest colored ancestors."""
 
 import pytest
 
 from repro.regex.parse_tree import build_parse_tree
 from repro.structures.colored_ancestor import ColoredAncestorIndex
 from repro.structures.heavy_path import HeavyPathDecomposition
-from repro.structures.lazy_array import LazyArray
 from repro.structures.lca import LCAIndex
 from repro.structures.rmq import SparseTableRMQ
 from repro.structures.veb import VanEmdeBoasTree
@@ -77,87 +74,6 @@ class TestLCAIndex:
         assert not index.is_ancestor(tree.positions[1], tree.root)
         assert index.depth_of(tree.root) == 0
         assert index.depth_of(tree.positions[1]) > 0
-
-
-class TestLazyArray:
-    def test_lookup_of_unassigned_key_is_none(self):
-        array = LazyArray(10)
-        assert array.lookup(3) is None
-        assert 3 not in array
-
-    def test_assign_and_lookup(self):
-        array = LazyArray(10)
-        array.assign(3, "x")
-        assert array.lookup(3) == "x"
-        assert array[3] == "x"
-        assert 3 in array
-        assert len(array) == 1
-
-    def test_reassignment_keeps_single_active_entry(self):
-        array = LazyArray(4)
-        array[2] = "a"
-        array[2] = "b"
-        assert array[2] == "b"
-        assert len(array) == 1
-
-    def test_reset_is_constant_time_and_clears_everything(self):
-        array = LazyArray(8)
-        for key in range(8):
-            array[key] = key * key
-        array.reset()
-        assert len(array) == 0
-        assert all(array[key] is None for key in range(8))
-        array[5] = "fresh"
-        assert array[5] == "fresh"
-
-    def test_stale_memory_is_not_visible_after_reset(self):
-        array = LazyArray(4)
-        array[1] = "old"
-        array.reset()
-        # The value array still physically holds "old", but key 1 is inactive.
-        assert array[1] is None
-
-    def test_delete_single_key(self):
-        array = LazyArray(6)
-        array[1] = "x"
-        array[2] = "y"
-        array.delete(1)
-        assert array[1] is None
-        assert array[2] == "y"
-        array.delete(1)  # idempotent
-        assert len(array) == 1
-
-    def test_items_and_active_keys(self):
-        array = LazyArray(5)
-        array[4] = "d"
-        array[0] = "a"
-        assert list(array.active_keys()) == [4, 0]
-        assert dict(array.items()) == {4: "d", 0: "a"}
-
-    def test_bounds_checking(self):
-        array = LazyArray(3)
-        with pytest.raises(IndexError):
-            array.assign(3, "x")
-        with pytest.raises(IndexError):
-            array.lookup(-1)
-
-    def test_against_dict_reference(self, rng):
-        array = LazyArray(64)
-        reference: dict[int, int] = {}
-        for _ in range(2000):
-            action = rng.random()
-            key = rng.randrange(64)
-            if action < 0.5:
-                value = rng.randint(0, 100)
-                array[key] = value
-                reference[key] = value
-            elif action < 0.9:
-                assert array[key] == reference.get(key)
-            else:
-                array.reset()
-                reference.clear()
-        for key in range(64):
-            assert array[key] == reference.get(key)
 
 
 class TestVanEmdeBoas:
