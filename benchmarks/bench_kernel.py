@@ -7,7 +7,9 @@ parse tree's follow relation into one premultiplied table, dedups the
 corpus, and strides each *distinct* word through the table — so a
 repeated-match stream (the Li et al. workload: few distinct child
 sequences, matched millions of times) collapses to a handful of
-branch-free scans plus an index fan-out.  This module tracks that gap:
+branch-free scans plus an index fan-out, and once the program's verdict
+memo holds a word, later passes answer it with one dict probe.  This
+module tracks that gap:
 
 * pytest-benchmark timings of the per-word loop, the pure-Python kernel
   and (when the shared object is present) the native kernel;

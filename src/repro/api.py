@@ -298,8 +298,11 @@ class Pattern:
         a second batch.  From the next batch on, the pattern's one
         program answers every word, and batches write no runtime row;
         a snapshot-adopted pattern gets its program without building its
-        matcher.  Tiny batches (and machines too large for a kernel
-        table) keep the per-word replay driver.  :meth:`describe`
+        matcher.  The program memoizes its verdicts by raw word, and the
+        corpus probes that memo first, so a word an earlier batch brought
+        costs one dict probe and no ``parse_word``.  Tiny batches (and
+        machines too large for a kernel table) keep the per-word replay
+        driver.  :meth:`describe`
         reports which path a pattern takes under ``"batch_path"``.  With
         ``compiled=False`` this falls back to the direct path — the
         uncompiled matcher per word — which keeps the per-symbol structure
@@ -308,7 +311,8 @@ class Pattern:
         *detail* selects the result shape: ``"verdict"`` (default) keeps
         the historical ``list[bool]`` and the untraced kernel hot path;
         ``"full"`` returns one :class:`~repro.diagnostics.MatchResult`
-        per word — the words of a cold batch route their replay through
+        per word and reads no verdict memo — the words of a cold batch
+        route their replay through
         a :class:`~repro.diagnostics.TraceRecorder`, so the witness they
         were paying for anyway is kept, and every other word diagnoses
         lazily on field access.  A word that is neither a
@@ -316,7 +320,8 @@ class Pattern:
         """
         if detail not in ("verdict", "full"):
             raise ValueError(f"unknown detail level {detail!r}: expected 'verdict' or 'full'")
-        return self.plan.match_all(Corpus(words, parse_word), detail=detail)
+        plan = self.plan
+        return plan.match_all(Corpus(words, parse_word, plan.verdict_memo(detail)), detail=detail)
 
     def acceptance_memo(self):
         """The pattern's whole-sequence acceptance memo (built on first use).

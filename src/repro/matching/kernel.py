@@ -50,15 +50,20 @@ once by ``Pattern.match_all``: each distinct word is encoded and scanned
 once and the verdicts fan back out through the corpus's index.  Real
 schema corpora re-match the same few child sequences millions of times
 (the Li et al. observation the benchmarks model), which a per-word driver
-cannot exploit but a corpus-level kernel gets for free.
+cannot exploit but a corpus-level kernel gets for free.  A program never
+changes, so a word's verdict on it never does either: each program keeps
+a :class:`VerdictMemo` keyed on the raw word, which the corpus probes
+before it parses a word, and a word an earlier batch brought costs one
+dict probe — no ``parse_word``, no encoding and no scan.
 
 **Cold batches.**  A batch over a runtime that has answered nothing yet
 (``CompiledRuntime.cold``) builds no table: :func:`replay_words` answers
 it word by word through the runtime, so a pattern compiled to match one
-batch never pays for a program.  Those words are the only ones the
-``fallback_words`` counter books.  Kernel scans never touch the runtime,
-so ``transitions_memoized == misses`` (the invariant the runtime tests
-pin) is untouched.
+batch never pays for a program.  That batch warms the runtime, whatever
+its words, so the next one runs on the program.  Cold-batch words are the
+only ones the ``fallback_words`` counter books.  Kernel scans never touch
+the runtime, so ``transitions_memoized == misses`` (the invariant the
+runtime tests pin) is untouched.
 
 **Backends.**  :func:`KernelProgram.scan` runs the loop either in pure
 Python (the permanent oracle) or through an optional C helper
@@ -81,6 +86,7 @@ from array import array
 from typing import Iterable, Sequence
 
 from ..regex.parse_tree import NodeKind
+from ..regex.parser import parse_word
 
 #: Hard ceiling on flat-table entries (``int32``) per program.  The builder
 #: picks the deepest stride whose composed table fits; a machine whose
@@ -102,12 +108,11 @@ MAX_STRIDE = 3
 #: real corpus amortizes.
 MIN_BATCH = 8
 
-#: Distinct-word encodings memoized per program (:class:`EncodeMemo`).
+#: Distinct-word verdicts memoized per program (:class:`VerdictMemo`).
 #: A program that meets a stream of new words would otherwise keep them
-#: all: with all five match-stream patterns on the kernel, ``1 << 16``
-#: took that workload's peak RSS to 170 MB against 41 MB at ``1 << 10``
-#: (``docs/kernel.md``).
-ENCODE_CACHE_LIMIT = 1 << 10
+#: all: when the memo held encodings, ``1 << 16`` took match-stream's peak
+#: RSS to 170 MB against 41 MB at ``1 << 10`` (``docs/kernel.md``).
+VERDICT_MEMO_LIMIT = 1 << 10
 
 #: Verdict bytes produced by a scan.
 VERDICT_REJECT = 0
@@ -128,11 +133,11 @@ def stats() -> dict:
     """Process-wide kernel telemetry (``GET /stats`` serves this).
 
     ``programs_built`` counts flat-table compilations, ``kernel_words`` /
-    ``fallback_words`` split batch traffic between words answered by the
-    scan and words of cold batches, which replayed through the runtime
-    (:func:`replay_words`), and ``backend`` names the loop actually in
-    use right now (``requested`` preserves the ``REPRO_KERNEL`` ask even
-    when the native library is unavailable).
+    ``fallback_words`` split batch traffic between words answered by a
+    program (its memo or a scan) and words of cold batches, which replayed
+    through the runtime (:func:`replay_words`), and ``backend`` names the
+    loop actually in use right now (``requested`` preserves the
+    ``REPRO_KERNEL`` ask even when the native library is unavailable).
     """
     with _STATS_LOCK:
         snapshot: dict = dict(_STATS)
@@ -261,22 +266,32 @@ class Corpus:
     """One batch, deduplicated: its distinct ``words`` plus every word's slot.
 
     Words are keyed as they arrive (a ``str`` as it is, any other sequence
-    as a tuple), so *normalise* — ``parse_word`` at the facade — runs once
-    per distinct spelling; spellings that normalise alike share a slot.
+    as a tuple), so *normalise* (``parse_word``) runs once per distinct
+    spelling; spellings that normalise alike share a slot.  Given a
+    program's *memo*, a key it holds is answered before it is normalised:
+    the word takes slot ``-2`` (accept) or ``-1`` (reject) and adds no
+    distinct word.  ``keys`` pairs every other key whose verdict may be
+    memoized with its slot.
 
-    >>> from repro.regex.parser import parse_word
-    >>> corpus = Corpus(["ab", ["b"], "ab", ("a", "b")], parse_word)
+    >>> corpus = Corpus(["ab", ["b"], "ab", ("a", "b")])
     >>> corpus.words, list(corpus.index), len(corpus)
     ([['a', 'b'], ['b']], [0, 1, 0, 0], 4)
     >>> corpus.fan_out([True, False])
     [True, False, True, True]
+    >>> memo = VerdictMemo()
+    >>> memo.put("ab", True)
+    >>> corpus = Corpus(["ab", ["b"], "ab"], memo=memo)
+    >>> corpus.words, list(corpus.index), corpus.fan_out([False])
+    ([['b']], [-2, 0, -2], [True, False, True])
     """
 
-    __slots__ = ("words", "index")
+    __slots__ = ("words", "index", "keys")
 
-    def __init__(self, batch: Iterable, normalise=None):
-        slots: dict = {}
+    def __init__(self, batch: Iterable, normalise=parse_word, memo: VerdictMemo | None = None):
+        slots: dict = {}  # raw key → slot
+        shared: dict = {}  # normalised word → slot
         words: list = []
+        keys: list = []
         index = array("i")
         for word in batch:
             try:
@@ -285,26 +300,38 @@ class Corpus:
             except TypeError:  # not a sequence, or an unhashable symbol
                 key = slot = None
             if slot is None:
-                if normalise is not None:
-                    word = normalise(word if key is None else key)
+                if memo is not None:
+                    verdict = memo.get(key)
+                    if verdict is not None:
+                        slots[key] = slot = -2 if verdict else -1
+                        index.append(slot)
+                        continue
+                word = normalise(word if key is None else key)
                 symbols = tuple(word)
-                slot = slots.get(symbols)
+                slot = shared.get(symbols)
                 if slot is None:
-                    slot = slots[symbols] = len(words)
+                    slot = shared[symbols] = len(words)
                     words.append(word)
                 # A raw tuple is a safe key only when normalising keeps it:
                 # (1,) and (True,) are equal keys but parse to "1" and "True".
                 if isinstance(key, str) or key == symbols:
                     slots[key] = slot
+                    keys.append((key, slot))
             index.append(slot)
         self.words = words
         self.index = index
+        self.keys = keys
 
     def __len__(self) -> int:
         return len(self.index)
 
     def fan_out(self, values: Sequence) -> list:
-        """One value per batch word, from one value per distinct word."""
+        """One value per batch word, from one value per distinct word.
+
+        Words the memo answered read slot ``-2`` (``True``) or ``-1``
+        (``False``) of the values extended by those two verdicts.
+        """
+        values = [*values, True, False]
         return [values[slot] for slot in self.index]
 
 
@@ -321,6 +348,7 @@ class KernelCorpus(Corpus):
     def __init__(self, corpus: Corpus, distinct: list, span: int):
         self.words = corpus.words
         self.index = corpus.index
+        self.keys = corpus.keys
         self.distinct = distinct
         self.span = span
         #: lazily built (flat ``array('i')``, bounds ``array('q')``) pair
@@ -342,16 +370,20 @@ class KernelCorpus(Corpus):
         return packed
 
 
-class EncodeMemo:
-    """Word → encoding memo of at most ``ENCODE_CACHE_LIMIT`` words, in two generations.
+class VerdictMemo:
+    """Word → verdict memo of at most ``VERDICT_MEMO_LIMIT`` words, in two generations.
 
-    New words go into the young generation.  When it holds half the limit
-    it becomes the old generation and the previous old one is dropped.  A
-    hit in the old generation moves the word back to the young one, so a
-    word re-used within every half-limit of new words is never evicted,
-    however many words pass through once.  It takes no lock: threads
-    racing on one program can lose an entry or overfill a generation by
-    one entry each, which costs a re-encode, never a wrong encoding.
+    Each kernel program owns one, keyed on the raw word a :class:`Corpus`
+    reads (a ``str``, or a tuple equal to its parsed form) and holding
+    ``True`` or ``False``.  New words go into the young generation.  When
+    it holds half the limit it becomes the old generation and the
+    previous old one is dropped.  A hit in the old generation moves the
+    word back to the young one, so a word re-used within every
+    half-limit of new words is never evicted, however many words pass
+    through once.  It takes no lock: the program is immutable, so a
+    verdict once stored stays right, and threads racing on one memo can
+    only lose an entry or overfill a generation by one entry each, which
+    costs a rescan, never a wrong verdict.
     """
 
     __slots__ = ("young", "old", "half")
@@ -359,27 +391,27 @@ class EncodeMemo:
     def __init__(self):
         self.young: dict = {}
         self.old: dict = {}
-        self.half = ENCODE_CACHE_LIMIT // 2
+        self.half = VERDICT_MEMO_LIMIT // 2
 
     def __len__(self) -> int:
         return len(self.young) + len(self.old)
 
-    def get(self, key):
-        """The entry memoized for *key*, or ``None``."""
-        entry = self.young.get(key)
-        if entry is None:
-            entry = self.old.pop(key, None)
-            if entry is not None:
-                self.put(key, entry)
-        return entry
+    def get(self, key) -> bool | None:
+        """The verdict memoized for *key*, or ``None``."""
+        verdict = self.young.get(key)
+        if verdict is None:
+            verdict = self.old.pop(key, None)
+            if verdict is not None:
+                self.put(key, verdict)
+        return verdict
 
-    def put(self, key, entry) -> None:
-        """Memoize *entry* for *key* in the young generation."""
+    def put(self, key, verdict: bool) -> None:
+        """Memoize *verdict* for *key* in the young generation."""
         young = self.young
         if len(young) >= self.half:
             self.old = young
             self.young = young = {}
-        young[key] = entry
+        young[key] = verdict
 
 
 class KernelProgram:
@@ -398,7 +430,7 @@ class KernelProgram:
         "dead_offset",
         "_c_table",
         "_c_accepts",
-        "_encode_cache",
+        "memo",
     )
 
     def __init__(
@@ -423,10 +455,8 @@ class KernelProgram:
         self.dead_offset = states * self.span
         self._c_table = None
         self._c_accepts = None
-        #: word tuple → group encoding, so repeated corpora skip
-        #: re-encoding.  Under the GIL concurrent fills at worst duplicate
-        #: work.
-        self._encode_cache = EncodeMemo()
+        #: raw word → verdict on this program (see :class:`Corpus`)
+        self.memo = VerdictMemo()
 
     # -- corpus encoding -----------------------------------------------------------------
     def encode_corpus(self, words: "Corpus | Iterable[Sequence[str]]") -> KernelCorpus:
@@ -436,41 +466,32 @@ class KernelProgram:
         the frozen alphabet (unknown symbols take the dead column), the
         code list is padded to a stride multiple with the identity ``PAD``
         column and packed ``stride`` symbols per group in base ``WP``.
-        Distinct-word encodings are memoized on the program itself, so a
-        word an earlier batch brought costs one dict probe.
+        Raw words are read as ``Pattern.match_all`` reads them
+        (``parse_word``), against this program's memo, so a word keeps one
+        reading, and one verdict, whoever brings it.
         """
-        corpus = words if isinstance(words, Corpus) else Corpus(words)
+        corpus = words if isinstance(words, Corpus) else Corpus(words, memo=self.memo)
         get = self.codes.get
         width = self.width
         wp = self.wp
         stride = self.stride
         span = self.span
-        pad = width + 1
-        cache = self._encode_cache
+        pad = [width + 1] * (stride - 1)
         distinct: list = []
         small = span <= 256
         medium = span <= 65536
         for word in corpus.words:
-            key = tuple(word)
-            encoded = cache.get(key)
-            if encoded is None:
-                padded = [get(symbol, width) for symbol in word]
-                while len(padded) % stride:
-                    padded.append(pad)
-                groups = []
-                for at in range(0, len(padded), stride):
-                    group = 0
-                    for offset in range(at, at + stride):
-                        group = group * wp + padded[offset]
-                    groups.append(group)
-                if small:
-                    encoded = bytes(groups)
-                elif medium:
-                    encoded = array("H", groups)
-                else:
-                    encoded = array("i", groups)
-                cache.put(key, encoded)
-            distinct.append(encoded)
+            padded = [get(symbol, width) for symbol in word]
+            padded += pad[: -len(padded) % stride]  # up to a stride multiple
+            groups = padded[0::stride]
+            for at in range(1, stride):
+                groups = [group * wp + code for group, code in zip(groups, padded[at::stride])]
+            if small:
+                distinct.append(bytes(groups))
+            elif medium:
+                distinct.append(array("H", groups))
+            else:
+                distinct.append(array("i", groups))
         _bump(corpora_encoded=1)
         return KernelCorpus(corpus, distinct, span)
 
@@ -557,21 +578,23 @@ def eligible(tree) -> bool:
     return stride_for(len(tree.positions), len(tree.alphabet)) > 0
 
 
-def _follow_rows(tree) -> list[list[int]]:
+def _follow_rows(tree, scale: int = 1) -> list[list[int]]:
     """One ``|Σ|``-wide row per position: ``row[c]`` follows on symbol ``c``.
 
-    Entries are position indices, or ``S`` (the number of positions) where
-    no position follows.  First(n) comes bottom-up as a tuple of position
-    indices; in a deterministic tree it holds at most one position per
-    symbol, because it lies inside some Follow(p).  Rows then go top-down
-    along the Last chains (see the module docstring): a node's row is its
-    parent's, or an empty one at a SupLast node, overwritten with the
-    positions the node adds, and a node that adds none shares its
-    parent's row.  Where a row meets two copies of one symbol (the
-    rewritten tree of a ``+``/counter model) the lowest position index
-    wins, which is the copy ``KOccurrenceMatcher.next_position`` returns;
-    since ``S`` exceeds every index, one ``<`` test both fills an empty
-    entry and keeps the lower copy.
+    Entries are position indices times *scale*, or ``S · scale`` (``S``
+    the number of positions) where no position follows; a stride-1
+    program passes its span, so its rows are its table.  First(n) comes
+    bottom-up as a tuple of position indices; in a deterministic tree it
+    holds at most one position per symbol, because it lies inside some
+    Follow(p).  Rows then go top-down along the Last chains (see the
+    module docstring): a node's row is its parent's, or an empty one at a
+    SupLast node, overwritten with the positions the node adds, and a
+    node that adds none shares its parent's row.  Where a row meets two
+    copies of one symbol (the rewritten tree of a ``+``/counter model)
+    the lowest position index wins, which is the copy
+    ``KOccurrenceMatcher.next_position`` returns; since ``S`` exceeds
+    every index, one ``<`` test both fills an empty entry and keeps the
+    lower copy.
     """
     nodes = tree.nodes
     positions = tree.positions
@@ -591,7 +614,7 @@ def _follow_rows(tree) -> list[list[int]]:
         else:  # star, plus, optional: the child's First
             first[node.index] = first[node.left.index]
 
-    empty = [none] * len(codes)
+    empty = [none * scale] * len(codes)
     rows: list[list[int]] = [empty] * none
     stack = [(tree.root, empty)]
     while stack:
@@ -606,8 +629,9 @@ def _follow_rows(tree) -> list[list[int]]:
             row = row[:]
             for position in added:
                 code = code_of[position]
-                if code >= 0 and position < row[code]:
-                    row[code] = position
+                target = position * scale
+                if code >= 0 and target < row[code]:
+                    row[code] = target
         if node.left is None:
             rows[node.position_index] = row
         else:
@@ -637,30 +661,33 @@ def build_program(
     if not stride:
         return None
     wp = width + 2
-    dead = states
-    synthetic = states + 1
+    span = wp**stride
+    # A stride-1 table is its rows, premultiplied as they are written.
+    scale = span if stride == 1 else 1
+    dead = states * scale
 
     # The unknown-symbol column, then the PAD column: an identity self-loop.
-    base = [row + [dead, state] for state, row in enumerate(_follow_rows(tree))]
+    base = [row + [dead, state * scale] for state, row in enumerate(_follow_rows(tree, scale))]
     base.append([dead] * wp)  # DEAD: absorbing, PAD included
 
     # Compose T^k rows by concatenation: T²[s] is, for each first symbol c,
     # the whole T¹ row of T¹[s][c] — extend() copies at C speed, so deeper
     # strides cost WP list-appends per state, not WP^k Python iterations.
-    composed = base
+    # The rows copied hold T¹'s targets premultiplied by the final span,
+    # so (S + 1)·WP products premultiply the whole composed table.
+    rows = base if stride == 1 else [[target * span for target in row] for row in base]
     for _ in range(stride - 1):
-        previous = composed
-        composed = []
-        for state in range(synthetic):
-            row_entries: list[int] = []
-            first_row = base[state]
-            for code in range(wp):
-                row_entries.extend(previous[first_row[code]])
-            composed.append(row_entries)
-
-    span = wp**stride
-    table = array("i", [target * span for entries in composed for target in entries])
-    accepts = bytearray(synthetic * span)
+        previous = rows
+        rows = []
+        for first_row in base:
+            entries: list[int] = []
+            for target in first_row:
+                entries.extend(previous[target])
+            rows.append(entries)
+    table = array("i")
+    for entries in rows:
+        table.fromlist(entries)
+    accepts = bytearray((states + 1) * span)
     final = tree.root.left  # $ follows p iff pSupLast(p) is the root's left child
     for position in positions:
         if position.p_sup_last is final:
@@ -685,12 +712,16 @@ def build_program(
 def match_corpus(program: KernelProgram, corpus: KernelCorpus) -> list[bool]:
     """Run *corpus* through *program*: one verdict per corpus word.
 
-    Verdicts come in the corpus's original order and multiplicity, and
-    every word is booked as a kernel word.
+    Each scanned verdict is memoized under its word's key.  Verdicts come
+    in the corpus's original order and multiplicity, and every word is
+    booked as a kernel word, whether the memo or the scan answered it.
     """
-    verdicts = corpus.fan_out([verdict == VERDICT_ACCEPT for verdict in program.scan(corpus)])
+    scanned = [verdict == VERDICT_ACCEPT for verdict in program.scan(corpus)]
+    put = program.memo.put
+    for key, slot in corpus.keys:
+        put(key, scanned[slot])
     _bump(kernel_words=len(corpus))
-    return verdicts
+    return corpus.fan_out(scanned)
 
 
 def replay_words(runtime, corpus: Corpus, replay=None) -> list[bool]:

@@ -112,6 +112,10 @@ class ExecutionPlan:
         """One verdict (or full result) per batch word, each distinct word answered once."""
         raise NotImplementedError
 
+    def verdict_memo(self, detail: str = "verdict"):
+        """The memo a batch's :class:`~repro.matching.kernel.Corpus` may read, or ``None``."""
+        return None
+
     def stream(self):
         """Begin a streaming run (``feed`` / ``is_accepting`` / ``consumed``)."""
         raise NotImplementedError
@@ -234,6 +238,17 @@ class CompiledPlan(ExecutionPlan):
             return self._match_all_full(corpus)
         return self._verdicts(corpus)
 
+    def verdict_memo(self, detail: str = "verdict"):
+        """The batch program's verdict memo, once that program is built.
+
+        A ``detail="full"`` batch gets none, so it diagnoses every word; a
+        plan whose runtime is unbuilt or cold has no program to ask.
+        """
+        runtime = self._runtime
+        if detail == "full" or runtime is None:
+            return None
+        return runtime.verdict_memo()
+
     def _verdicts(self, corpus: "kernel.Corpus", replay=None) -> list[bool]:
         """One verdict per batch word: a kernel pass, else per-word replay.
 
@@ -242,8 +257,9 @@ class CompiledPlan(ExecutionPlan):
         the kernel when a program is already cached.  A batch over a
         *cold* runtime builds no table either: a pattern compiled for one
         batch (every schema-compile op) would pay for a table it uses
-        once.  Its distinct words replay through *replay* and every batch
-        word is booked as a fallback word.  Any other batch runs on the
+        once.  Its distinct words replay through *replay*, every batch
+        word is booked as a fallback word, and the runtime is warm from
+        then on, whatever the words were.  Any other batch runs on the
         pattern's one program, which is complete, so no word falls back;
         a machine too large for any table (stride 0) replays per word.
         """
@@ -251,6 +267,7 @@ class CompiledPlan(ExecutionPlan):
         if len(corpus) >= kernel.MIN_BATCH or runtime._kernel_programs:
             if runtime.cold and kernel.eligible(runtime.tree):
                 verdicts = kernel.replay_words(runtime, corpus, replay=replay)
+                runtime.batched = True
                 self.pattern._record_kernel_traffic(0, len(corpus))
                 return verdicts
             verdicts = kernel.match_words(runtime, corpus)

@@ -214,6 +214,7 @@ class CompiledRuntime:
         "_adopted_rows",
         "_kernel_programs",
         "kernel_programs_built",
+        "batched",
     )
 
     def __init__(
@@ -257,6 +258,8 @@ class CompiledRuntime:
         self._kernel_programs: dict[int, object] = {}
         #: kernel programs compiled for this runtime (telemetry)
         self.kernel_programs_built = 0
+        #: set once a batch has replayed on this runtime (see :attr:`cold`)
+        self.batched = False
 
     @property
     def matcher(self) -> DeterministicMatcher:
@@ -545,15 +548,29 @@ class CompiledRuntime:
             self.kernel_programs_built += 1
         return program
 
+    def verdict_memo(self):
+        """The batch program's :class:`~repro.matching.kernel.VerdictMemo`, if built.
+
+        ``None`` until the program of stride ``kernel.MAX_STRIDE`` (the one
+        :meth:`export_kernel_program` builds for batches) exists; this
+        never builds it.
+        """
+        from . import kernel
+
+        program = self._kernel_programs.get(kernel.MAX_STRIDE)
+        return None if program is None else program.memo
+
     @property
     def cold(self) -> bool:
-        """True while the start row is unmaterialized and no kernel program is cached.
+        """True while nothing has run on this runtime.
 
-        Nothing has matched on this runtime yet; batch callers replay
-        instead of building a table for a pattern that may never see a
-        second batch.
+        No batch has replayed on it (:attr:`batched`), its start row is
+        unmaterialized and no kernel program is cached.  Batch callers
+        replay a cold runtime's batch instead of building a table for a
+        pattern that may never see a second batch; that batch warms it,
+        whatever its words.
         """
-        return self._rows[self._start_state] is None and not self._kernel_programs
+        return not (self.batched or self._kernel_programs) and self._rows[self._start_state] is None
 
     def materialized(self) -> int:
         """Single-number gauge of how much state this runtime holds.

@@ -12,13 +12,16 @@ near-members, random noise, words with out-of-alphabet symbols —
 fresh, warm and snapshot-adopted runtimes alike.  One level up,
 ``Pattern.match_all`` — which dedups each batch once into a
 :class:`~repro.matching.kernel.Corpus` — must agree with per-word
-``Pattern.match`` on every planner route.  Star-free batches run on the
+``Pattern.match`` on every planner route, and a batch that spells its
+words every way ``parse_word`` reads must get the same verdicts cold,
+warm and from the program's verdict memo.  Star-free batches run on the
 kernel too, so the Theorem 4.12 multi-matcher, which no route reaches,
 is pinned to the language oracle on the same star-free expressions.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from unittest import mock
 
@@ -274,6 +277,52 @@ def test_match_all_agrees_with_per_word_match_on_every_route(seed: int, leaf_cou
                 assert bool(result) == bool(single), route
                 assert result.error_index == single.error_index, route
                 assert result.expected == single.expected, route
+
+
+def _spellings(word: list[str]) -> list:
+    """Spellings ``parse_word`` reads back as *word*: list, tuple, spaced and plain ``str``."""
+    spellings = [list(word), tuple(word), ",".join(word) + ","]
+    if len(word) > 1:
+        spellings.append(" ".join(word))
+    if all(len(symbol) == 1 for symbol in word):
+        spellings.append("".join(word))
+    return spellings
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def test_mixed_spellings_agree_cold_warm_and_from_the_memo(seed: int, leaf_count: int):
+    """A batch spelling its words every way gets per-word ``match``'s verdicts.
+
+    On each backend a fresh pattern answers the batch three times: cold
+    (per-word replay), warm (the program scans and memoizes each verdict
+    under its raw word) and from the memo, which answers every spelling
+    before ``parse_word`` runs.
+    """
+    rng = random.Random(seed)
+    expr = random_deterministic_expression(rng, leaf_count)
+    symbols = build_parse_tree(expr).alphabet.as_list() + ["q"]
+    pool: list[list[str]] = [[]]
+    for _ in range(4):
+        member = list(sample_member(expr, rng))
+        pool.append(member)
+        pool.append(list(mutate_word(member, symbols, rng)))
+    pool.append([rng.choice(symbols) for _ in range(rng.randint(1, 6))])
+    batch = [rng.choice(_spellings(rng.choice(pool))) for _ in range(30)]
+    reference = repro.Pattern(expr, compiled=False)
+    expected = [bool(reference.match(word)) for word in batch]
+    backends = ["pure"] + (["native"] if kernel.native_library() is not None else [])
+    for backend in backends:
+        with mock.patch.dict(os.environ, {"REPRO_KERNEL": backend}):
+            pattern = repro.Pattern(expr)
+            assert pattern.match_all(batch) == expected, backend  # cold
+            assert pattern.stats()["kernel_programs"] == 0
+            assert pattern.match_all(batch) == expected, backend  # warm
+            assert pattern.stats()["kernel_programs"] == 1
+            unparsed = AssertionError("a memoized word was parsed")
+            with mock.patch.object(repro.api, "parse_word", side_effect=unparsed):
+                assert pattern.match_all(batch) == expected, backend  # from the memo
+            assert pattern.stats()["kernel_words"] == 2 * len(batch)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))

@@ -8,6 +8,21 @@ from repro.errors import InvalidWordError, NotDeterministicError, RegexSyntaxErr
 from repro.regex.parser import parse
 
 
+def _pattern(text: str, warmth: str, words: list, dialect: str = "paper") -> repro.Pattern:
+    """A fresh pattern: cold, or warm with *words* already in its program's verdict memo.
+
+    The warm pattern has answered two batches of *words*: the first
+    replays (the runtime is cold), the second builds the program, scans
+    and memoizes every verdict whose raw word may be memoized.
+    """
+    pattern = repro.Pattern(text, dialect=dialect)
+    if warmth == "warm":
+        for _ in range(2):
+            pattern.match_all(words * 8)
+        assert pattern.plan.verdict_memo() is not None
+    return pattern
+
+
 class TestPattern:
     def test_compile_and_match(self):
         pattern = repro.compile("(ab+b(b?)a)*")
@@ -21,11 +36,13 @@ class TestPattern:
         pattern = repro.compile("(ab)*c")
         assert pattern.match_all(["c", "abc", "ab"]) == [True, True, False]
 
-    def test_match_all_dedups_words_by_their_parsed_form(self):
+    @pytest.mark.parametrize("warmth", ["cold", "warm"])
+    def test_match_all_dedups_words_by_their_parsed_form(self, warmth):
         # (1,) == (True,) == (1.0,) as raw keys, but they parse to "1",
-        # "True" and "1.0"; "1 2" and [1, 2] parse alike.
-        pattern = repro.compile("1 2?", dialect="named")
+        # "True" and "1.0"; "1 2" and [1, 2] parse alike.  On the warm
+        # pattern the program's memo already holds the words it may.
         words = [[1], [True], [1.0], [1, 2], "1 2", (1.0, 2), "1"]
+        pattern = _pattern("1 2?", warmth, words, dialect="named")
         assert pattern.match_all(words) == [bool(pattern.match(word)) for word in words]
         assert pattern.match_all(words) == [True, False, False, True, True, False, True]
 
@@ -161,8 +178,10 @@ class TestErrors:
         ],
         ids=["none", "int", "float", "nested-list", "bytes", "int-symbols", "word"],
     )
-    def test_a_word_that_is_not_a_word_gets_a_taxonomy_error(self, word, verdict):
-        pattern = repro.compile("(ab)*")
+    @pytest.mark.parametrize("warmth", ["cold", "warm"])
+    def test_a_word_that_is_not_a_word_gets_a_taxonomy_error(self, word, verdict, warmth):
+        words = ["ab"] if verdict is InvalidWordError else [word, "ab"]
+        pattern = _pattern("(ab)*", warmth, words)
         if verdict is InvalidWordError:
             for call in (lambda: repro.match("(ab)*", word), lambda: pattern.match_all([word])):
                 with pytest.raises(InvalidWordError) as raised:

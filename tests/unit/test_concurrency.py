@@ -13,6 +13,7 @@ this module under ``PYTHONDEVMODE=1``.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -124,6 +125,52 @@ def test_stress_single_shared_pattern():
     stats = pattern.stats()
     assert stats is not None
     assert stats["transitions_memoized"] == stats["misses"]
+
+
+def test_stress_shared_verdict_memo_keeps_every_verdict_right():
+    """Threads share one warm program's verdict memo while fresh words turn it over.
+
+    Twelve threads (more than the cores) batch repeated and never-seen
+    words against one pattern with a short switch interval, so memo
+    probes, stores and generation swaps interleave.  A lost entry only
+    costs a rescan; a wrong one would show in a batch's verdicts or in a
+    stored entry that disagrees with the oracle.
+    """
+    from repro.matching import kernel
+
+    expr = "(ab+b(b?)a)*"
+    reference = repro.Pattern(expr, compiled=False)
+    rng = random.Random(5)
+    hot = sorted({tuple(rng.choice("ab") for _ in range(rng.randint(0, 8))) for _ in range(60)})
+    fresh = sorted(
+        {tuple(rng.choice("ab") for _ in range(rng.randint(9, 24))) for _ in range(3000)}
+    )
+    oracle = {word: bool(reference.match(list(word))) for word in hot + fresh}
+    pattern = repro.compile(expr)
+    for _ in range(2):  # cold, then warm: the program and its memo exist
+        pattern.match_all([list(word) for word in hot])
+    memo = pattern.plan.verdict_memo()
+    assert memo is not None
+    threads = 12
+
+    def worker(rng: random.Random):
+        for _ in range(40):
+            batch = rng.sample(hot, 20) + rng.sample(fresh, 20)
+            verdicts = pattern.match_all([list(word) for word in batch])
+            assert verdicts == [oracle[word] for word in batch]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        failures = _run_threads(worker, count=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures[0]
+    # Each racing store can overfill a generation by one entry at most.
+    assert len(memo) <= kernel.VERDICT_MEMO_LIMIT + 2 * threads
+    for generation in (memo.young, memo.old):
+        for key, verdict in list(generation.items()):
+            assert verdict == oracle[key], key
 
 
 def test_purge_racing_misses_keeps_cache_consistent():

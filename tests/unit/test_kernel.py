@@ -29,7 +29,7 @@ from repro.matching.kernel import (
     match_words,
     reset_kernel_stats,
 )
-from repro.regex.ast import Concat, Optional, Plus, Star, Sym
+from repro.regex.ast import Concat, Epsilon, Optional, Plus, Star, Sym
 from repro.regex.generators import (
     bounded_occurrence,
     chare,
@@ -257,27 +257,31 @@ class TestDrivers:
 
 class TestProgramCache:
     def test_program_is_built_once(self):
-        """Row fills leave the program, and the encodings it memoized, in place."""
+        """Row fills leave the program, and the verdicts it memoized, in place."""
         runtime = _runtime("(ab)*")
         first = runtime.export_kernel_program()
-        first.encode_corpus([tuple("ab")])
+        assert match_words(runtime, [tuple("ab")]) == [True]
         assert runtime.export_kernel_program() is first
         runtime.accepts_encoded(runtime.encode("ab"))  # fills rows
         runtime.accepts_encoded(runtime.encode("ba"))
         assert runtime.export_kernel_program() is first
-        assert first._encode_cache.get(tuple("ab")) is not None
+        assert first.memo.get(tuple("ab")) is True
+        assert runtime.verdict_memo() is first.memo
         assert runtime.kernel_programs_built == 1
 
-    def test_encode_memo_keeps_a_reused_word_among_fresh_ones(self):
-        program = _runtime("(ab)*").export_kernel_program()
+    def test_verdict_memo_keeps_a_reused_word_among_fresh_ones(self):
+        runtime = _runtime("(ab)*")
+        program = runtime.export_kernel_program()
         hot = tuple("abab")
-        encoded = program.encode_corpus([hot]).distinct[0]
-        fresh = 3 * kernel.ENCODE_CACHE_LIMIT
+        assert match_words(runtime, [hot]) == [True]
+        fresh = 3 * kernel.VERDICT_MEMO_LIMIT
         for start in range(0, fresh, 100):
             batch = [("a", f"x{index}") for index in range(start, start + 100)]
             corpus = program.encode_corpus(batch + [hot])
-            assert corpus.distinct[-1] is encoded
-            assert len(program._encode_cache) <= kernel.ENCODE_CACHE_LIMIT
+            assert len(corpus.distinct) == len(batch)  # the hot word is answered
+            assert corpus.index[-1] == -2
+            assert match_corpus(program, corpus) == [False] * len(batch) + [True]
+            assert len(program.memo) <= kernel.VERDICT_MEMO_LIMIT
 
     def test_adopting_rows_already_held_keeps_the_program(self):
         runtime = _runtime("(ab+b(b?)a)*")
@@ -459,6 +463,59 @@ class TestColdBatches:
         for key in ("transitions_memoized", "misses", "states_visited"):
             assert after[key] == before[key], key
         assert after["kernel_words"] == len(words)
+
+
+    @pytest.mark.parametrize(
+        "expression", ["(ab)*", Epsilon()], ids=["words-outside-the-alphabet", "epsilon-only"]
+    )
+    def test_a_batch_warms_the_runtime_whatever_its_words(self, expression):
+        """Words that never step out of the start state still end the cold phase."""
+        pattern = repro.Pattern(expression)
+        words = ["z", "zab", "", "q", "zz", "zq", "", "qab", "zzz", "q"]
+        expected = [word == "" for word in words]
+        for batch in range(3):
+            assert pattern.match_all(words) == expected
+            stats = pattern.stats()
+            assert stats["states_visited"] == 0
+            assert stats["kernel_programs"] == min(batch, 1)
+            assert stats["kernel_fallback_words"] == len(words)  # the first batch's
+            assert stats["kernel_words"] == batch * len(words)
+            assert not pattern.runtime.cold
+
+
+class TestVerdictMemo:
+    """A warm program answers the words it has seen before they are parsed."""
+
+    def test_repeats_skip_parse_word_and_a_new_word_parses_once(self, monkeypatch):
+        pattern = repro.compile("(ab+b(b?)a)*")
+        expected = _oracle("(ab+b(b?)a)*", WORDS)
+        pattern.match_all(WORDS)  # cold: replays
+        pattern.match_all(WORDS)  # warm: builds the program, memoizes the verdicts
+        parsed = []
+        parse_word = repro.api.parse_word
+
+        def counting(word):
+            parsed.append(word)
+            return parse_word(word)
+
+        monkeypatch.setattr(repro.api, "parse_word", counting)
+        assert pattern.match_all(WORDS) == expected
+        assert parsed == []
+        assert pattern.match_all(WORDS + ["babba", "babba"]) == expected + [True, True]
+        assert parsed == ["babba"]
+        stats = pattern.stats()
+        assert stats["kernel_words"] == 3 * len(WORDS) + 2  # every batch but the cold one
+        assert stats["kernel_programs"] == 1
+
+    def test_direct_kernel_callers_read_words_as_the_facade_does(self):
+        """One memo, one reading: "a b" is the word a·b wherever it enters."""
+        pattern = repro.compile("ab")
+        words = ["a b", ("a", "b"), "ab", "a,b", ["a", "b", "b"], "a  b "]
+        expected = [True, True, True, True, False, True]
+        assert match_words(pattern.runtime, words) == expected
+        for _ in range(2):  # the second batch reads the memo the first one shared
+            assert pattern.match_all(words) == expected
+        assert pattern.plan.verdict_memo().get("a b") is True
 
 
 class TestTelemetry:
