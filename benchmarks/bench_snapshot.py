@@ -63,7 +63,7 @@ SEED = 20120521
 #: differential scales *quadratically* while the shared cost scales
 #: linearly: a mixing star over W symbols has W + 1 live states with all
 #: W symbols legal in each, so a cold process pays up to ``(W + 1) * W``
-#: first-visit structure queries (plus densification) while parsing and
+#: first-visit structure queries while parsing and
 #: the determinism test stay O(W).  At W = 150 the exercised machine is
 #: ~22k transitions per pattern.
 WIDTH = 150
@@ -188,8 +188,8 @@ def workload(tmp_path_factory):
     # save_snapshot persists the whole cache, and stowaway patterns
     # would be loaded inside the measured child's load window.
     repro.purge()
-    # Warm this process and persist its rows (complete=True densifies
-    # everything the corpus exercised).
+    # Warm this process and persist its rows (the save completes every
+    # row the corpus exercised).
     for expr in corpus["patterns"]:
         pattern = repro.compile(expr)
         for word in corpus["words"][expr]:

@@ -101,7 +101,7 @@ def main() -> None:
     print("  pattern_cache:", stats["pattern_cache"])
     print("  patterns:     ", sorted(stats["patterns"]))
     print("  validators:   ", [key.split(":", 1)[0] for key in stats["validators"]])
-    print("  shared_rows:  ", stats["shared_rows"])
+    print("  transitions:  ", stats["snapshot"]["materialized"]["transitions"])
 
     asyncio.run_coroutine_threadsafe(front.close(), loop).result()
     loop.call_soon_threadsafe(loop.stop)

@@ -32,8 +32,8 @@ False
 Matching runs on the *compiled runtime* by default: the selected Section-4
 matcher is lowered on the fly into integer transition rows
 (:class:`~repro.matching.runtime.CompiledRuntime`), so repeated matching
-against one pattern costs two array/dict probes per symbol instead of a
-structure query — hot rows even densify into C-level arrays.
+against one pattern costs a list index and a dict probe per symbol
+instead of a structure query.
 ``Pattern.match_all`` runs whole corpora through the batch kernel
 (:mod:`repro.matching.kernel`: one flat premultiplied scan table read
 off the parse tree, dedup-encoded words, several symbols per table
@@ -53,8 +53,8 @@ True
 >>> repro.purge()                               # drop the caches
 
 How a match picks its engine: every pattern owns one
-:class:`~repro.matching.plan.ExecutionPlan`, chosen by the strategy
-registry of :data:`repro.matching.plan.PLANNER` — the *same* plan serves
+:class:`~repro.matching.plan.ExecutionPlan`, chosen by
+:data:`repro.matching.plan.PLANNER` — the *same* plan serves
 ``match``, ``match_all``, streaming, diagnostics replay, the lexer and
 the XML validators, and :meth:`Pattern.describe` reports its stable
 route name under ``"batch_path"``:
@@ -94,7 +94,7 @@ from .matching.base import DeterministicMatcher, MatchRun
 from .matching.dispatch import build_matcher
 from .matching.kernel import Corpus
 from .matching.plan import PLANNER, ExecutionPlan
-from .matching.runtime import CompiledRun, CompiledRuntime, compile_runtime
+from .matching.runtime import CompiledRun, CompiledRuntime
 from .regex.ast import Regex
 from .regex.parse_tree import ParseTree, build_parse_tree
 from .regex.parser import parse, parse_word
@@ -124,7 +124,7 @@ class Pattern:
     are copies of one position with identical continuations.
 
     *How* a word (or a batch, or a validator child sequence) actually
-    runs is decided exactly once, by the strategy registry of
+    runs is decided exactly once, by
     :data:`repro.matching.plan.PLANNER`; the resulting
     :class:`~repro.matching.plan.ExecutionPlan` is reachable as
     :attr:`plan` and its stable route name is what :meth:`describe`
@@ -183,8 +183,8 @@ class Pattern:
         """The (lazily built) matcher; raises if the expression is not deterministic.
 
         Construction is locked (double-checked) so worker threads sharing a
-        cached pattern agree on one matcher — and therefore one compiled
-        runtime and one set of memoized rows.
+        cached pattern agree on one matcher, the one :attr:`runtime`
+        delegates its first-time transitions to.
         """
         matcher = self._matcher
         if matcher is None:
@@ -205,11 +205,6 @@ class Pattern:
                         from .matching.kore import KOccurrenceMatcher
 
                         matcher = KOccurrenceMatcher(self.tree, verify=False)
-                    # A runtime created before the matcher (the snapshot
-                    # path) becomes the matcher's attached runtime, so
-                    # compile_runtime(pattern.matcher) keeps returning it.
-                    if self._runtime is not None:
-                        matcher._compiled_runtime = self._runtime
                     self._matcher = matcher
         return matcher
 
@@ -217,14 +212,13 @@ class Pattern:
     def runtime(self) -> CompiledRuntime:
         """The lazy-DFA runtime for this pattern (built on first use).
 
-        Shared with the matcher (see
-        :func:`~repro.matching.runtime.compile_runtime`), so transition rows
-        memoized through any entry point benefit every other one.  The
-        wrapped matcher itself is *deferred*: a runtime whose rows were
-        adopted from a persisted snapshot (:func:`load_snapshot`) answers
-        warm traffic without ever paying matcher preprocessing — the
-        Section-4 matcher is only built on the first transition the
-        adopted rows cannot answer.
+        The pattern's only runtime: every compiled entry point (single
+        words, streams, batches, validators, diagnostics) replays the same
+        memoized rows.  The wrapped matcher (:attr:`matcher`) is
+        *deferred*: a runtime whose rows were adopted from a persisted
+        snapshot (:func:`load_snapshot`) answers warm traffic without ever
+        paying matcher preprocessing — the Section-4 matcher is only built
+        on the first transition the adopted rows cannot answer.
         """
         runtime = self._runtime
         if runtime is None:
@@ -236,13 +230,7 @@ class Pattern:
             with self._init_lock:
                 runtime = self._runtime
                 if runtime is None:
-                    matcher = self._matcher
-                    if matcher is not None:
-                        runtime = compile_runtime(matcher)
-                    else:
-                        runtime = CompiledRuntime(
-                            tree=self.tree, matcher_factory=lambda: self.matcher
-                        )
+                    runtime = CompiledRuntime(tree=self.tree, matcher_factory=lambda: self.matcher)
                     self._runtime = runtime
         return runtime
 
@@ -252,8 +240,8 @@ class Pattern:
 
         The single object that owns *which engine runs this pattern* —
         for single matches, batches, streaming, diagnostics replay, the
-        lexer and the XML validators alike.  Chosen by the strategy
-        registry of :data:`repro.matching.plan.PLANNER`; raises
+        lexer and the XML validators alike.  Chosen by
+        :data:`repro.matching.plan.PLANNER`; raises
         :class:`~repro.errors.NotDeterministicError` when the expression
         is not deterministic.
         """
@@ -390,13 +378,7 @@ class Pattern:
         construction; it returns ``None`` until some match has been run
         on the compiled path.
         """
-        runtime = self._runtime
-        if runtime is not None:
-            return runtime
-        matcher = self._matcher
-        if matcher is None:
-            return None
-        return getattr(matcher, "_compiled_runtime", None)
+        return self._runtime
 
     def _record_kernel_traffic(self, kernel_words: int, fallback_words: int) -> None:
         """Book one kernel batch's traffic split (called by the plan)."""
@@ -468,9 +450,9 @@ def compile(  # noqa: A001 - mirrors re.compile
 
 
 def purge() -> None:
-    """Clear the compile cache and the dense-row registry (mirrors ``re.purge``).
+    """Clear the compile cache (mirrors ``re.purge``).
 
-    Atomic with respect to concurrent compiles: both clears happen under
+    Atomic with respect to concurrent compiles: the clear happens under
     the cache lock, so a racing miss lands either entirely before the
     purge (and is dropped with everything else) or entirely after it (a
     fresh post-purge entry) — never a half-cleared state.  Safe against

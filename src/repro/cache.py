@@ -9,7 +9,7 @@ owns the two pieces of *process-wide* mutable state —
 * :data:`SNAPSHOT_TELEMETRY` — the save/load/adoption counters behind
   ``repro.stats()["snapshot"]`` — plus the snapshot walk itself
   (:func:`save_snapshot` / :func:`load_snapshot`), which persists and
-  re-adopts every warm pattern's materialized matching state (dense
+  re-adopts every warm pattern's materialized matching state (completed
   lazy-DFA rows and validator acceptance memos).
 
 Engine state is read through the pattern-owned runtime and memo, never
@@ -28,7 +28,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ReproError
-from .matching.runtime import clear_shared_rows
 from .matching.snapshot import SnapshotError
 from .regex.ast import Regex
 from .regex.parser import parse
@@ -49,14 +48,12 @@ class PatternCache:
     The ``lru_cache`` it replaces had a latent race with ``repro.purge``:
     eviction bookkeeping lived in a module global (``_build_count``) that a
     purge reset *before* ``cache_clear()`` ran, so a concurrent miss could
-    finish its construction in between, re-insert into the supposedly
-    cleared cache, and leave the dense-row registry (cleared separately,
-    later) referencing rows the cache no longer knew about — eviction
-    counts could even go negative.  Here every mutation — hit bookkeeping,
-    the whole miss (count, build, insert, evict) and the purge (entries,
-    counters *and* the shared dense-row registry) — happens under one
+    finish its construction in between and re-insert into the supposedly
+    cleared cache — eviction counts could even go negative.  Here every
+    mutation — hit bookkeeping, the whole miss (count, build, insert,
+    evict) and the purge (entries and counters) — happens under one
     re-entrant mutex, so a purge is strictly before or strictly after any
-    insertion and the registry clear is atomic with the cache clear.
+    insertion.
 
     Reads stay cheap — and never stall behind a build: the warm path
     probes the dictionary without any lock (a single ``dict.get``, atomic
@@ -131,7 +128,6 @@ class PatternCache:
             with self._count_lock:
                 self._entries.clear()
                 self.hits = self.misses = self.insertions = 0
-            clear_shared_rows()
 
     def resize(self, maxsize: int) -> int:
         """Change the cache bound; returns the previous bound.
@@ -313,18 +309,17 @@ def snapshot_meta(key: tuple, pattern: "Pattern") -> dict | None:
     }
 
 
-def save_snapshot(path: str, complete: bool = True) -> dict:
+def save_snapshot(path: str) -> dict:
     """Persist every warm pattern's materialized state to *path* (atomically).
 
     Walks the compile cache and writes one checksummed format-v2 file
     (:func:`repro.matching.snapshot.write`) with up to two sections per
     the state each pattern holds:
 
-    * dense lazy-DFA rows
-      (:meth:`~repro.matching.runtime.CompiledRuntime.export_rows`; with
-      *complete*, visited dict rows are densified and all acceptance
-      verdicts resolved first, so the snapshot replays with zero matcher
-      delegations);
+    * lazy-DFA rows
+      (:meth:`~repro.matching.runtime.CompiledRuntime.export_rows`; every
+      visited row is completed first, so the snapshot replays with zero
+      matcher delegations);
     * the validators' per-element acceptance memos
       (:meth:`~repro.xml.memo.AcceptanceMemo.export`).
 
@@ -344,7 +339,7 @@ def save_snapshot(path: str, complete: bool = True) -> dict:
         row_export = None
         runtime = pattern._built_runtime()
         if runtime is not None:
-            row_export = runtime.export_rows(complete=complete)
+            row_export = runtime.export_rows()
             if not row_export["rows"]:
                 row_export = None
         memo = pattern._acceptance_memo
@@ -479,8 +474,9 @@ def load_snapshot(path: str) -> dict:
     shares the row pages copy-on-write across every worker); each entry
     re-compiles its pattern from the recorded identity, re-derives the
     fingerprint from the *live* pattern and adopts only on an exact
-    match.  The v2 sections are adopted independently — dense rows into
-    the compiled runtimes, acceptance memos onto the patterns; an older
+    match.  The v2 sections are adopted independently — rows into the
+    compiled runtimes (their acceptance bytes are not read: acceptance
+    comes off the parse tree), acceptance memos onto the patterns; an older
     writer's ``SFTB`` star-free tables are skipped unread — and v1 files
     (rows only) still load, counted under ``format_v1``.  Given an
     ``http://``/``https://`` URL the file is first fetched from a running
@@ -554,7 +550,7 @@ def load_snapshot(path: str) -> dict:
     for entry in snapshot.entries:
         try:
             pattern = resolve(entry.meta, entry.fingerprint)
-            result["rows_loaded"] += pattern.runtime.adopt_rows(entry.accepts, entry.rows())
+            result["rows_loaded"] += pattern.runtime.adopt_rows(entry.rows())
             result["patterns_loaded"] += 1
         except (SnapshotError, ReproError, KeyError, TypeError, ValueError) as error:
             reject(error)
@@ -587,7 +583,7 @@ def materialization() -> dict:
     """Gauge of the matching state currently materialized in this process.
 
     Walks the compile cache without forcing anything: memoized lazy-DFA
-    transitions/acceptances and validator memo entries, plus a ``total``.
+    transitions and validator memo entries, plus a ``total``.
     The snapshot auto-refresh policy compares ``total`` across time to
     decide when the on-disk snapshot has gone stale.
     ``star_free_entries`` gauged the retired star-free tables and reads 0.

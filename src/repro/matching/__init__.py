@@ -16,14 +16,13 @@ from .dispatch import STRATEGIES, build_matcher, select_strategy
 from .kore import KOccurrenceMatcher, SubsetKOccurrenceMatcher
 from .lca_matcher import LowestColoredAncestorMatcher
 from .path_decomposition import PathDecompositionMatcher
-from .runtime import CompiledRun, CompiledRuntime, compile_runtime
+from .runtime import CompiledRun, CompiledRuntime
 from .star_free import StarFreeMultiMatcher
 
 __all__ = [
     "ClimbingMatcher",
     "CompiledRun",
     "CompiledRuntime",
-    "compile_runtime",
     "DeterministicMatcher",
     "GlushkovMatcher",
     "KOccurrenceMatcher",

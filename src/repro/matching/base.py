@@ -63,8 +63,6 @@ class DeterministicMatcher(ABC):
                     f"{report.describe()}",
                     report=report,
                 )
-        #: lazily attached CompiledRuntime (see :func:`repro.matching.runtime.compile_runtime`)
-        self._compiled_runtime = None
         self._prepare()
 
     # -- lazily shared preprocessing -------------------------------------------------

@@ -22,14 +22,14 @@ This module gives the decision exactly one owner:
   (:meth:`~ExecutionPlan.scan_program` / :meth:`~ExecutionPlan.longest_match`)
   and hands the diagnostics layer its replay adapter
   (:meth:`~ExecutionPlan.replay_for_diagnostics`).
-* :class:`Planner` — an ordered strategy registry.  ``plan(pattern)``
-  walks the registered strategies and returns the first plan whose
-  predicate accepts the pattern; :meth:`Planner.register` is the landing
-  seam for future dialect engines (deterministic regex with
-  back-references, memoization-based matching) — a new engine is one
-  registry entry, not five surface edits.
+* :class:`Planner` — ``plan(pattern)`` returns a :class:`DirectPlan`
+  for an uncompiled pattern and a :class:`CompiledPlan` otherwise, whose
+  route name is read off the parse tree.  A future dialect engine
+  (deterministic regex with back-references, memoization-based matching)
+  is one more plan class and one more branch in :meth:`Planner.plan`,
+  not five surface edits.
 
-The four built-in routes (and their unchanged wire names):
+The four routes (and their unchanged wire names):
 
 ``"per-word"``
     The uncompiled path: one direct Section-4 matcher call per word.
@@ -55,11 +55,14 @@ The four built-in routes (and their unchanged wire names):
     Per-word replay over the memoized lazy-DFA rows — the terminal
     compiled fallback for machines too large for a kernel table.
 
-Plans are deliberately thin: the pattern keeps owning the lazily built
-matcher, runtime and acceptance memo (and their locks), so a plan never
-duplicates engine state — it only decides *which* engine runs and keeps
-the telemetry accessors (:meth:`built_runtime`, :meth:`built_memo`) that
-snapshot persistence reads without forcing construction.
+The three compiled routes run the same :class:`CompiledPlan`; only the
+name differs, and it depends on the tree alone, so no amount of traffic
+changes a pattern's route.  Plans are deliberately thin: the pattern
+keeps owning the lazily built matcher, runtime and acceptance memo (and
+their locks), so a plan never duplicates engine state — it only decides
+*which* engine runs and keeps the telemetry accessors
+(:meth:`built_runtime`, :meth:`built_memo`) that snapshot persistence
+reads without forcing construction.
 
 >>> import repro
 >>> repro.compile("ab(a+b)").plan.route      # star-free and deterministic
@@ -68,15 +71,11 @@ snapshot persistence reads without forcing construction.
 'compiled-kernel'
 >>> repro.compile("a", compiled=False).plan.route
 'per-word'
->>> from repro.matching.plan import PLANNER
->>> [name for name, _qualifies in PLANNER.strategies()]
-['per-word', 'star-free-multi', 'compiled-kernel', 'compiled-runtime']
 """
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import NotDeterministicError
 from . import kernel
@@ -202,19 +201,22 @@ class DirectPlan(ExecutionPlan):
 
 
 class CompiledPlan(ExecutionPlan):
-    """Shared behaviour of every compiled route (runtime-backed).
+    """Every compiled route (runtime-backed); *route* is its wire name.
 
     Single matches replay the memoized lazy-DFA rows; batches attempt the
     kernel scan (building a composed table costs milliseconds, so tiny
     batches only take it when a program is already cached, and a cold
     runtime's batch replays per word); child sequences go through the
-    pattern's acceptance memo.  Subclasses only change the route name.
+    pattern's acceptance memo.  A machine too large for any kernel table
+    (route ``"compiled-runtime"``) replays every batch per word:
+    :func:`kernel.match_words` answers ``None`` before building anything.
     """
 
-    __slots__ = ("_memo", "_runtime", "_scan")
+    __slots__ = ("route", "_memo", "_runtime", "_scan")
 
-    def __init__(self, pattern: "Pattern"):
+    def __init__(self, pattern: "Pattern", route: str):
         super().__init__(pattern)
+        self.route = route
         self._memo = None
         self._runtime = None
         #: lazily exported ``(program, accepting_states)`` for the lexer
@@ -350,112 +352,14 @@ class CompiledPlan(ExecutionPlan):
         return self
 
 
-class KernelPlan(CompiledPlan):
-    """Kernel-table batching over the follow relation (cold batches replay)."""
-
-    route = "compiled-kernel"
-
-    __slots__ = ()
-
-
-class StarFreePlan(KernelPlan):
-    """Star-free deterministic patterns: the kernel route under its own wire name."""
-
-    route = "star-free-multi"
-
-    __slots__ = ()
-
-
-class RuntimePlan(CompiledPlan):
-    """Per-word replay on the memoized rows — the terminal compiled fallback.
-
-    The machine is too large for a kernel table.  Eligibility depends
-    only on the tree's shape — its positions and alphabet width — so no
-    amount of traffic changes the route.  Batch calls still probe
-    :func:`kernel.match_words`, which answers ``None`` before building
-    anything.
-    """
-
-    route = "compiled-runtime"
-
-    __slots__ = ()
-
-
-#: A strategy predicate: ``qualifies(pattern, compiled)`` — *compiled* is
-#: the effective execution mode (the pattern's own flag unless the caller
-#: overrode it, e.g. a ``compiled=False`` validator sharing a compiled
-#: cached pattern).
-StrategyPredicate = Callable[["Pattern", bool], bool]
-
-
-class _Strategy:
-    __slots__ = ("name", "qualifies", "build")
-
-    def __init__(self, name: str, qualifies: StrategyPredicate, build):
-        self.name = name
-        self.qualifies = qualifies
-        self.build = build
-
-
 class Planner:
-    """An ordered registry of matching strategies.
+    """Picks each pattern's :class:`ExecutionPlan`.
 
-    :meth:`plan` returns the first registered strategy whose predicate
-    accepts the pattern — registration order *is* the priority order, and
-    :meth:`register`'s ``before=`` hook lets a future dialect engine (the
-    ROADMAP's back-reference work) slot itself ahead of the built-ins
-    without editing any match surface.
-
-    Thread-safety: registration mutates under a lock and `plan` walks an
-    immutable snapshot list, so registering at runtime never breaks an
-    in-flight plan lookup.  Plans already attached to patterns are not
-    re-routed; call :func:`repro.purge` to re-plan cached patterns after
-    changing the registry.
+    :meth:`plan` is the one decision point every surface consults; a new
+    engine adds a branch there.  A plain object on purpose (no
+    ``__slots__``): a tracer may rebind its ``plan`` attribute to time
+    planning.  Plans already attached to patterns are never re-routed.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._strategies: list[_Strategy] = []
-
-    def register(
-        self,
-        name: str,
-        qualifies: StrategyPredicate,
-        build: Callable[["Pattern"], ExecutionPlan],
-        before: str | None = None,
-    ) -> None:
-        """Register strategy *name* (optionally ahead of an existing one).
-
-        *qualifies* is called as ``qualifies(pattern, compiled)`` on
-        deterministic patterns only; *build* turns the pattern into an
-        :class:`ExecutionPlan`.  Re-registering a name replaces it in
-        place.
-        """
-        with self._lock:
-            strategies = [entry for entry in self._strategies if entry.name != name]
-            entry = _Strategy(name, qualifies, build)
-            if before is None:
-                strategies.append(entry)
-            else:
-                for at, existing in enumerate(strategies):
-                    if existing.name == before:
-                        strategies.insert(at, entry)
-                        break
-                else:
-                    raise LookupError(f"no strategy named {before!r} to insert before")
-            self._strategies = strategies
-
-    def unregister(self, name: str) -> bool:
-        """Drop strategy *name*; returns whether it was registered."""
-        with self._lock:
-            strategies = [entry for entry in self._strategies if entry.name != name]
-            changed = len(strategies) != len(self._strategies)
-            self._strategies = strategies
-            return changed
-
-    def strategies(self) -> list[tuple[str, StrategyPredicate]]:
-        """The ``(name, predicate)`` pairs in priority order."""
-        return [(entry.name, entry.qualifies) for entry in self._strategies]
 
     def plan(self, pattern: "Pattern", compiled: bool | None = None) -> ExecutionPlan:
         """The execution plan for *pattern* (raises on non-determinism).
@@ -470,62 +374,34 @@ class Planner:
                 f"cannot match against a non-deterministic expression: {pattern.explain()}",
                 report=pattern.report,
             )
-        mode = pattern._compiled if compiled is None else bool(compiled)
-        for entry in self._strategies:
-            if entry.qualifies(pattern, mode):
-                return entry.build(pattern)
-        raise LookupError(
-            f"no registered strategy plans {pattern!r} (registry emptied?)"
-        )
+        if not (pattern._compiled if compiled is None else compiled):
+            return DirectPlan(pattern)
+        return CompiledPlan(pattern, _compiled_route(pattern))
 
 
-def _qualifies_direct(pattern: "Pattern", compiled: bool) -> bool:
-    return not compiled
-
-
-def _qualifies_star_free(pattern: "Pattern", compiled: bool) -> bool:
+def _compiled_route(pattern: "Pattern") -> str:
+    """The wire name of a compiled pattern's route, read off its tree."""
+    tree = pattern.tree
     # The class Theorem 4.12 covers: the rewritten tree must be star-free
-    # *and* deterministic under the tree semantics — the +/counter fallback
-    # cases run on the
-    # k-occurrence matcher, whose transition simulation the multi-matcher
-    # does not reproduce.
-    return compiled and pattern.tree_report.deterministic and not any(
-        node.is_iteration for node in pattern.tree.nodes
-    )
+    # *and* deterministic under the tree semantics — the +/counter
+    # fallback cases run on the k-occurrence matcher.
+    if pattern.tree_report.deterministic and not any(node.is_iteration for node in tree.nodes):
+        return "star-free-multi"
+    if kernel.eligible(tree):
+        return "compiled-kernel"
+    return "compiled-runtime"
 
 
-def _qualifies_kernel(pattern: "Pattern", compiled: bool) -> bool:
-    return compiled and kernel.eligible(pattern.tree)
-
-
-def _qualifies_runtime(pattern: "Pattern", compiled: bool) -> bool:
-    return compiled
-
-
-#: The process-wide planner every surface consults.  Future dialect
-#: engines register here (``PLANNER.register(..., before="star-free-multi")``)
-#: and instantly serve ``Pattern.match``/``match_all``, diagnostics
-#: replay, the lexer, both XML validators and the HTTP service.
+#: The process-wide planner every surface consults: ``Pattern.match``/
+#: ``match_all``, diagnostics replay, the lexer, both XML validators and
+#: the HTTP service.
 PLANNER = Planner()
-PLANNER.register("per-word", _qualifies_direct, DirectPlan)
-PLANNER.register("star-free-multi", _qualifies_star_free, StarFreePlan)
-PLANNER.register("compiled-kernel", _qualifies_kernel, KernelPlan)
-PLANNER.register("compiled-runtime", _qualifies_runtime, RuntimePlan)
-
-
-def plan_for(pattern: "Pattern", compiled: bool | None = None) -> ExecutionPlan:
-    """Module-level convenience over :data:`PLANNER`."""
-    return PLANNER.plan(pattern, compiled=compiled)
 
 
 __all__ = [
     "CompiledPlan",
     "DirectPlan",
     "ExecutionPlan",
-    "KernelPlan",
     "PLANNER",
     "Planner",
-    "RuntimePlan",
-    "StarFreePlan",
-    "plan_for",
 ]

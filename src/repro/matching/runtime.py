@@ -5,7 +5,7 @@ clever O(1)-ish structure queries, but each query is still a handful of
 Python-level calls (LCA probe, ancestor tests, candidate scans).  For a
 *deterministic* expression the answer is a pure function of the pair
 ``(p, a)`` — there is at most one a-labelled follower of ``p`` — so the
-whole matcher can be lowered on the fly into flat integer transition rows:
+whole matcher can be lowered on the fly into integer transition rows:
 the lazy-DFA idiom.  :class:`CompiledRuntime` does exactly that:
 
 * **states** are position indices (``TreeNode.position_index``), dense
@@ -14,27 +14,22 @@ the lazy-DFA idiom.  :class:`CompiledRuntime` does exactly that:
   into dense integer codes, and words are encoded once per call/batch
   instead of being re-split per symbol;
 * **transitions** ``(state, symbol_code) → state`` are memoized per state
-  in a dict row that is created on first visit and filled on first lookup
-  by delegating to the wrapped matcher's transition simulation.  Misses
-  (no follower) are memoized too, as :data:`DEAD`;
-* **hot rows densify**: once a state's dict row has collected
-  transitions for a threshold fraction of the alphabet (see
-  :func:`densify_threshold`), the remaining entries are completed eagerly
-  and the whole row is promoted to an ``array('i')``-backed *dense row* —
-  steady-state stepping through a hot state is then a C-level array index
-  instead of a dict probe;
-* **dense rows are shared**: completed rows are interned in a
-  module-level registry keyed by their contents, so structurally equal
-  sub-expressions — within one runtime or across runtimes — end up
-  pointing at the *same* array object (pure memory dedup; the contents,
-  being equal, behave identically wherever they are consulted).
+  in a dict row that is created on first visit and filled by one
+  delegation to the wrapped matcher per exercised pair.  Misses (no
+  follower) are memoized too, as :data:`DEAD`;
+* **acceptance** needs no memo: ``$`` follows a position ``p`` iff
+  ``pSupLast(p)`` is the root's left child (Lemma 2.3), one pointer
+  comparison — the rule the kernel programs read their accept bytes by.
 
 Memory therefore stays proportional to the transitions actually
 exercised — never the O(|e|·|Σ|) Glushkov table — while steady-state
-matching is two array/dict probes per symbol.  Because the expression is
-deterministic, memoization can never change a verdict: the runtime and the
-wrapped matcher agree on every word by construction (the property tests
-check this against every registered strategy).
+matching is a list index plus a dict probe per symbol.  Because the
+expression is deterministic, memoization can never change a verdict: the
+runtime and the wrapped matcher agree on every word by construction (the
+property tests check this against every registered strategy).  Rows
+adopted from a snapshot (:meth:`CompiledRuntime.adopt_rows`) are
+complete, alphabet-wide arrays — zero-copy views of the snapshot's mmap —
+probed by bare index.
 
 The runtime is the engine for single words, streams, validator child
 sequences and a pattern's first (cold) batch.  Warm batches run on a
@@ -46,16 +41,17 @@ no row here.
 warm reads are lock-free — stepping through an already-memoized transition
 touches only a list index plus a dict/array probe, with no lock in the
 path — while every *write* (first-time delegation to the wrapped matcher,
-row densification, acceptance memoization) happens under a per-runtime
-mutex with a double-check after acquisition.  Rows are only ever published
-in valid states: a dict row grows monotonically, and densification swaps
-the complete array in with one atomic list-slot store, so a reader racing
-a writer either sees the old (still correct) row or the new one.  Since
-the expression is deterministic, two threads racing to fill the same
-``(state, symbol)`` pair would compute the same target anyway — the lock
-exists to keep the *wrapped matcher's* lazy structures single-threaded,
-not to protect the verdict.  The shared dense-row registry has its own
-module-level lock.
+snapshot adoption, the row completion of :meth:`CompiledRuntime.export_rows`)
+happens under a per-runtime mutex with a double-check after acquisition.
+Rows are only ever published in valid states: a new dict row is stored
+with its first transition already in it, a dict row only grows, and an
+adopted row lands in a state nobody has visited, each with one atomic
+list-slot store, so a reader racing a writer sees either no row (and
+takes the lock) or a correct one.  Since the expression is deterministic,
+two threads racing to fill the same ``(state, symbol)`` pair would
+compute the same target anyway — the lock exists to keep the *wrapped
+matcher's* lazy structures single-threaded and ``transitions_memoized ==
+misses`` exact, not to protect the verdict.
 
 >>> from repro.matching import build_matcher
 >>> from repro.regex.parse_tree import build_parse_tree
@@ -78,7 +74,6 @@ The runtime preserves the streaming contract of the direct path:
 from __future__ import annotations
 
 import threading
-import weakref
 from array import array
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -91,59 +86,6 @@ from .snapshot import SnapshotError
 #: are non-negative position indices); sharing the encoder's UNKNOWN_CODE
 #: keeps the hot loop to a single ``< 0`` test for both kinds of rejection.
 DEAD = UNKNOWN_CODE
-
-#: A dict row densifies only after collecting at least this many entries …
-DENSIFY_MIN = 4
-
-#: … and at least this fraction of the alphabet (numerator/denominator).
-#: Half the alphabet means a dense row at most doubles the row's memory
-#: while removing the per-symbol dict probe for the state entirely.
-DENSIFY_LOAD = (1, 2)
-
-
-def densify_threshold(width: int) -> int:
-    """Entry count at which a dict row of alphabet *width* turns dense.
-
-    Small alphabets (the common XML case: a handful of element names)
-    densify only once fully exercised; larger ones at half coverage but
-    never before :data:`DENSIFY_MIN` entries.
-
-    >>> [densify_threshold(width) for width in (1, 2, 4, 8, 20)]
-    [1, 2, 4, 4, 10]
-    """
-    num, den = DENSIFY_LOAD
-    return min(width, max(DENSIFY_MIN, (width * num + den - 1) // den))
-
-
-#: Interning registry for completed dense rows, keyed by row contents.
-#: Structurally equal sub-expressions produce identical rows; interning
-#: makes every consumer point at one shared array object.  Contents are
-#: plain target integers, so sharing across runtimes (each interpreting
-#: targets against its own position list) is pure memory dedup and can
-#: never change a verdict.  Values are held *weakly*: the runtimes using
-#: a row keep it alive, and once the last one is gone (e.g. its pattern
-#: was evicted from the compile cache) the entry drops out, so a churning
-#: stream of distinct patterns cannot grow the registry without bound.
-_SHARED_ROWS: "weakref.WeakValueDictionary[tuple[int, ...], array[int]]" = (
-    weakref.WeakValueDictionary()
-)
-
-#: Guards the registry: densifications can run concurrently on different
-#: runtimes (each holding only its own per-runtime lock), and a WeakValue
-#: dictionary additionally mutates itself from garbage-collection
-#: callbacks, so every get/insert/clear goes through this mutex.
-_ROWS_LOCK = threading.Lock()
-
-#: Guards first-time runtime attachment in :func:`compile_runtime` so two
-#: threads racing on a cold matcher share one runtime instead of each
-#: memoizing into a private copy.
-_ATTACH_LOCK = threading.Lock()
-
-
-def shared_row_count() -> int:
-    """Number of distinct dense rows currently interned (telemetry)."""
-    with _ROWS_LOCK:
-        return len(_SHARED_ROWS)
 
 
 def aggregate_stats(named_runtimes: Iterable[tuple[str, "CompiledRuntime"]]) -> dict[str, dict]:
@@ -171,28 +113,15 @@ def aggregate_stats(named_runtimes: Iterable[tuple[str, "CompiledRuntime"]]) -> 
     return {"elements": per_element, "totals": totals}
 
 
-def clear_shared_rows() -> None:
-    """Drop the dense-row interning registry (``repro.purge`` calls this).
-
-    Existing runtimes keep the array objects they already reference;
-    clearing only stops future densifications from aliasing them.  Safe
-    against in-flight matches: a match replaying a dense row holds a
-    direct reference to the array, never the registry entry.
-    """
-    with _ROWS_LOCK:
-        _SHARED_ROWS.clear()
-
-
 class CompiledRuntime:
     """Lazy-DFA execution of a wrapped :class:`DeterministicMatcher`.
 
     The wrapped matcher is consulted only on the *first* lookup of each
-    ``(state, symbol)`` pair; after that the transition is a dict probe —
-    or, once the state's row has densified (see :func:`densify_threshold`),
-    a C-level array index.  ``stats()`` exposes how much of the machine has
-    been materialized, which the cache-reuse tests, the telemetry surfaces
-    (``Pattern.stats``, ``XSDSchema.stats``) and the benchmarks
-    inspect.
+    ``(state, symbol)`` pair; after that the transition is a dict probe
+    (an array index for a snapshot-adopted row).  ``stats()`` exposes how
+    much of the machine has been materialized, which the cache-reuse
+    tests, the telemetry surfaces (``Pattern.stats``, ``XSDSchema.stats``)
+    and the benchmarks inspect.
     """
 
     __slots__ = (
@@ -203,14 +132,12 @@ class CompiledRuntime:
         "_codes",
         "_symbols",
         "_positions",
+        "_final",
         "_rows",
-        "_accepts",
         "_start_state",
         "_width",
-        "_densify_at",
         "_lock",
         "misses",
-        "row_dedups",
         "_adopted_rows",
         "_kernel_programs",
         "kernel_programs_built",
@@ -235,23 +162,19 @@ class CompiledRuntime:
         self._codes: dict[str, int] = self.alphabet.codes
         self._symbols: list[str] = self.alphabet.as_list()
         self._positions: list[TreeNode] = self.tree.positions
-        state_count = len(self._positions)
-        #: per-state transition rows: None until first visit, then a dict,
-        #: then (past the densify threshold) a completed array('i') row
-        self._rows: list[dict[int, int] | "array[int]" | None] = [None] * state_count
-        #: per-state acceptance verdict: -1 unknown, 0 reject, 1 accept
-        self._accepts: list[int] = [-1] * state_count
+        #: a state accepts iff its position's pSupLast is this node
+        self._final: TreeNode = self.tree.root.left
+        #: per-state transition rows: None until first visit, then a dict
+        #: (or a complete array-like row adopted from a snapshot)
+        self._rows: list[dict[int, int] | Sequence[int] | None] = [None] * len(self._positions)
         self._start_state: int = self.tree.start.position_index
-        #: alphabet width; dense rows have exactly this many entries
+        #: alphabet width; adopted and exported rows have exactly this many entries
         self._width: int = len(self.alphabet)
-        self._densify_at: int = densify_threshold(self._width)
-        #: single writer lock: first-time transitions, densification and
-        #: acceptance memoization serialize here (warm reads never do)
+        #: single writer lock: first-time transitions, adoption and export
+        #: serialize here (warm reads never do)
         self._lock = threading.Lock()
         #: number of delegations to the wrapped matcher so far (cache misses)
         self.misses = 0
-        #: densified rows that aliased an already-interned equal row
-        self.row_dedups = 0
         #: rows installed from a persisted snapshot (mmap-backed views)
         self._adopted_rows = 0
         #: per-stride cache of kernel programs (see :meth:`export_kernel_program`)
@@ -267,9 +190,9 @@ class CompiledRuntime:
 
         Snapshot-preloaded runtimes start without a matcher: as long as
         every transition is answered by adopted rows, the (expensive)
-        matcher preprocessing never runs — acceptance verdicts come off
-        the tree's own follow index.  The first genuine miss invokes the
-        factory — a factory must be idempotent under races
+        matcher preprocessing never runs — acceptance comes off the
+        tree's own ``pSupLast`` pointers.  The first genuine miss invokes
+        the factory — a factory must be idempotent under races
         (``Pattern.matcher`` is: it double-checks under the pattern's init
         lock).
         """
@@ -300,47 +223,21 @@ class CompiledRuntime:
         """Slow path: memoize one transition under the writer lock.
 
         Double-checks after acquisition — another thread may have filled
-        the same ``(state, code)`` pair, or densified the whole row, between
-        the reader's lock-free probe and this call.
+        the same ``(state, code)`` pair, or adopted a snapshot row for the
+        state, between the reader's lock-free probe and this call.  A new
+        row is published only once it holds its first transition.
         """
         with self._lock:
             row = self._rows[state]
             if row is None:
-                row = self._rows[state] = {}
-            elif type(row) is not dict:  # densified while we waited
+                row = {}
+            elif type(row) is not dict:  # adopted while we waited
                 return row[code]
             target = row.get(code)
             if target is None:
                 target = row[code] = self._miss(state, code)
-                if len(row) >= self._densify_at:
-                    self._densify(state, row)
+                self._rows[state] = row
             return target
-
-    def _densify(self, state: int, row: dict[int, int]) -> None:
-        """Promote a hot dict row to a completed, interned dense array row.
-
-        Entries the traffic has not exercised yet are filled eagerly (at
-        most ``|Σ|`` extra delegations, paid once per hot state), so the
-        dense row is total and can be probed with a bare index.  The
-        completed row is interned in :data:`_SHARED_ROWS`: structurally
-        equal rows collapse to one array object.  Runs under :attr:`_lock`;
-        the swap into ``_rows`` is a single atomic list-slot store, and the
-        superseded dict row stays valid for any reader still probing it.
-        """
-        get = row.get
-        miss = self._miss
-        entries = [get(code) for code in range(self._width)]
-        for code, target in enumerate(entries):
-            if target is None:
-                entries[code] = miss(state, code)
-        key = tuple(entries)
-        with _ROWS_LOCK:
-            dense = _SHARED_ROWS.get(key)
-            if dense is None:
-                dense = _SHARED_ROWS[key] = array("i", entries)
-            else:
-                self.row_dedups += 1
-        self._rows[state] = dense
 
     def step(self, state: int, code: int) -> int:
         """One memoized transition; returns :data:`DEAD` (< 0) on rejection."""
@@ -357,23 +254,21 @@ class CompiledRuntime:
         return row[code]
 
     def state_accepts(self, state: int) -> bool:
-        """Memoized ``$ ∈ Follow(state)`` — may the word end in this state?"""
-        verdict = self._accepts[state]
-        if verdict < 0:
-            with self._lock:
-                verdict = self._accepts[state]
-                if verdict < 0:
-                    accepted = self.tree.follow.accepts_at(self._positions[state])
-                    verdict = self._accepts[state] = 1 if accepted else 0
-        return verdict == 1
+        """``$ ∈ Follow(state)`` — may the word end in this state?
+
+        Lemma 2.3: ``$`` follows position ``p`` iff ``pSupLast(p)`` is the
+        root's left child, so acceptance is one pointer comparison and
+        needs neither a memo nor the follow index.
+        """
+        return self._positions[state].p_sup_last is self._final
 
     # -- whole-word drivers ----------------------------------------------------------
     def accepts_encoded(self, codes: Iterable[int]) -> bool:
         """Membership test over an already-encoded word (the hot loop).
 
         Everything the loop touches is hoisted into locals; per symbol the
-        steady state is one list index plus one dict probe — or a bare
-        array index once the state's row has densified.
+        steady state is one list index plus one dict probe (or a bare
+        array index on an adopted row).
         """
         state = self._start_state
         rows = self._rows
@@ -418,57 +313,46 @@ class CompiledRuntime:
         return CompiledRun(self)
 
     # -- snapshot export / adoption ------------------------------------------------------
-    def export_rows(self, complete: bool = True) -> dict:
-        """Exportable view of the materialized machine (for snapshots).
+    def export_rows(self) -> dict:
+        """Exportable view of the visited machine (for snapshots).
 
         Returns ``{"accepts": bytes, "rows": {state: array('i')},
-        "width": int, "positions": int}``.  With *complete* (the default
-        for saving) every visited dict row is promoted to a completed
-        dense row first and the acceptance verdict of every state is
-        resolved — both force the wrapped matcher, which a process warm
-        enough to be worth snapshotting has already built.  With
-        ``complete=False`` only what is already dense/known is exported.
-        Acceptance bytes are 1 (accept), 0 (reject) or 0xFF (unknown).
+        "width": int, "positions": int}``.  Every visited row is completed
+        first: each symbol its traffic has not exercised costs one
+        delegation, memoized into the row itself, so a process adopting
+        the snapshot answers every transition out of those states without
+        a matcher.  This forces the wrapped matcher only when some row is
+        incomplete, which a runtime holding nothing but adopted rows never
+        is.  Acceptance bytes (1 accept, 0 reject, one per state) are read
+        off ``pSupLast`` like :meth:`state_accepts`; readers ignore them,
+        and writing them keeps the file format older readers expect.
         """
+        width = self._width
+        rows: dict[int, array] = {}
         with self._lock:
-            if complete:
-                for state, row in enumerate(self._rows):
-                    if type(row) is dict and row:
-                        self._densify(state, row)
-            rows: dict[int, array] = {}
             for state, row in enumerate(self._rows):
-                if row is not None and type(row) is not dict:
+                if type(row) is dict:
+                    for code in range(width):
+                        if code not in row:
+                            row[code] = self._miss(state, code)
+                    rows[state] = array("i", [row[code] for code in range(width)])
+                elif row is not None:
                     rows[state] = array("i", row)
-            accepts = bytearray(b"\xff" * len(self._positions))
-            for state, verdict in enumerate(self._accepts):
-                if verdict >= 0:
-                    accepts[state] = verdict
-            if complete and 0xFF in accepts:
-                # Verdicts come off the tree's own follow index, as in
-                # state_accepts: re-exporting a snapshot-adopted runtime
-                # must keep its matcher deferred.
-                accepts_at = self.tree.follow.accepts_at
-                for state in range(len(self._positions)):
-                    if accepts[state] == 0xFF:
-                        verdict = 1 if accepts_at(self._positions[state]) else 0
-                        self._accepts[state] = verdict
-                        accepts[state] = verdict
         return {
-            "accepts": bytes(accepts),
+            "accepts": bytes(map(self.state_accepts, range(len(self._positions)))),
             "rows": rows,
-            "width": self._width,
+            "width": width,
             "positions": len(self._positions),
         }
 
-    def adopt_rows(self, accepts: bytes | None, rows: Mapping[int, Sequence[int]]) -> int:
+    def adopt_rows(self, rows: Mapping[int, Sequence[int]]) -> int:
         """Install snapshot rows into this runtime; returns rows adopted.
 
         Validation is strict and happens *before* any mutation, so a
         rejected snapshot leaves the runtime exactly as it was (normal
         lazy fill): every state index must be a real position, every row
-        exactly alphabet-width, every target :data:`DEAD` or a real
-        position, and acceptance bytes must cover every state with
-        0/1/0xFF values.  A violation raises
+        exactly alphabet-width and every target :data:`DEAD` or a real
+        position.  A violation raises
         :class:`~repro.matching.snapshot.SnapshotError` — the API layer
         counts it as ``snapshot_rejected`` and carries on cold.
 
@@ -496,16 +380,6 @@ class CompiledRuntime:
                 raise SnapshotError(
                     "row-bounds", "snapshot transition target out of range"
                 )
-        if accepts is not None:
-            if len(accepts) != position_count:
-                raise SnapshotError(
-                    "accepts-length",
-                    f"snapshot acceptance table covers {len(accepts)} of "
-                    f"{position_count} states",
-                )
-            if not set(accepts) <= {0, 1, 0xFF}:
-                bad = sorted(set(accepts) - {0, 1, 0xFF})[0]
-                raise SnapshotError("malformed", f"invalid acceptance byte {bad}")
         adopted = 0
         with self._lock:
             for state, row in rows.items():
@@ -513,10 +387,6 @@ class CompiledRuntime:
                     self._rows[state] = row
                     adopted += 1
             self._adopted_rows += adopted
-            if accepts is not None:
-                for state, value in enumerate(accepts):
-                    if value != 0xFF and self._accepts[state] < 0:
-                        self._accepts[state] = value
         return adopted
 
     # -- kernel export -------------------------------------------------------------------
@@ -576,54 +446,44 @@ class CompiledRuntime:
         """Single-number gauge of how much state this runtime holds.
 
         Counts every memoized transition — adopted rows *included*, since
-        re-persisting them still costs bytes — plus every resolved
-        acceptance verdict.  The snapshot auto-refresh policy
-        (:class:`repro.service.prefork.SnapshotRefresher`) compares this
-        level across time to decide when the on-disk snapshot is stale.
+        re-persisting them still costs bytes.  The snapshot auto-refresh
+        policy (:class:`repro.service.prefork.SnapshotRefresher`) compares
+        this level across time to decide when the on-disk snapshot is
+        stale.
         """
-        total = 0
-        for row in self._rows:
-            if row is not None:
-                total += len(row)
-        for verdict in self._accepts:
-            if verdict >= 0:
-                total += 1
-        return total
+        return sum(len(row) for row in self._rows if row is not None)
 
     # -- introspection -------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
         """How much of the lazy DFA has been materialized so far.
 
-        ``dense_rows`` counts states promoted to array-backed rows,
-        ``shared_rows`` how many of those aliased an already-interned equal
-        row instead of allocating a new array, ``adopted_rows`` how many
-        came from a persisted snapshot.  Every *locally* memoized
-        transition corresponds to exactly one delegation to the wrapped
-        matcher — adopted rows were exercised by some earlier process, so
-        they are excluded and ``transitions_memoized == misses`` remains
-        the invariant the unit tests pin down.  ``kernel_programs`` counts
-        the flat batch-scan tables built for this pattern
+        ``adopted_rows`` counts rows that came from a persisted snapshot;
+        they are the only array-backed rows, so ``dense_rows`` reads the
+        same number, and ``shared_rows`` (rows once interned across
+        runtimes) reads 0.  Every *locally* memoized transition
+        corresponds to exactly one delegation to the wrapped matcher —
+        adopted rows were exercised by some earlier process, so they are
+        excluded and ``transitions_memoized == misses`` remains the
+        invariant the tests pin down.  ``kernel_programs`` counts the flat
+        batch-scan tables built for this pattern
         (:meth:`export_kernel_program`); they come off the parse tree and
         kernel scans touch no row, so batches on the kernel never perturb
         the other counters.
         """
         visited = 0
         transitions = 0
-        dense_rows = 0
         for row in self._rows:
-            if row is None:
-                continue
-            visited += 1
-            transitions += len(row)
-            if type(row) is not dict:
-                dense_rows += 1
+            if row is not None:
+                visited += 1
+                transitions += len(row)
+        adopted = self._adopted_rows
         return {
             "states_visited": visited,
-            "transitions_memoized": transitions - self._adopted_rows * self._width,
+            "transitions_memoized": transitions - adopted * self._width,
             "misses": self.misses,
-            "dense_rows": dense_rows,
-            "shared_rows": self.row_dedups,
-            "adopted_rows": self._adopted_rows,
+            "dense_rows": adopted,
+            "shared_rows": 0,
+            "adopted_rows": adopted,
             "kernel_programs": self.kernel_programs_built,
         }
 
@@ -733,22 +593,3 @@ class TracedRun(CompiledRun):
                 return False
             append(self.state)
         return True
-
-
-def compile_runtime(matcher: DeterministicMatcher) -> CompiledRuntime:
-    """Build (or reuse) the compiled runtime attached to *matcher*.
-
-    The runtime is cached on the matcher so repeated calls — e.g. one per
-    validated element of a large document — share every memoized row.
-    First-time attachment is serialized so two worker threads hitting a
-    cold matcher share one runtime (and its memoized rows) instead of
-    each building a private copy.
-    """
-    runtime = getattr(matcher, "_compiled_runtime", None)
-    if runtime is None:
-        with _ATTACH_LOCK:
-            runtime = getattr(matcher, "_compiled_runtime", None)
-            if runtime is None:
-                runtime = CompiledRuntime(matcher)
-                matcher._compiled_runtime = runtime
-    return runtime

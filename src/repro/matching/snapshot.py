@@ -12,11 +12,12 @@ processes will need.  This module persists it.
 **Format v2** stores independent *sections* behind one CRC-checked
 header + directory:
 
-* ``ROWS`` — the dense lazy-DFA rows (the v1 payload, unchanged): per
+* ``ROWS`` — the lazy-DFA rows (the v1 payload, unchanged): per
   pattern a *fingerprint* (SHA-256 over the reconstruction identity),
-  per-state acceptance verdicts and every completed dense ``array('i')``
-  row, with rows written through a **file-level interning pool**
-  mirroring the in-memory registry;
+  per-state acceptance bytes (written for older readers; this reader
+  ignores them, since acceptance comes off the parse tree) and every
+  visited row, completed to alphabet width as an ``array('i')``, with
+  rows written through a **file-level interning pool**;
 * ``MEMO`` — the XML validators' per-element acceptance memos
   (:mod:`repro.xml.memo`): ``child-sequence → verdict`` entries, keyed
   by the same pattern fingerprints.

@@ -56,9 +56,9 @@ class Alphabet:
     The class is intentionally tiny; it behaves like a frozen mapping once
     built but also supports incremental construction via :meth:`add` until
     :meth:`freeze` is called.  Freezing pins the *width* of the alphabet:
-    the compiled runtime's dense transition rows are arrays of exactly
-    ``len(alphabet)`` entries indexed by code, so a code minted after a
-    row was densified would silently read past it.  The parse tree
+    snapshot rows and kernel tables are arrays of exactly
+    ``len(alphabet)`` entries per state, indexed by code, so a code minted
+    after a row was written would silently read past it.  The parse tree
     freezes its alphabet as soon as construction finishes.
     """
 

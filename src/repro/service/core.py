@@ -36,7 +36,6 @@ from typing import Callable, Iterable, Sequence
 
 from .. import api, cache
 from ..matching import kernel
-from ..matching.runtime import shared_row_count
 from ..regex.ast import Regex
 from ..xml.document import Document, Element
 from ..xml.dtd import DTD, parse_dtd
@@ -386,11 +385,12 @@ class ValidationService:
         recently served patterns to their
         :meth:`~repro.api.Pattern.stats`; ``validators`` maps memoized
         wire schemas to their ``stats()`` aggregates; ``shared_rows``
-        counts interned dense rows process-wide; ``kernel`` is
+        counted rows interned across runtimes, a registry that no longer
+        exists, and reads 0; ``kernel`` is
         :func:`repro.matching.kernel.stats` (batch-kernel programs
         built, kernel-path vs fallback word counts and the scan backend
         in use); ``snapshot`` is the snapshot namespace of
-        :func:`repro.stats` (dense-row persistence telemetry, including
+        :func:`repro.stats` (row persistence telemetry, including
         the ``snapshot_rejected`` degradation counter).
         """
         with self._metrics_lock:
@@ -415,7 +415,7 @@ class ValidationService:
             "pattern_cache": cache.compile_cache_stats(),
             "patterns": patterns,
             "validators": validators,
-            "shared_rows": shared_row_count(),
+            "shared_rows": 0,
             "kernel": kernel.stats(),
             "snapshot": cache.snapshot_stats(),
         }

@@ -159,9 +159,9 @@ class SnapshotRefresher:
             # an ever-staler GET /snapshot with no telemetry signal.
             self.last_error = str(error)
             return None
-        # Re-read after the save: a complete export densifies rows and
-        # resolves acceptance verdicts, growing the gauge as a side
-        # effect — that state is *in* the snapshot, so it is persisted.
+        # Re-read after the save: the export completes every visited row,
+        # growing the gauge as a side effect — that state is *in* the
+        # snapshot, so it is persisted.
         self._persisted_level = cache.snapshot_stats()["materialized"]["total"]
         self.saves += 1
         self.last_report = report

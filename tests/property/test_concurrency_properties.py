@@ -1,18 +1,18 @@
 """Property tests: concurrency must be invisible in every verdict.
 
 The compiled runtime's contract under threads (see
-:mod:`repro.matching.runtime`) is that memoization, densification and
-row sharing are pure caching — so any interleaving of worker threads,
-including ones that densify rows while other threads are mid-word, must
-produce exactly the verdicts of a single-threaded language oracle.  These
-properties drive real threads through randomly generated deterministic
-expressions; with the densify threshold forced to 1 every first visit of
-a state promotes a dense row, maximising writer/reader interleavings.
+:mod:`repro.matching.runtime`) is that memoization and row completion are
+pure caching — so any interleaving of worker threads, including ones that
+complete rows for a snapshot export while other threads are mid-word,
+must produce exactly the verdicts of a single-threaded language oracle.
+These properties drive real threads through randomly generated
+deterministic expressions.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 from hypothesis import given, settings, strategies as st
@@ -45,7 +45,8 @@ def _run_threads(workers):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "a worker thread hung"
 
 
 @given(
@@ -54,14 +55,15 @@ def _run_threads(workers):
     st.integers(min_value=2, max_value=6),
 )
 @settings(max_examples=25, deadline=None)
-def test_interleaved_densification_never_changes_verdicts(
+def test_interleaved_fills_and_exports_never_change_verdicts(
     seed: int, leaf_count: int, thread_count: int
 ):
-    """Threads racing first-fills and densifications agree with the oracle.
+    """Threads racing first fills and row-completing exports agree with the oracle.
 
     Every thread replays the corpus (rotated, so threads disagree about
-    which states they touch first) three times on one shared runtime whose
-    rows densify on first fill.  Any torn row, half-published array or
+    which states they touch first) three times on one shared runtime, and
+    exports its rows between passes; an export completes every visited row
+    while the other threads read.  Any torn row, half-published row or
     double delegation would surface as a wrong verdict or as the
     ``transitions_memoized == misses`` invariant breaking.
     """
@@ -69,7 +71,6 @@ def test_interleaved_densification_never_changes_verdicts(
     oracle = LanguageOracle(tree)
     expected = [oracle.accepts(word) for word in words]
     runtime = CompiledRuntime(build_matcher(tree, verify=False))
-    runtime._densify_at = 1  # densify every state on its first fill
     barrier = threading.Barrier(thread_count)
     failures: list[tuple] = []
 
@@ -83,16 +84,24 @@ def test_interleaved_densification_never_changes_verdicts(
                 verdicts = runtime.match_many(rotated)
                 if verdicts != rotated_expected:
                     failures.append((offset, verdicts, rotated_expected))
+                runtime.export_rows()
 
         return worker
 
-    _run_threads(make_worker(index % len(words)) for index in range(thread_count))
+    # A short switch interval interleaves readers with the exporting writer.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _run_threads(make_worker(index % len(words)) for index in range(thread_count))
+    finally:
+        sys.setswitchinterval(interval)
     assert not failures
     stats = runtime.stats()
     # One delegation per memoized transition even under contention: the
     # double-checked writer lock admits no duplicate fills.
     assert stats["transitions_memoized"] == stats["misses"]
-    assert stats["dense_rows"] == stats["states_visited"]
+    # the last export completed every row the corpus visits
+    assert stats["transitions_memoized"] == stats["states_visited"] * len(tree.alphabet)
 
 
 @given(
@@ -103,9 +112,9 @@ def test_interleaved_densification_never_changes_verdicts(
 def test_concurrent_cold_runtime_matches_sequential_verdicts(seed: int, leaf_count: int):
     """A cold runtime hammered by 4 threads ends up verdict-identical.
 
-    Unlike the densification property this keeps the production threshold,
-    so dict rows and dense rows coexist while threads interleave; the
-    final verdict set and the sequential-oracle verdict set must agree.
+    Unlike the export property, rows here only ever hold the pairs the
+    threads exercise; the final verdict set and the sequential-oracle
+    verdict set must agree.
     """
     tree, words = _workload(seed, leaf_count)
     oracle = LanguageOracle(tree)

@@ -156,16 +156,14 @@ def test_kernel_agrees_on_fresh_and_warm_runtimes(seed: int, leaf_count: int):
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))
 @settings(max_examples=40, deadline=None)
 def test_row_fills_leave_the_program_alone(seed: int, leaf_count: int):
-    """Per-word replays that densify rows never rebuild or perturb the program.
+    """Per-word replays that fill rows never rebuild or perturb the program.
 
-    Forcing the densify threshold to 1 promotes every visited state to a
-    dense row on its first transition, so the runtime's rows change
-    representation between the batches; the program, read off the tree,
-    stays the same object and keeps agreeing.
+    The per-word reference fills the runtime's rows between the batches;
+    the program, read off the tree, stays the same object and keeps
+    agreeing, and the batches themselves fill no row.
     """
     tree, words = _workload(seed, leaf_count)
     runtime = CompiledRuntime(build_matcher(tree, verify=False))
-    runtime._densify_at = 1
     program = runtime.export_kernel_program()
     for split in (5, len(words)):
         expected = _per_word(runtime, words[:split])
@@ -182,13 +180,13 @@ def test_kernel_needs_no_matcher(seed: int, leaf_count: int):
     tree, words = _workload(seed, leaf_count)
     donor = CompiledRuntime(build_matcher(tree, verify=False))
     expected = _per_word(donor, words)
-    export = donor.export_rows(complete=True)
+    export = donor.export_rows()
 
     def explode():
         raise AssertionError("the kernel must answer without a matcher")
 
     adopter = CompiledRuntime(tree=tree, matcher_factory=explode)
-    adopter.adopt_rows(export["accepts"], export["rows"])
+    adopter.adopt_rows(export["rows"])
     assert match_words(adopter, words) == expected
     bare = CompiledRuntime(tree=tree, matcher_factory=explode)
     assert match_words(bare, words) == expected

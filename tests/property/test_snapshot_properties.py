@@ -66,13 +66,13 @@ def test_adopted_rows_reproduce_every_verdict(seed: int, leaf_count: int):
 
     export = warm.export_rows()
     fresh = CompiledRuntime(build_matcher(build_parse_tree(expr), verify=False))
-    adopted = fresh.adopt_rows(export["accepts"], export["rows"])
+    adopted = fresh.adopt_rows(export["rows"])
     assert adopted == len(export["rows"])
     assert [fresh.accepts(word) for word in words] == expected
     assert fresh.stats()["misses"] == 0, "complete export must answer everything"
 
     # the persisted machine is a fixpoint: re-export reproduces the rows
-    second = fresh.export_rows(complete=False)
+    second = fresh.export_rows()
     assert {state: list(row) for state, row in second["rows"].items()} == {
         state: list(row) for state, row in export["rows"].items()
     }

@@ -25,7 +25,7 @@ import repro
 from repro.lexer import Lexer
 from repro.matching import kernel
 from repro.matching.dispatch import STRATEGIES
-from repro.matching.plan import PLANNER
+from repro.matching.plan import PLANNER, CompiledPlan, DirectPlan
 from repro.xml.xsd import element_particle, sequence
 
 WORDS = ["ab", "aba", "abb", "ba", "", "abab", "bba", "abba", "b", "a"] * 2
@@ -244,32 +244,37 @@ class TestSharedFollowIndex:
         assert lca_builds == [tree.root]
 
 
-class TestPlannerRegistry:
-    def test_registered_strategy_order(self):
-        names = [name for name, _qualifies in PLANNER.strategies()]
-        assert names == ["per-word", "star-free-multi", "compiled-kernel", "compiled-runtime"]
+class TestPlanner:
+    def test_compiled_routes_share_one_plan_class(self, monkeypatch):
+        """Uncompiled patterns plan direct; every compiled route is a CompiledPlan."""
+        assert type(PLANNER.plan(repro.Pattern("ab(a+b)", compiled=False))) is DirectPlan
+        pattern = repro.Pattern("(ab+b(b?)a)*")
+        assert type(PLANNER.plan(pattern, compiled=False)) is DirectPlan
+        routes = {}
+        for expr in ("ab(a+b)", "(ab+b(b?)a)*"):
+            plan = PLANNER.plan(repro.Pattern(expr))
+            assert type(plan) is CompiledPlan
+            routes[expr] = plan.route
+        monkeypatch.setattr(kernel, "TABLE_LIMIT", 1)
+        oversized = PLANNER.plan(pattern)
+        assert type(oversized) is CompiledPlan
+        routes["oversized"] = oversized.route
+        assert routes == {
+            "ab(a+b)": "star-free-multi",
+            "(ab+b(b?)a)*": "compiled-kernel",
+            "oversized": "compiled-runtime",
+        }
 
-    def test_dialect_seam_accepts_and_removes_a_strategy(self):
-        """The registry is the landing seam for future dialect engines."""
-        built = []
+    def test_plan_entry_point_can_be_rebound(self, monkeypatch):
+        """A tracer times planning by rebinding ``PLANNER.plan`` on the instance."""
+        seen = []
+        original = PLANNER.plan
 
-        def qualifies(pattern, compiled):
-            return compiled and pattern.expression is marker
+        def traced(pattern, compiled=None):
+            plan = original(pattern, compiled)
+            seen.append(plan.route)
+            return plan
 
-        class _Probe:
-            route = "probe-engine"
-
-            def __init__(self, pattern):
-                built.append(pattern)
-
-        PLANNER.register("probe-engine", qualifies, _Probe, before="star-free-multi")
-        try:
-            marker = repro.Pattern("ab").expression
-            probed = repro.Pattern(marker)
-            assert probed.plan.route == "probe-engine"
-            # Patterns the new strategy declines keep their old routes.
-            assert repro.Pattern("ab(a+b)").plan.route == "star-free-multi"
-        finally:
-            PLANNER.unregister("probe-engine")
-        assert built, "the registered builder was never used"
-        assert repro.Pattern(marker).plan.route == "star-free-multi"
+        monkeypatch.setattr(repro.api.PLANNER, "plan", traced)
+        assert repro.Pattern("(ab)*").plan.route == "compiled-kernel"
+        assert seen == ["compiled-kernel"]

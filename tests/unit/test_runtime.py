@@ -5,13 +5,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.matching import CompiledRun, CompiledRuntime, build_matcher, compile_runtime
-from repro.matching.runtime import (
-    DEAD,
-    clear_shared_rows,
-    densify_threshold,
-    shared_row_count,
-)
+from repro.matching import CompiledRun, CompiledRuntime, build_matcher
+from repro.matching.runtime import DEAD
 from repro.regex.ast import Sym
 from repro.regex.parse_tree import build_parse_tree
 from repro.xml import element, parse_dtd
@@ -92,71 +87,83 @@ class TestCompiledRuntime:
         runtime = _runtime("a")
         assert runtime.step(runtime.tree.start.position_index, -1) == DEAD
 
-    def test_compile_runtime_is_cached_on_the_matcher(self):
-        matcher = build_matcher(build_parse_tree("(ab)*"), verify=False)
-        assert compile_runtime(matcher) is compile_runtime(matcher)
+    def test_acceptance_reads_the_tree_and_delegates_nothing(self):
+        def explode():
+            raise AssertionError("acceptance must not need the matcher")
+
+        tree = build_parse_tree("(ab+b(b?)a)*")
+        runtime = CompiledRuntime(tree=tree, matcher_factory=explode)
+        verdicts = [runtime.state_accepts(state) for state in range(len(tree.positions))]
+        assert tree._follow is None, "acceptance built the follow index"
+        assert verdicts == [tree.follow.accepts_at(position) for position in tree.positions]
+        assert runtime.stats()["states_visited"] == 0
 
 
 class TestDenseRows:
-    #: six-symbol mixed content: alphabet width 6, densify threshold 4
+    """Rows fill one exercised pair at a time; only adopted rows are arrays."""
+
+    #: six-symbol mixed content: alphabet width 6
     EXPR = "(a+b+c+d+e+f)*"
 
-    def test_densify_threshold_profile(self):
-        # full coverage for tiny alphabets, half coverage (>= DENSIFY_MIN)
-        # for larger ones
-        assert [densify_threshold(w) for w in (1, 2, 3, 4, 8, 20, 100)] == [
-            1, 2, 3, 4, 4, 10, 50,
-        ]
+    def _adopted(self, expr: str, words) -> CompiledRuntime:
+        """A fresh runtime holding the completed rows a donor's *words* visited."""
+        donor = _runtime(expr)
+        for word in words:
+            donor.accepts(word)
+        runtime = _runtime(expr)
+        assert runtime.adopt_rows(donor.export_rows()["rows"]) > 0
+        return runtime
 
-    def test_hot_row_densifies_and_is_completed_eagerly(self):
+    def test_rows_fill_only_the_exercised_pairs(self):
         runtime = _runtime(self.EXPR)
-        for symbol in "abc":
+        for symbol in "abcd":
             runtime.accepts(symbol)
-        assert runtime.stats()["dense_rows"] == 0  # below threshold
-        runtime.accepts("d")  # fourth distinct code: the start row promotes
+        row = runtime._rows[runtime._start_state]
+        assert type(row) is dict
+        assert sorted(row) == [runtime.alphabet.code(symbol) for symbol in "abcd"]
         stats = runtime.stats()
-        assert stats["dense_rows"] >= 1
-        # eager completion resolved e and f at promotion time: probing them
-        # now must not delegate to the wrapped matcher again
-        warm = runtime.misses
-        assert runtime.accepts("e") and runtime.accepts("f")
-        assert runtime.misses == warm
-        assert runtime.stats()["transitions_memoized"] == runtime.misses
+        assert stats["dense_rows"] == stats["shared_rows"] == 0
+        assert stats["transitions_memoized"] == stats["misses"] == 4
+        # an unexercised pair costs its one delegation when first looked up
+        assert runtime.accepts("e")
+        assert runtime.misses == 5
+
+    def test_export_completes_visited_rows_in_place(self):
+        runtime = _runtime(self.EXPR)
+        runtime.accepts("ab")
+        export = runtime.export_rows()
+        width = len(runtime.alphabet)
+        stats = runtime.stats()
+        assert set(export["rows"]) == {
+            state for state, row in enumerate(runtime._rows) if row is not None
+        }
+        assert all(len(row) == width for row in export["rows"].values())
+        assert stats["transitions_memoized"] == stats["misses"] == stats["states_visited"] * width
+        assert stats["dense_rows"] == 0  # completed rows stay dicts
+        runtime.export_rows()
+        assert runtime.misses == stats["misses"], "a complete row is never filled twice"
 
     def test_dense_rows_agree_with_matcher(self):
-        runtime = _runtime(self.EXPR)
-        runtime._densify_at = 1  # promote every state immediately
+        runtime = self._adopted(self.EXPR, ["abcdef", "fedcba"])
         matcher = build_matcher(build_parse_tree(self.EXPR), verify=False)
         for word in ["", "abc", "fedcba", "az", "aa", "abcdef"]:
             assert runtime.accepts(word) == matcher.accepts(word), word
         stats = runtime.stats()
-        assert stats["dense_rows"] == stats["states_visited"] > 0
+        assert stats["dense_rows"] == stats["adopted_rows"] == stats["states_visited"] > 0
+        assert stats["misses"] == 0
 
     def test_dense_step_memoizes_dead_transitions(self):
-        runtime = _runtime("(ab)*")
-        runtime._densify_at = 1
-        assert runtime.accepts("ab")
+        runtime = self._adopted("(ab)*", ["ab"])
         start = runtime._start_state
         b_code = runtime.alphabet.code("b")
+        assert type(runtime._rows[start]) is not dict
         assert runtime.step(start, b_code) == runtime.step(start, b_code) < 0
         assert runtime.step(start, -1) == DEAD
-
-    def test_structurally_equal_runtimes_share_dense_rows(self):
-        first = _runtime(self.EXPR)
-        second = _runtime(self.EXPR)
-        for runtime in (first, second):
-            for word in ["a", "b", "c", "d", "e", "f"]:
-                runtime.accepts(word)
-        assert first.stats()["dense_rows"] > 0
-        # the second runtime's dense rows alias the first's interned arrays
-        assert second.row_dedups > 0
-        shared = [row for row in second._rows if row is not None and type(row) is not dict]
-        assert any(any(row is other for other in first._rows) for row in shared)
+        assert runtime.misses == 0
 
     def test_streaming_over_dense_rows(self):
         matcher = build_matcher(build_parse_tree(self.EXPR), verify=False)
-        runtime = CompiledRuntime(build_matcher(build_parse_tree(self.EXPR), verify=False))
-        runtime._densify_at = 1
+        runtime = self._adopted(self.EXPR, ["abc", "cba"])
         for word in ["abc", "az", ""]:
             direct = matcher.start()
             compiled = runtime.start()
@@ -164,22 +171,11 @@ class TestDenseRows:
                 assert compiled.feed(symbol) == direct.feed(symbol), (word, symbol)
                 assert compiled.is_accepting() == direct.is_accepting(), (word, symbol)
 
-    def test_purge_clears_the_shared_registry(self):
-        runtime = _runtime(self.EXPR)
-        runtime._densify_at = 1
-        runtime.accepts("a")
-        assert shared_row_count() > 0
-        repro.purge()
-        assert shared_row_count() == 0
-        # already-densified runtimes keep their rows and verdicts
-        assert runtime.accepts("ab")
-        clear_shared_rows()  # idempotent
-
 
 class TestCompiledRunStreaming:
     def test_streaming_equivalence_with_direct_run(self):
         matcher = build_matcher(build_parse_tree("(ab+b(b?)a)*"), verify=False)
-        runtime = compile_runtime(matcher)
+        runtime = CompiledRuntime(matcher)
         for word in ["abba", "abz", "bbab", ""]:
             direct = matcher.start()
             compiled = runtime.start()
@@ -193,7 +189,7 @@ class TestCompiledRunStreaming:
         # The literal '$' labels only the R1 end sentinel, which is outside
         # the user alphabet: neither path may transition into it.
         matcher = build_matcher(build_parse_tree("(ab)*"), verify=False)
-        runtime = compile_runtime(matcher)
+        runtime = CompiledRuntime(matcher)
         for sentinel in ("$", "#"):
             direct = matcher.start()
             compiled = runtime.start()
@@ -248,6 +244,16 @@ class TestCompileCache:
         assert repro.stats()["pattern_cache"]["size"] == 0
         assert repro.compile("(ab)*") is not first
 
+    def test_purge_leaves_live_patterns_warm(self):
+        pattern = repro.compile("(a+b+c+d+e+f)*")
+        assert pattern.match("abcdef")
+        warm = pattern.runtime.stats()
+        repro.purge()
+        assert repro.compile("(a+b+c+d+e+f)*") is not pattern
+        # the evicted pattern keeps its rows: replaying delegates nothing
+        assert pattern.match("abcdef") and not pattern.match("abz")
+        assert pattern.runtime.stats() == warm
+
     def test_failed_compiles_do_not_inflate_evictions(self):
         from repro.errors import RegexSyntaxError
 
@@ -256,17 +262,6 @@ class TestCompileCache:
         stats = repro.stats()["pattern_cache"]
         assert stats["misses"] == 1  # the attempt is counted ...
         assert stats["evictions"] == 0  # ... but nothing was inserted or evicted
-
-    def test_shared_registry_releases_rows_of_dead_runtimes(self):
-        import gc
-
-        runtime = _runtime("(a+b+c+d+e+f)*")
-        runtime._densify_at = 1
-        runtime.accepts("a")
-        assert shared_row_count() > 0
-        del runtime
-        gc.collect()
-        assert shared_row_count() == 0  # weak registry: no leak after eviction
 
     def test_eviction_counter_tracks_lru_overflow(self):
         assert repro.stats()["pattern_cache"]["evictions"] == 0
@@ -286,6 +281,7 @@ class TestCompileCache:
         assert runtime["misses"] > 0
         assert runtime["transitions_memoized"] == runtime["misses"]
         assert {"dense_rows", "shared_rows"} <= set(runtime)
+        assert runtime["shared_rows"] == 0
 
     def test_pattern_stats_replaces_the_removed_aliases(self):
         pattern = repro.compile("(ab+b(b?)a)*")
@@ -327,7 +323,11 @@ class TestPatternRuntimePaths:
 
     def test_runtime_property_shares_matcher_runtime(self):
         pattern = repro.Pattern("(ab)*")
-        assert pattern.runtime is compile_runtime(pattern.matcher)
+        runtime = pattern.runtime
+        assert runtime._matcher_obj is None  # deferred until the first miss
+        assert pattern.match("ab")
+        assert runtime.matcher is pattern.matcher
+        assert pattern.runtime is runtime
 
     def test_plus_fallback_semantics_run_compiled(self):
         # b+ under the outer + loses Glushkov-determinism after the

@@ -157,6 +157,16 @@ class TestStats:
         (runtime_stats,) = stats["patterns"].values()
         assert runtime_stats["transitions_memoized"] == runtime_stats["misses"] > 0
 
+    def test_retired_shared_rows_keys_read_zero(self):
+        """Rows are no longer interned across runtimes; the wire keys stay, at 0."""
+        with ValidationService(workers=2) as service:
+            for _ in range(3):
+                service.match_batch("(a+b+c+d)*", ["abcd", "dcba", "aabb"])
+            stats = service.stats()
+        assert stats["shared_rows"] == 0
+        (runtime_stats,) = stats["patterns"].values()
+        assert runtime_stats["shared_rows"] == runtime_stats["dense_rows"] == 0
+
     def test_stats_sees_the_in_flight_request(self):
         """A snapshot taken mid-request reports it as in flight.
 

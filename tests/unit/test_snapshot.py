@@ -1,4 +1,4 @@
-"""Dense-row snapshots: format round-trip, corruption handling, telemetry.
+"""Row snapshots: format round-trip, corruption handling, telemetry.
 
 The contract under test (ISSUE 4): a stale or corrupt snapshot must
 degrade to the normal lazy fill with a counted ``snapshot_rejected``
@@ -70,11 +70,23 @@ class TestRoundTrip:
         assert stats["adopted_rows"] == saved["rows"]
         assert stats["misses"] == 0, "adopted rows should answer every query"
         assert runtime._matcher_obj is None, "the Section-4 matcher must stay unbuilt"
-        # Re-persisting a snapshot-adopted runtime (complete accepts, all
-        # rows dense) must not force the matcher either — the refresh
-        # path keeps the deferred-construction win.
-        runtime.export_rows(complete=True)
+        # Re-persisting a snapshot-adopted runtime (every row adopted and
+        # complete) must not force the matcher either — the refresh path
+        # keeps the deferred-construction win.
+        runtime.export_rows()
         assert runtime._matcher_obj is None, "export of a complete runtime forced the matcher"
+
+    def test_same_traffic_saves_the_same_bytes(self, tmp_path):
+        """Rows are completed at save, so the file depends on the traffic alone."""
+        first = tmp_path / "first.snapshot"
+        _warm_and_save(first)
+        repro.purge()
+        second = tmp_path / "second.snapshot"
+        _warm_and_save(second)
+        assert first.read_bytes() == second.read_bytes()
+        # a save completes rows in place, so saving again changes nothing
+        repro.save_snapshot(str(second))
+        assert first.read_bytes() == second.read_bytes()
 
     def test_rows_are_interned_in_a_file_pool(self, tmp_path):
         path = tmp_path / "rows.snapshot"
@@ -224,7 +236,7 @@ class TestAdoptRows:
     def test_rejects_wrong_row_width(self):
         runtime = self._runtime()
         with pytest.raises(SnapshotError) as excinfo:
-            runtime.adopt_rows(None, {0: [0]})
+            runtime.adopt_rows({0: [0]})
         assert excinfo.value.reason == "alphabet-width"
         assert runtime.stats()["adopted_rows"] == 0
         assert runtime.accepts("abab") is True
@@ -232,20 +244,40 @@ class TestAdoptRows:
     def test_rejects_state_out_of_range(self):
         runtime = self._runtime()
         with pytest.raises(SnapshotError) as excinfo:
-            runtime.adopt_rows(None, {999: [0, 1]})
+            runtime.adopt_rows({999: [0, 1]})
         assert excinfo.value.reason == "row-bounds"
 
     def test_rejects_target_out_of_range(self):
         runtime = self._runtime()
         with pytest.raises(SnapshotError) as excinfo:
-            runtime.adopt_rows(None, {0: [999, -7]})
+            runtime.adopt_rows({0: [999, -7]})
         assert excinfo.value.reason == "row-bounds"
 
-    def test_rejects_short_accepts_table(self):
-        runtime = self._runtime()
-        with pytest.raises(SnapshotError) as excinfo:
-            runtime.adopt_rows(b"\x01", {})
-        assert excinfo.value.reason == "accepts-length"
+    def test_acceptance_bytes_are_not_read(self, tmp_path):
+        """Acceptance comes off the parse tree, so a file's accept bytes never matter."""
+        pattern = repro.compile(EXPR)
+        for word in WORDS:
+            pattern.match(word)
+        meta = cache.snapshot_meta((EXPR, "paper", "auto", True), pattern)
+        export = pattern.runtime.export_rows()
+        path = tmp_path / "rows.snapshot"
+        snapshot_format.write(
+            path,
+            [
+                {
+                    "fingerprint": snapshot_format.pattern_fingerprint(meta),
+                    "meta": meta,
+                    "accepts": b"\x07",  # neither the right length nor a valid byte
+                    "rows": export["rows"],
+                }
+            ],
+        )
+        repro.purge()
+        report = repro.load_snapshot(str(path))
+        assert report["rejected"] == 0 and report["patterns_loaded"] == 1, report
+        adopted = repro.compile(EXPR)
+        assert [adopted.match(word) for word in WORDS] == _oracle()
+        assert adopted.runtime.stats()["misses"] == 0
 
     def test_partial_validation_failure_mutates_nothing(self):
         runtime = self._runtime()
@@ -254,7 +286,7 @@ class TestAdoptRows:
         bad = dict(good["rows"])
         bad[0] = [999] * good["width"]
         with pytest.raises(SnapshotError):
-            fresh.adopt_rows(good["accepts"], bad)
+            fresh.adopt_rows(bad)
         assert fresh.stats()["adopted_rows"] == 0
         assert fresh.stats()["states_visited"] == 0
 
