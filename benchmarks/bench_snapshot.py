@@ -16,7 +16,7 @@ exactly that, with real processes:
   — persistence must never change an answer;
 * a **throughput gate** (runs even with ``--benchmark-disable``): the
   snapshot-preloaded process must reach its verdicts at least
-  :data:`MIN_SPEEDUP`× faster than the true cold process, best-of-3 on
+  :data:`MIN_SPEEDUP`× faster than the true cold process, best-of-5 on
   both sides so a descheduled CI runner cannot fake a regression.
 
 The **v2 leg** (ISSUE 5) repeats the measurement for the workload the
@@ -247,18 +247,19 @@ def test_snapshot_verdicts_identical_to_oracle(workload):
 def test_snapshot_cold_start_speedup_at_least_3x(workload):
     """Snapshot-preloaded time-to-first-1k-verdicts must be >= 3x faster.
 
-    Locally the gap is 5-10x (the snapshot child never builds a Section-4
-    matcher at all); best-of-3 on both sides keeps a descheduled shared
-    runner from deciding the verdict.
+    The snapshot child never builds a Section-4 matcher at all.  The gap
+    reads 3.9-4.0x (2 vCPU, CPython 3.11.7, best of 5): a cold child of
+    70-80 ms against a snapshot child of 18-21 ms, whose best of 3 has
+    read 26-35 ms on a loaded machine.  Best-of-5 on both sides, one cold
+    and one snapshot child per round, keeps a descheduled shared runner
+    (or a burst of load landing on one side's children) from deciding
+    the verdict.
     """
-    cold = min(
-        _run_child("cold", workload["corpus_path"], workload["snapshot_path"])["elapsed"]
-        for _ in range(3)
-    )
-    warm = min(
-        _run_child("snapshot", workload["corpus_path"], workload["snapshot_path"])["elapsed"]
-        for _ in range(3)
-    )
+    cold = warm = float("inf")
+    for _ in range(5):
+        paths = workload["corpus_path"], workload["snapshot_path"]
+        cold = min(cold, _run_child("cold", *paths)["elapsed"])
+        warm = min(warm, _run_child("snapshot", *paths)["elapsed"])
     speedup = cold / warm
     assert speedup >= MIN_SPEEDUP, (
         f"snapshot-preloaded cold start only {speedup:.2f}x faster "

@@ -157,9 +157,6 @@ class Pattern:
         self._runtime: CompiledRuntime | None = None
         #: the execution plan (strategy object), planned lazily on first use
         self._plan: ExecutionPlan | None = None
-        #: lazily built whole-sequence acceptance memo (the XML
-        #: validators' per-element cache; see :meth:`acceptance_memo`)
-        self._acceptance_memo = None
         #: batch-kernel traffic split for this pattern (see :meth:`stats`)
         self._kernel_words = 0
         self._kernel_fallback_words = 0
@@ -286,9 +283,11 @@ class Pattern:
         a second batch.  From the next batch on, the pattern's one
         program answers every word, and batches write no runtime row;
         a snapshot-adopted pattern gets its program without building its
-        matcher.  The program memoizes its verdicts by raw word, and the
-        corpus probes that memo first, so a word an earlier batch brought
-        costs one dict probe and no ``parse_word``.  Tiny batches (and
+        matcher.  Once the runtime is warm, the corpus probes the
+        pattern's one verdict memo (:meth:`acceptance_memo`, shared with
+        the validators) by raw word first, and the kernel stores every
+        verdict it scans there, so a word an earlier batch brought costs
+        one dict probe and no ``parse_word``.  Tiny batches (and
         machines too large for a kernel table) keep the per-word replay
         driver.  :meth:`describe`
         reports which path a pattern takes under ``"batch_path"``.  With
@@ -312,27 +311,20 @@ class Pattern:
         return plan.match_all(Corpus(words, parse_word, plan.verdict_memo(detail)), detail=detail)
 
     def acceptance_memo(self):
-        """The pattern's whole-sequence acceptance memo (built on first use).
+        """The pattern's one word → verdict memo: ``self.runtime.memo``.
 
-        A bounded :class:`~repro.xml.memo.AcceptanceMemo` caching
-        ``symbol-sequence → verdict`` answers.  The DTD/XSD validators
-        consult it per element occurrence, so repeated child sequences —
-        the dominant real-schema workload — cost one dict probe.  Living
-        on the (cached) pattern, one memo is shared by every validator
-        compiling a structurally equal content model, and
-        :func:`save_snapshot` persists it keyed by the pattern's
-        fingerprint (the ``MEMO`` section of snapshot format v2).
+        A bounded :class:`~repro.matching.memo.AcceptanceMemo` in two
+        generations.  The DTD/XSD validators consult it per element
+        occurrence, so repeated child sequences — the dominant
+        real-schema workload — cost one dict probe, and warm batches
+        (:meth:`match_all`) read and fill it by raw word.  Living on the
+        (cached) pattern's runtime, one memo is shared by every validator
+        and batch on a structurally equal content model, and
+        :func:`save_snapshot` persists its symbol sequences keyed by the
+        pattern's fingerprint (the ``MEMO`` section of snapshot format
+        v2).  Builds the runtime, not the matcher.
         """
-        memo = self._acceptance_memo
-        if memo is None:
-            with self._init_lock:
-                memo = self._acceptance_memo
-                if memo is None:
-                    from .xml.memo import AcceptanceMemo
-
-                    memo = AcceptanceMemo()
-                    self._acceptance_memo = memo
-        return memo
+        return self.runtime.memo
 
     def stream(self) -> MatchRun | CompiledRun:
         """Begin a streaming match (feed symbols one at a time).
@@ -486,9 +478,9 @@ def iter_cached_patterns() -> list[tuple[tuple, "Pattern"]]:
     """A consistent ``(cache key, pattern)`` snapshot of the compile cache.
 
     The telemetry walk behind the ``stats()["snapshot"]["materialized"]``
-    gauge and the autosizer's per-pattern memo policy: every live cached
-    pattern, without forcing any lazy construction.  Cache keys are
-    ``(expr, dialect, strategy, compiled)`` tuples.
+    gauge: every live cached pattern, without forcing any lazy
+    construction.  Cache keys are ``(expr, dialect, strategy, compiled)``
+    tuples.
     """
     return _cache.PATTERN_CACHE.items()
 

@@ -10,10 +10,11 @@ owns the two pieces of *process-wide* mutable state —
   ``repro.stats()["snapshot"]`` — plus the snapshot walk itself
   (:func:`save_snapshot` / :func:`load_snapshot`), which persists and
   re-adopts every warm pattern's materialized matching state (completed
-  lazy-DFA rows and validator acceptance memos).
+  lazy-DFA rows and the symbol sequences of its verdict memo).
 
-Engine state is read through the pattern-owned runtime and memo, never
-forced: a pattern that has not matched yet contributes nothing.
+Engine state is read through the pattern's runtime, which owns the
+pattern's one verdict memo, never forced: a pattern that has not matched
+yet contributes nothing.
 
 The public spellings stay on :mod:`repro.api` (``repro.save_snapshot``,
 ``repro.load_snapshot``, ``repro.stats``...); the private names live
@@ -320,8 +321,10 @@ def save_snapshot(path: str) -> dict:
       (:meth:`~repro.matching.runtime.CompiledRuntime.export_rows`; every
       visited row is completed first, so the snapshot replays with zero
       matcher delegations);
-    * the validators' per-element acceptance memos
-      (:meth:`~repro.xml.memo.AcceptanceMemo.export`).
+    * the symbol sequences of the runtime's verdict memo, which
+      validators and list-word batches fill
+      (:meth:`~repro.matching.memo.AcceptanceMemo.export`; ``str`` batch
+      words are not written).
 
     Patterns with no materialized state in either section — or whose
     expression text does not round-trip — are skipped and counted.
@@ -336,14 +339,13 @@ def save_snapshot(path: str) -> dict:
     memo_entries = []
     skipped = 0
     for key, pattern in PATTERN_CACHE.items():
-        row_export = None
+        row_export = memo_export = None
         runtime = pattern._built_runtime()
         if runtime is not None:
             row_export = runtime.export_rows()
             if not row_export["rows"]:
                 row_export = None
-        memo = pattern._acceptance_memo
-        memo_export = memo.export() if memo is not None and len(memo) else None
+            memo_export = runtime.memo.export() or None
         if row_export is None and memo_export is None:
             skipped += 1
             continue
@@ -476,7 +478,8 @@ def load_snapshot(path: str) -> dict:
     fingerprint from the *live* pattern and adopts only on an exact
     match.  The v2 sections are adopted independently — rows into the
     compiled runtimes (their acceptance bytes are not read: acceptance
-    comes off the parse tree), acceptance memos onto the patterns; an older
+    comes off the parse tree), memo entries into the runtimes' verdict
+    memos, which validators and warm list-word batches read; an older
     writer's ``SFTB`` star-free tables are skipped unread — and v1 files
     (rows only) still load, counted under ``format_v1``.  Given an
     ``http://``/``https://`` URL the file is first fetched from a running
@@ -583,9 +586,13 @@ def materialization() -> dict:
     """Gauge of the matching state currently materialized in this process.
 
     Walks the compile cache without forcing anything: memoized lazy-DFA
-    transitions and validator memo entries, plus a ``total``.
-    The snapshot auto-refresh policy compares ``total`` across time to
-    decide when the on-disk snapshot has gone stale.
+    transitions and verdict-memo entries, plus a ``total``.
+    ``memo_entries`` counts exactly the entries :func:`save_snapshot`
+    would write (symbol sequences, not ``str`` batch words).  The
+    snapshot auto-refresh policy compares ``total`` across time to decide
+    when the on-disk snapshot has gone stale.  The memo count can fall
+    when a memo generation turns over; the refresher then persists the
+    new working set once the gauge grows past the level it last saved.
     ``star_free_entries`` gauged the retired star-free tables and reads 0.
     """
     patterns = 0
@@ -596,9 +603,7 @@ def materialization() -> dict:
         runtime = pattern._built_runtime()
         if runtime is not None:
             transitions += runtime.materialized()
-        memo = pattern._acceptance_memo
-        if memo is not None:
-            memo_entries += len(memo)
+            memo_entries += runtime.memo.exported()
     return {
         "patterns": patterns,
         "transitions": transitions,

@@ -50,11 +50,13 @@ once by ``Pattern.match_all``: each distinct word is encoded and scanned
 once and the verdicts fan back out through the corpus's index.  Real
 schema corpora re-match the same few child sequences millions of times
 (the Li et al. observation the benchmarks model), which a per-word driver
-cannot exploit but a corpus-level kernel gets for free.  A program never
-changes, so a word's verdict on it never does either: each program keeps
-a :class:`VerdictMemo` keyed on the raw word, which the corpus probes
-before it parses a word, and a word an earlier batch brought costs one
-dict probe — no ``parse_word``, no encoding and no scan.
+cannot exploit but a corpus-level kernel gets for free.  A pattern's
+language never changes, so a word's verdict never does either: a warm
+batch's corpus probes the runtime's verdict memo
+(:class:`~repro.matching.memo.AcceptanceMemo`, ``runtime.memo``, shared
+with the validators) on the raw word before it parses it, and a word an
+earlier batch brought costs one dict probe — no ``parse_word``, no
+encoding and no scan.
 
 **Cold batches.**  A batch over a runtime that has answered nothing yet
 (``CompiledRuntime.cold``) builds no table: :func:`replay_words` answers
@@ -87,6 +89,7 @@ from typing import Iterable, Sequence
 
 from ..regex.parse_tree import NodeKind
 from ..regex.parser import parse_word
+from .memo import AcceptanceMemo
 
 #: Hard ceiling on flat-table entries (``int32``) per program.  The builder
 #: picks the deepest stride whose composed table fits; a machine whose
@@ -107,12 +110,6 @@ MAX_STRIDE = 3
 #: cached: building a composed table costs milliseconds, which only a
 #: real corpus amortizes.
 MIN_BATCH = 8
-
-#: Distinct-word verdicts memoized per program (:class:`VerdictMemo`).
-#: A program that meets a stream of new words would otherwise keep them
-#: all: when the memo held encodings, ``1 << 16`` took match-stream's peak
-#: RSS to 170 MB against 41 MB at ``1 << 10`` (``docs/kernel.md``).
-VERDICT_MEMO_LIMIT = 1 << 10
 
 #: Verdict bytes produced by a scan.
 VERDICT_REJECT = 0
@@ -267,27 +264,28 @@ class Corpus:
 
     Words are keyed as they arrive (a ``str`` as it is, any other sequence
     as a tuple), so *normalise* (``parse_word``) runs once per distinct
-    spelling; spellings that normalise alike share a slot.  Given a
-    program's *memo*, a key it holds is answered before it is normalised:
-    the word takes slot ``-2`` (accept) or ``-1`` (reject) and adds no
-    distinct word.  ``keys`` pairs every other key whose verdict may be
-    memoized with its slot.
+    spelling; spellings that normalise alike share a slot.  Given the
+    runtime's verdict *memo*, a key it holds is answered before it is
+    normalised: the word takes slot ``-2`` (accept) or ``-1`` (reject)
+    and adds no distinct word.  ``keys`` pairs every other key whose
+    verdict may be memoized with its slot, and ``memo`` keeps the memo
+    probed, which :func:`match_corpus` stores the scanned verdicts in.
 
     >>> corpus = Corpus(["ab", ["b"], "ab", ("a", "b")])
     >>> corpus.words, list(corpus.index), len(corpus)
     ([['a', 'b'], ['b']], [0, 1, 0, 0], 4)
     >>> corpus.fan_out([True, False])
     [True, False, True, True]
-    >>> memo = VerdictMemo()
+    >>> memo = AcceptanceMemo()
     >>> memo.put("ab", True)
     >>> corpus = Corpus(["ab", ["b"], "ab"], memo=memo)
     >>> corpus.words, list(corpus.index), corpus.fan_out([False])
     ([['b']], [-2, 0, -2], [True, False, True])
     """
 
-    __slots__ = ("words", "index", "keys")
+    __slots__ = ("words", "index", "keys", "memo")
 
-    def __init__(self, batch: Iterable, normalise=parse_word, memo: VerdictMemo | None = None):
+    def __init__(self, batch: Iterable, normalise=parse_word, memo: AcceptanceMemo | None = None):
         slots: dict = {}  # raw key → slot
         shared: dict = {}  # normalised word → slot
         words: list = []
@@ -321,6 +319,7 @@ class Corpus:
         self.words = words
         self.index = index
         self.keys = keys
+        self.memo = memo
 
     def __len__(self) -> int:
         return len(self.index)
@@ -349,6 +348,7 @@ class KernelCorpus(Corpus):
         self.words = corpus.words
         self.index = corpus.index
         self.keys = corpus.keys
+        self.memo = corpus.memo
         self.distinct = distinct
         self.span = span
         #: lazily built (flat ``array('i')``, bounds ``array('q')``) pair
@@ -370,50 +370,6 @@ class KernelCorpus(Corpus):
         return packed
 
 
-class VerdictMemo:
-    """Word → verdict memo of at most ``VERDICT_MEMO_LIMIT`` words, in two generations.
-
-    Each kernel program owns one, keyed on the raw word a :class:`Corpus`
-    reads (a ``str``, or a tuple equal to its parsed form) and holding
-    ``True`` or ``False``.  New words go into the young generation.  When
-    it holds half the limit it becomes the old generation and the
-    previous old one is dropped.  A hit in the old generation moves the
-    word back to the young one, so a word re-used within every
-    half-limit of new words is never evicted, however many words pass
-    through once.  It takes no lock: the program is immutable, so a
-    verdict once stored stays right, and threads racing on one memo can
-    only lose an entry or overfill a generation by one entry each, which
-    costs a rescan, never a wrong verdict.
-    """
-
-    __slots__ = ("young", "old", "half")
-
-    def __init__(self):
-        self.young: dict = {}
-        self.old: dict = {}
-        self.half = VERDICT_MEMO_LIMIT // 2
-
-    def __len__(self) -> int:
-        return len(self.young) + len(self.old)
-
-    def get(self, key) -> bool | None:
-        """The verdict memoized for *key*, or ``None``."""
-        verdict = self.young.get(key)
-        if verdict is None:
-            verdict = self.old.pop(key, None)
-            if verdict is not None:
-                self.put(key, verdict)
-        return verdict
-
-    def put(self, key, verdict: bool) -> None:
-        """Memoize *verdict* for *key* in the young generation."""
-        young = self.young
-        if len(young) >= self.half:
-            self.old = young
-            self.young = young = {}
-        young[key] = verdict
-
-
 class KernelProgram:
     """One pattern's flat scan table (see the module docstring for layout)."""
 
@@ -430,7 +386,6 @@ class KernelProgram:
         "dead_offset",
         "_c_table",
         "_c_accepts",
-        "memo",
     )
 
     def __init__(
@@ -455,8 +410,6 @@ class KernelProgram:
         self.dead_offset = states * self.span
         self._c_table = None
         self._c_accepts = None
-        #: raw word → verdict on this program (see :class:`Corpus`)
-        self.memo = VerdictMemo()
 
     # -- corpus encoding -----------------------------------------------------------------
     def encode_corpus(self, words: "Corpus | Iterable[Sequence[str]]") -> KernelCorpus:
@@ -467,10 +420,9 @@ class KernelProgram:
         code list is padded to a stride multiple with the identity ``PAD``
         column and packed ``stride`` symbols per group in base ``WP``.
         Raw words are read as ``Pattern.match_all`` reads them
-        (``parse_word``), against this program's memo, so a word keeps one
-        reading, and one verdict, whoever brings it.
+        (``parse_word``), so a word keeps one reading whoever brings it.
         """
-        corpus = words if isinstance(words, Corpus) else Corpus(words, memo=self.memo)
+        corpus = words if isinstance(words, Corpus) else Corpus(words)
         get = self.codes.get
         width = self.width
         wp = self.wp
@@ -712,14 +664,17 @@ def build_program(
 def match_corpus(program: KernelProgram, corpus: KernelCorpus) -> list[bool]:
     """Run *corpus* through *program*: one verdict per corpus word.
 
-    Each scanned verdict is memoized under its word's key.  Verdicts come
-    in the corpus's original order and multiplicity, and every word is
-    booked as a kernel word, whether the memo or the scan answered it.
+    Each scanned verdict is memoized under its word's key in the memo the
+    corpus probed, if any.  Verdicts come in the corpus's original order
+    and multiplicity, and every word is booked as a kernel word, whether
+    the memo or the scan answered it.
     """
     scanned = [verdict == VERDICT_ACCEPT for verdict in program.scan(corpus)]
-    put = program.memo.put
-    for key, slot in corpus.keys:
-        put(key, scanned[slot])
+    memo = corpus.memo
+    if memo is not None:
+        put = memo.put
+        for key, slot in corpus.keys:
+            put(key, scanned[slot])
     _bump(kernel_words=len(corpus))
     return corpus.fan_out(scanned)
 
@@ -744,14 +699,18 @@ def replay_words(runtime, corpus: Corpus, replay=None) -> list[bool]:
 def match_words(runtime, words: "Corpus | Sequence[Sequence[str]]") -> list[bool] | None:
     """One-call batch driver: program export, corpus encode, scan.
 
-    Returns one verdict per word, or ``None`` when the runtime's machine
-    exceeds :data:`TABLE_LIMIT` (callers keep their per-word driver for
-    that case).
+    Raw *words* are read by ``parse_word`` against the runtime's verdict
+    memo (``runtime.memo``), which keeps every scanned verdict; a
+    :class:`Corpus` brings its own memo, or none.  Returns one verdict
+    per word, or ``None`` when the runtime's machine exceeds
+    :data:`TABLE_LIMIT` (callers keep their per-word driver for that
+    case).
     """
     program = runtime.export_kernel_program()
     if program is None:
         return None
-    return match_corpus(program, program.encode_corpus(words))
+    corpus = words if isinstance(words, Corpus) else Corpus(words, memo=runtime.memo)
+    return match_corpus(program, program.encode_corpus(corpus))
 
 
 # -- tagged longest-match scanning (the Lexer workload) ----------------------------------

@@ -58,11 +58,11 @@ The four routes (and their unchanged wire names):
 The three compiled routes run the same :class:`CompiledPlan`; only the
 name differs, and it depends on the tree alone, so no amount of traffic
 changes a pattern's route.  Plans are deliberately thin: the pattern
-keeps owning the lazily built matcher, runtime and acceptance memo (and
-their locks), so a plan never duplicates engine state — it only decides
-*which* engine runs and keeps the telemetry accessors
-(:meth:`built_runtime`, :meth:`built_memo`) that snapshot persistence
-reads without forcing construction.
+keeps owning the lazily built matcher and runtime (and their locks), and
+the runtime owns the pattern's one verdict memo, so a plan never
+duplicates engine state — it only decides *which* engine runs and keeps
+the telemetry accessor (:meth:`built_runtime`) that the validators'
+stats read without forcing construction.
 
 >>> import repro
 >>> repro.compile("ab(a+b)").plan.route      # star-free and deterministic
@@ -88,9 +88,9 @@ class ExecutionPlan:
     """Base class of all per-pattern strategy objects.
 
     Subclasses set :attr:`route` (the stable wire name) and implement the
-    matching surface; the base class provides the telemetry accessors
-    that report "nothing built" so persistence walks need no
-    ``isinstance`` checks.
+    matching surface; the base class provides the telemetry accessor
+    that reports "nothing built" so stats walks need no ``isinstance``
+    checks.
     """
 
     #: Stable route name — the value ``Pattern.describe()["batch_path"]``
@@ -112,7 +112,7 @@ class ExecutionPlan:
         raise NotImplementedError
 
     def verdict_memo(self, detail: str = "verdict"):
-        """The memo a batch's :class:`~repro.matching.kernel.Corpus` may read, or ``None``."""
+        """The memo a batch's :class:`~repro.matching.kernel.Corpus` reads, or ``None``."""
         return None
 
     def stream(self):
@@ -151,10 +151,6 @@ class ExecutionPlan:
     # -- telemetry accessors (never force construction) ---------------------------------
     def built_runtime(self):
         """The compiled runtime if this plan uses one and it exists, else ``None``."""
-        return None
-
-    def built_memo(self):
-        """The acceptance memo if already built, else ``None``."""
         return None
 
     def prime(self) -> "ExecutionPlan":
@@ -207,17 +203,16 @@ class CompiledPlan(ExecutionPlan):
     kernel scan (building a composed table costs milliseconds, so tiny
     batches only take it when a program is already cached, and a cold
     runtime's batch replays per word); child sequences go through the
-    pattern's acceptance memo.  A machine too large for any kernel table
+    runtime's verdict memo.  A machine too large for any kernel table
     (route ``"compiled-runtime"``) replays every batch per word:
     :func:`kernel.match_words` answers ``None`` before building anything.
     """
 
-    __slots__ = ("route", "_memo", "_runtime", "_scan")
+    __slots__ = ("route", "_runtime", "_scan")
 
     def __init__(self, pattern: "Pattern", route: str):
         super().__init__(pattern)
         self.route = route
-        self._memo = None
         self._runtime = None
         #: lazily exported ``(program, accepting_states)`` for the lexer
         self._scan = None
@@ -241,15 +236,16 @@ class CompiledPlan(ExecutionPlan):
         return self._verdicts(corpus)
 
     def verdict_memo(self, detail: str = "verdict"):
-        """The batch program's verdict memo, once that program is built.
+        """The runtime's verdict memo, once the runtime is warm.
 
-        A ``detail="full"`` batch gets none, so it diagnoses every word; a
-        plan whose runtime is unbuilt or cold has no program to ask.
+        A ``detail="full"`` batch gets none, so it diagnoses every word.
+        A cold runtime's batch gets none either: it is often a pattern's
+        only batch, and its verdicts would only hold memory.
         """
-        runtime = self._runtime
-        if detail == "full" or runtime is None:
+        runtime = self.runtime
+        if detail == "full" or runtime.cold:
             return None
-        return runtime.verdict_memo()
+        return runtime.memo
 
     def _verdicts(self, corpus: "kernel.Corpus", replay=None) -> list[bool]:
         """One verdict per batch word: a kernel pass, else per-word replay.
@@ -308,12 +304,10 @@ class CompiledPlan(ExecutionPlan):
         return corpus.fan_out(results)
 
     def accepts_children(self, children: Sequence[str]) -> bool:
-        memo = self._memo
-        if memo is None:
-            memo = self._memo = self.pattern.acceptance_memo()
         # Whole-sequence fast path: repeated child sequences (the Li et
         # al. workload) are answered by one dict probe.
-        return memo.accepts(self.runtime, children)
+        runtime = self.runtime
+        return runtime.memo.accepts(runtime, children)
 
     def replay_for_diagnostics(self):
         from ..diagnostics import _CompiledEngine
@@ -342,13 +336,9 @@ class CompiledPlan(ExecutionPlan):
     def built_runtime(self):
         return self.pattern._built_runtime()
 
-    def built_memo(self):
-        return self.pattern._acceptance_memo
-
     def prime(self) -> "CompiledPlan":
         self.pattern.matcher
         self._runtime = self.pattern.runtime
-        self._memo = self.pattern.acceptance_memo()
         return self
 
 

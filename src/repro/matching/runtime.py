@@ -35,7 +35,9 @@ The runtime is the engine for single words, streams, validator child
 sequences and a pattern's first (cold) batch.  Warm batches run on a
 kernel program (:meth:`CompiledRuntime.export_kernel_program`), the whole
 table read off the parse tree's follow relation, so batch traffic writes
-no row here.
+no row here.  The runtime also owns the pattern's one word → verdict
+memo, :attr:`CompiledRuntime.memo` (:mod:`repro.matching.memo`): the
+validators' child sequences, warm batches and snapshots all read it.
 
 **Concurrency contract** (the ``repro.service`` thread pool relies on it):
 warm reads are lock-free — stepping through an already-memoized transition
@@ -80,6 +82,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ..regex.alphabet import UNKNOWN_CODE
 from ..regex.parse_tree import ParseTree, TreeNode
 from .base import DeterministicMatcher
+from .memo import AcceptanceMemo
 from .snapshot import SnapshotError
 
 #: Memoized "no transition" marker.  Any negative value works (valid states
@@ -92,25 +95,29 @@ def aggregate_stats(named_runtimes: Iterable[tuple[str, "CompiledRuntime"]]) -> 
     """Fold per-runtime :meth:`CompiledRuntime.stats` into telemetry.
 
     Shared by ``DTDValidator.stats`` and ``XSDSchema.stats``: returns
-    ``{"elements": {name: stats}, "totals": summed-per-key}`` so a new
-    counter added to :meth:`CompiledRuntime.stats` shows up in every
-    surface at once.  Structurally equal content models share one runtime
-    through the compile cache; each such runtime is listed under every
-    name using it but counted into ``totals`` only once, so the totals
-    reflect real materialization, not the sharing factor.
+    ``{"elements": {name: stats}, "totals": summed-per-key, "memos":
+    {name: memo stats}}`` so a new counter added to
+    :meth:`CompiledRuntime.stats` shows up in every surface at once, and
+    ``memos`` lists a name exactly when ``elements`` does.  Structurally
+    equal content models share one runtime (and its memo) through the
+    compile cache; each such runtime is listed under every name using it
+    but counted into ``totals`` only once, so the totals reflect real
+    materialization, not the sharing factor.
     """
     per_element: dict[str, dict[str, int]] = {}
     totals: dict[str, int] = {}
+    memos: dict[str, dict[str, int]] = {}
     seen: set[int] = set()
     for name, runtime in named_runtimes:
         stats = runtime.stats()
         per_element[name] = stats
+        memos[name] = runtime.memo.stats()
         if id(runtime) in seen:
             continue
         seen.add(id(runtime))
         for key, value in stats.items():
             totals[key] = totals.get(key, 0) + value
-    return {"elements": per_element, "totals": totals}
+    return {"elements": per_element, "totals": totals, "memos": memos}
 
 
 class CompiledRuntime:
@@ -142,6 +149,7 @@ class CompiledRuntime:
         "_kernel_programs",
         "kernel_programs_built",
         "batched",
+        "memo",
     )
 
     def __init__(
@@ -183,6 +191,9 @@ class CompiledRuntime:
         self.kernel_programs_built = 0
         #: set once a batch has replayed on this runtime (see :attr:`cold`)
         self.batched = False
+        #: the pattern's word → verdict memo: validators, warm batches and
+        #: snapshots read it (:mod:`repro.matching.memo`)
+        self.memo = AcceptanceMemo()
 
     @property
     def matcher(self) -> DeterministicMatcher:
@@ -418,18 +429,6 @@ class CompiledRuntime:
             self.kernel_programs_built += 1
         return program
 
-    def verdict_memo(self):
-        """The batch program's :class:`~repro.matching.kernel.VerdictMemo`, if built.
-
-        ``None`` until the program of stride ``kernel.MAX_STRIDE`` (the one
-        :meth:`export_kernel_program` builds for batches) exists; this
-        never builds it.
-        """
-        from . import kernel
-
-        program = self._kernel_programs.get(kernel.MAX_STRIDE)
-        return None if program is None else program.memo
-
     @property
     def cold(self) -> bool:
         """True while nothing has run on this runtime.
@@ -437,8 +436,8 @@ class CompiledRuntime:
         No batch has replayed on it (:attr:`batched`), its start row is
         unmaterialized and no kernel program is cached.  Batch callers
         replay a cold runtime's batch instead of building a table for a
-        pattern that may never see a second batch; that batch warms it,
-        whatever its words.
+        pattern that may never see a second batch, and neither read nor
+        fill :attr:`memo` for it; that batch warms it, whatever its words.
         """
         return not (self.batched or self._kernel_programs) and self._rows[self._start_state] is None
 

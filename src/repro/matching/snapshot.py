@@ -18,9 +18,10 @@ header + directory:
   ignores them, since acceptance comes off the parse tree) and every
   visited row, completed to alphabet width as an ``array('i')``, with
   rows written through a **file-level interning pool**;
-* ``MEMO`` — the XML validators' per-element acceptance memos
-  (:mod:`repro.xml.memo`): ``child-sequence → verdict`` entries, keyed
-  by the same pattern fingerprints.
+* ``MEMO`` — the symbol-sequence entries of each pattern's verdict
+  memo (:mod:`repro.matching.memo`): ``symbol-sequence → verdict``
+  pairs that validators and list-word batches stored, keyed by the same
+  pattern fingerprints (``str`` batch words are not written).
 
 Older writers also emitted ``SFTB`` (the star-free multi-matcher's
 decision tables); star-free patterns now batch on their kernel rows, so
@@ -194,11 +195,11 @@ class SnapshotEntry:
 
 @dataclass(frozen=True, slots=True)
 class MemoEntry:
-    """One pattern's persisted validator acceptance memo (``MEMO``).
+    """One pattern's persisted verdict-memo entries (``MEMO``).
 
-    ``entries`` is a sequence of ``(child-name sequence, verdict)``
-    pairs; shape validation happens in
-    :meth:`repro.xml.memo.AcceptanceMemo.adopt`, strictly before any
+    ``entries`` is a sequence of ``(symbol sequence, verdict)`` pairs;
+    shape validation happens in
+    :meth:`repro.matching.memo.AcceptanceMemo.adopt`, strictly before any
     mutation.
     """
 
@@ -337,7 +338,7 @@ def _encode_rows(entries: Sequence[dict]) -> tuple[bytes, dict]:
 
 
 def _encode_memos(entries: Sequence[dict]) -> tuple[bytes, dict]:
-    """The ``MEMO`` payload: validator acceptance memos (JSON bodies)."""
+    """The ``MEMO`` payload: verdict-memo entries (JSON bodies)."""
     payload = io.BytesIO()
     payload.write(struct.pack("<I", len(entries)))
     total = 0

@@ -34,8 +34,8 @@ Entry points:
   and limits live in :mod:`repro.service.wire`;
 * :mod:`repro.service.autosize` — telemetry-driven cache sizing
   (``--autosize``): a feedback loop resizing the compile cache
-  (:func:`repro.resize_compile_cache`) and the per-pattern acceptance
-  memos from the same counters ``GET /stats`` reports;
+  (:func:`repro.resize_compile_cache`) from the same counters
+  ``GET /stats`` reports;
 * :mod:`repro.service.prefork` — the multi-process front
   (``--processes N``): the parent preloads a warm-state snapshot
   (``docs/snapshot.md`` — a file, or a running fleet's ``/snapshot``

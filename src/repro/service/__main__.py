@@ -82,9 +82,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--autosize",
         action="store_true",
-        help="telemetry-driven cache sizing: grow/shrink the compile cache and "
-        "per-pattern acceptance memos from live traffic (reported under "
-        "/stats 'autosize')",
+        help="telemetry-driven cache sizing: grow/shrink the compile cache from "
+        "live traffic (reported under /stats 'autosize')",
     )
     parser.add_argument(
         "--autosize-interval",

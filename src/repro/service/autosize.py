@@ -1,24 +1,23 @@
-"""Telemetry-driven cache sizing: /stats history feeds the cache bounds.
+"""Telemetry-driven cache sizing: /stats history feeds the compile-cache bound.
 
-The compile cache (:data:`repro.COMPILE_CACHE_SIZE`) and the per-pattern
-:class:`~repro.xml.memo.AcceptanceMemo` bound were fixed constants picked
-for the acceptance workloads.  A serving fleet sees none of that
+The compile cache (:data:`repro.COMPILE_CACHE_SIZE`) is a fixed constant
+picked for the acceptance workloads.  A serving fleet sees none of that
 uniformity: one deployment churns through thousands of distinct patterns
-(the 512-entry cache thrashes), another validates three schemas forever
-(4096-entry memos per pattern are mostly air).  This module closes the
-loop — the same counters ``GET /stats`` reports drive the bounds:
+(the 512-entry cache thrashes), another validates three schemas forever.
+This module closes the loop — the eviction counter ``GET /stats``
+reports drives the bound: evictions climbing between ticks mean the live
+working set no longer fits, so the bound doubles (up to
+:data:`CACHE_CEILING`); a cache sitting far below its bound with no
+evictions for :data:`IDLE_TICKS` consecutive ticks halves back toward
+:data:`CACHE_FLOOR` — a long-lived process stops reserving room for a
+traffic spike that ended hours ago.
 
-* **compile cache** — evictions climbing between ticks mean the live
-  working set no longer fits: double the bound (up to
-  :data:`CACHE_CEILING`).  A cache sitting far below its bound with no
-  evictions for :data:`IDLE_TICKS` consecutive ticks halves back toward
-  :data:`CACHE_FLOOR` — a long-lived process stops reserving room for a
-  traffic spike that ended hours ago.
-* **acceptance memos** — per pattern, via
-  :func:`repro.iter_cached_patterns`: a memo that is full *and* still
-  missing is rejecting entries its traffic would reuse (double, up to
-  :data:`MEMO_CEILING`); a mostly-empty memo with no traffic at all for
-  :data:`IDLE_TICKS` ticks halves toward :data:`MEMO_FLOOR`.
+Per-pattern verdict memos are not resized: each holds at most
+:data:`~repro.matching.memo.MEMO_LIMIT` words in two generations, which
+keep every re-used word whatever passes through once.  The ``"memos"``
+block of :meth:`Autosizer.stats` keeps its keys for wire compatibility:
+``floor`` and ``ceiling`` read ``MEMO_LIMIT``, ``resizes`` and
+``tracked`` read 0.
 
 Every decision is recorded and reported under the ``"autosize"`` block of
 ``GET /stats`` (:meth:`Autosizer.stats`), so operators can see *why* a
@@ -27,9 +26,8 @@ synchronous tick — the unit the tests drive directly; :meth:`start` runs
 it on a background thread, like the snapshot refresher.
 
 Resizes are safe by construction: :func:`repro.resize_compile_cache`
-evicts under the cache's writer lock, and
-:meth:`~repro.xml.memo.AcceptanceMemo.resize` swaps a trimmed dict in
-atomically — verdicts never change, only the cost of recomputing them.
+evicts under the cache's writer lock — verdicts never change, only the
+cost of recomputing them.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import threading
 from collections import deque
 
 from .. import api, cache
+from ..matching.memo import MEMO_LIMIT
 
 #: Seconds between autosizing ticks (the background-thread default).
 AUTOSIZE_INTERVAL = 10.0
@@ -47,10 +46,6 @@ AUTOSIZE_INTERVAL = 10.0
 #: process would have had.
 CACHE_FLOOR = api.COMPILE_CACHE_SIZE
 CACHE_CEILING = 8192
-
-#: Acceptance-memo bounds (per pattern).
-MEMO_FLOOR = 256
-MEMO_CEILING = 65536
 
 #: Consecutive idle ticks before a bound shrinks.  Growth reacts in one
 #: tick (thrash is expensive *now*); shrinking waits — a quiet minute
@@ -76,32 +71,21 @@ class Autosizer:
         interval: float = AUTOSIZE_INTERVAL,
         cache_floor: int = CACHE_FLOOR,
         cache_ceiling: int = CACHE_CEILING,
-        memo_floor: int = MEMO_FLOOR,
-        memo_ceiling: int = MEMO_CEILING,
         idle_ticks: int = IDLE_TICKS,
     ):
-        if cache_floor < 1 or memo_floor < 1:
-            raise ValueError("autosize floors must be >= 1")
-        if cache_ceiling < cache_floor or memo_ceiling < memo_floor:
-            raise ValueError("autosize ceilings must be >= their floors")
+        if cache_floor < 1:
+            raise ValueError("the autosize floor must be >= 1")
+        if cache_ceiling < cache_floor:
+            raise ValueError("the autosize ceiling must be >= its floor")
         self.interval = interval
         self.cache_floor = cache_floor
         self.cache_ceiling = cache_ceiling
-        self.memo_floor = memo_floor
-        self.memo_ceiling = memo_ceiling
         self.idle_ticks = max(1, idle_ticks)
         self.ticks = 0
         self.cache_resizes = 0
-        self.memo_resizes = 0
         self.decisions: deque[dict] = deque(maxlen=DECISION_LOG)
         self._cache_last = cache.compile_cache_stats()
         self._cache_idle = 0
-        #: per-memo ``(hits+misses, idle ticks)`` keyed by the compile
-        #: cache's own key — stable across the memo's lifetime, unlike
-        #: ``id()``, which a new memo can reuse after a gc and inherit a
-        #: stale baseline from.  Entries whose pattern left the compile
-        #: cache are pruned each tick.
-        self._memo_seen: dict[tuple, tuple[int, int]] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         if service is not None:
@@ -110,9 +94,7 @@ class Autosizer:
     # -- one tick (the testable unit) ---------------------------------------------------
     def sample(self) -> list[dict]:
         """One autosizing tick; returns the decisions it made (possibly [])."""
-        decisions = []
-        decisions.extend(self._sample_compile_cache())
-        decisions.extend(self._sample_memos())
+        decisions = self._sample_compile_cache()
         self.ticks += 1
         self.decisions.extend(decisions)
         return decisions
@@ -151,56 +133,7 @@ class Autosizer:
             self._cache_idle = 0
         return []
 
-    def _sample_memos(self) -> list[dict]:
-        decisions = []
-        seen: dict[tuple, tuple[int, int]] = {}
-        for key, pattern in api.iter_cached_patterns():
-            # Peek, never build: a pattern that has done no validation
-            # has no memo, and autosizing must not allocate one.
-            memo = getattr(pattern, "_acceptance_memo", None)
-            if memo is None:
-                continue
-            traffic = memo.hits + memo.misses
-            last_traffic, idle = self._memo_seen.get(key, (traffic, 0))
-            if traffic < last_traffic:
-                # The pattern was evicted and recompiled under the same
-                # key: a fresh memo, so restart the baseline.
-                last_traffic, idle = traffic, 0
-            delta = traffic - last_traffic
-            label = key[0] if isinstance(key, tuple) else str(key)
-            if len(memo) >= memo.limit and memo.limit < self.memo_ceiling and delta > 0:
-                # Full and still fielding traffic: entries the bound is
-                # refusing would have been reused.
-                target = min(self.memo_ceiling, memo.limit * 2)
-                previous = memo.resize(target)
-                self.memo_resizes += 1
-                idle = 0
-                decisions.append(self._decision(
-                    "memo", "grow", previous, target,
-                    f"full at {previous} with {delta} probes since last tick",
-                    pattern=label,
-                ))
-            elif delta == 0 and len(memo) * 4 <= memo.limit and memo.limit > self.memo_floor:
-                idle += 1
-                if idle >= self.idle_ticks:
-                    idle = 0
-                    target = max(self.memo_floor, memo.limit // 2)
-                    previous = memo.resize(target)
-                    self.memo_resizes += 1
-                    decisions.append(self._decision(
-                        "memo", "shrink", previous, target,
-                        f"{len(memo)} entries, no probes for {self.idle_ticks} ticks",
-                        pattern=label,
-                    ))
-            else:
-                idle = 0
-            seen[key] = (traffic, idle)
-        self._memo_seen = seen  # prune memos evicted from the compile cache
-        return decisions
-
-    def _decision(
-        self, target: str, action: str, previous: int, new: int, reason: str, **extra
-    ) -> dict:
+    def _decision(self, target: str, action: str, previous: int, new: int, reason: str) -> dict:
         return {
             "tick": self.ticks,
             "target": target,
@@ -208,7 +141,6 @@ class Autosizer:
             "from": previous,
             "to": new,
             "reason": reason,
-            **extra,
         }
 
     # -- background thread --------------------------------------------------------------
@@ -244,11 +176,7 @@ class Autosizer:
                 "ceiling": self.cache_ceiling,
                 "resizes": self.cache_resizes,
             },
-            "memos": {
-                "floor": self.memo_floor,
-                "ceiling": self.memo_ceiling,
-                "resizes": self.memo_resizes,
-                "tracked": len(self._memo_seen),
-            },
+            # Memos are not resized (see the module docstring); the keys stay.
+            "memos": {"floor": MEMO_LIMIT, "ceiling": MEMO_LIMIT, "resizes": 0, "tracked": 0},
             "decisions": list(self.decisions),
         }

@@ -1,173 +1,10 @@
-"""Per-element acceptance memos for the XML validators.
+"""The validators' acceptance memo: the pattern's one verdict memo.
 
-The Li et al. schema study's core observation is that real corpora
-re-validate the *same few* child sequences against the *same few*
-content models millions of times.  The compiled runtime already collapses
-the per-symbol cost of that repetition; this module collapses the
-per-sequence cost: an :class:`AcceptanceMemo` caches whole
-``child-sequence → verdict`` answers, so the steady-state cost of
-validating a repeated element is one dict probe — no encoding, no
-transition replay at all.
-
-One memo is attached to each cached :class:`~repro.api.Pattern`
-(:meth:`Pattern.acceptance_memo`), so every validator compiling a
-structurally equal content model — DTD or XSD, across schemas — shares
-one memo, exactly like they share the pattern's lazy-DFA rows.  That
-also gives the memo a natural persistence identity: the snapshot layer
-exports memos keyed by the same PR-4 pattern fingerprints as the dense
-rows (the ``MEMO`` section of format v2, ``docs/snapshot.md``), and
-:meth:`AcceptanceMemo.adopt` installs persisted entries with the same
-strict validate-before-mutate contract as
-:meth:`~repro.matching.runtime.CompiledRuntime.adopt_rows`.
-
-Correctness: a memo is pure caching over a deterministic language
-membership function.  Locally stored verdicts come from the runtime
-itself; adopted verdicts come from a snapshot whose fingerprint proved
-it was produced by the *same* pattern identity (and whose section CRC
-proved the bytes intact), so a memo can never change a verdict — only
-skip recomputing one.
+Defined in :mod:`repro.matching.memo` (each compiled runtime owns one,
+shared by validators and batches); re-exported here as
+``repro.xml.AcceptanceMemo``.
 """
 
-from __future__ import annotations
+from ..matching.memo import MEMO_LIMIT, AcceptanceMemo
 
-from typing import Iterable, Sequence
-
-from ..matching.snapshot import SnapshotError
-
-#: Entries one memo holds at most.  Insertion simply stops at the bound
-#: (real validation working sets are far smaller — the point of the Li
-#: observation); adopted entries respect the same cap.
-MEMO_LIMIT = 4096
-
-
-class AcceptanceMemo:
-    """A bounded, thread-safe ``child-sequence → verdict`` cache.
-
-    Reads and writes are plain dict operations (atomic under the GIL);
-    two threads racing to store one key store the same deterministic
-    verdict, so no lock sits on the validation hot path.  ``None`` from
-    :meth:`get` means "not cached" — verdicts themselves are plain
-    bools.
-    """
-
-    __slots__ = ("limit", "_entries", "hits", "misses", "adopted")
-
-    def __init__(self, limit: int = MEMO_LIMIT):
-        self.limit = limit
-        self._entries: dict[tuple[str, ...], bool] = {}
-        self.hits = 0
-        self.misses = 0
-        #: entries installed from a persisted snapshot (telemetry)
-        self.adopted = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, word: tuple[str, ...]) -> bool | None:
-        """The cached verdict for *word*, or ``None`` when absent."""
-        verdict = self._entries.get(word)
-        if verdict is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return verdict
-
-    def put(self, word: tuple[str, ...], verdict: bool) -> None:
-        """Cache a locally computed verdict (no-op once the memo is full)."""
-        entries = self._entries
-        if len(entries) < self.limit or word in entries:
-            entries[word] = verdict
-
-    def resize(self, limit: int) -> int:
-        """Change the entry bound; returns the previous bound.
-
-        Growing simply lifts the insertion cap (a memo that stopped
-        accepting entries resumes).  Shrinking evicts insertion-oldest
-        entries beyond the new bound — dicts preserve insertion order,
-        so the survivors are the most recently *stored* sequences, which
-        under the Li et al. working-set observation are the ones still
-        being validated.  The telemetry-driven sizing loop
-        (:mod:`repro.service.autosize`) calls this from a background
-        thread; eviction rebuilds into a fresh dict and swaps it in with
-        one atomic assignment so concurrent readers never see a
-        half-trimmed memo.
-        """
-        if limit < 1:
-            raise ValueError(f"memo limit must be >= 1, got {limit}")
-        previous = self.limit
-        self.limit = limit
-        entries = self._entries
-        if len(entries) > limit:
-            surplus = len(entries) - limit
-            self._entries = dict(list(entries.items())[surplus:])
-        return previous
-
-    def accepts(self, runtime, children) -> bool:
-        """Memoized whole-sequence membership, via *runtime* on a miss.
-
-        The validators' shared fast path: one dict probe answers a
-        repeated child sequence; a miss replays the (compiled) runtime
-        and caches the verdict for every validator sharing this memo.
-        """
-        key = tuple(children)
-        verdict = self.get(key)
-        if verdict is None:
-            verdict = runtime.accepts_encoded(runtime.encode(key))
-            self.put(key, verdict)
-        return verdict
-
-    # -- snapshot export / adoption ------------------------------------------------------
-    def export(self) -> list[tuple[tuple[str, ...], bool]]:
-        """The memo's entries as ``(word, verdict)`` pairs (for snapshots)."""
-        return list(self._entries.items())
-
-    def adopt(self, entries: Iterable[Sequence]) -> int:
-        """Install persisted ``(word, verdict)`` pairs; returns entries adopted.
-
-        Validation is strict and happens *before* any mutation: every
-        item must be a ``(sequence-of-strings, bool)`` pair.  A violation
-        raises :class:`~repro.matching.snapshot.SnapshotError` (reason
-        ``"memo-entry"``) and leaves the memo untouched — the API layer
-        counts it and validation proceeds uncached.  Locally computed
-        entries always win; adoption stops at the memo's size bound.
-        """
-        validated: list[tuple[tuple[str, ...], bool]] = []
-        for item in entries:
-            try:
-                word, verdict = item
-            except (TypeError, ValueError):
-                raise SnapshotError("memo-entry", f"invalid memo entry {item!r}") from None
-            if isinstance(word, str) or not isinstance(word, (list, tuple)):
-                raise SnapshotError(
-                    "memo-entry", f"memo key must be a sequence of names, got {word!r}"
-                )
-            try:
-                # str.join scans the names at C speed and raises TypeError
-                # on the first non-string — a snapshot-preloaded boot
-                # validates every adopted name, so this loop is hot.
-                "".join(word)
-            except TypeError:
-                raise SnapshotError(
-                    "memo-entry", f"memo key {word!r} holds non-string names"
-                ) from None
-            if not isinstance(verdict, bool):
-                raise SnapshotError("memo-entry", f"memo verdict {verdict!r} is not a bool")
-            validated.append((tuple(word), verdict))
-        adopted = 0
-        memo = self._entries
-        for word, verdict in validated:
-            if word not in memo and len(memo) < self.limit:
-                memo[word] = verdict
-                adopted += 1
-        self.adopted += adopted
-        return adopted
-
-    def stats(self) -> dict[str, int]:
-        """Size, traffic and adoption counters (merged into validator stats)."""
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "adopted": self.adopted,
-            "limit": self.limit,
-        }
+__all__ = ["AcceptanceMemo", "MEMO_LIMIT"]

@@ -288,25 +288,19 @@ class DTDValidator:
         Mirrors :meth:`repro.xml.xsd.XSDSchema.stats`: ``"elements"`` maps
         each declared name with a built runtime to its
         :meth:`~repro.matching.runtime.CompiledRuntime.stats`, ``"totals"``
-        sums them.  Use together with ``repro.stats()["pattern_cache"]`` to size the
-        compile cache from observed validation traffic.  Runtimes belong to
-        cached patterns, so counters include traffic from every validator
-        sharing the same content models through the compile cache.
+        sums them and ``"memos"`` maps the same names to their runtime's
+        verdict-memo stats.  Use together with
+        ``repro.stats()["pattern_cache"]`` to size the compile cache from
+        observed validation traffic.  Runtimes belong to cached patterns,
+        so counters include traffic from every validator sharing the same
+        content models through the compile cache.
         """
         named = []
-        memos = {}
         for name, plan in self._plans.items():
-            if plan is None:
-                continue
-            runtime = plan.built_runtime()
+            runtime = None if plan is None else plan.built_runtime()
             if runtime is not None:
                 named.append((name, runtime))
-            memo = plan.built_memo()
-            if memo is not None:
-                memos[name] = memo.stats()
-        stats = aggregate_stats(named)
-        stats["memos"] = memos
-        return stats
+        return aggregate_stats(named)
 
     def checker_for(self, name: str) -> "StreamingContentChecker | None":
         """A streaming checker for the content model of *name* (or ``None``).

@@ -403,9 +403,10 @@ class XSDSchema:
         """Lazy-DFA materialization telemetry for this schema's runtimes.
 
         Returns ``{"elements": {name: runtime stats}, "totals": summed
-        stats}`` covering every declared element whose runtime has been
-        built.  Feed this to a monitoring endpoint to size
-        ``repro.COMPILE_CACHE_SIZE`` from real traffic.  Patterns — and
+        stats, "memos": {name: verdict-memo stats}}`` covering every
+        declared element whose runtime has been built.  Feed this to a
+        monitoring endpoint to size ``repro.COMPILE_CACHE_SIZE`` from real
+        traffic.  Patterns — and
         therefore runtimes and their counters — are shared process-wide
         through the compile cache: a structurally equal content model
         declared by another schema (or a DTD validator) contributes to the
@@ -419,11 +420,4 @@ class XSDSchema:
             runtime = pattern._built_runtime()
             if runtime is not None:
                 named.append((name, runtime))
-        stats = aggregate_stats(named)
-        memos = {}
-        for name, plan in self._plans.items():
-            memo = plan.built_memo() if plan is not None else None
-            if memo is not None:
-                memos[name] = memo.stats()
-        stats["memos"] = memos
-        return stats
+        return aggregate_stats(named)

@@ -128,15 +128,16 @@ def test_stress_single_shared_pattern():
 
 
 def test_stress_shared_verdict_memo_keeps_every_verdict_right():
-    """Threads share one warm program's verdict memo while fresh words turn it over.
+    """Threads share one warm runtime's verdict memo while fresh words turn it over.
 
     Twelve threads (more than the cores) batch repeated and never-seen
-    words against one pattern with a short switch interval, so memo
-    probes, stores and generation swaps interleave.  A lost entry only
-    costs a rescan; a wrong one would show in a batch's verdicts or in a
-    stored entry that disagrees with the oracle.
+    words against one pattern, and probe it as a validator does, with a
+    short switch interval, so memo probes, stores and generation swaps
+    from both paths interleave.  A lost entry only costs a rescan; a
+    wrong one would show in a verdict or in a stored entry that
+    disagrees with the oracle.
     """
-    from repro.matching import kernel
+    from repro.matching.memo import MEMO_LIMIT
 
     expr = "(ab+b(b?)a)*"
     reference = repro.Pattern(expr, compiled=False)
@@ -147,10 +148,10 @@ def test_stress_shared_verdict_memo_keeps_every_verdict_right():
     )
     oracle = {word: bool(reference.match(list(word))) for word in hot + fresh}
     pattern = repro.compile(expr)
-    for _ in range(2):  # cold, then warm: the program and its memo exist
+    for _ in range(2):  # cold, then warm: the program exists, the memo holds the hot words
         pattern.match_all([list(word) for word in hot])
-    memo = pattern.plan.verdict_memo()
-    assert memo is not None
+    memo = pattern.runtime.memo
+    assert pattern.plan.verdict_memo() is memo and len(memo) == len(hot)
     threads = 12
 
     def worker(rng: random.Random):
@@ -158,6 +159,8 @@ def test_stress_shared_verdict_memo_keeps_every_verdict_right():
             batch = rng.sample(hot, 20) + rng.sample(fresh, 20)
             verdicts = pattern.match_all([list(word) for word in batch])
             assert verdicts == [oracle[word] for word in batch]
+            for word in rng.sample(hot, 5) + rng.sample(fresh, 5):
+                assert pattern.plan.accepts_children(word) == oracle[word], word
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -167,7 +170,7 @@ def test_stress_shared_verdict_memo_keeps_every_verdict_right():
         sys.setswitchinterval(interval)
     assert not failures, failures[0]
     # Each racing store can overfill a generation by one entry at most.
-    assert len(memo) <= kernel.VERDICT_MEMO_LIMIT + 2 * threads
+    assert len(memo) <= MEMO_LIMIT + 2 * threads
     for generation in (memo.young, memo.old):
         for key, verdict in list(generation.items()):
             assert verdict == oracle[key], key

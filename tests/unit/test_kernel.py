@@ -29,6 +29,7 @@ from repro.matching.kernel import (
     match_words,
     reset_kernel_stats,
 )
+from repro.matching.memo import MEMO_LIMIT
 from repro.regex.ast import Concat, Epsilon, Optional, Plus, Star, Sym
 from repro.regex.generators import (
     bounded_occurrence,
@@ -257,7 +258,7 @@ class TestDrivers:
 
 class TestProgramCache:
     def test_program_is_built_once(self):
-        """Row fills leave the program, and the verdicts it memoized, in place."""
+        """Row fills leave the program, and the verdicts the runtime memoized, in place."""
         runtime = _runtime("(ab)*")
         first = runtime.export_kernel_program()
         assert match_words(runtime, [tuple("ab")]) == [True]
@@ -265,8 +266,7 @@ class TestProgramCache:
         runtime.accepts_encoded(runtime.encode("ab"))  # fills rows
         runtime.accepts_encoded(runtime.encode("ba"))
         assert runtime.export_kernel_program() is first
-        assert first.memo.get(tuple("ab")) is True
-        assert runtime.verdict_memo() is first.memo
+        assert runtime.memo.get(tuple("ab")) is True
         assert runtime.kernel_programs_built == 1
 
     def test_verdict_memo_keeps_a_reused_word_among_fresh_ones(self):
@@ -274,14 +274,14 @@ class TestProgramCache:
         program = runtime.export_kernel_program()
         hot = tuple("abab")
         assert match_words(runtime, [hot]) == [True]
-        fresh = 3 * kernel.VERDICT_MEMO_LIMIT
+        fresh = 3 * MEMO_LIMIT
         for start in range(0, fresh, 100):
             batch = [("a", f"x{index}") for index in range(start, start + 100)]
-            corpus = program.encode_corpus(batch + [hot])
+            corpus = program.encode_corpus(kernel.Corpus(batch + [hot], memo=runtime.memo))
             assert len(corpus.distinct) == len(batch)  # the hot word is answered
             assert corpus.index[-1] == -2
             assert match_corpus(program, corpus) == [False] * len(batch) + [True]
-            assert len(program.memo) <= kernel.VERDICT_MEMO_LIMIT
+            assert len(runtime.memo) <= MEMO_LIMIT
 
     def test_adopting_rows_already_held_keeps_the_program(self):
         runtime = _runtime("(ab+b(b?)a)*")
@@ -507,6 +507,17 @@ class TestVerdictMemo:
         stats = pattern.stats()
         assert stats["kernel_words"] == 3 * len(WORDS) + 2  # every batch but the cold one
         assert stats["kernel_programs"] == 1
+
+    def test_a_cold_batch_reads_and_writes_no_memo(self):
+        """The memo serves warm batches only; a full-detail batch never reads it."""
+        pattern = repro.compile("(ab+b(b?)a)*")
+        assert pattern.plan.verdict_memo() is None  # cold
+        pattern.match_all(WORDS)  # cold: replays
+        assert len(pattern.runtime.memo) == 0
+        assert pattern.plan.verdict_memo() is pattern.runtime.memo
+        assert pattern.plan.verdict_memo("full") is None
+        pattern.match_all(WORDS)  # warm: every distinct word is memoized
+        assert len(pattern.runtime.memo) == len(set(WORDS))
 
     def test_direct_kernel_callers_read_words_as_the_facade_does(self):
         """One memo, one reading: "a b" is the word a·b wherever it enters."""

@@ -17,12 +17,13 @@ import time
 import pytest
 
 import repro
+from repro.matching.kernel import MIN_BATCH
+from repro.matching.memo import MEMO_LIMIT
 from repro.service import wire
 from repro.service.aio import AsyncServiceServer
 from repro.service.autosize import Autosizer
 from repro.service.core import ValidationService
 from repro.service.wire import WireError
-from repro.xml.memo import AcceptanceMemo
 from repro.xml.parser import MAX_DEPTH
 from repro.xml.validator import MAX_VIOLATIONS
 
@@ -1088,32 +1089,6 @@ class TestSnapshotDownloads:
 # Autosizing: the telemetry→bounds feedback loop
 # ---------------------------------------------------------------------------
 
-class TestMemoResize:
-    def test_growing_lifts_the_insertion_cap(self):
-        memo = AcceptanceMemo(limit=2)
-        memo.put(("a",), True)
-        memo.put(("b",), False)
-        memo.put(("c",), True)  # bounced: full
-        assert len(memo) == 2
-        assert memo.resize(4) == 2
-        memo.put(("c",), True)
-        assert len(memo) == 3
-
-    def test_shrinking_keeps_the_newest_entries(self):
-        memo = AcceptanceMemo(limit=8)
-        for index in range(6):
-            memo.put((f"s{index}",), True)
-        memo.resize(2)
-        assert len(memo) == 2
-        assert memo.get(("s5",)) is True
-        assert memo.get(("s4",)) is True
-        assert memo.get(("s0",)) is None
-
-    def test_rejects_a_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            AcceptanceMemo().resize(0)
-
-
 class TestCompileCacheResize:
     def test_resize_rebounds_and_restores(self):
         previous = repro.resize_compile_cache(1024)
@@ -1173,69 +1148,33 @@ class TestAutosizer:
             repro.resize_compile_cache(previous)
             repro.purge()
 
-    def test_grows_a_full_busy_memo(self):
+    def test_memos_are_not_resized_and_their_block_keeps_its_keys(self):
+        """Verdict memos hold MEMO_LIMIT words in two generations; no tick touches them."""
         repro.purge()
         try:
             pattern = repro.compile("(b?)(c?)(d?)")
+            pattern.match_all([["b"]] * MIN_BATCH)  # cold
+            pattern.match_all([[name] for name in "bcd"] * MIN_BATCH)  # warm: memoized
             memo = pattern.acceptance_memo()
-            memo.resize(2)
-            memo.put(("b",), True)
-            memo.put(("c",), True)
-            sizer = self._fresh(memo_floor=2, memo_ceiling=16)
-            sizer.sample()  # registers the memo's baseline traffic
-            memo.get(("d",))  # a miss the bound refused to help with
-            decisions = sizer.sample()
-            grown = [d for d in decisions if d["target"] == "memo"]
-            assert grown and grown[0]["action"] == "grow"
-            assert memo.limit == 4
+            held = memo.export()
+            sizer = self._fresh()
+            for _ in range(sizer.idle_ticks + 1):
+                assert not [d for d in sizer.sample() if d["target"] != "compile_cache"]
+            assert memo.export() == held and memo.stats()["limit"] == MEMO_LIMIT
+            assert sizer.stats()["memos"] == {
+                "floor": MEMO_LIMIT,
+                "ceiling": MEMO_LIMIT,
+                "resizes": 0,
+                "tracked": 0,
+            }
         finally:
             repro.purge()
 
-    def test_shrinks_an_idle_sparse_memo(self):
-        repro.purge()
-        try:
-            pattern = repro.compile("(e?)(f?)")
-            memo = pattern.acceptance_memo()
-            memo.resize(64)
-            memo.put(("e",), True)
-            sizer = self._fresh(memo_floor=8, memo_ceiling=128, idle_ticks=2)
-            assert not [d for d in sizer.sample() if d["target"] == "memo"]  # patience
-            decisions = sizer.sample()
-            shrunk = [d for d in decisions if d["target"] == "memo"]
-            assert shrunk and shrunk[0]["action"] == "shrink"
-            assert memo.limit == 32
-        finally:
-            repro.purge()
-
-    def test_recompiled_pattern_restarts_its_baseline(self):
-        """Tracking is keyed by the compile-cache key: after an eviction
-        and recompile, the fresh memo's lower counters re-baseline instead
-        of inheriting the dead memo's traffic (which a recycled ``id()``
-        used to make possible)."""
-        repro.purge()
-        try:
-            expr = "(g?)(h?)"
-            memo = repro.compile(expr).acceptance_memo()
-            memo.resize(4)
-            for _ in range(10):
-                memo.get(("g",))
-            sizer = self._fresh(memo_floor=2, memo_ceiling=16)
-            sizer.sample()  # baseline: 10 probes
-            repro.purge()
-            fresh_memo = repro.compile(expr).acceptance_memo()  # same cache key
-            fresh_memo.resize(2)
-            fresh_memo.put(("g",), True)
-            fresh_memo.put(("h",), True)
-            # Counter (2) is behind the stale baseline (10): this tick
-            # must quietly re-baseline, not act on a bogus delta.
-            assert not [d for d in sizer.sample() if d["target"] == "memo"]
-            fresh_memo.get(("gh",))  # a miss the bound refused to help with
-            decisions = sizer.sample()
-            grown = [d for d in decisions if d["target"] == "memo"]
-            assert grown and grown[0]["action"] == "grow"
-            assert fresh_memo.limit == 4
-        finally:
-            repro.purge()
+    def test_rejects_bounds_that_cannot_hold(self):
+        with pytest.raises(ValueError):
+            Autosizer(cache_floor=0)
+        with pytest.raises(ValueError):
+            Autosizer(cache_floor=64, cache_ceiling=32)
 
     def test_stats_surface_through_the_service(self):
         service = ValidationService(workers=1)

@@ -13,6 +13,10 @@ a fresh host bootstraps from a running fleet.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -22,6 +26,7 @@ import pytest
 
 import repro
 from repro import cache
+from repro.matching import memo as memo_module
 from repro.matching import snapshot as snapshot_format
 from repro.matching.snapshot import SnapshotError
 from repro.matching.star_free import StarFreeMultiMatcher
@@ -161,6 +166,71 @@ class TestV2RoundTrip:
         assert gauge["star_free_entries"] == 0  # retired, kept on the wire
         assert gauge["memo_entries"] > 0
         assert gauge["total"] == gauge["transitions"] + gauge["memo_entries"]
+
+
+#: A fresh process: loads the snapshot, counts ``parse_word`` calls and
+#: batches the words once.
+_FRESH_CHILD = """\
+import json, sys
+import repro, repro.api
+path, expr, words = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+report = repro.load_snapshot(path)
+parsed = []
+parse_word = repro.api.parse_word
+repro.api.parse_word = lambda word: parsed.append(word) or parse_word(word)
+verdicts = repro.compile(expr).match_all(words)
+print(json.dumps({"verdicts": verdicts, "parsed": len(parsed),
+                  "adopted": report["memo_entries_loaded"]}))
+"""
+
+
+class TestBatchWordsInTheMemo:
+    """Warm batches fill the runtime's memo; a save writes its symbol sequences only."""
+
+    @staticmethod
+    def _warm(words: list) -> repro.Pattern:
+        pattern = repro.compile(ROWS_EXPR)
+        for _ in range(2):  # cold, then warm: the second batch memoizes
+            pattern.match_all(words)
+        return pattern
+
+    def test_a_warm_str_word_batch_adds_nothing_to_memo(self, tmp_path):
+        pattern = self._warm(ROWS_WORDS * 2)
+        assert len(pattern.acceptance_memo()) == len(ROWS_WORDS)  # raw str keys
+        assert repro.stats()["snapshot"]["materialized"]["memo_entries"] == 0
+        saved = repro.save_snapshot(str(tmp_path / "str.snapshot"))
+        assert saved["memo_entries"] == 0 and saved["sections"] == ["ROWS"], saved
+
+    def test_a_warm_list_word_batch_answers_a_fresh_process_unparsed(self, tmp_path):
+        words = [list(word) for word in ROWS_WORDS] * 2
+        self._warm(words)
+        assert repro.stats()["snapshot"]["materialized"]["memo_entries"] == len(ROWS_WORDS)
+        path = tmp_path / "list.snapshot"
+        saved = repro.save_snapshot(str(path))
+        assert saved["memo_entries"] == len(ROWS_WORDS), saved
+        environment = dict(os.environ)
+        source = str(Path(__file__).resolve().parents[2] / "src")
+        environment["PYTHONPATH"] = source + os.pathsep + environment.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", _FRESH_CHILD, str(path), ROWS_EXPR, json.dumps(words)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=environment,
+            check=True,
+        )
+        child = json.loads(completed.stdout)
+        assert child["adopted"] == len(ROWS_WORDS)
+        assert child["parsed"] == 0, "the adopted memo must answer before parse_word"
+        oracle = repro.Pattern(ROWS_EXPR, compiled=False)
+        assert child["verdicts"] == [bool(oracle.match(word)) for word in words]
+
+    def test_the_materialized_gauge_counts_what_a_save_writes(self, tmp_path):
+        self._warm(ROWS_WORDS + [list(word) for word in ROWS_WORDS])  # one key of each kind
+        _warm_everything()
+        gauge = repro.stats()["snapshot"]["materialized"]["memo_entries"]
+        saved = repro.save_snapshot(str(tmp_path / "mixed.snapshot"))
+        assert gauge == saved["memo_entries"] == len(ROWS_WORDS) + len(DOCUMENTS)
 
 
 class TestV1Compatibility:
@@ -387,8 +457,8 @@ class TestAcceptanceMemo:
         validator = DTDValidator(parse_dtd(DTD_TEXT))
         document = parse_document("<a><b/><c/></a>")
         assert validator.is_valid(document)
-        memo = validator._plans["a"].built_memo()
-        assert memo is not None and len(memo) == 1
+        memo = validator._plans["a"].built_runtime().memo
+        assert len(memo) == 1
         hits_before = memo.hits
         assert validator.is_valid(document)
         assert memo.hits > hits_before
@@ -396,7 +466,9 @@ class TestAcceptanceMemo:
     def test_memo_is_shared_across_validators_of_one_model(self):
         first = DTDValidator(parse_dtd(DTD_TEXT))
         second = DTDValidator(parse_dtd(DTD_TEXT))
-        assert first._plans["a"].built_memo() is second._plans["a"].built_memo()
+        memo = first._plans["a"].built_runtime().memo
+        assert second._plans["a"].built_runtime().memo is memo
+        assert memo is first._patterns["a"].acceptance_memo()
 
     def test_adopt_validates_before_mutating(self):
         memo = AcceptanceMemo()
@@ -412,20 +484,61 @@ class TestAcceptanceMemo:
                 memo.adopt(bad)
         assert len(memo) == 0
 
-    def test_adopt_respects_the_bound_and_local_wins(self):
-        memo = AcceptanceMemo(limit=2)
+    def test_adopt_respects_the_bound_and_local_wins(self, monkeypatch):
+        monkeypatch.setattr(memo_module, "MEMO_LIMIT", 4)
+        memo = AcceptanceMemo()
         memo.put(("b",), True)
-        adopted = memo.adopt([(["b"], False), (["c"], True), (["d"], False)])
-        assert adopted == 1  # ("c",) fits; ("b",) loses to local; ("d",) over bound
+        entries = [(["b"], False), (["c"], True), (["d"], False), (["e"], True), (["f"], True)]
+        # ("c",) and ("d",) fill the old generation and ("e",) the young
+        # one's last slot; ("b",) loses to local and ("f",) is over the bound.
+        assert memo.adopt(entries) == 3
+        assert len(memo) == 4 and memo.adopted == 3
+        assert memo.get(("f",)) is None
         assert memo.get(("b",)) is True, "local verdict must win"
-        assert memo.get(("c",)) is True
+        assert memo.get(("e",)) is True
 
-    def test_put_stops_at_the_bound(self):
-        memo = AcceptanceMemo(limit=1)
+    def test_put_stops_at_the_bound(self, monkeypatch):
+        """The memo stops growing at the bound: a full young generation turns over."""
+        monkeypatch.setattr(memo_module, "MEMO_LIMIT", 2)
+        memo = AcceptanceMemo()
         memo.put(("a",), True)
-        memo.put(("b",), False)
-        assert len(memo) == 1
-        assert memo.get(("b",)) is None
+        memo.put(("b",), False)  # the young generation was full: ("a",) is now old
+        assert len(memo) == 2
+        memo.put(("c",), True)  # ("a",) was not re-used since: it goes
+        assert len(memo) == 2
+        assert memo.get(("a",)) is None
+        assert memo.get(("b",)) is False
+        assert memo.stats()["limit"] == 2
+
+    def test_adopt_never_drops_an_entry_the_memo_holds(self, monkeypatch):
+        monkeypatch.setattr(memo_module, "MEMO_LIMIT", 4)
+        memo = AcceptanceMemo()
+        for name in "abc":  # ("a",) and ("b",) turn over into the old generation
+            memo.put((name,), True)
+        held = set(memo.export())
+        assert len(held) == 3
+        assert memo.adopt([([name], False) for name in "wxyz"]) == 1
+        assert held < set(memo.export())
+        assert len(memo) == 4
+
+    def test_a_batch_verdict_answers_the_validator_without_a_replay(self):
+        """List-word batches and validators share one memo, keyed on the sequence."""
+        validator = DTDValidator(parse_dtd(DTD_TEXT))
+        pattern = validator._patterns["a"]
+        words = [["b"], ["b", "c"], ["c"], ["c", "b"]] * 2
+        for _ in range(2):  # cold, then warm: the second batch fills the memo
+            pattern.match_all(words)
+        memo = pattern.acceptance_memo()
+        assert len(memo) == 4 and memo.hits == memo.misses == 0  # batch probes count nothing
+        misses, rows = memo.misses, pattern.runtime.stats()["transitions_memoized"]
+        assert [validator.is_valid(parse_document(text)) for text in DOCUMENTS] == [
+            True,
+            True,
+            False,
+            False,
+        ]
+        assert memo.misses == misses and memo.hits == len(DOCUMENTS)
+        assert pattern.runtime.stats()["transitions_memoized"] == rows
 
 
 class TestLiveLifecycle:
