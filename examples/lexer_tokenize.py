@@ -1,10 +1,10 @@
 """Tokenizing log lines with the kernel-backed longest-match lexer.
 
 ``repro.lexer.Lexer`` joins named rules into one deterministic union
-expression, compiles it to a flat stride-1 kernel table, and scans with
-maximal munch — the classical lexer discipline, running on the paper's
-Glushkov machinery: every scanner state is a position of the marked
-union expression, so an accepting state names its rule for free.
+expression, compiles it to the flat kernel table its batches use, and
+scans with maximal munch — the classical lexer discipline, running on the
+paper's Glushkov machinery: every scanner state is a position of the
+marked union expression, so an accepting state names its rule for free.
 
 Run with:  python examples/lexer_tokenize.py
 """

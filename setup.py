@@ -4,40 +4,10 @@ The execution environment is fully offline and ships setuptools without the
 ``wheel`` package, so PEP 660 editable installs (which build a wheel) are not
 available.  Keeping a classic ``setup.py`` and omitting the ``[build-system]``
 table lets ``pip install -e .`` fall back to the legacy develop install.
-All metadata lives in ``pyproject.toml``.
-
-As a best-effort extra, installing also tries to compile the optional batch
-matching kernel (``src/repro/matching/_kernel.c``) with whatever C compiler
-the host has.  The kernel loads through ``ctypes`` at import time and the
-pure-Python scan path is always available, so any failure here — no compiler,
-sandboxed subprocesses, read-only source tree — is silently ignored.
+All metadata lives in ``pyproject.toml``; the package is pure Python and
+builds nothing.
 """
-
-import os
-import subprocess
-import sys
 
 from setuptools import setup
 
-
-def _try_build_kernel() -> None:
-    source_root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = source_root + (
-        os.pathsep + environment["PYTHONPATH"] if environment.get("PYTHONPATH") else ""
-    )
-    try:
-        subprocess.run(
-            [sys.executable, "-m", "repro.matching.kernel", "--build-native"],
-            env=environment,
-            timeout=180,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            check=False,
-        )
-    except Exception:
-        pass  # optional acceleration only; the pure path is the oracle
-
-
-_try_build_kernel()
 setup()

@@ -36,8 +36,8 @@ against one pattern costs a list index and a dict probe per symbol
 instead of a structure query.
 ``Pattern.match_all`` runs whole corpora through the batch kernel
 (:mod:`repro.matching.kernel`: one flat premultiplied scan table read
-off the parse tree, dedup-encoded words, several symbols per table
-probe), and
+off the parse tree, dedup-encoded words, one table probe per symbol),
+and
 :func:`compile` keeps an ``re``-style LRU cache so schema workloads that
 re-compile the same few content models millions of times (the Li et al.
 observation) hit a warm pattern:
@@ -277,7 +277,7 @@ class Pattern:
         Every compiled pattern, star-free ones included, runs through the
         batch kernel (:mod:`repro.matching.kernel`): the parse tree's
         follow relation becomes one complete, premultiplied scan table,
-        and each distinct word is a branch-free stride over that table.
+        and each distinct word is a branch-free walk over that table.
         A batch over a runtime that has matched nothing yet replays per
         word instead of building a table for a pattern that may never see
         a second batch.  From the next batch on, the pattern's one
@@ -346,7 +346,7 @@ class Pattern:
 
         ``"batch_path"`` is the :attr:`plan`'s stable route name — the
         route :meth:`match_all` actually takes, not a reconstruction:
-        ``"compiled-kernel"`` (dedup-encoded corpus strided over the flat
+        ``"compiled-kernel"`` (dedup-encoded corpus scanned over the flat
         kernel table, per-word replay for a cold runtime's batch),
         ``"star-free-multi"`` (the same kernel batches, named for the
         star-free class Theorem 4.12 covers), ``"compiled-runtime"``
@@ -493,7 +493,7 @@ def stats() -> dict:
     * ``"pattern_cache"`` — compile-cache hit/miss/eviction counters;
     * ``"snapshot"`` — snapshot save/load/adoption telemetry plus the
       ``materialized`` gauge;
-    * ``"kernel"`` — batch-kernel counters and backend selection
+    * ``"kernel"`` — batch-kernel counters and the scan loop's name
       (:func:`repro.matching.kernel.stats`).
 
     Per-object telemetry keeps living on the objects themselves with the

@@ -4,10 +4,11 @@ A :class:`Lexer` is a list of named rules, each a deterministic regular
 expression.  The rules are joined into one union expression — determinism
 of the *union* is exactly the classical "no two rules fight over a
 prefix-extension" requirement, checked by the paper's linear-time test —
-and compiled down to a stride-1 kernel program
+and compiled down to the pattern's kernel program
 (:meth:`repro.matching.runtime.CompiledRuntime.export_kernel_program`),
 complete by construction because it is read off the union's follow
-relation.  Scanning is then the maximal-munch loop of
+relation; the lexer shares it with the pattern's ``match_all``
+batches.  Scanning is then the maximal-munch loop of
 :func:`repro.matching.kernel.longest_match`: one premultiplied table
 index per character, a byte probe for "does a rule accept here", no
 per-symbol Python beyond the loop itself.
@@ -106,13 +107,13 @@ class Lexer:
             )
         self._tag_by_state = self._assign_tags(len(parsed))
         #: the pattern's execution plan owns the engine: it materializes
-        #: the reachable machine, exports the stride-1 scan program and
+        #: the reachable machine, exports the kernel program and
         #: drives the maximal-munch loop (see ``repro.matching.plan``)
         self._plan = self.pattern.plan
         self._program, self._accept_tags = self._compile()
         runtime = self.pattern.runtime
         self._codes = runtime.alphabet.codes
-        self._unknown = self._program.width  # the dead column
+        self._unknown = self._program.width  # the unknown-symbol column
 
     # -- construction -------------------------------------------------------------------
     def _assign_tags(self, rule_count: int) -> dict[int, int]:
@@ -141,7 +142,7 @@ class Lexer:
         return tag_by_state
 
     def _compile(self):
-        """Build the tag table over the plan's stride-1 scan program.
+        """Build the tag table over the plan's kernel program.
 
         :meth:`ExecutionPlan.scan_program` returns the complete table and
         its accepting states, so longest-match scanning needs no fallback
@@ -155,7 +156,7 @@ class Lexer:
             tag_index = self._tag_by_state.get(state)
             if tag_index is None:  # pragma: no cover - determinism forbids this
                 raise LexError("internal error: accepting state outside every rule")
-            tags[state * program.span] = tag_index + 1
+            tags[state * program.wp] = tag_index + 1
         return program, tags
 
     # -- scanning -----------------------------------------------------------------------

@@ -4,21 +4,20 @@ The compiled runtime (:mod:`repro.matching.runtime`) answers single words
 over lazily filled integer rows, but its drivers re-enter the interpreter
 once per symbol.  This module gives a pattern one flat *kernel program* —
 its whole transition table, read off the parse tree — that an entire
-encoded corpus runs through in chunks:
+encoded corpus runs through:
 
 **Table layout.**  A program over the ``S`` positions of the parse tree
 (the states) and alphabet width ``W`` adds one absorbing synthetic state,
-``DEAD`` (``S``, every rejection sink), and two synthetic columns: ``W``
-(symbols outside the alphabet, which can never advance any state) and
-``W + 1`` (``PAD``, an identity self-loop used to round words up to the
-stride).  With ``WP = W + 2`` columns per state the table is conceptually
-``(S + 1) × WP``; to remove even the multiply from the inner loop it is
-stored *premultiplied*: entry values are ``target_state * span`` where
-``span = WP ** stride``, so the whole scan of a word is::
+``DEAD`` (``S``, every rejection sink), and one synthetic column, ``W``,
+for symbols outside the alphabet, which can never advance any state.
+With ``WP = W + 1`` columns per state the table is ``(S + 1) × WP``; to
+remove even the multiply from the inner loop it is stored
+*premultiplied*: entry values are ``target_state * WP``, so the whole
+scan of a word is::
 
-    off = start_offset            # start_state * span
-    for g in groups:              # g encodes `stride` symbols in base WP
-        off = table[off + g]
+    off = start_offset            # start_state * WP
+    for code in codes:            # one code per symbol
+        off = table[off + code]
     verdict = accepts[off]        # 0 reject, 1 accept
 
 **Programs from the follow relation.**  :func:`build_program` reads
@@ -30,20 +29,19 @@ matcher.  By Lemma 2.3, ``p ∈ Last(n)`` exactly for the nodes ``n`` on
 ``C(n)`` is First of the right sibling when ``n`` is the left child of a
 concatenation, plus ``First(n)`` when ``n`` is a star or a plus.  So one
 pre-order pass computes ``F(n) = C(n) ∪ F(parent(n))`` (``F(n) = C(n)``
-at a SupLast node, where the chain stops), one ``|Σ|``-wide row per node
-that adds anything, and ``Follow(p) = F(p)``: ``O(|e|·|Σ|)`` in all,
-linear in the stride-1 table.  ``$ ∈ Follow(p)`` iff ``pSupLast(p)`` is
-the left child of the root, which gives the accept bytes.
+at a SupLast node, where the chain stops), one row per node that adds
+anything, and ``Follow(p) = F(p)``: ``O(|e|·|Σ|)`` in all, linear in the
+table.  ``$ ∈ Follow(p)`` iff ``pSupLast(p)`` is the left child of the
+root, which gives the accept bytes.
 
-**Striding.**  Because ``PAD`` is an identity column, tables compose:
-``T²[s][c₁·WP + c₂] = T[T[s][c₁]][c₂]`` handles two symbols per Python-level
-loop iteration, ``T³`` three.  The builder picks the largest stride whose
-composed table stays within :data:`TABLE_LIMIT` entries, and corpora are
-group-encoded once to match (``bytes`` when a group fits a byte,
-``array('H')``/``array('i')`` otherwise).  ``DEAD`` survives composition,
-so the loop body has **no branch at all** — a dead path simply keeps
-striding through its absorbing row, and the verdict byte at the final
-offset says whether the word is in the language.
+**One loop.**  ``DEAD`` is absorbing, so the loop body has **no branch
+at all**: a dead path keeps stepping through its absorbing row, and the
+verdict byte at the final offset says whether the word is in the
+language.  Each distinct word is encoded once, as one list of codes,
+and :meth:`KernelProgram.scan` runs this one pure-Python loop over the
+lists.  The verdict memo, not the scan, is the fast path of repeated
+traffic, so the loop stays one table step per symbol (``docs/kernel.md``,
+"One loop").
 
 **Repeated-match corpora.**  A batch arrives as a :class:`Corpus`, built
 once by ``Pattern.match_all``: each distinct word is encoded and scanned
@@ -66,23 +64,10 @@ its words, so the next one runs on the program.  Cold-batch words are the
 only ones the ``fallback_words`` counter books.  Kernel scans never touch
 the runtime, so ``transitions_memoized == misses`` (the invariant the
 runtime tests pin) is untouched.
-
-**Backends.**  :func:`KernelProgram.scan` runs the loop either in pure
-Python (the permanent oracle) or through an optional C helper
-(``_kernel.c``, compiled best-effort by ``setup.py`` or
-``python -m repro.matching.kernel --build-native``) that walks the same
-premultiplied ``int32`` table natively.  ``REPRO_KERNEL`` selects:
-``auto`` (native when the shared object is present), ``pure``, or
-``native``; a requested-but-missing native backend degrades silently to
-pure.  Both backends read identical program/corpus buffers, so they are
-interchangeable per call — the property suite diffs their verdict bytes.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-import subprocess
 import threading
 from array import array
 from typing import Iterable, Sequence
@@ -91,24 +76,17 @@ from ..regex.parse_tree import NodeKind
 from ..regex.parser import parse_word
 from .memo import AcceptanceMemo
 
-#: Hard ceiling on flat-table entries (``int32``) per program.  The builder
-#: picks the deepest stride whose composed table fits; a machine whose
-#: *stride-1* table already exceeds the ceiling gets no program at all
+#: Hard ceiling on flat-table entries (``int32``) per program.  A machine
+#: whose ``(S + 1) · (W + 1)`` table exceeds it gets no program at all
 #: (``build_program`` returns ``None``) and batch calls stay on the
 #: per-word driver.  2²¹ entries is 8 MiB — far beyond any content model
 #: in the Grijzenhout/Li corpora, yet small enough that a burst of
 #: distinct patterns cannot blow up a serving process.
 TABLE_LIMIT = 1 << 21
 
-#: Deepest stride the builder will compose.  Three symbols per Python-level
-#: iteration is where the returns flatten: the composed table grows by a
-#: factor of WP per extra symbol while the loop only sheds interpreter
-#: overhead that is already down to one index per three symbols.
-MAX_STRIDE = 3
-
 #: Batches smaller than this skip the kernel unless a program is already
-#: cached: building a composed table costs milliseconds, which only a
-#: real corpus amortizes.
+#: built: building a table costs up to milliseconds, which only a real
+#: corpus amortizes.
 MIN_BATCH = 8
 
 #: Verdict bytes produced by a scan.
@@ -133,15 +111,13 @@ def stats() -> dict:
     ``fallback_words`` split batch traffic between words answered by a
     program (its memo or a scan) and words of cold batches, which replayed
     through the runtime (:func:`replay_words`), and ``backend`` names the
-    loop actually in use right now (``requested`` preserves the
-    ``REPRO_KERNEL`` ask even when the native library is unavailable).
+    scan loop, the pure-Python one.  ``requested`` (``"pure"``) and
+    ``native_available`` (``False``) are retired keys kept for wire
+    compatibility.
     """
     with _STATS_LOCK:
         snapshot: dict = dict(_STATS)
-    requested = requested_backend()
-    snapshot["requested"] = requested
-    snapshot["native_available"] = native_library() is not None
-    snapshot["backend"] = _effective_backend(requested)
+    snapshot.update(requested="pure", native_available=False, backend="pure")
     return snapshot
 
 
@@ -156,104 +132,6 @@ def _bump(**deltas: int) -> None:
     with _STATS_LOCK:
         for key, delta in deltas.items():
             _STATS[key] += delta
-
-
-# -- backend selection -------------------------------------------------------------------
-
-#: Loaded native library, ``None`` until probed, ``False`` when the probe
-#: failed (so a missing shared object is stat'ed at most once).
-_NATIVE: ctypes.CDLL | None | bool = None
-_NATIVE_LOCK = threading.Lock()
-
-
-def _native_path() -> str:
-    return os.path.join(os.path.dirname(__file__), "_repro_kernel.so")
-
-
-def requested_backend() -> str:
-    """The ``REPRO_KERNEL`` selection: ``auto`` (default), ``pure`` or ``native``."""
-    value = os.environ.get("REPRO_KERNEL", "auto").strip().lower()
-    return value if value in ("auto", "pure", "native") else "auto"
-
-
-def _effective_backend(requested: str | None = None) -> str:
-    if requested is None:
-        requested = requested_backend()
-    if requested != "pure" and native_library() is not None:
-        return "native"
-    return "pure"
-
-
-def native_library() -> ctypes.CDLL | None:
-    """The loaded native scan library, or ``None`` when unavailable.
-
-    The shared object is probed once per process; call
-    :func:`invalidate_native` after building it to re-probe.
-    """
-    global _NATIVE
-    lib = _NATIVE
-    if lib is None:
-        with _NATIVE_LOCK:
-            lib = _NATIVE
-            if lib is None:
-                lib = _load_native()
-                _NATIVE = lib if lib is not None else False
-    return lib if isinstance(lib, ctypes.CDLL) else None
-
-
-def _load_native() -> ctypes.CDLL | None:
-    path = _native_path()
-    if not os.path.exists(path):
-        return None
-    try:
-        lib = ctypes.CDLL(path)
-        scan = lib.repro_kernel_scan
-    except (OSError, AttributeError):
-        return None
-    scan.argtypes = [
-        ctypes.c_void_p,  # table
-        ctypes.c_void_p,  # accepts
-        ctypes.c_longlong,  # start offset
-        ctypes.c_void_p,  # flat groups
-        ctypes.c_void_p,  # word bounds
-        ctypes.c_longlong,  # word count
-        ctypes.c_void_p,  # verdict bytes out
-    ]
-    scan.restype = None
-    return lib
-
-
-def invalidate_native() -> None:
-    """Forget the probe result so the next :func:`native_library` re-loads."""
-    global _NATIVE
-    with _NATIVE_LOCK:
-        _NATIVE = None
-
-
-def build_native(verbose: bool = False) -> str | None:
-    """Best-effort compile of ``_kernel.c`` into the loadable shared object.
-
-    Uses the system C compiler (``$CC`` or ``cc``); any failure — no
-    compiler, no permissions, bad flags — returns ``None`` and leaves the
-    pure path in charge.  ``setup.py`` calls this during installs, and
-    ``python -m repro.matching.kernel --build-native`` exposes it to CI.
-    """
-    source = os.path.join(os.path.dirname(__file__), "_kernel.c")
-    target = _native_path()
-    if not os.path.exists(source):
-        return None
-    compiler = os.environ.get("CC", "cc")
-    command = [compiler, "-O2", "-shared", "-fPIC", "-o", target, source]
-    try:
-        result = subprocess.run(command, capture_output=True, text=True, timeout=120)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if result.returncode != 0:
-        if verbose:
-            print(result.stderr)
-        return None
-    invalidate_native()
-    return target if native_library() is not None else None
 
 
 # -- programs ----------------------------------------------------------------------------
@@ -335,39 +213,22 @@ class Corpus:
 
 
 class KernelCorpus(Corpus):
-    """A :class:`Corpus` encoded for one program shape (encode once, scan many).
+    """A :class:`Corpus` encoded for one program (encode once, scan many).
 
-    ``distinct`` holds each distinct word group-encoded for the program's
-    stride.  Instances are immutable after construction and safe to scan
-    concurrently.
+    ``distinct`` holds each distinct word as its list of codes, and
+    ``width`` the alphabet width it was encoded against.  Instances are
+    immutable after construction and safe to scan concurrently.
     """
 
-    __slots__ = ("distinct", "span", "_packed")
+    __slots__ = ("distinct", "width")
 
-    def __init__(self, corpus: Corpus, distinct: list, span: int):
+    def __init__(self, corpus: Corpus, distinct: list, width: int):
         self.words = corpus.words
         self.index = corpus.index
         self.keys = corpus.keys
         self.memo = corpus.memo
         self.distinct = distinct
-        self.span = span
-        #: lazily built (flat ``array('i')``, bounds ``array('q')``) pair
-        #: for the native backend; built at most once, races benign.
-        self._packed: tuple | None = None
-
-    def packed(self) -> tuple:
-        """Flat ``int32`` group buffer plus ``int64`` word bounds (native scan)."""
-        packed = self._packed
-        if packed is None:
-            flat = array("i")
-            bounds = array("q", [0])
-            for groups in self.distinct:
-                # array.extend refuses arrays of another typecode ('H'/'i'
-                # encodings differ per corpus); go through a plain list.
-                flat.extend(groups.tolist() if isinstance(groups, array) else groups)
-                bounds.append(len(flat))
-            packed = self._packed = (flat, bounds)
-        return packed
+        self.width = width
 
 
 class KernelProgram:
@@ -379,13 +240,9 @@ class KernelProgram:
         "codes",
         "width",
         "wp",
-        "stride",
-        "span",
         "states",
         "start_offset",
         "dead_offset",
-        "_c_table",
-        "_c_accepts",
     )
 
     def __init__(
@@ -394,7 +251,6 @@ class KernelProgram:
         accepts: bytearray,
         codes: dict,
         width: int,
-        stride: int,
         states: int,
         start_state: int,
     ):
@@ -402,162 +258,81 @@ class KernelProgram:
         self.accepts = accepts
         self.codes = codes
         self.width = width
-        self.wp = width + 2
-        self.stride = stride
-        self.span = self.wp**stride
+        self.wp = width + 1
         self.states = states
-        self.start_offset = start_state * self.span
-        self.dead_offset = states * self.span
-        self._c_table = None
-        self._c_accepts = None
+        self.start_offset = start_state * self.wp
+        self.dead_offset = states * self.wp
 
     # -- corpus encoding -----------------------------------------------------------------
     def encode_corpus(self, words: "Corpus | Iterable[Sequence[str]]") -> KernelCorpus:
-        """Group-encode the distinct words of *words* (a :class:`Corpus`).
+        """Encode the distinct words of *words* (a :class:`Corpus`).
 
-        Each distinct word is encoded exactly once: symbols intern through
-        the frozen alphabet (unknown symbols take the dead column), the
-        code list is padded to a stride multiple with the identity ``PAD``
-        column and packed ``stride`` symbols per group in base ``WP``.
-        Raw words are read as ``Pattern.match_all`` reads them
+        Each distinct word becomes one list of codes, exactly once:
+        symbols intern through the frozen alphabet, and unknown symbols
+        take the unknown-symbol column, which leads to ``DEAD``.  Raw
+        words are read as ``Pattern.match_all`` reads them
         (``parse_word``), so a word keeps one reading whoever brings it.
         """
         corpus = words if isinstance(words, Corpus) else Corpus(words)
         get = self.codes.get
         width = self.width
-        wp = self.wp
-        stride = self.stride
-        span = self.span
-        pad = [width + 1] * (stride - 1)
-        distinct: list = []
-        small = span <= 256
-        medium = span <= 65536
-        for word in corpus.words:
-            padded = [get(symbol, width) for symbol in word]
-            padded += pad[: -len(padded) % stride]  # up to a stride multiple
-            groups = padded[0::stride]
-            for at in range(1, stride):
-                groups = [group * wp + code for group, code in zip(groups, padded[at::stride])]
-            if small:
-                distinct.append(bytes(groups))
-            elif medium:
-                distinct.append(array("H", groups))
-            else:
-                distinct.append(array("i", groups))
+        distinct = [[get(symbol, width) for symbol in word] for word in corpus.words]
         _bump(corpora_encoded=1)
-        return KernelCorpus(corpus, distinct, span)
+        return KernelCorpus(corpus, distinct, width)
 
     # -- scanning ------------------------------------------------------------------------
-    def scan(self, corpus: KernelCorpus, backend: str | None = None) -> bytearray:
-        """Verdict bytes (0 reject, 1 accept) for each *distinct* word of *corpus*.
-
-        *backend* overrides the ``REPRO_KERNEL`` selection for this call
-        (the equivalence tests diff ``pure`` against ``native`` directly).
-        """
-        if corpus.span != self.span:
-            raise ValueError("corpus was encoded for a different program shape")
-        if _effective_backend(backend) == "native":
-            library = native_library()
-            if library is not None:
-                return self._scan_native(library, corpus)
-        return self._scan_pure(corpus)
-
-    def _scan_pure(self, corpus: KernelCorpus) -> bytearray:
+    def scan(self, corpus: KernelCorpus) -> bytearray:
+        """Verdict bytes (0 reject, 1 accept) for each *distinct* word of *corpus*."""
+        if corpus.width != self.width:
+            raise ValueError("corpus was encoded for a different program")
         table = self.table
         accepts = self.accepts
         start = self.start_offset
         verdicts = bytearray(len(corpus.distinct))
         slot = 0
-        for groups in corpus.distinct:
+        for codes in corpus.distinct:
             off = start
-            for group in groups:
-                off = table[off + group]
+            for code in codes:
+                off = table[off + code]
             verdicts[slot] = accepts[off]
             slot += 1
         return verdicts
 
-    def _scan_native(self, library: ctypes.CDLL, corpus: KernelCorpus) -> bytearray:
-        if self._c_table is None:
-            # buffer_info addresses stay valid for the arrays' lifetime;
-            # the program owns both buffers, and from_buffer pins the
-            # bytearray, so the pointers cannot dangle mid-scan.
-            self._c_table = ctypes.c_void_p(self.table.buffer_info()[0])
-            self._c_accepts = (ctypes.c_ubyte * len(self.accepts)).from_buffer(self.accepts)
-        flat, bounds = corpus.packed()
-        count = len(corpus.distinct)
-        verdicts = bytearray(count)
-        out = (ctypes.c_ubyte * count).from_buffer(verdicts) if count else None
-        library.repro_kernel_scan(
-            self._c_table,
-            self._c_accepts,
-            self.start_offset,
-            ctypes.c_void_p(flat.buffer_info()[0]),
-            ctypes.c_void_p(bounds.buffer_info()[0]),
-            count,
-            out,
-        )
-        return verdicts
-
-
-def stride_for(
-    states: int,
-    width: int,
-    max_entries: int | None = None,
-    max_stride: int | None = None,
-) -> int:
-    """The deepest stride whose composed table fits, or 0 when none does.
-
-    A machine of *states* states over an alphabet of *width* symbols has
-    a stride-``k`` table of ``(states + 1) · (width + 2)^k`` entries.  The
-    limits default to :data:`TABLE_LIMIT` and :data:`MAX_STRIDE`, read at
-    call time.
-
-    >>> stride_for(4, 2), stride_for(202, 200), stride_for(10**6, 10)
-    (3, 1, 0)
-    """
-    if max_entries is None:
-        max_entries = TABLE_LIMIT
-    if max_stride is None:
-        max_stride = MAX_STRIDE
-    stride = 0
-    while stride < max_stride and (states + 1) * (width + 2) ** (stride + 1) <= max_entries:
-        stride += 1
-    return stride
-
 
 def eligible(tree) -> bool:
-    """Cheap pre-check: can *tree*'s machine fit a kernel table at all?"""
-    return stride_for(len(tree.positions), len(tree.alphabet)) > 0
+    """Cheap pre-check: does *tree*'s ``(S + 1) · (W + 1)`` table fit :data:`TABLE_LIMIT`?"""
+    return (len(tree.positions) + 1) * (len(tree.alphabet) + 1) <= TABLE_LIMIT
 
 
-def _follow_rows(tree, scale: int = 1) -> list[list[int]]:
-    """One ``|Σ|``-wide row per position: ``row[c]`` follows on symbol ``c``.
+def _follow_rows(tree, scale: int) -> list[list[int]]:
+    """One row per position: ``row[c]`` follows on symbol ``c``.
 
-    Entries are position indices times *scale*, or ``S · scale`` (``S``
-    the number of positions) where no position follows; a stride-1
-    program passes its span, so its rows are its table.  First(n) comes
-    bottom-up as a tuple of position indices; in a deterministic tree it
-    holds at most one position per symbol, because it lies inside some
-    Follow(p).  Rows then go top-down along the Last chains (see the
-    module docstring): a node's row is its parent's, or an empty one at a
-    SupLast node, overwritten with the positions the node adds, and a
-    node that adds none shares its parent's row.  Where a row meets two
-    copies of one symbol (the rewritten tree of a ``+``/counter model)
-    the lowest position index wins, which is the copy
+    Rows are ``|Σ| + 1`` wide, the last entry being the unknown-symbol
+    column.  Entries are position indices times *scale*, or ``S · scale``
+    (``S`` the number of positions) where no position follows; a program
+    passes its ``WP``, so its rows are its table.  First(n) comes
+    bottom-up as a tuple of ``(code, position · scale)`` pairs, the
+    sentinels left out; in a deterministic tree it holds at most one
+    position per symbol, because it lies inside some Follow(p).  Rows
+    then go top-down along the Last chains (see the module docstring): a
+    node's row is its parent's, or an empty one at a SupLast node,
+    overwritten with the positions the node adds, and a node that adds
+    none shares its parent's row.  Where a row meets two copies of one
+    symbol (the rewritten tree of a ``+``/counter model) the lowest
+    position index wins, which is the copy
     ``KOccurrenceMatcher.next_position`` returns; since ``S`` exceeds
     every index, one ``<`` test both fills an empty entry and keeps the
     lower copy.
     """
     nodes = tree.nodes
-    positions = tree.positions
-    none = len(positions)
     codes = tree.alphabet.codes
-    code_of = [codes.get(position.symbol, -1) for position in positions]  # sentinels: -1
-    first: list[tuple[int, ...]] = [()] * len(nodes)
+    first: list[tuple[tuple[int, int], ...]] = [()] * len(nodes)
     for node in reversed(nodes):  # children before parents
         kind = node.kind
         if kind is NodeKind.SYMBOL:
-            first[node.index] = (node.position_index,)
+            code = codes.get(node.symbol)
+            if code is not None:  # not a sentinel
+                first[node.index] = ((code, node.position_index * scale),)
         elif kind is NodeKind.CONCAT:
             left = first[node.left.index]
             first[node.index] = left + first[node.right.index] if node.left.nullable else left
@@ -566,7 +341,8 @@ def _follow_rows(tree, scale: int = 1) -> list[list[int]]:
         else:  # star, plus, optional: the child's First
             first[node.index] = first[node.left.index]
 
-    empty = [none * scale] * len(codes)
+    none = len(tree.positions)
+    empty = [none * scale] * (len(codes) + 1)
     rows: list[list[int]] = [empty] * none
     stack = [(tree.root, empty)]
     while stack:
@@ -579,10 +355,8 @@ def _follow_rows(tree, scale: int = 1) -> list[list[int]]:
             row = empty
         if added:
             row = row[:]
-            for position in added:
-                code = code_of[position]
-                target = position * scale
-                if code >= 0 and target < row[code]:
+            for code, target in added:
+                if target < row[code]:
                     row[code] = target
         if node.left is None:
             rows[node.position_index] = row
@@ -593,64 +367,37 @@ def _follow_rows(tree, scale: int = 1) -> list[list[int]]:
     return rows
 
 
-def build_program(
-    tree,
-    max_entries: int | None = None,
-    max_stride: int | None = None,
-) -> KernelProgram | None:
+def build_program(tree) -> KernelProgram | None:
     """The complete :class:`KernelProgram` of *tree*'s position automaton.
 
-    Rows come from :func:`_follow_rows` and accept bytes from the
-    ``pSupLast`` pointers, so the program reads nothing but the tree: no
-    runtime row and no Section-4 matcher.  The stride is
-    :func:`stride_for` of the machine's shape; returns ``None`` when even
-    the stride-1 table would exceed *max_entries*.
+    Rows come from :func:`_follow_rows`, premultiplied as they are
+    written, and accept bytes from the ``pSupLast`` pointers, so the
+    program reads nothing but the tree: no runtime row and no Section-4
+    matcher.  Returns ``None`` when the table would exceed
+    :data:`TABLE_LIMIT` (see :func:`eligible`).
     """
+    if not eligible(tree):
+        return None
     positions = tree.positions
     states = len(positions)
     width = len(tree.alphabet)
-    stride = stride_for(states, width, max_entries, max_stride)
-    if not stride:
-        return None
-    wp = width + 2
-    span = wp**stride
-    # A stride-1 table is its rows, premultiplied as they are written.
-    scale = span if stride == 1 else 1
-    dead = states * scale
-
-    # The unknown-symbol column, then the PAD column: an identity self-loop.
-    base = [row + [dead, state * scale] for state, row in enumerate(_follow_rows(tree, scale))]
-    base.append([dead] * wp)  # DEAD: absorbing, PAD included
-
-    # Compose T^k rows by concatenation: T²[s] is, for each first symbol c,
-    # the whole T¹ row of T¹[s][c] — extend() copies at C speed, so deeper
-    # strides cost WP list-appends per state, not WP^k Python iterations.
-    # The rows copied hold T¹'s targets premultiplied by the final span,
-    # so (S + 1)·WP products premultiply the whole composed table.
-    rows = base if stride == 1 else [[target * span for target in row] for row in base]
-    for _ in range(stride - 1):
-        previous = rows
-        rows = []
-        for first_row in base:
-            entries: list[int] = []
-            for target in first_row:
-                entries.extend(previous[target])
-            rows.append(entries)
+    wp = width + 1
+    dead = states * wp
     table = array("i")
-    for entries in rows:
-        table.fromlist(entries)
-    accepts = bytearray((states + 1) * span)
+    for row in _follow_rows(tree, wp):
+        table.fromlist(row)
+    table.fromlist([dead] * wp)  # DEAD: absorbing
+    accepts = bytearray(len(table))
     final = tree.root.left  # $ follows p iff pSupLast(p) is the root's left child
     for position in positions:
         if position.p_sup_last is final:
-            accepts[position.position_index * span] = VERDICT_ACCEPT
+            accepts[position.position_index * wp] = VERDICT_ACCEPT
 
     program = KernelProgram(
         table,
         accepts,
         tree.alphabet.codes,
         width,
-        stride,
         states,
         tree.start.position_index,
     )
@@ -725,10 +472,10 @@ def longest_match(
     """Maximal munch from ``encoded[start:]``; returns ``(end, tag)``.
 
     *tags* is an offset-indexed byte table (``tag + 1`` at accepting
-    offsets, 0 elsewhere) built by :class:`repro.lexer.Lexer` over a
-    stride-1 program: it strides the same premultiplied table as the
-    batch path, remembers the last accepting boundary, and stops at the
-    absorbing DEAD offset.  ``end`` is the exclusive end of the
+    offsets, 0 elsewhere) built by :class:`repro.lexer.Lexer` over the
+    pattern's program: it steps through the same premultiplied table as
+    the batch path, remembers the last accepting boundary, and stops at
+    the absorbing DEAD offset.  ``end`` is the exclusive end of the
     longest token (``-1`` when no rule accepts any prefix) and ``tag``
     the winning rule's ``tag + 1``.
     """
@@ -749,21 +496,3 @@ def longest_match(
             best_end = at
             best_tag = tag
     return best_end, best_tag
-
-
-def _main(argv: Sequence[str]) -> int:  # pragma: no cover - CLI plumbing
-    if "--build-native" in argv:
-        built = build_native(verbose=True)
-        if built is None:
-            print("native kernel build failed; the pure path stays in charge")
-            return 1
-        print(f"native kernel built: {built}")
-        return 0
-    print(__doc__)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    raise SystemExit(_main(sys.argv[1:]))

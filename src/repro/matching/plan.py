@@ -42,15 +42,15 @@ The four routes (and their unchanged wire names):
     ``describe()["batch_path"]`` is unchanged.  The Theorem 4.12
     multi-word matcher (:mod:`repro.matching.star_free`) answers the same
     verdicts in one scan of the positions, but a kernel table answers a
-    warm batch with one table step per symbol group, so the
+    warm batch with one table step per symbol, so the
     multi-matcher stays a reproduction of the theorem, not a serving
     engine.
 ``"compiled-kernel"``
     The parse tree's follow relation becomes one complete, premultiplied
-    kernel table (:mod:`repro.matching.kernel`); batches stride over it
-    branch-free.  Only a batch over a cold runtime replays per word.
-    Single words, streams and child sequences run on the runtime's
-    memoized rows.
+    kernel table (:mod:`repro.matching.kernel`); batches step through
+    it branch-free, one table index per symbol.  Only a batch over a cold
+    runtime replays per word.  Single words, streams and child sequences
+    run on the runtime's memoized rows.
 ``"compiled-runtime"``
     Per-word replay over the memoized lazy-DFA rows — the terminal
     compiled fallback for machines too large for a kernel table.
@@ -134,10 +134,10 @@ class ExecutionPlan:
 
     # -- lexer surface ------------------------------------------------------------------
     def scan_program(self):
-        """The stride-1 kernel program for longest-match scanning.
+        """The kernel program for longest-match scanning.
 
-        Exports (and caches) the flat table and reads its accepting
-        states off the accept bytes.  Returns ``(program,
+        Reads the batch program (built once per pattern) and its
+        accepting states off the accept bytes.  Returns ``(program,
         accepting_states)``; ``program`` is ``None`` when the machine
         exceeds the kernel table ceiling.  Only compiled plans support
         scanning.
@@ -200,8 +200,8 @@ class CompiledPlan(ExecutionPlan):
     """Every compiled route (runtime-backed); *route* is its wire name.
 
     Single matches replay the memoized lazy-DFA rows; batches attempt the
-    kernel scan (building a composed table costs milliseconds, so tiny
-    batches only take it when a program is already cached, and a cold
+    kernel scan (building a table costs up to milliseconds, so tiny
+    batches only take it when a program is already built, and a cold
     runtime's batch replays per word); child sequences go through the
     runtime's verdict memo.  A machine too large for any kernel table
     (route ``"compiled-runtime"``) replays every batch per word:
@@ -251,18 +251,18 @@ class CompiledPlan(ExecutionPlan):
         """One verdict per batch word: a kernel pass, else per-word replay.
 
         Kernel passes book the pattern's kernel traffic split.  Building a
-        composed table costs milliseconds; tiny batches only route through
-        the kernel when a program is already cached.  A batch over a
+        table costs up to milliseconds; tiny batches only route through
+        the kernel when a program is already built.  A batch over a
         *cold* runtime builds no table either: a pattern compiled for one
         batch (every schema-compile op) would pay for a table it uses
         once.  Its distinct words replay through *replay*, every batch
         word is booked as a fallback word, and the runtime is warm from
         then on, whatever the words were.  Any other batch runs on the
         pattern's one program, which is complete, so no word falls back;
-        a machine too large for any table (stride 0) replays per word.
+        a machine too large for a table replays per word.
         """
         runtime = self.runtime
-        if len(corpus) >= kernel.MIN_BATCH or runtime._kernel_programs:
+        if len(corpus) >= kernel.MIN_BATCH or runtime._kernel_program is not None:
             if runtime.cold and kernel.eligible(runtime.tree):
                 verdicts = kernel.replay_words(runtime, corpus, replay=replay)
                 runtime.batched = True
@@ -318,12 +318,12 @@ class CompiledPlan(ExecutionPlan):
     def scan_program(self):
         scan = self._scan
         if scan is None:
-            program = self.runtime.export_kernel_program(max_stride=1)
+            program = self.runtime.export_kernel_program()
             accepting = []
             if program is not None:
                 accepts = program.accepts
                 accepting = [
-                    state for state in range(program.states) if accepts[state * program.span]
+                    state for state in range(program.states) if accepts[state * program.wp]
                 ]
             scan = self._scan = (program, accepting)
         return scan

@@ -146,7 +146,7 @@ class CompiledRuntime:
         "_lock",
         "misses",
         "_adopted_rows",
-        "_kernel_programs",
+        "_kernel_program",
         "kernel_programs_built",
         "batched",
         "memo",
@@ -185,8 +185,8 @@ class CompiledRuntime:
         self.misses = 0
         #: rows installed from a persisted snapshot (mmap-backed views)
         self._adopted_rows = 0
-        #: per-stride cache of kernel programs (see :meth:`export_kernel_program`)
-        self._kernel_programs: dict[int, object] = {}
+        #: the kernel program, once built (see :meth:`export_kernel_program`)
+        self._kernel_program = None
         #: kernel programs compiled for this runtime (telemetry)
         self.kernel_programs_built = 0
         #: set once a batch has replayed on this runtime (see :attr:`cold`)
@@ -401,31 +401,30 @@ class CompiledRuntime:
         return adopted
 
     # -- kernel export -------------------------------------------------------------------
-    def export_kernel_program(self, max_entries: int | None = None, max_stride: int | None = None):
-        """This pattern's flat batch-scan table, built once per stride.
+    def export_kernel_program(self):
+        """This pattern's flat scan table, built once and shared.
 
-        Programs (see :mod:`repro.matching.kernel`) come off the parse
-        tree's follow relation, complete by construction, so they read
-        none of this runtime's rows and never delegate to the wrapped
+        The program (see :mod:`repro.matching.kernel`) comes off the parse
+        tree's follow relation, complete by construction, so it reads
+        none of this runtime's rows and never delegates to the wrapped
         matcher: a snapshot-preloaded runtime gets its program while its
-        matcher stays deferred.  Each requested stride is built once and
-        cached.
+        matcher stays deferred.  Batches and the lexer scan the same
+        program.
 
-        Returns ``None`` when the machine cannot fit *max_entries* table
-        slots (callers then keep the per-word driver).  Two threads
-        racing on a cold cache may both build; both programs are equal
-        and the last store wins.
+        Returns ``None`` when the machine cannot fit
+        :data:`~repro.matching.kernel.TABLE_LIMIT` table entries (callers
+        then keep the per-word driver).  Two threads racing on a cold
+        runtime may both build; both programs are equal and the last
+        store wins.
         """
-        from . import kernel
-
-        if max_stride is None:
-            max_stride = kernel.MAX_STRIDE
-        program = self._kernel_programs.get(max_stride)
+        program = self._kernel_program
         if program is None:
-            program = kernel.build_program(self.tree, max_entries, max_stride)
+            from . import kernel
+
+            program = kernel.build_program(self.tree)
             if program is None:
                 return None
-            self._kernel_programs[max_stride] = program
+            self._kernel_program = program
             self.kernel_programs_built += 1
         return program
 
@@ -434,12 +433,12 @@ class CompiledRuntime:
         """True while nothing has run on this runtime.
 
         No batch has replayed on it (:attr:`batched`), its start row is
-        unmaterialized and no kernel program is cached.  Batch callers
+        unmaterialized and no kernel program is built.  Batch callers
         replay a cold runtime's batch instead of building a table for a
         pattern that may never see a second batch, and neither read nor
         fill :attr:`memo` for it; that batch warms it, whatever its words.
         """
-        return not (self.batched or self._kernel_programs) and self._rows[self._start_state] is None
+        return not (self.batched or self._kernel_program) and self._rows[self._start_state] is None
 
     def materialized(self) -> int:
         """Single-number gauge of how much state this runtime holds.

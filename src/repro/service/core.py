@@ -376,11 +376,22 @@ class ValidationService:
         self._memo_put(self._patterns, f"{dialect}:{pattern.expression}", pattern, replace=True)
 
     # -- telemetry -----------------------------------------------------------------------
+    def request_stats(self) -> dict:
+        """This service's request counters: total / errors / in_flight / p50_ms / p99_ms."""
+        with self._metrics_lock:
+            latencies = sorted(self._latencies)
+            return {
+                "total": self._requests,
+                "errors": self._errors,
+                "in_flight": self._in_flight,
+                "p50_ms": _percentile_ms(latencies, 0.50),
+                "p99_ms": _percentile_ms(latencies, 0.99),
+            }
+
     def stats(self) -> dict:
         """One consistent snapshot of every telemetry surface.
 
-        ``requests`` (total / errors / in_flight / p50_ms / p99_ms) comes
-        from this service's own counters; ``pattern_cache`` is the
+        ``requests`` is :meth:`request_stats`; ``pattern_cache`` is the
         compile-cache namespace of :func:`repro.stats`; ``patterns`` maps
         recently served patterns to their
         :meth:`~repro.api.Pattern.stats`; ``validators`` maps memoized
@@ -388,20 +399,12 @@ class ValidationService:
         counted rows interned across runtimes, a registry that no longer
         exists, and reads 0; ``kernel`` is
         :func:`repro.matching.kernel.stats` (batch-kernel programs
-        built, kernel-path vs fallback word counts and the scan backend
-        in use); ``snapshot`` is the snapshot namespace of
+        built, kernel-path vs fallback word counts and the scan loop's
+        name); ``snapshot`` is the snapshot namespace of
         :func:`repro.stats` (row persistence telemetry, including
         the ``snapshot_rejected`` degradation counter).
         """
-        with self._metrics_lock:
-            latencies = sorted(self._latencies)
-            requests = {
-                "total": self._requests,
-                "errors": self._errors,
-                "in_flight": self._in_flight,
-                "p50_ms": _percentile_ms(latencies, 0.50),
-                "p99_ms": _percentile_ms(latencies, 0.99),
-            }
+        requests = self.request_stats()
         with self._memo_lock:
             patterns = {
                 key: pattern.stats() for key, pattern in self._patterns.items()

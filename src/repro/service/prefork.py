@@ -299,11 +299,16 @@ def snapshot_source_for(snapshot_save: str | None, snapshot_path: str | None) ->
 
 
 def _worker_summary(service: ValidationService) -> dict:
-    stats = service.stats()
+    """What a worker publishes each second: its request and compile-cache counters.
+
+    Both are read directly, so the summary builds neither the per-pattern
+    stats nor the materialization gauge that a full
+    :meth:`ValidationService.stats` would.
+    """
     return {
         "pid": os.getpid(),
-        "requests": stats["requests"],
-        "pattern_cache": stats["pattern_cache"],
+        "requests": service.request_stats(),
+        "pattern_cache": cache.compile_cache_stats(),
         "updated_at": time.time(),
     }
 

@@ -5,7 +5,7 @@ tree's follow relation, so its rows must be exactly the runtime's: for
 any deterministic expression, ``+``/counter models on the k-occurrence
 fallback included, every (state, symbol) entry and every accept byte of
 ``build_program(tree)`` equals what the runtime's ``step`` walk gives,
-through either scan backend.  The kernel may never change an
+and so does every scanned verdict.  The kernel may never change an
 accept/reject verdict: for any corpus — member words, mutated
 near-members, random noise, words with out-of-alphabet symbols —
 ``match_words`` must agree with per-word ``accepts_encoded`` replay, on
@@ -21,7 +21,6 @@ is pinned to the language oracle on the same star-free expressions.
 
 from __future__ import annotations
 
-import os
 import random
 from unittest import mock
 
@@ -113,29 +112,24 @@ def test_follow_built_rows_equal_the_step_walk(seed: int, leaf_count: int):
     rng = random.Random(seed)
     pattern = _deterministic_pattern(rng, leaf_count)
     tree = pattern.tree
-    program = kernel.build_program(tree, max_stride=1)
+    program = kernel.build_program(tree)
     assert program is not None
-    states, width, span = program.states, program.width, program.span
+    states, width, wp = program.states, program.width, program.wp
     rows, accepts = _step_walk(pattern.runtime)
     table = program.table
     for state in range(states):
-        offset = state * span
-        assert [target // span for target in table[offset : offset + width]] == rows[state]
-        assert table[offset + width] // span == states  # unknown symbol: DEAD
-        assert table[offset + width + 1] // span == state  # PAD: identity
+        offset = state * wp
+        assert [target // wp for target in table[offset : offset + width]] == rows[state]
+        assert table[offset + width] // wp == states  # unknown symbol: DEAD
         assert program.accepts[offset] == accepts[state], state
-    dead = states * span
-    assert list(table[dead : dead + program.wp]) == [dead] * program.wp
+    dead = states * wp
+    assert list(table[dead : dead + wp]) == [dead] * wp
     assert set(program.accepts) <= {kernel.VERDICT_REJECT, kernel.VERDICT_ACCEPT}
 
-    # The strided program of the same tree, through both backends.
-    strided = kernel.build_program(tree)
-    corpus = strided.encode_corpus(_corpus(pattern.expression, tree, rng))
-    pure = strided.scan(corpus, backend="pure")
-    assert set(pure) <= {kernel.VERDICT_REJECT, kernel.VERDICT_ACCEPT}
-    assert [bool(verdict) for verdict in pure] == _per_word(pattern.runtime, corpus.words)
-    if kernel.native_library() is not None:
-        assert bytes(strided.scan(corpus, backend="native")) == bytes(pure)
+    corpus = program.encode_corpus(_corpus(pattern.expression, tree, rng))
+    verdicts = program.scan(corpus)
+    assert set(verdicts) <= {kernel.VERDICT_REJECT, kernel.VERDICT_ACCEPT}
+    assert [bool(verdict) for verdict in verdicts] == _per_word(pattern.runtime, corpus.words)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))
@@ -292,10 +286,10 @@ def _spellings(word: list[str]) -> list:
 def test_mixed_spellings_agree_cold_warm_and_from_the_memo(seed: int, leaf_count: int):
     """A batch spelling its words every way gets per-word ``match``'s verdicts.
 
-    On each backend a fresh pattern answers the batch three times: cold
-    (per-word replay), warm (the program scans and memoizes each verdict
-    under its raw word) and from the memo, which answers every spelling
-    before ``parse_word`` runs.
+    A fresh pattern answers the batch three times: cold (per-word
+    replay), warm (the program scans and memoizes each verdict under its
+    raw word) and from the memo, which answers every spelling before
+    ``parse_word`` runs.
     """
     rng = random.Random(seed)
     expr = random_deterministic_expression(rng, leaf_count)
@@ -309,18 +303,15 @@ def test_mixed_spellings_agree_cold_warm_and_from_the_memo(seed: int, leaf_count
     batch = [rng.choice(_spellings(rng.choice(pool))) for _ in range(30)]
     reference = repro.Pattern(expr, compiled=False)
     expected = [bool(reference.match(word)) for word in batch]
-    backends = ["pure"] + (["native"] if kernel.native_library() is not None else [])
-    for backend in backends:
-        with mock.patch.dict(os.environ, {"REPRO_KERNEL": backend}):
-            pattern = repro.Pattern(expr)
-            assert pattern.match_all(batch) == expected, backend  # cold
-            assert pattern.stats()["kernel_programs"] == 0
-            assert pattern.match_all(batch) == expected, backend  # warm
-            assert pattern.stats()["kernel_programs"] == 1
-            unparsed = AssertionError("a memoized word was parsed")
-            with mock.patch.object(repro.api, "parse_word", side_effect=unparsed):
-                assert pattern.match_all(batch) == expected, backend  # from the memo
-            assert pattern.stats()["kernel_words"] == 2 * len(batch)
+    pattern = repro.Pattern(expr)
+    assert pattern.match_all(batch) == expected  # cold
+    assert pattern.stats()["kernel_programs"] == 0
+    assert pattern.match_all(batch) == expected  # warm
+    assert pattern.stats()["kernel_programs"] == 1
+    unparsed = AssertionError("a memoized word was parsed")
+    with mock.patch.object(repro.api, "parse_word", side_effect=unparsed):
+        assert pattern.match_all(batch) == expected  # from the memo
+    assert pattern.stats()["kernel_words"] == 2 * len(batch)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))

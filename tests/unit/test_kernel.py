@@ -1,9 +1,9 @@
 """Unit tests for the batch matching kernel and its wiring.
 
 Covers the program builder (complete tables off the parse tree, one
-program per stride, table limits), the batch drivers (dedup fan-out, cold
-batches that replay), the ``Pattern.match_all`` / service routing, the
-telemetry surfaces and the backend selection knob.  The follow-built rows
+program per pattern, table limits), the batch drivers (dedup fan-out, cold
+batches that replay), the ``Pattern.match_all`` / service routing and the
+telemetry surfaces.  The follow-built rows
 are diffed against the runtime's step walk here on the generator
 families and a row that meets two copies of one symbol, and on random
 expressions, with the compiled-vs-pure equivalence, in
@@ -78,11 +78,10 @@ class TestBuildProgram:
 
     def test_only_dead_is_synthetic(self):
         tree = build_parse_tree("(ab)*")
-        program = build_program(tree, max_stride=1)
+        program = build_program(tree)
         states = len(tree.positions)
         assert program.states == states
-        assert len(program.table) == (states + 1) * program.wp
-        assert program.dead_offset == states * program.span
+        assert program.dead_offset == states * program.wp
         assert set(program.accepts) == {0, 1}
 
     def test_warm_program_answers_without_fallback(self):
@@ -91,8 +90,8 @@ class TestBuildProgram:
         words = [tuple(word) for word in WORDS]
         for word in words:
             runtime.accepts_encoded(runtime.encode(word))
-        program = runtime.export_kernel_program(max_stride=1)
-        fresh = build_program(build_parse_tree("(ab+b(b?)a)*"), max_stride=1)
+        program = runtime.export_kernel_program()
+        fresh = build_program(build_parse_tree("(ab+b(b?)a)*"))
         assert program.table == fresh.table
         assert program.accepts == fresh.accepts
         corpus = program.encode_corpus(words)
@@ -106,17 +105,24 @@ class TestBuildProgram:
         corpus = program.encode_corpus([tuple("abzab")])
         assert program.scan(corpus)[0] == VERDICT_REJECT
 
-    def test_table_limit_returns_none(self):
+    def test_table_limit_returns_none(self, monkeypatch):
+        monkeypatch.setattr(kernel, "TABLE_LIMIT", 10)
         runtime = _runtime("(ab+b(b?)a)*")
-        assert build_program(runtime.tree, max_entries=10) is None
-        assert runtime.export_kernel_program(max_entries=10) is None
+        assert build_program(runtime.tree) is None
+        assert runtime.export_kernel_program() is None
 
-    def test_stride_grows_until_the_limit(self):
-        tree = build_parse_tree("(ab)*")
-        wide = build_program(tree)
-        assert wide.stride == kernel.MAX_STRIDE
-        narrow = build_program(tree, max_entries=(len(tree.positions) + 1) * 4)
-        assert narrow.stride == 1
+    @pytest.mark.parametrize("spare", [0, -1], ids=["exact-fit", "one-entry-short"])
+    def test_table_limit_is_the_real_table_size(self, monkeypatch, spare):
+        """A model routes to the kernel exactly when its ``(S + 1) · (W + 1)`` table fits."""
+        tree = build_parse_tree("(ab+b(b?)a)*")
+        size = (len(tree.positions) + 1) * (len(tree.alphabet) + 1)
+        monkeypatch.setattr(kernel, "TABLE_LIMIT", size + spare)
+        pattern = repro.Pattern("(ab+b(b?)a)*")
+        expected = "compiled-kernel" if spare == 0 else "compiled-runtime"
+        assert pattern.describe()["batch_path"] == expected
+        for _ in range(2):  # cold, then warm
+            assert pattern.match_all(WORDS) == _oracle("(ab+b(b?)a)*", WORDS)
+        assert pattern.stats()["kernel_programs"] == (1 if spare == 0 else 0)
 
 
 def _nested_stars(depth: int):
@@ -145,21 +151,31 @@ FAMILIES = {
 
 
 class TestFollowRows:
-    """Stride-1 rows and accept bytes off the tree equal the runtime's ``step`` walk."""
+    """Rows and accept bytes off the tree equal the runtime's ``step`` walk."""
 
     @staticmethod
     def _assert_rows_match_the_step_walk(pattern: repro.Pattern) -> kernel.KernelProgram:
-        program = build_program(pattern.tree, max_stride=1)
+        program = build_program(pattern.tree)
         runtime = pattern.runtime
-        states, width, span = program.states, program.width, program.span
+        states, width, wp = program.states, program.width, program.wp
         assert states == len(pattern.tree.positions)
         for state in range(states):
-            offset = state * span
-            row = [target // span for target in program.table[offset : offset + width]]
+            offset = state * wp
+            row = [target // wp for target in program.table[offset : offset + width]]
             walked = [runtime.step(state, code) for code in range(width)]
             assert row == [states if target < 0 else target for target in walked], state
             assert program.accepts[offset] == int(runtime.state_accepts(state)), state
         return program
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_table_is_one_row_per_state_and_one_column_per_symbol(self, family):
+        """``(S + 1) · (W + 1)`` entries: one DEAD row, one unknown-symbol column."""
+        tree = build_parse_tree(FAMILIES[family]())
+        states, width = len(tree.positions), len(tree.alphabet)
+        program = build_program(tree)
+        assert len(program.table) == (states + 1) * (width + 1)
+        assert program.dead_offset == states * (width + 1)
+        assert len(program.accepts) == len(program.table)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_rows_equal_the_step_walk(self, family):
@@ -175,8 +191,8 @@ class TestFollowRows:
         assert not pattern.tree_report.deterministic
         assert pattern.report.deterministic
         program = self._assert_rows_match_the_step_walk(pattern)
-        code, span = pattern.tree.alphabet.codes["a"], program.span
-        steps = [program.table[state * span + code] // span for state in range(4)]
+        code, wp = pattern.tree.alphabet.codes["a"], program.wp
+        steps = [program.table[state * wp + code] // wp for state in range(4)]
         assert steps == [1, 2, 3, program.states]  # the last a dies
         words = ["", "a", "aa", "aaa", "aaaa"]
         assert pattern.match_all(words * 4) == [True, True, True, True, False] * 4
@@ -192,16 +208,20 @@ class TestDrivers:
         assert kernel.stats()["kernel_words"] == len(WORDS)
         assert kernel.stats()["fallback_words"] == 0
 
-    @pytest.mark.parametrize("expr", [mixed_content(12), chare(6)], ids=["mixed12", "chare6"])
-    def test_warm_strided_machine_builds_one_program(self, expr):
-        """A strided machine is completed once: one program serves every warm batch."""
+    @pytest.mark.parametrize(
+        "expr",
+        [mixed_content(12), chare(6), mixed_content(200)],
+        ids=["mixed12", "chare6", "mixed200"],
+    )
+    def test_warm_machine_builds_one_program(self, expr):
+        """One program serves every warm batch: fresh words build no second one."""
         pattern = repro.compile(expr)
         alphabet = pattern.tree.alphabet.as_list()
-        assert kernel.stride_for(len(pattern.tree.positions), len(alphabet)) > 1
         rng = random.Random(7)
         pool = [sample_member(expr, rng) for _ in range(20)]
         pattern.match_all(pool)  # cold: replays, builds the matcher
         cold_fallback = pattern.stats()["kernel_fallback_words"]
+        assert cold_fallback == len(pool)
         for _ in range(20):
             batch = [rng.choice(pool) for _ in range(12)]
             batch += [sample_member(expr, rng), mutate_word(rng.choice(pool), alphabet, rng)]
@@ -211,28 +231,6 @@ class TestDrivers:
         assert stats["kernel_programs"] == 1
         assert stats["kernel_fallback_words"] == cold_fallback
         assert stats["transitions_memoized"] == stats["misses"]
-
-    def test_stride_one_machine_builds_one_program(self):
-        """A stride-1 machine too: fresh words build no second program."""
-        expr = mixed_content(200)
-        pattern = repro.compile(expr)
-        states, width = len(pattern.tree.positions), len(pattern.tree.alphabet)
-        assert kernel.stride_for(states, width) == 1
-        words = [[f"a{i}", f"a{i + 1}"] for i in range(0, 20, 2)]
-        for _ in range(3):  # cold, then two warm batches
-            assert pattern.match_all(words) == [True] * len(words)
-        stats = pattern.stats()
-        assert stats["kernel_programs"] == 1
-        assert stats["transitions_memoized"] == stats["misses"]
-        fallback = stats["kernel_fallback_words"]
-        assert fallback == len(words)  # the cold batch's only
-        fresh = [[f"a{i}", f"a{i + 1}"] for i in range(100, 120, 2)]
-        fresh.append(["a3", "zz"])
-        for _ in range(2):
-            assert pattern.match_all(fresh) == [True] * (len(fresh) - 1) + [False]
-        stats = pattern.stats()
-        assert stats["kernel_programs"] == 1
-        assert stats["kernel_fallback_words"] == fallback
 
     def test_dedup_fans_verdicts_back_out(self):
         runtime = _runtime("(ab)*")
@@ -292,13 +290,6 @@ class TestProgramCache:
         assert runtime.adopt_rows(export["rows"]) == 0
         assert runtime.export_kernel_program() is program
         assert runtime.kernel_programs_built == 1
-
-    def test_strides_cache_independently(self):
-        runtime = _runtime("(ab)*")
-        wide = runtime.export_kernel_program()
-        narrow = runtime.export_kernel_program(max_stride=1)
-        assert wide.stride > narrow.stride
-        assert runtime.export_kernel_program(max_stride=1) is narrow
 
     def test_adopted_rows_yield_a_program_without_a_matcher(self):
         donor = _runtime("(ab+b(b?)a)*")
@@ -543,7 +534,8 @@ class TestTelemetry:
             "backend",
         ):
             assert key in stats
-        assert stats["backend"] in ("pure", "native")
+        assert stats["backend"] == stats["requested"] == "pure"
+        assert stats["native_available"] is False
 
     def test_batch_traffic_bumps_the_module_counters(self):
         runtime = _runtime("(ab)*")
@@ -560,20 +552,3 @@ class TestTelemetry:
             stats = service.stats()
         assert "kernel" in stats
         assert "backend" in stats["kernel"]
-
-
-class TestBackendSelection:
-    def test_env_knob_forces_pure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        assert kernel.requested_backend() == "pure"
-        assert kernel._effective_backend() == "pure"
-
-    def test_invalid_env_value_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "turbo")
-        assert kernel.requested_backend() == "auto"
-
-    def test_pure_scan_is_used_when_forced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        runtime = _runtime("(ab)*")
-        words = [tuple("ab"), tuple("ba")] * 4
-        assert match_words(runtime, words) == [True, False] * 4

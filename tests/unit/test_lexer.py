@@ -131,3 +131,14 @@ class TestCompilation:
         for text, tag in (("abc", "WORD"), ("405", "NUM"), ("  ", "SPACE")):
             (token,) = lexer.tokenize(text)
             assert token.tag == tag
+
+    def test_the_lexer_and_warm_batches_share_one_program(self):
+        """The union pattern's batches scan the program the lexer tokenizes on."""
+        lexer = _word_lexer()
+        words = [list("abc"), list("42"), list(" "), list("a1"), list("zz")] * 2
+        expected = [True, True, True, False, True] * 2
+        for _ in range(3):  # cold, warm, then from the memo
+            assert lexer.pattern.match_all(words) == expected
+        assert lexer.tokenize("ab 12")[2] == Token("NUM", "12", 3, 5)
+        assert lexer.pattern.stats()["kernel_programs"] == 1
+        assert lexer.pattern.runtime.export_kernel_program() is lexer._program

@@ -2,10 +2,7 @@
 
 Every surface obtains its engine through :data:`~repro.matching.plan.PLANNER`,
 so the route a pattern class takes is a contract: ``describe()["batch_path"]``
-must name the plan that actually executes, across pattern classes and
-across both kernel backends (``REPRO_KERNEL=pure|native`` — the native
-backend degrades to pure when the library is absent, but the *route*
-never changes with the backend).
+must name the plan that actually executes, across pattern classes.
 
 The matrix pins:
 
@@ -50,20 +47,13 @@ ROUTE_MATRIX = [
 ]
 
 
-@pytest.fixture(params=["pure", "native"])
-def forced_backend(request, monkeypatch):
-    """Force each kernel backend; routes must be identical under both."""
-    monkeypatch.setenv("REPRO_KERNEL", request.param)
-    return request.param
-
-
 class TestRouteMatrix:
     @pytest.mark.parametrize(
         ("label", "build", "compiled", "route"),
         ROUTE_MATRIX,
         ids=[row[0] for row in ROUTE_MATRIX],
     )
-    def test_route_is_stable_and_reported(self, forced_backend, label, build, compiled, route):
+    def test_route_is_stable_and_reported(self, label, build, compiled, route):
         pattern = repro.Pattern(build(), compiled=compiled)
         assert pattern.plan.route == route
         assert pattern.describe()["batch_path"] == route
@@ -78,7 +68,7 @@ class TestRouteMatrix:
         ids=[row[0] for row in ROUTE_MATRIX] + ["oversized"],
     )
     def test_batch_parses_each_distinct_word_once(
-        self, forced_backend, monkeypatch, label, build, compiled, route, detail
+        self, monkeypatch, label, build, compiled, route, detail
     ):
         """The facade dedups a batch once: ``parse_word`` runs per distinct word."""
         if route == "compiled-runtime":
@@ -102,7 +92,7 @@ class TestRouteMatrix:
         ids=[row[0] for row in ROUTE_MATRIX] + ["oversized"],
     )
     def test_full_batch_diagnoses_each_distinct_word_once(
-        self, forced_backend, monkeypatch, label, build, compiled, route
+        self, monkeypatch, label, build, compiled, route
     ):
         """A full-detail batch builds one result per distinct word, shared by
         its repeats; a cold batch completes each replayed word's trace once."""
@@ -127,13 +117,13 @@ class TestRouteMatrix:
             assert bool(result) == bool(single)
             assert result.error_index == single.error_index
 
-    def test_lexer_union_routes_through_the_kernel_plan(self, forced_backend):
+    def test_lexer_union_routes_through_the_kernel_plan(self):
         lexer = Lexer([("AB", "ab(ab)*"), ("C", "cc*")])
         assert lexer.pattern.plan.route == "compiled-kernel"
         assert lexer._plan is lexer.pattern.plan
         assert [t.tag for t in lexer.tokens("ababcc")] == ["AB", "C"]
 
-    def test_oversized_machine_routes_to_runtime(self, forced_backend, monkeypatch):
+    def test_oversized_machine_routes_to_runtime(self, monkeypatch):
         monkeypatch.setattr(kernel, "TABLE_LIMIT", 1)
         pattern = repro.Pattern("(ab+b(b?)a)*")
         assert pattern.plan.route == "compiled-runtime"
@@ -144,7 +134,7 @@ class TestRouteMatrix:
 class TestRouteMatchesExecution:
     """``batch_path`` names the plan that actually ran, not a prediction."""
 
-    def test_star_free_route_batches_on_the_kernel(self, forced_backend, monkeypatch):
+    def test_star_free_route_batches_on_the_kernel(self, monkeypatch):
         from repro.matching.star_free import StarFreeMultiMatcher
 
         def refuse(*args, **kwargs):
@@ -162,7 +152,7 @@ class TestRouteMatchesExecution:
         assert stats["kernel_words"] == 2 * len(WORDS)
         assert stats["kernel_fallback_words"] == len(WORDS)  # the cold batch's
 
-    def test_kernel_route_books_batch_words_on_the_pattern(self, forced_backend):
+    def test_kernel_route_books_batch_words_on_the_pattern(self):
         pattern = repro.Pattern("(ab+b(b?)a)*")
         verdicts = pattern.match_all(WORDS)
         assert len(verdicts) == len(WORDS)
@@ -170,7 +160,7 @@ class TestRouteMatchesExecution:
         booked = stats["kernel_words"] + stats["kernel_fallback_words"]
         assert booked == len(WORDS)
 
-    def test_runtime_route_books_nothing_on_the_kernel(self, forced_backend, monkeypatch):
+    def test_runtime_route_books_nothing_on_the_kernel(self, monkeypatch):
         monkeypatch.setattr(kernel, "TABLE_LIMIT", 1)
         pattern = repro.Pattern("(ab+b(b?)a)*")
         pattern.match_all(WORDS)
@@ -178,7 +168,7 @@ class TestRouteMatchesExecution:
         assert stats["kernel_words"] == 0
         assert stats["kernel_fallback_words"] == 0
 
-    def test_per_word_route_never_builds_compiled_engines(self, forced_backend):
+    def test_per_word_route_never_builds_compiled_engines(self):
         pattern = repro.Pattern("ab(a+b)", compiled=False)
         assert pattern.match_all(["aba", "ba"]) == [True, False]
         assert pattern.plan.built_runtime() is None

@@ -86,6 +86,30 @@ class TestStatsBoard:
         assert _SLOT_HEADER.size == struct.calcsize("<II")
 
 
+class TestWorkerSummary:
+    def test_summary_reads_only_what_it_publishes(self, monkeypatch):
+        """The once-a-second summary equals ``stats()``'s two blocks, built cheaply."""
+        from repro import cache
+        from repro.service.core import ValidationService
+        from repro.service.prefork import _worker_summary
+
+        with ValidationService(workers=1) as service:
+            for expression in ("(ab)*", "a(b+c)", "(ab+b(b?)a)*"):
+                service.match_batch(expression, ["ab", "abab", "ba"] * 3)
+            stats = service.stats()
+            assert stats["patterns"]  # the full view walks remembered patterns
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("the worker summary built a full stats view")
+
+            monkeypatch.setattr(cache, "materialization", refuse)
+            monkeypatch.setattr(repro.Pattern, "stats", refuse)
+            summary = _worker_summary(service)
+        assert summary["pid"] == os.getpid()
+        assert summary["requests"] == stats["requests"]
+        assert summary["pattern_cache"] == stats["pattern_cache"]
+
+
 class TestClusterStatsView:
     def test_stats_payload_filters_stale_workers(self):
         """A dead worker's leftover summary must not count as live."""

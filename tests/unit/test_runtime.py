@@ -62,8 +62,8 @@ class TestCompiledRuntime:
         stats = runtime.stats()
         assert stats["kernel_programs"] == 1
         assert stats["misses"] == stats["states_visited"] == stats["transitions_memoized"] == 0
-        accepts, span = program.accepts, program.span
-        accepting = [state for state in range(program.states) if accepts[state * span]]
+        accepts, wp = program.accepts, program.wp
+        accepting = [state for state in range(program.states) if accepts[state * wp]]
         follow = runtime.tree.follow
         assert accepting == [
             position.position_index
