@@ -105,6 +105,16 @@ class TestBuildProgram:
         corpus = program.encode_corpus([tuple("abzab")])
         assert program.scan(corpus)[0] == VERDICT_REJECT
 
+    def test_a_corpus_encoded_for_another_program_is_refused(self):
+        """The scan checks the corpus's ``width``: codes index one table only."""
+        narrow = build_program(build_parse_tree("(ab)*"))
+        wide = build_program(build_parse_tree("(abc)*"))
+        corpus = narrow.encode_corpus([tuple("ab")])
+        assert corpus.width == narrow.width != wide.width
+        with pytest.raises(ValueError, match="different program"):
+            wide.scan(corpus)
+        assert narrow.scan(corpus)[0] == VERDICT_ACCEPT
+
     def test_table_limit_returns_none(self, monkeypatch):
         monkeypatch.setattr(kernel, "TABLE_LIMIT", 10)
         runtime = _runtime("(ab+b(b?)a)*")
@@ -178,6 +188,17 @@ class TestFollowRows:
         assert len(program.accepts) == len(program.table)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_unknown_column_and_dead_row_lead_to_dead(self, family):
+        """Entries are premultiplied offsets; the unknown column and DEAD absorb."""
+        program = build_program(build_parse_tree(FAMILIES[family]()))
+        table, wp, dead = program.table, program.wp, program.dead_offset
+        assert all(target % wp == 0 and 0 <= target <= dead for target in table)
+        for state in range(program.states + 1):
+            assert table[state * wp + program.width] == dead, state
+        assert list(table[dead:]) == [dead] * wp
+        assert not any(program.accepts[dead:])
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_rows_equal_the_step_walk(self, family):
         pattern = repro.Pattern(FAMILIES[family]())
         assert pattern.is_deterministic
@@ -196,6 +217,33 @@ class TestFollowRows:
         assert steps == [1, 2, 3, program.states]  # the last a dies
         words = ["", "a", "aa", "aaa", "aaaa"]
         assert pattern.match_all(words * 4) == [True, True, True, True, False] * 4
+
+
+class TestLongestMatch:
+    """Maximal munch over the batch program, one tag per accepting offset."""
+
+    @staticmethod
+    def _scan(expr: str, text: str, start: int = 0) -> tuple[int, int]:
+        program = build_program(build_parse_tree(expr))
+        tags = bytearray(program.accepts)  # one rule: tag 0 is stored as 1
+        encoded = [program.codes.get(symbol, program.width) for symbol in text]
+        return kernel.longest_match(program, tags, encoded, start)
+
+    def test_the_last_accepting_boundary_wins(self):
+        assert self._scan("ab(ab)*", "ababa") == (4, 1)
+        assert self._scan("ab(ab)*", "xabab", start=1) == (5, 1)
+
+    def test_no_accepting_prefix_reads_minus_one(self):
+        assert self._scan("ab(ab)*", "ababa", start=1) == (-1, 0)
+        assert self._scan("ab(ab)*", "") == (-1, 0)
+
+    def test_the_scan_stops_at_dead(self):
+        """An unknown symbol leads to DEAD and nothing after it is read."""
+        program = build_program(build_parse_tree("ab(ab)*"))
+        tags = bytearray(program.accepts)
+        codes = program.codes
+        encoded = [codes["a"], codes["b"], program.width, len(program.table)]
+        assert kernel.longest_match(program, tags, encoded, 0) == (2, 1)
 
 
 class TestDrivers:

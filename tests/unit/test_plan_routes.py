@@ -117,6 +117,28 @@ class TestRouteMatrix:
             assert bool(result) == bool(single)
             assert result.error_index == single.error_index
 
+    @pytest.mark.parametrize(
+        ("label", "build", "compiled", "route"),
+        ROUTE_MATRIX,
+        ids=[row[0] for row in ROUTE_MATRIX],
+    )
+    def test_scan_program_is_the_batch_program(self, label, build, compiled, route):
+        """A compiled route scans on its one batch program; per-word scans nothing."""
+        pattern = repro.Pattern(build(), compiled=compiled)
+        if route == "per-word":
+            with pytest.raises(NotImplementedError):
+                pattern.plan.scan_program()
+            return
+        for _ in range(2):  # cold, then warm: the batch builds the program
+            pattern.match_all(WORDS)
+        program, accepting = pattern.plan.scan_program()
+        runtime = pattern.runtime
+        assert program is runtime.export_kernel_program()
+        assert pattern.stats()["kernel_programs"] == 1
+        assert accepting == [
+            state for state in range(program.states) if runtime.state_accepts(state)
+        ]
+
     def test_lexer_union_routes_through_the_kernel_plan(self):
         lexer = Lexer([("AB", "ab(ab)*"), ("C", "cc*")])
         assert lexer.pattern.plan.route == "compiled-kernel"
