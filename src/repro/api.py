@@ -382,7 +382,7 @@ class Pattern:
         """Lazy-DFA materialization stats, or ``None`` before any matching.
 
         On top of :meth:`CompiledRuntime.stats` (which includes
-        ``kernel_programs``, the flat tables built for the pattern), the
+        ``kernel_programs``, 1 once the pattern's flat table is built), the
         pattern adds its own batch-kernel traffic split:
         ``kernel_words`` answered by table scans versus
         ``kernel_fallback_words``, the words of cold batches, which

@@ -587,12 +587,8 @@ def materialization() -> dict:
 
     Walks the compile cache without forcing anything: memoized lazy-DFA
     transitions and verdict-memo entries, plus a ``total``.
-    ``memo_entries`` counts the entries :func:`save_snapshot` would write
-    (symbol sequences, not ``str`` batch words), read in O(1) per pattern
-    off the counts each memo keeps per generation
-    (:meth:`~repro.matching.memo.AcceptanceMemo.exported`).  The count is
-    exact single-threaded; writers racing on one memo can leave it off by
-    the updates a race loses, until that generation turns over.  The
+    ``memo_entries`` counts exactly the entries :func:`save_snapshot`
+    would write (symbol sequences, not ``str`` batch words).  The
     snapshot auto-refresh policy compares ``total`` across time to decide
     when the on-disk snapshot has gone stale.  The memo count can fall
     when a memo generation turns over; the refresher then persists the

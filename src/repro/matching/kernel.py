@@ -304,35 +304,36 @@ def eligible(tree) -> bool:
     return (len(tree.positions) + 1) * (len(tree.alphabet) + 1) <= TABLE_LIMIT
 
 
-def _follow_rows(tree, scale: int) -> list[list[int]]:
-    """One row per position: ``row[c]`` follows on symbol ``c``.
+def _follow_table(tree) -> "array[int]":
+    """The premultiplied table of *tree*: one row per position, then ``DEAD``.
 
-    Rows are ``|Σ| + 1`` wide, the last entry being the unknown-symbol
-    column.  Entries are position indices times *scale*, or ``S · scale``
-    (``S`` the number of positions) where no position follows; a program
-    passes its ``WP``, so its rows are its table.  First(n) comes
-    bottom-up as a tuple of ``(code, position · scale)`` pairs, the
-    sentinels left out; in a deterministic tree it holds at most one
-    position per symbol, because it lies inside some Follow(p).  Rows
-    then go top-down along the Last chains (see the module docstring): a
-    node's row is its parent's, or an empty one at a SupLast node,
-    overwritten with the positions the node adds, and a node that adds
-    none shares its parent's row.  Where a row meets two copies of one
-    symbol (the rewritten tree of a ``+``/counter model) the lowest
-    position index wins, which is the copy
-    ``KOccurrenceMatcher.next_position`` returns; since ``S`` exceeds
-    every index, one ``<`` test both fills an empty entry and keeps the
-    lower copy.
+    Rows are ``WP = |Σ| + 1`` wide, ``row[c]`` following on symbol ``c``
+    and the last entry being the unknown-symbol column.  Entries are
+    position indices times ``WP``, or ``S · WP`` (``DEAD``, ``S`` the
+    number of positions) where no position follows; the absorbing
+    ``DEAD`` row closes the table.  First(n) comes bottom-up as a tuple
+    of ``(code, position · WP)`` pairs, the sentinels left out; in a
+    deterministic tree it holds at most one position per symbol, because
+    it lies inside some Follow(p).  Rows then go top-down along the Last
+    chains (see the module docstring): a node's row is its parent's, or
+    an empty one at a SupLast node, overwritten with the positions the
+    node adds, and a node that adds none shares its parent's row.  Where
+    a row meets two copies of one symbol (the rewritten tree of a
+    ``+``/counter model) the lowest position index wins, which is the
+    copy ``KOccurrenceMatcher.next_position`` returns; since ``S``
+    exceeds every index, one ``<`` test both fills an empty entry and
+    keeps the lower copy.
     """
     nodes = tree.nodes
     codes = tree.alphabet.codes
+    wp = len(codes) + 1
     first: list[tuple[tuple[int, int], ...]] = [()] * len(nodes)
     for node in reversed(nodes):  # children before parents
         kind = node.kind
         if kind is NodeKind.SYMBOL:
             code = codes.get(node.symbol)
             if code is not None:  # not a sentinel
-                first[node.index] = ((code, node.position_index * scale),)
+                first[node.index] = ((code, node.position_index * wp),)
         elif kind is NodeKind.CONCAT:
             left = first[node.left.index]
             first[node.index] = left + first[node.right.index] if node.left.nullable else left
@@ -341,9 +342,9 @@ def _follow_rows(tree, scale: int) -> list[list[int]]:
         else:  # star, plus, optional: the child's First
             first[node.index] = first[node.left.index]
 
-    none = len(tree.positions)
-    empty = [none * scale] * (len(codes) + 1)
-    rows: list[list[int]] = [empty] * none
+    states = len(tree.positions)
+    empty = [states * wp] * wp  # every entry DEAD
+    rows: list[list[int]] = [empty] * states
     stack = [(tree.root, empty)]
     while stack:
         node, row = stack.pop()
@@ -364,43 +365,37 @@ def _follow_rows(tree, scale: int) -> list[list[int]]:
             stack.append((node.left, row))
             if node.right is not None:
                 stack.append((node.right, row))
-    return rows
+    table = array("i")
+    for row in rows:
+        table.fromlist(row)
+    table.fromlist(empty)  # DEAD: absorbing
+    return table
 
 
 def build_program(tree) -> KernelProgram | None:
     """The complete :class:`KernelProgram` of *tree*'s position automaton.
 
-    Rows come from :func:`_follow_rows`, premultiplied as they are
-    written, and accept bytes from the ``pSupLast`` pointers, so the
-    program reads nothing but the tree: no runtime row and no Section-4
-    matcher.  Returns ``None`` when the table would exceed
-    :data:`TABLE_LIMIT` (see :func:`eligible`).
+    The table comes from :func:`_follow_table` and the accept bytes from
+    the ``pSupLast`` pointers, so the program reads nothing but the tree:
+    no runtime row and no Section-4 matcher.  Returns ``None`` when the
+    table would exceed :data:`TABLE_LIMIT` (see :func:`eligible`).
     """
     if not eligible(tree):
         return None
+    table = _follow_table(tree)
     positions = tree.positions
-    states = len(positions)
-    width = len(tree.alphabet)
-    wp = width + 1
-    dead = states * wp
-    table = array("i")
-    for row in _follow_rows(tree, wp):
-        table.fromlist(row)
-    table.fromlist([dead] * wp)  # DEAD: absorbing
-    accepts = bytearray(len(table))
+    program = KernelProgram(
+        table,
+        bytearray(len(table)),
+        tree.alphabet.codes,
+        len(tree.alphabet),
+        len(positions),
+        tree.start.position_index,
+    )
     final = tree.root.left  # $ follows p iff pSupLast(p) is the root's left child
     for position in positions:
         if position.p_sup_last is final:
-            accepts[position.position_index * wp] = VERDICT_ACCEPT
-
-    program = KernelProgram(
-        table,
-        accepts,
-        tree.alphabet.codes,
-        width,
-        states,
-        tree.start.position_index,
-    )
+            program.accepts[position.position_index * program.wp] = VERDICT_ACCEPT
     _bump(programs_built=1)
     return program
 

@@ -34,13 +34,10 @@ evicted, however many words pass through once: nothing needs to resize
 a memo.
 
 **Concurrency.**  No lock sits on the memo: a stored verdict never goes
-stale, so threads racing on one memo can only lose an entry or overfill
-a generation by one entry each, which costs a recomputation, never a
-wrong verdict.  The per-generation tuple-key counts behind
-:meth:`exported` are exact single-threaded; racing writers can leave a
-count off by the updates a race loses, until that generation turns
-over.  Adopted verdicts come from a snapshot whose fingerprint proved it
-was written for the *same* pattern identity (and whose section CRC
+stale, so threads racing on one memo can only lose an entry or overfill a
+generation by one entry each, which costs a recomputation, never a wrong
+verdict.  Adopted verdicts come from a snapshot whose fingerprint proved
+it was written for the *same* pattern identity (and whose section CRC
 proved the bytes intact), so a memo can never change a verdict — only
 skip recomputing one.
 """
@@ -67,14 +64,11 @@ class AcceptanceMemo:
     nothing.
     """
 
-    __slots__ = ("young", "old", "young_tuples", "old_tuples", "half", "hits", "misses", "adopted")
+    __slots__ = ("young", "old", "half", "hits", "misses", "adopted")
 
     def __init__(self):
         self.young: dict = {}
         self.old: dict = {}
-        #: tuple keys held by each generation (what :meth:`exported` sums)
-        self.young_tuples = 0
-        self.old_tuples = 0
         #: one generation's capacity, read off MEMO_LIMIT when the memo is made
         self.half = MEMO_LIMIT // 2
         self.hits = 0
@@ -91,8 +85,6 @@ class AcceptanceMemo:
         if verdict is None:
             verdict = self.old.pop(key, None)
             if verdict is not None:
-                if type(key) is tuple:
-                    self.old_tuples -= 1
                 self.put(key, verdict)
         return verdict
 
@@ -101,11 +93,7 @@ class AcceptanceMemo:
         young = self.young
         if len(young) >= self.half:
             self.old = young
-            self.old_tuples = self.young_tuples
             self.young = young = {}
-            self.young_tuples = 0
-        if type(key) is tuple and key not in young:
-            self.young_tuples += 1
         young[key] = verdict
 
     def accepts(self, runtime, children) -> bool:
@@ -140,8 +128,9 @@ class AcceptanceMemo:
         ]
 
     def exported(self) -> int:
-        """How many entries :meth:`export` writes, in O(1): one count per generation."""
-        return self.old_tuples + self.young_tuples
+        """How many entries :meth:`export` writes, without building them."""
+        generations = (self.old, self.young)
+        return sum(type(key) is tuple for generation in generations for key in list(generation))
 
     def adopt(self, entries: Iterable[Sequence]) -> int:
         """Install persisted ``(word, verdict)`` pairs; returns entries adopted.
@@ -185,10 +174,8 @@ class AcceptanceMemo:
                 continue
             if len(old) < half:
                 old[word] = verdict
-                self.old_tuples += 1
             elif len(young) < half:
                 young[word] = verdict
-                self.young_tuples += 1
             else:
                 break
             adopted += 1

@@ -147,7 +147,6 @@ class CompiledRuntime:
         "misses",
         "_adopted_rows",
         "_kernel_program",
-        "kernel_programs_built",
         "batched",
         "memo",
     )
@@ -187,8 +186,6 @@ class CompiledRuntime:
         self._adopted_rows = 0
         #: the kernel program, once built (see :meth:`export_kernel_program`)
         self._kernel_program = None
-        #: kernel programs compiled for this runtime (telemetry)
-        self.kernel_programs_built = 0
         #: set once a batch has replayed on this runtime (see :attr:`cold`)
         self.batched = False
         #: the pattern's word → verdict memo: validators, warm batches and
@@ -425,7 +422,6 @@ class CompiledRuntime:
             if program is None:
                 return None
             self._kernel_program = program
-            self.kernel_programs_built += 1
         return program
 
     @property
@@ -462,11 +458,11 @@ class CompiledRuntime:
         corresponds to exactly one delegation to the wrapped matcher —
         adopted rows were exercised by some earlier process, so they are
         excluded and ``transitions_memoized == misses`` remains the
-        invariant the tests pin down.  ``kernel_programs`` counts the flat
-        batch-scan tables built for this pattern
-        (:meth:`export_kernel_program`); they come off the parse tree and
-        kernel scans touch no row, so batches on the kernel never perturb
-        the other counters.
+        invariant the tests pin down.  ``kernel_programs`` reads 1 once the
+        flat batch-scan table is built for this pattern
+        (:meth:`export_kernel_program`), 0 before; it comes off the parse
+        tree and kernel scans touch no row, so batches on the kernel never
+        perturb the other counters.
         """
         visited = 0
         transitions = 0
@@ -482,7 +478,7 @@ class CompiledRuntime:
             "dense_rows": adopted,
             "shared_rows": 0,
             "adopted_rows": adopted,
-            "kernel_programs": self.kernel_programs_built,
+            "kernel_programs": int(self._kernel_program is not None),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

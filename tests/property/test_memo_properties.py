@@ -14,9 +14,7 @@ and under several memo bounds, three laws must hold after every step:
 2. the memo never holds more than ``MEMO_LIMIT`` words;
 3. a symbol sequence the memo holds — one a list-word batch memoized
    included — answers a validator probe from the memo, without a
-   runtime replay (the memo's ``misses`` do not move);
-4. ``exported()``, kept as one tuple-key count per generation, equals
-   the number of tuple keys the memo holds.
+   runtime replay (the memo's ``misses`` do not move).
 """
 
 from __future__ import annotations
@@ -69,8 +67,6 @@ def _words(rng: random.Random, pattern: repro.Pattern) -> list[list[str]]:
 
 def _check_memo(memo, oracle: LanguageOracle) -> None:
     assert len(memo) <= memo_module.MEMO_LIMIT
-    held = [key for generation in (memo.old, memo.young) for key in generation]
-    assert memo.exported() == sum(type(key) is tuple for key in held)
     for generation in (memo.old, memo.young):
         for key, verdict in list(generation.items()):
             word = parse_word(key) if isinstance(key, str) else list(key)

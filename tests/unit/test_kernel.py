@@ -313,7 +313,7 @@ class TestProgramCache:
         runtime.accepts_encoded(runtime.encode("ba"))
         assert runtime.export_kernel_program() is first
         assert runtime.memo.get(tuple("ab")) is True
-        assert runtime.kernel_programs_built == 1
+        assert runtime.stats()["kernel_programs"] == 1
 
     def test_verdict_memo_keeps_a_reused_word_among_fresh_ones(self):
         runtime = _runtime("(ab)*")
@@ -337,7 +337,7 @@ class TestProgramCache:
         program = runtime.export_kernel_program()
         assert runtime.adopt_rows(export["rows"]) == 0
         assert runtime.export_kernel_program() is program
-        assert runtime.kernel_programs_built == 1
+        assert runtime.stats()["kernel_programs"] == 1
 
     def test_adopted_rows_yield_a_program_without_a_matcher(self):
         donor = _runtime("(ab+b(b?)a)*")

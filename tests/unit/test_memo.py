@@ -1,10 +1,9 @@
 """Unit tests for the per-pattern verdict memo (:mod:`repro.matching.memo`).
 
-Pins the two-generation bound and the tuple-key count per generation
-behind :meth:`AcceptanceMemo.exported`, path by path: ``put``, an
-old-generation hit in ``get``, a turnover and ``adopt``.  The
-laws over random traffic (the count equals the tuple keys held after
-every step) are in ``tests/property/test_memo_properties.py``.
+Pins the two-generation bound and what :meth:`AcceptanceMemo.exported`
+counts (the tuple keys a save writes), path by path: ``put``, an
+old-generation hit in ``get``, a turnover and ``adopt``.  The laws over
+random traffic are in ``tests/property/test_memo_properties.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ def _held_tuples(memo: AcceptanceMemo) -> int:
     return sum(type(key) is tuple for generation in (memo.old, memo.young) for key in generation)
 
 
-class TestTupleKeyCount:
+class TestExported:
     def test_str_keys_are_not_counted(self):
         memo = AcceptanceMemo()
         memo.put("ab", True)
@@ -45,32 +44,31 @@ class TestTupleKeyCount:
         assert memo.exported() == 1
         assert memo.get(("a", "b")) is True
 
-    def test_a_turnover_passes_the_count_on_with_the_generation(self, monkeypatch):
+    def test_a_turnover_drops_the_oldest_generation(self, monkeypatch):
         memo = _small_memo(monkeypatch)
         memo.put(("a",), True)
         memo.put("ab", False)  # young is full: 1 tuple, 1 str
         memo.put(("b",), False)  # turnover: young becomes old
-        assert (memo.old_tuples, memo.young_tuples) == (1, 1)
+        assert set(memo.old) == {("a",), "ab"} and set(memo.young) == {("b",)}
+        assert memo.exported() == 2
         memo.put(("c",), True)
         memo.put(("d",), True)  # turnover: the first generation is dropped
-        assert set(memo.old) == {("b",), ("c",)}
-        assert (memo.old_tuples, memo.young_tuples) == (2, 1)
+        assert set(memo.old) == {("b",), ("c",)} and set(memo.young) == {("d",)}
         assert memo.exported() == 3 == _held_tuples(memo) == len(memo.export())
 
-    def test_an_old_generation_hit_moves_its_count_to_the_young_one(self, monkeypatch):
+    def test_an_old_generation_hit_moves_the_word_to_the_young_one(self, monkeypatch):
         memo = _small_memo(monkeypatch)
         memo.put(("a",), True)
         memo.put(("b",), False)
         memo.put("c", True)  # turnover: ("a",) and ("b",) are old
-        assert (memo.old_tuples, memo.young_tuples) == (2, 0)
+        assert set(memo.old) == {("a",), ("b",)} and set(memo.young) == {"c"}
         assert memo.get(("a",)) is True
-        assert ("a",) in memo.young and ("a",) not in memo.old
-        assert (memo.old_tuples, memo.young_tuples) == (1, 1)
+        assert set(memo.old) == {("b",)} and set(memo.young) == {"c", ("a",)}
         assert memo.get("c") is True  # a young hit moves nothing
-        assert (memo.old_tuples, memo.young_tuples) == (1, 1)
+        assert set(memo.old) == {("b",)} and set(memo.young) == {"c", ("a",)}
         assert memo.exported() == 2 == _held_tuples(memo)
 
-    def test_adopt_counts_each_word_it_installs(self, monkeypatch):
+    def test_adopt_fills_the_old_generation_then_the_young_one(self, monkeypatch):
         memo = _small_memo(monkeypatch)
         memo.put(("a",), True)
         entries = [(["a"], False), (["b"], True), (("c",), False), (["d"], True), (["e"], True)]
@@ -78,11 +76,11 @@ class TestTupleKeyCount:
         # generation, d the young one's last place, and e finds no room.
         assert memo.adopt(entries) == 3
         assert memo.get(("a",)) is True
-        assert (memo.old_tuples, memo.young_tuples) == (2, 2)
+        assert set(memo.old) == {("b",), ("c",)} and set(memo.young) == {("a",), ("d",)}
         assert memo.exported() == 4 == _held_tuples(memo) == len(memo.export())
         assert memo.adopted == 3
 
-    def test_a_rejected_adoption_leaves_the_counts_untouched(self):
+    def test_a_rejected_adoption_installs_nothing(self):
         memo = AcceptanceMemo()
         memo.put(("a",), True)
         with pytest.raises(SnapshotError) as excinfo:
