@@ -118,14 +118,12 @@ def test_full_detail_agrees_and_stays_lazy():
         rich = pattern.match_all(stream, detail="full")
         assert [bool(result) for result in rich] == plain, name
         assert all(isinstance(result, MatchResult) for result in rich), name
-        # fallback words are pre-seeded from their recorded trace (nothing
-        # is walked twice); those seeds must agree with the verdict
-        seeded = [result for result in rich if result._diagnosis is not None]
-        assert all(result._diagnosis.matched == bool(result) for result in seeded), name
-        # laziness: once the first pass has warmed the rows, the kernel
-        # answers the whole stream and construction replays nothing
-        warm = pattern.match_all(stream, detail="full")
-        assert all(result._diagnosis is None for result in warm), name
+        # laziness: a cold batch (replayed for its verdicts) and a warm one
+        # (answered by the kernel) both construct results without a replay
+        cold = repro.Pattern(pattern.expression).match_all(stream, detail="full")
+        assert [bool(result) for result in cold] == plain, name
+        for results in (rich, cold):
+            assert all(result._diagnosis is None for result in results), name
         # first diagnostic read replays exactly that word, coherently
         miss = next((r for r in rich if not r), None)
         assert miss is not None, f"{name}: stream needs a rejected word"

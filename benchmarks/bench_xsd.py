@@ -111,7 +111,7 @@ def test_compiled_schema_reports_telemetry():
     assert totals["transitions_memoized"] == totals["misses"] > 0
     # Rows fill one exercised pair at a time; only snapshot-adopted rows
     # are array-backed, and none were adopted here.
-    assert totals["dense_rows"] == totals["adopted_rows"] == totals["shared_rows"] == 0
+    assert totals["adopted_rows"] == 0
 
 
 def _best_of(rounds: int, work) -> float:

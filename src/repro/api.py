@@ -55,8 +55,8 @@ True
 How a match picks its engine: every pattern owns one
 :class:`~repro.matching.plan.ExecutionPlan`, chosen by
 :data:`repro.matching.plan.PLANNER` — the *same* plan serves
-``match``, ``match_all``, streaming, diagnostics replay, the lexer and
-the XML validators, and :meth:`Pattern.describe` reports its stable
+``match``, ``match_all``, streaming, diagnostics replay and the XML
+validators, and :meth:`Pattern.describe` reports its stable
 route name under ``"batch_path"``:
 
 >>> repro.compile("(ab)*").plan.route
@@ -236,8 +236,8 @@ class Pattern:
         """The pattern's execution plan (planned once, on first use).
 
         The single object that owns *which engine runs this pattern* —
-        for single matches, batches, streaming, diagnostics replay, the
-        lexer and the XML validators alike.  Chosen by
+        for single matches, batches, streaming, diagnostics replay and
+        the XML validators alike.  Chosen by
         :data:`repro.matching.plan.PLANNER`; raises
         :class:`~repro.errors.NotDeterministicError` when the expression
         is not deterministic.
@@ -298,12 +298,10 @@ class Pattern:
         *detail* selects the result shape: ``"verdict"`` (default) keeps
         the historical ``list[bool]`` and the untraced kernel hot path;
         ``"full"`` returns one :class:`~repro.diagnostics.MatchResult`
-        per word and reads no verdict memo — the words of a cold batch
-        route their replay through
-        a :class:`~repro.diagnostics.TraceRecorder`, so the witness they
-        were paying for anyway is kept, and every other word diagnoses
-        lazily on field access.  A word that is neither a
-        string nor a sequence raises :class:`~repro.errors.InvalidWordError`.
+        per word, built from the batch's verdicts, and reads no verdict
+        memo; each distinct word diagnoses lazily on field access, cold
+        batch or warm.  A word that is neither a string nor a sequence
+        raises :class:`~repro.errors.InvalidWordError`.
         """
         if detail not in ("verdict", "full"):
             raise ValueError(f"unknown detail level {detail!r}: expected 'verdict' or 'full'")
@@ -321,8 +319,8 @@ class Pattern:
         (cached) pattern's runtime, one memo is shared by every validator
         and batch on a structurally equal content model, and
         :func:`save_snapshot` persists its symbol sequences keyed by the
-        pattern's fingerprint (the ``MEMO`` section of snapshot format
-        v2).  Builds the runtime, not the matcher.
+        pattern's fingerprint (the ``MEMO`` section of a snapshot file).
+        Builds the runtime, not the matcher.
         """
         return self.runtime.memo
 

@@ -194,8 +194,6 @@ class SnapshotTelemetry:
         self._lock = threading.Lock()
         self.saves = 0
         self.loads = 0
-        self.format_v1 = 0
-        self.format_v2 = 0
         self.patterns_saved = 0
         self.rows_saved = 0
         self.memo_entries_saved = 0
@@ -215,22 +213,12 @@ class SnapshotTelemetry:
             self.patterns_skipped += skipped
             self.memo_entries_saved += memo_entries
 
-    def record_load(
-        self,
-        patterns: int,
-        rows: int,
-        memo_entries: int = 0,
-        format_version: int = 2,
-    ) -> None:
+    def record_load(self, patterns: int, rows: int, memo_entries: int = 0) -> None:
         with self._lock:
             self.loads += 1
             self.patterns_loaded += patterns
             self.rows_loaded += rows
             self.memo_entries_loaded += memo_entries
-            if format_version == 1:
-                self.format_v1 += 1
-            else:
-                self.format_v2 += 1
 
     def record_reject(self, reason: str, message: str) -> None:
         with self._lock:
@@ -239,22 +227,16 @@ class SnapshotTelemetry:
             self.last_error = message
 
     def stats(self) -> dict:
-        # ``tables_saved``/``tables_loaded`` counted the retired star-free
-        # snapshot tables; they read 0 and keep their place on the wire.
         with self._lock:
             return {
                 "saves": self.saves,
                 "loads": self.loads,
-                "format_v1": self.format_v1,
-                "format_v2": self.format_v2,
                 "patterns_saved": self.patterns_saved,
                 "rows_saved": self.rows_saved,
-                "tables_saved": 0,
                 "memo_entries_saved": self.memo_entries_saved,
                 "patterns_skipped": self.patterns_skipped,
                 "patterns_loaded": self.patterns_loaded,
                 "rows_loaded": self.rows_loaded,
-                "tables_loaded": 0,
                 "memo_entries_loaded": self.memo_entries_loaded,
                 "snapshot_rejected": self.snapshot_rejected,
                 "rejected_reasons": dict(self.rejected_reasons),
@@ -313,7 +295,7 @@ def snapshot_meta(key: tuple, pattern: "Pattern") -> dict | None:
 def save_snapshot(path: str) -> dict:
     """Persist every warm pattern's materialized state to *path* (atomically).
 
-    Walks the compile cache and writes one checksummed format-v2 file
+    Walks the compile cache and writes one checksummed snapshot file
     (:func:`repro.matching.snapshot.write`) with up to two sections per
     the state each pattern holds:
 
@@ -328,10 +310,8 @@ def save_snapshot(path: str) -> dict:
 
     Patterns with no materialized state in either section — or whose
     expression text does not round-trip — are skipped and counted.
-    Returns ``{"path", "patterns", "rows", "pool_rows",
-    "star_free_patterns", "decisions", "memo_patterns", "memo_entries",
-    "sections", "bytes", "skipped"}``; ``star_free_patterns`` and
-    ``decisions`` counted the retired star-free tables and read 0.
+    Returns ``{"path", "patterns", "rows", "pool_rows", "memo_patterns",
+    "memo_entries", "sections", "bytes", "skipped"}``.
     """
     from .matching import snapshot as snapshot_format
 
@@ -356,12 +336,7 @@ def save_snapshot(path: str) -> dict:
         fingerprint = snapshot_format.pattern_fingerprint(meta)
         if row_export is not None:
             rows_entries.append(
-                {
-                    "fingerprint": fingerprint,
-                    "meta": meta,
-                    "accepts": row_export["accepts"],
-                    "rows": row_export["rows"],
-                }
+                {"fingerprint": fingerprint, "meta": meta, "rows": row_export["rows"]}
             )
         if memo_export is not None:
             memo_entries.append(
@@ -371,8 +346,7 @@ def save_snapshot(path: str) -> dict:
     SNAPSHOT_TELEMETRY.record_save(
         written["patterns"], written["rows"], skipped, memo_entries=written["memo_entries"]
     )
-    retired = {"star_free_patterns": 0, "decisions": 0}
-    return {"path": str(path), "skipped": skipped, **written, **retired}
+    return {"path": str(path), "skipped": skipped, **written}
 
 
 #: Timeout (seconds) for fetching a snapshot over HTTP (``--snapshot-url``).
@@ -449,8 +423,6 @@ def load_snapshot_url(url: str) -> dict:
             "format": None,
             "patterns_loaded": 0,
             "rows_loaded": 0,
-            "tables_loaded": 0,
-            "table_entries_loaded": 0,
             "memos_loaded": 0,
             "memo_entries_loaded": 0,
             "rejected": 1,
@@ -476,12 +448,10 @@ def load_snapshot(path: str) -> dict:
     shares the row pages copy-on-write across every worker); each entry
     re-compiles its pattern from the recorded identity, re-derives the
     fingerprint from the *live* pattern and adopts only on an exact
-    match.  The v2 sections are adopted independently — rows into the
-    compiled runtimes (their acceptance bytes are not read: acceptance
-    comes off the parse tree), memo entries into the runtimes' verdict
-    memos, which validators and warm list-word batches read; an older
-    writer's ``SFTB`` star-free tables are skipped unread — and v1 files
-    (rows only) still load, counted under ``format_v1``.  Given an
+    match.  The sections are adopted independently — rows into the
+    compiled runtimes, memo entries into the runtimes' verdict memos,
+    which validators and warm list-word batches read.  A file of an
+    older format version is one counted ``version`` rejection.  Given an
     ``http://``/``https://`` URL the file is first fetched from a running
     server's ``GET /snapshot`` (fleet bootstrap).
 
@@ -495,10 +465,7 @@ def load_snapshot(path: str) -> dict:
     programs come off the parse tree, so every adopted pattern's first
     warm batch gets a complete program while its matcher stays deferred.
     Returns ``{"path", "format", "patterns_loaded", "rows_loaded",
-    "tables_loaded", "table_entries_loaded", "memos_loaded",
-    "memo_entries_loaded", "rejected", "errors"}``; ``tables_loaded`` and
-    ``table_entries_loaded`` counted the retired star-free tables and
-    read 0.
+    "memos_loaded", "memo_entries_loaded", "rejected", "errors"}``.
     """
     from .matching import snapshot as snapshot_format
 
@@ -511,8 +478,6 @@ def load_snapshot(path: str) -> dict:
         "format": None,
         "patterns_loaded": 0,
         "rows_loaded": 0,
-        "tables_loaded": 0,
-        "table_entries_loaded": 0,
         "memos_loaded": 0,
         "memo_entries_loaded": 0,
         "rejected": 0,
@@ -533,7 +498,7 @@ def load_snapshot(path: str) -> dict:
     except SnapshotError as error:
         reject(error)
         return result
-    result["format"] = snapshot.format_version
+    result["format"] = snapshot_format.VERSION
     for tag, section_error in snapshot.section_errors:
         reject(section_error, prefix=f"section {tag}: ")
 
@@ -569,15 +534,14 @@ def load_snapshot(path: str) -> dict:
     # some runtime still references a row from it — repeated loads of
     # refreshed snapshots cannot accumulate dead mappings.
     if snapshot.sections:
-        # A load is counted (and attributed to its format) only when at
-        # least one section validated — a file whose every section was
-        # rejected is a cold start, not a successful load, and must not
-        # look healthy on a dashboard watching loads/format_v2.
+        # A load is counted only when at least one section validated — a
+        # file whose every section was rejected is a cold start, not a
+        # successful load, and must not look healthy on a dashboard
+        # watching loads.
         SNAPSHOT_TELEMETRY.record_load(
             result["patterns_loaded"],
             result["rows_loaded"],
             memo_entries=result["memo_entries_loaded"],
-            format_version=snapshot.format_version,
         )
     return result
 
@@ -593,7 +557,6 @@ def materialization() -> dict:
     when the on-disk snapshot has gone stale.  The memo count can fall
     when a memo generation turns over; the refresher then persists the
     new working set once the gauge grows past the level it last saved.
-    ``star_free_entries`` gauged the retired star-free tables and reads 0.
     """
     patterns = 0
     transitions = 0
@@ -607,7 +570,6 @@ def materialization() -> dict:
     return {
         "patterns": patterns,
         "transitions": transitions,
-        "star_free_entries": 0,
         "memo_entries": memo_entries,
         "total": transitions + memo_entries,
     }
@@ -617,13 +579,12 @@ def snapshot_stats() -> dict:
     """Process-wide snapshot telemetry (saves, loads, adoption, rejects).
 
     ``snapshot_rejected`` counts every validation failure — whole files,
-    v2 sections and individual entries — with ``rejected_reasons``
+    sections and individual entries — with ``rejected_reasons``
     breaking them down by kind (``"checksum"``, ``"version"``,
     ``"fingerprint"``, ``"alphabet-width"``, ``"row-bounds"``,
     ``"memo-entry"``, ``"fetch"``, ...); rejects are the designed
     degradation path, so a non-zero count means cold starts, never wrong
-    verdicts.  ``format_v1``/``format_v2`` count successful loads per
-    file format.  ``materialized`` is a live gauge of the state the
+    verdicts.  ``materialized`` is a live gauge of the state the
     *next* :func:`save_snapshot` would persist — the auto-refresh thread
     (:class:`repro.service.prefork.SnapshotRefresher`) watches its
     ``total``.  Merged into the validation service's ``GET /stats``

@@ -18,12 +18,9 @@ observation into a result API:
   symbol index, the expected-next set derived from the Section 4
   first/follow sets at the stuck position, and ranked repair hints.
 * :func:`diagnose` — the replay engine shared by patterns, validators
-  and the lexer.
-* :class:`TraceRecorder` — a drop-in replacement for
-  ``CompiledRuntime.accepts_encoded`` used as the replay hook of cold
-  batches (``kernel.replay_words``): the replay records the state trace
-  it walks anyway, so ``match_all(detail="full")`` reuses it as the
-  witness.
+  and the lexer.  A deterministic run is its own witness, so the replay
+  is the only place a trace is recorded: the verdict paths (single
+  words, batches at every detail level) record none.
 
 Expected-next exactness.  For a deterministic tree the set is read
 straight off the follow relation (:meth:`FollowIndex.next_symbols`):
@@ -38,7 +35,7 @@ over the alphabet, which is exact by construction of the matcher.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DiagnosticsError
 
@@ -389,88 +386,6 @@ def diagnose(pattern: "Pattern", word: Sequence[str], expect: bool | None = None
     return diag
 
 
-def complete_from_trace(
-    pattern: "Pattern", word: Sequence[str], matched: bool, trace: Sequence[int]
-) -> Diagnosis:
-    """Finish a :class:`Diagnosis` from a trace recorded during matching.
-
-    *trace* is the state-index sequence a :class:`TraceRecorder` walked
-    (``trace[0]`` the start state); only the acceptance flags and — on
-    failure — the expected-next analysis at the final state remain to be
-    computed, so no prefix is replayed twice.
-    """
-    symbols = tuple(word)
-    engine = _engine_for(pattern)
-    states = list(trace)
-    last_accepting = -1
-    for length, state in enumerate(states):
-        if engine.accepts(state):
-            last_accepting = length
-    if matched:
-        return Diagnosis(
-            matched=True,
-            word=symbols,
-            tree=engine.tree,
-            trace=tuple(states),
-            error_index=None,
-            reason=None,
-            expected=(),
-            can_end=True,
-            last_accepting=last_accepting,
-            repairs=(),
-        )
-    index = len(states) - 1
-    if index >= len(symbols):
-        reason = "unexpected-end"
-    elif engine.known(symbols[index]):
-        reason = "mismatch"
-    else:
-        reason = "unknown-symbol"
-    return _failure(engine, states[-1], symbols, states, index, reason, last_accepting)
-
-
-# -- cold-batch replay hook ----------------------------------------------------------------
-
-
-class TraceRecorder:
-    """Replay hook for batches over a cold runtime.
-
-    Callable exactly like ``CompiledRuntime.accepts_encoded`` — takes an
-    encoded word, fills missing rows as it steps, returns the boolean
-    verdict — but also records the state trace it walked, keyed by the
-    word's code tuple.  ``match_all(detail="full")`` passes an instance
-    as :func:`repro.matching.kernel.replay_words`'s ``replay`` hook, so
-    the words of a cold batch get their witness for free; warm batches
-    run on the kernel and diagnose lazily.
-    """
-
-    __slots__ = ("runtime", "traces")
-
-    def __init__(self, runtime: "CompiledRuntime"):
-        self.runtime = runtime
-        #: code-tuple → (verdict, state-index trace)
-        self.traces: dict[tuple[int, ...], tuple[bool, tuple[int, ...]]] = {}
-
-    def __call__(self, codes: Iterable[int]) -> bool:
-        runtime = self.runtime
-        step = runtime.step
-        state = runtime._start_state
-        trace = [state]
-        verdict = True
-        key = tuple(codes)
-        for code in key:
-            target = step(state, code)
-            if target < 0:
-                verdict = False
-                break
-            state = target
-            trace.append(state)
-        else:
-            verdict = runtime.state_accepts(state)
-        self.traces[key] = (verdict, tuple(trace))
-        return verdict
-
-
 # -- result objects ------------------------------------------------------------------------
 
 
@@ -487,17 +402,11 @@ class MatchResult:
 
     __slots__ = ("matched", "word", "_pattern", "_diagnosis")
 
-    def __init__(
-        self,
-        matched: bool,
-        word: Sequence[str],
-        pattern: "Pattern | None" = None,
-        diagnosis: Diagnosis | None = None,
-    ):
+    def __init__(self, matched: bool, word: Sequence[str], pattern: "Pattern | None" = None):
         self.matched = bool(matched)
         self.word = tuple(word)
         self._pattern = pattern
-        self._diagnosis = diagnosis
+        self._diagnosis: Diagnosis | None = None
 
     # -- bool back-compat ------------------------------------------------------------
     def __bool__(self) -> bool:

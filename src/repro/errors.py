@@ -156,9 +156,8 @@ class DTDSyntaxError(ReproError):
 class DiagnosticsError(ReproError):
     """Raised by :mod:`repro.diagnostics` for unsatisfiable requests.
 
-    Two cases: tracing was requested where it cannot be provided (e.g.
-    ``Pattern.stream(trace=True)`` on an uncompiled pattern), or a
-    diagnostic replay produced a verdict that contradicts the recorded
-    one — the latter indicates an internal invariant violation and should
-    be reported as a bug.
+    Two cases: a :class:`~repro.diagnostics.MatchResult` built without a
+    pattern is asked for its diagnosis, or a diagnostic replay produced a
+    verdict that contradicts the recorded one — the latter indicates an
+    internal invariant violation and should be reported as a bug.
     """

@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .api import Pattern
 from .errors import LexError, NotDeterministicError
+from .matching.kernel import longest_match
 from .regex.ast import Regex, union
 from .regex.parse_tree import NodeKind
 from .regex.parser import parse
@@ -106,10 +107,6 @@ class Lexer:
                 report=self.pattern.report,
             )
         self._tag_by_state = self._assign_tags(len(parsed))
-        #: the pattern's execution plan owns the engine: it materializes
-        #: the reachable machine, exports the kernel program and
-        #: drives the maximal-munch loop (see ``repro.matching.plan``)
-        self._plan = self.pattern.plan
         self._program, self._accept_tags = self._compile()
         runtime = self.pattern.runtime
         self._codes = runtime.alphabet.codes
@@ -142,21 +139,25 @@ class Lexer:
         return tag_by_state
 
     def _compile(self):
-        """Build the tag table over the plan's kernel program.
+        """Build the tag table over the pattern's kernel program.
 
-        :meth:`ExecutionPlan.scan_program` returns the complete table and
-        its accepting states, so longest-match scanning needs no fallback
-        handling at all.
+        The program (the one the pattern's batches scan) is complete by
+        construction, so longest-match scanning needs no fallback
+        handling at all; each state whose accept byte is set gets its
+        rule's tag.
         """
-        program, accepting = self._plan.scan_program()
+        program = self.pattern.runtime.export_kernel_program()
         if program is None:
             raise LexError("the rule set's machine is too large for a kernel table")
-        tags = bytearray(len(program.accepts))
-        for state in accepting:
-            tag_index = self._tag_by_state.get(state)
-            if tag_index is None:  # pragma: no cover - determinism forbids this
-                raise LexError("internal error: accepting state outside every rule")
-            tags[state * program.wp] = tag_index + 1
+        accepts = program.accepts
+        wp = program.wp
+        tags = bytearray(len(accepts))
+        for state in range(program.states):
+            if accepts[state * wp]:
+                tag_index = self._tag_by_state.get(state)
+                if tag_index is None:  # pragma: no cover - determinism forbids this
+                    raise LexError("internal error: accepting state outside every rule")
+                tags[state * wp] = tag_index + 1
         return program, tags
 
     # -- scanning -----------------------------------------------------------------------
@@ -175,14 +176,14 @@ class Lexer:
                 encoded[at] = codes.get(char, unknown)
         else:  # pragma: no cover - needs a >254-symbol alphabet
             encoded = [codes.get(char, unknown) for char in text]
-        longest_match = self._plan.longest_match
+        program = self._program
         tags = self._accept_tags
         skip = self.skip
         names = self.tags
         at = 0
         length = len(encoded)
         while at < length:
-            end, tag = longest_match(tags, encoded, at)
+            end, tag = longest_match(program, tags, encoded, at)
             if end < 0:
                 raise self._stuck_error(text, encoded, at)
             name = names[tag - 1]

@@ -111,13 +111,11 @@ def stats() -> dict:
     ``fallback_words`` split batch traffic between words answered by a
     program (its memo or a scan) and words of cold batches, which replayed
     through the runtime (:func:`replay_words`), and ``backend`` names the
-    scan loop, the pure-Python one.  ``requested`` (``"pure"``) and
-    ``native_available`` (``False``) are retired keys kept for wire
-    compatibility.
+    scan loop, the pure-Python one.
     """
     with _STATS_LOCK:
         snapshot: dict = dict(_STATS)
-    snapshot.update(requested="pure", native_available=False, backend="pure")
+    snapshot["backend"] = "pure"
     return snapshot
 
 
@@ -421,17 +419,14 @@ def match_corpus(program: KernelProgram, corpus: KernelCorpus) -> list[bool]:
     return corpus.fan_out(scanned)
 
 
-def replay_words(runtime, corpus: Corpus, replay=None) -> list[bool]:
+def replay_words(runtime, corpus: Corpus) -> list[bool]:
     """Answer a batch by per-word replay alone, each distinct word once.
 
     The batch path for a cold runtime (see ``CompiledRuntime.cold``): the
-    words replay through *replay* — any callable taking an encoded word
-    and returning the boolean verdict, ``runtime.accepts_encoded`` by
-    default — and are all counted as fallback words.  The diagnostics
-    layer passes a :class:`repro.diagnostics.TraceRecorder` here, so a
-    cold ``detail="full"`` batch keeps the traces its replays walk.
+    words replay through ``runtime.accepts_encoded`` and are all counted
+    as fallback words.
     """
-    accepts_encoded = runtime.accepts_encoded if replay is None else replay
+    accepts_encoded = runtime.accepts_encoded
     encode = runtime.encode
     verdicts = corpus.fan_out([accepts_encoded(encode(word)) for word in corpus.words])
     _bump(fallback_words=len(corpus))

@@ -17,7 +17,7 @@ a pattern's only runtime — owns one :class:`AcceptanceMemo`
   :func:`~repro.matching.kernel.match_corpus` stores each scanned verdict
   back;
 * :func:`repro.save_snapshot` persists its tuple keys (the ``MEMO``
-  section of snapshot format v2, :meth:`AcceptanceMemo.export`) and
+  section of a snapshot file, :meth:`AcceptanceMemo.export`) and
   :func:`repro.load_snapshot` installs them (:meth:`AcceptanceMemo.adopt`).
 
 A tuple key is a symbol sequence on every path, so a validator and a

@@ -4,9 +4,8 @@ Historically every surface of the library re-derived "which engine should
 this pattern run on?" for itself: ``Pattern.match``/``match_all`` had one
 if/elif ladder, ``describe()`` reconstructed the same decision a second
 time for its ``batch_path`` field, the diagnostics replay picked its
-adapter from ``pattern._compiled``, the lexer rebuilt the kernel-program
-export, and the DTD/XSD validators each kept their own
-runtime-vs-matcher-vs-memo dispatch.  Adding a new scenario class (a
+adapter from ``pattern._compiled``, and the DTD/XSD validators each kept
+their own runtime-vs-matcher-vs-memo dispatch.  Adding a new scenario class (a
 Section-4 matcher family, the kernel programs —
 or the planned back-reference dialects) meant one cross-cutting edit per
 surface.
@@ -18,9 +17,8 @@ This module gives the decision exactly one owner:
   reports), answers single matches (:meth:`~ExecutionPlan.match`), batch
   matches (:meth:`~ExecutionPlan.match_all`), streaming runs
   (:meth:`~ExecutionPlan.stream`), validator child-sequence checks
-  (:meth:`~ExecutionPlan.accepts_children`), lexer scan programs
-  (:meth:`~ExecutionPlan.scan_program` / :meth:`~ExecutionPlan.longest_match`)
-  and hands the diagnostics layer its replay adapter
+  (:meth:`~ExecutionPlan.accepts_children`) and hands the diagnostics
+  layer its replay adapter
   (:meth:`~ExecutionPlan.replay_for_diagnostics`).
 * :class:`Planner` — ``plan(pattern)`` returns a :class:`DirectPlan`
   for an uncompiled pattern and a :class:`CompiledPlan` otherwise, whose
@@ -132,22 +130,6 @@ class ExecutionPlan:
         """The :mod:`repro.diagnostics` replay adapter for this strategy."""
         raise NotImplementedError
 
-    # -- lexer surface ------------------------------------------------------------------
-    def scan_program(self):
-        """The kernel program for longest-match scanning.
-
-        Reads the batch program (built once per pattern) and its
-        accepting states off the accept bytes.  Returns ``(program,
-        accepting_states)``; ``program`` is ``None`` when the machine
-        exceeds the kernel table ceiling.  Only compiled plans support
-        scanning.
-        """
-        raise NotImplementedError(f"route {self.route!r} does not support scan programs")
-
-    def longest_match(self, tags, encoded, start: int):
-        """Maximal-munch step over the cached scan program (see the lexer)."""
-        raise NotImplementedError(f"route {self.route!r} does not support scanning")
-
     # -- telemetry accessors (never force construction) ---------------------------------
     def built_runtime(self):
         """The compiled runtime if this plan uses one and it exists, else ``None``."""
@@ -208,14 +190,12 @@ class CompiledPlan(ExecutionPlan):
     :func:`kernel.match_words` answers ``None`` before building anything.
     """
 
-    __slots__ = ("route", "_runtime", "_scan")
+    __slots__ = ("route", "_runtime")
 
     def __init__(self, pattern: "Pattern", route: str):
         super().__init__(pattern)
         self.route = route
         self._runtime = None
-        #: lazily exported ``(program, accepting_states)`` for the lexer
-        self._scan = None
 
     @property
     def runtime(self):
@@ -231,9 +211,27 @@ class CompiledPlan(ExecutionPlan):
         return self.runtime.start()
 
     def match_all(self, corpus: "kernel.Corpus", detail: str = "verdict"):
-        if detail == "full":
-            return self._match_all_full(corpus)
-        return self._verdicts(corpus)
+        """The batch's verdicts; at ``detail="full"`` one lazy MatchResult per distinct word.
+
+        A full batch reads no memo, so every slot of its corpus names a
+        distinct word.  Each gets one result, built from its verdict and
+        diagnosed on field access, which its repeats share, as on the
+        direct plan.  Every compiled route, star-free included, cold or
+        warm, takes this path.
+        """
+        verdicts = self._verdicts(corpus)
+        if detail != "full":
+            return verdicts
+        from ..diagnostics import MatchResult
+
+        # The verdicts come batch-shaped; gather one per distinct word.
+        by_slot = dict(zip(corpus.index, verdicts))
+        pattern = self.pattern
+        results = [
+            MatchResult(by_slot[slot], word, pattern=pattern)
+            for slot, word in enumerate(corpus.words)
+        ]
+        return corpus.fan_out(results)
 
     def verdict_memo(self, detail: str = "verdict"):
         """The runtime's verdict memo, once the runtime is warm.
@@ -247,7 +245,7 @@ class CompiledPlan(ExecutionPlan):
             return None
         return runtime.memo
 
-    def _verdicts(self, corpus: "kernel.Corpus", replay=None) -> list[bool]:
+    def _verdicts(self, corpus: "kernel.Corpus") -> list[bool]:
         """One verdict per batch word: a kernel pass, else per-word replay.
 
         Kernel passes book the pattern's kernel traffic split.  Building a
@@ -255,7 +253,7 @@ class CompiledPlan(ExecutionPlan):
         the kernel when a program is already built.  A batch over a
         *cold* runtime builds no table either: a pattern compiled for one
         batch (every schema-compile op) would pay for a table it uses
-        once.  Its distinct words replay through *replay*, every batch
+        once.  Its distinct words replay through the runtime, every batch
         word is booked as a fallback word, and the runtime is warm from
         then on, whatever the words were.  Any other batch runs on the
         pattern's one program, which is complete, so no word falls back;
@@ -264,7 +262,7 @@ class CompiledPlan(ExecutionPlan):
         runtime = self.runtime
         if len(corpus) >= kernel.MIN_BATCH or runtime._kernel_program is not None:
             if runtime.cold and kernel.eligible(runtime.tree):
-                verdicts = kernel.replay_words(runtime, corpus, replay=replay)
+                verdicts = kernel.replay_words(runtime, corpus)
                 runtime.batched = True
                 self.pattern._record_kernel_traffic(0, len(corpus))
                 return verdicts
@@ -273,35 +271,6 @@ class CompiledPlan(ExecutionPlan):
                 self.pattern._record_kernel_traffic(len(corpus), 0)
                 return verdicts
         return corpus.fan_out(runtime.match_many(corpus.words))
-
-    def _match_all_full(self, corpus: "kernel.Corpus"):
-        """The ``detail="full"`` batch path: one lazy MatchResult per distinct word.
-
-        A cold batch replays its words through a
-        :class:`~repro.diagnostics.TraceRecorder`, so the traces those
-        replays walk anyway seed the results and no prefix is walked
-        twice; kernel verdicts diagnose lazily on field access.  Repeats
-        of a word share its result, as on the direct plan.  Every
-        compiled route, star-free included, takes this path.
-        """
-        from .. import diagnostics
-
-        runtime = self.runtime
-        recorder = diagnostics.TraceRecorder(runtime)
-        # The verdicts come batch-shaped; scatter them back to one per slot.
-        verdicts = dict(zip(corpus.index, self._verdicts(corpus, replay=recorder)))
-        results = []
-        for slot, word in enumerate(corpus.words):
-            seed = recorder.traces.get(tuple(runtime.encode(word)))
-            diagnosis = None
-            if seed is not None:
-                diagnosis = diagnostics.complete_from_trace(self.pattern, word, seed[0], seed[1])
-            results.append(
-                diagnostics.MatchResult(
-                    verdicts[slot], word, pattern=self.pattern, diagnosis=diagnosis
-                )
-            )
-        return corpus.fan_out(results)
 
     def accepts_children(self, children: Sequence[str]) -> bool:
         # Whole-sequence fast path: repeated child sequences (the Li et
@@ -313,24 +282,6 @@ class CompiledPlan(ExecutionPlan):
         from ..diagnostics import _CompiledEngine
 
         return _CompiledEngine(self.runtime, self.pattern.tree_report.deterministic)
-
-    # -- lexer surface ------------------------------------------------------------------
-    def scan_program(self):
-        scan = self._scan
-        if scan is None:
-            program = self.runtime.export_kernel_program()
-            accepting = []
-            if program is not None:
-                accepts = program.accepts
-                accepting = [
-                    state for state in range(program.states) if accepts[state * program.wp]
-                ]
-            scan = self._scan = (program, accepting)
-        return scan
-
-    def longest_match(self, tags, encoded, start: int):
-        program, _accepting = self.scan_program()
-        return kernel.longest_match(program, tags, encoded, start)
 
     # -- telemetry ----------------------------------------------------------------------
     def built_runtime(self):
@@ -383,8 +334,8 @@ def _compiled_route(pattern: "Pattern") -> str:
 
 
 #: The process-wide planner every surface consults: ``Pattern.match``/
-#: ``match_all``, diagnostics replay, the lexer, both XML validators and
-#: the HTTP service.
+#: ``match_all``, diagnostics replay, both XML validators and the HTTP
+#: service.
 PLANNER = Planner()
 
 

@@ -63,8 +63,8 @@ True
 >>> runtime.accepts("aba")
 False
 >>> sorted(runtime.stats())  # doctest: +NORMALIZE_WHITESPACE
-['adopted_rows', 'dense_rows', 'kernel_programs', 'misses', 'shared_rows',
- 'states_visited', 'transitions_memoized']
+['adopted_rows', 'kernel_programs', 'misses', 'states_visited',
+ 'transitions_memoized']
 
 The runtime preserves the streaming contract of the direct path:
 :meth:`CompiledRuntime.start` returns a :class:`CompiledRun` with the same
@@ -308,32 +308,23 @@ class CompiledRuntime:
         return [accepts_encoded(encode(word)) for word in words]
 
     # -- streaming ---------------------------------------------------------------------
-    def start(self, trace: bool = False) -> "CompiledRun":
-        """Begin a streaming run (mirrors :meth:`DeterministicMatcher.start`).
-
-        With ``trace=True`` the run is a :class:`TracedRun` recording the
-        state sequence it visits — the match witness consumed by
-        :mod:`repro.diagnostics`.  Tracing is opt-in per run; the plain
-        run type and its feed loops are untouched.
-        """
-        if trace:
-            return TracedRun(self)
+    def start(self) -> "CompiledRun":
+        """Begin a streaming run (mirrors :meth:`DeterministicMatcher.start`)."""
         return CompiledRun(self)
 
     # -- snapshot export / adoption ------------------------------------------------------
     def export_rows(self) -> dict:
         """Exportable view of the visited machine (for snapshots).
 
-        Returns ``{"accepts": bytes, "rows": {state: array('i')},
-        "width": int, "positions": int}``.  Every visited row is completed
-        first: each symbol its traffic has not exercised costs one
-        delegation, memoized into the row itself, so a process adopting
-        the snapshot answers every transition out of those states without
-        a matcher.  This forces the wrapped matcher only when some row is
-        incomplete, which a runtime holding nothing but adopted rows never
-        is.  Acceptance bytes (1 accept, 0 reject, one per state) are read
-        off ``pSupLast`` like :meth:`state_accepts`; readers ignore them,
-        and writing them keeps the file format older readers expect.
+        Returns ``{"rows": {state: array('i')}, "width": int,
+        "positions": int}``.  Every visited row is completed first: each
+        symbol its traffic has not exercised costs one delegation,
+        memoized into the row itself, so a process adopting the snapshot
+        answers every transition out of those states without a matcher.
+        This forces the wrapped matcher only when some row is incomplete,
+        which a runtime holding nothing but adopted rows never is.
+        Acceptance is not exported: an adopter reads it off its own parse
+        tree (:meth:`state_accepts`).
         """
         width = self._width
         rows: dict[int, array] = {}
@@ -347,7 +338,6 @@ class CompiledRuntime:
                 elif row is not None:
                     rows[state] = array("i", row)
         return {
-            "accepts": bytes(map(self.state_accepts, range(len(self._positions)))),
             "rows": rows,
             "width": width,
             "positions": len(self._positions),
@@ -451,10 +441,8 @@ class CompiledRuntime:
     def stats(self) -> dict[str, int]:
         """How much of the lazy DFA has been materialized so far.
 
-        ``adopted_rows`` counts rows that came from a persisted snapshot;
-        they are the only array-backed rows, so ``dense_rows`` reads the
-        same number, and ``shared_rows`` (rows once interned across
-        runtimes) reads 0.  Every *locally* memoized transition
+        ``adopted_rows`` counts rows that came from a persisted snapshot
+        (the only array-backed rows).  Every *locally* memoized transition
         corresponds to exactly one delegation to the wrapped matcher —
         adopted rows were exercised by some earlier process, so they are
         excluded and ``transitions_memoized == misses`` remains the
@@ -475,8 +463,6 @@ class CompiledRuntime:
             "states_visited": visited,
             "transitions_memoized": transitions - adopted * self._width,
             "misses": self.misses,
-            "dense_rows": adopted,
-            "shared_rows": 0,
             "adopted_rows": adopted,
             "kernel_programs": int(self._kernel_program is not None),
         }
@@ -555,35 +541,3 @@ class CompiledRun:
         """True when the symbols consumed so far form a member of the language."""
         return self.alive and self.runtime.state_accepts(self.state)
 
-
-class TracedRun(CompiledRun):
-    """A streaming run that records the state trace it visits.
-
-    ``trace[i]`` is the state (position index) after consuming ``i``
-    symbols; ``trace[0]`` is the start sentinel.  Determinism makes the
-    trace the *unique* parse of the consumed prefix — the match witness.
-    The recording costs one list append per symbol, which is why it lives
-    in a subclass: ``start()`` without ``trace=True`` never pays it.
-    """
-
-    __slots__ = ("trace",)
-
-    def __init__(self, runtime: CompiledRuntime):
-        super().__init__(runtime)
-        self.trace: list[int] = [self.state]
-
-    def feed(self, symbol: str) -> bool:
-        if CompiledRun.feed(self, symbol):
-            self.trace.append(self.state)
-            return True
-        return False
-
-    def feed_all(self, word: Iterable[str]) -> bool:
-        if not self.alive:
-            return False
-        append = self.trace.append
-        for symbol in word:
-            if not CompiledRun.feed(self, symbol):
-                return False
-            append(self.state)
-        return True

@@ -9,25 +9,21 @@ models repeat heavily across schemas — exactly the workload where the
 state one warm process has materialized is the state the next thousand
 processes will need.  This module persists it.
 
-**Format v2** stores independent *sections* behind one CRC-checked
+**Format v3** stores independent *sections* behind one CRC-checked
 header + directory:
 
-* ``ROWS`` — the lazy-DFA rows (the v1 payload, unchanged): per
-  pattern a *fingerprint* (SHA-256 over the reconstruction identity),
-  per-state acceptance bytes (written for older readers; this reader
-  ignores them, since acceptance comes off the parse tree) and every
-  visited row, completed to alphabet width as an ``array('i')``, with
-  rows written through a **file-level interning pool**;
+* ``ROWS`` — the lazy-DFA rows: per pattern a *fingerprint* (SHA-256
+  over the reconstruction identity), its meta and every visited row,
+  completed to alphabet width as an ``array('i')``, with rows written
+  through a **file-level interning pool**.  Acceptance is not stored: it
+  comes off the parse tree (Lemma 2.3);
 * ``MEMO`` — the symbol-sequence entries of each pattern's verdict
   memo (:mod:`repro.matching.memo`): ``symbol-sequence → verdict``
   pairs that validators and list-word batches stored, keyed by the same
   pattern fingerprints (``str`` batch words are not written).
 
-Older writers also emitted ``SFTB`` (the star-free multi-matcher's
-decision tables); star-free patterns now batch on their kernel rows, so
-a reader skips that tag like any other it does not know, without
-reading it: a damaged section the reader would not parse rejects
-nothing.
+A reader skips a section tag it does not know without reading it, so a
+damaged section the reader would not parse rejects nothing.
 
 Every section carries its own CRC-32 in the directory, so corruption
 **degrades per section**: a bit flip inside one section rejects only
@@ -38,9 +34,9 @@ either case the fallback is the normal lazy rebuild — **corruption can
 never change a verdict** (the property suite flips random bits end to
 end and checks exactly that).
 
-Version-1 files (rows only) still load, but nothing writes them any
-more; the API layer counts them under ``format_v1``.  Snapshots are
-written atomically (temp file + ``os.replace``) and loaded via
+A file of any other version (the older v1 and v2 formats included) is
+one ``version`` rejection and a cold start.  Snapshots are written
+atomically (temp file + ``os.replace``) and loaded via
 ``mmap``: adopted rows are zero-copy ``memoryview`` slices into the
 page cache, so forked workers — and independent processes loading the
 same file — share the row pages copy-on-write.
@@ -69,31 +65,25 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-#: First 8 bytes of every snapshot file.  Shared by format versions 1 and
-#: 2 (the ``version`` field right after it is what distinguishes them);
-#: readers reject anything but an exact match.
+#: First 8 bytes of every snapshot file, whatever its version (the
+#: ``version`` field right after it tells them apart); readers reject
+#: anything but an exact match.
 MAGIC = b"RPRODFA1"
 
-#: Current format version (u16 in the header); version-1 files (rows
-#: only) are still accepted by :func:`load`.
-VERSION = 2
+#: The format version (u16 in the header); :func:`load` reads no other.
+VERSION = 3
 
-#: Version-1 fixed-size header: magic, version, itemsize, byteorder flag,
-#: pattern count, payload CRC-32, payload length.
-_HEADER_V1 = struct.Struct("<8sHBBIIQ")
-
-#: Version-2 fixed-size header: magic, version, itemsize, byteorder flag,
-#: section count, directory CRC-32.  The CRC covers the directory bytes
-#: that follow, so a flipped header/directory byte rejects the whole
-#: file before any section is trusted.
-_HEADER_V2 = struct.Struct("<8sHBBII")
+#: Fixed-size header: magic, version, itemsize, byteorder flag, section
+#: count, directory CRC-32.  The CRC covers the directory bytes that
+#: follow, so a flipped header/directory byte rejects the whole file
+#: before any section is trusted.
+_HEADER = struct.Struct("<8sHBBII")
 
 #: One directory entry per section: 4-byte tag, payload CRC-32, absolute
 #: file offset, payload length.
 _SECTION = struct.Struct("<4sIQQ")
 
-#: Section tags.  Unknown tags — a newer writer's, or the retired
-#: ``SFTB`` star-free tables of an older one — are skipped on load.
+#: Section tags.  Unknown tags (a newer writer's) are skipped on load.
 SECTION_ROWS = b"ROWS"
 SECTION_MEMOS = b"MEMO"
 
@@ -125,9 +115,6 @@ FINGERPRINT_FIELDS = (
     "positions",
     "width",
 )
-
-#: Byte markers in the per-state acceptance section.
-ACCEPT_UNKNOWN = 0xFF
 
 
 class SnapshotError(Exception):
@@ -181,7 +168,6 @@ class SnapshotEntry:
 
     fingerprint: bytes
     meta: dict
-    accepts: bytes
     _row_refs: tuple[tuple[int, int], ...]
     _snapshot: "Snapshot"
 
@@ -219,12 +205,11 @@ class Snapshot:
     The mmap stays open for the object's lifetime; adopted row views keep
     it (and therefore the shared pages) alive even if the Snapshot object
     itself is dropped.  ``section_errors`` records per-section validation
-    failures of a v2 file — the sections that *did* validate are still
-    populated (per-section degradation).
+    failures — the sections that *did* validate are still populated
+    (per-section degradation).
     """
 
     path: str
-    format_version: int = VERSION
     entries: list[SnapshotEntry] = field(default_factory=list)
     memos: list[MemoEntry] = field(default_factory=list)
     #: tags of the sections that validated and parsed completely; the
@@ -292,14 +277,13 @@ def _write_padded(buffer: io.BytesIO, chunk: bytes) -> None:
 
 
 def _encode_rows(entries: Sequence[dict]) -> tuple[bytes, dict]:
-    """The ``ROWS`` payload (identical to the whole v1 payload) + stats."""
+    """The ``ROWS`` payload + stats."""
     pool: dict[tuple[int, ...], int] = {}
     pool_rows: list[tuple[int, ...]] = []
     encoded_entries: list[bytes] = []
     total_rows = 0
     for entry in entries:
         meta_bytes = json.dumps(entry["meta"], sort_keys=True).encode("utf-8")
-        accepts: bytes = entry["accepts"]
         refs = io.BytesIO()
         rows: Mapping[int, Sequence[int]] = entry["rows"]
         for state in sorted(rows):
@@ -316,7 +300,6 @@ def _encode_rows(entries: Sequence[dict]) -> tuple[bytes, dict]:
             raise ValueError("fingerprints must be 32-byte SHA-256 digests")
         body.write(fingerprint)
         _write_padded(body, meta_bytes)
-        _write_padded(body, accepts)
         body.write(struct.pack("<I", len(rows)))
         body.write(refs.getvalue())
         encoded_entries.append(body.getvalue())
@@ -378,10 +361,10 @@ def write(
     entries: Iterable[dict],
     memos: Iterable[dict] = (),
 ) -> dict:
-    """Atomically write a format-v2 snapshot file; returns a stats dict.
+    """Atomically write a snapshot file; returns a stats dict.
 
     *entries* is the dense-row section (``{"fingerprint": bytes, "meta":
-    dict, "accepts": bytes, "rows": {state: int-sequence}}`` — the shape
+    dict, "rows": {state: int-sequence}}`` — the shape
     :meth:`CompiledRuntime.export_rows` plus the API layer's meta builder
     produce); *memos* carry ``entries`` pairs
     (:meth:`AcceptanceMemo.export`).  An empty memo section is omitted
@@ -400,14 +383,14 @@ def write(
         stats.update({"memo_patterns": 0, "memo_entries": 0})
 
     directory = io.BytesIO()
-    offset = _HEADER_V2.size + len(sections) * _SECTION.size
+    offset = _HEADER.size + len(sections) * _SECTION.size
     for tag, payload in sections:
         directory.write(
             _SECTION.pack(tag, zlib.crc32(payload) & 0xFFFFFFFF, offset, len(payload))
         )
         offset += len(payload)
     directory_bytes = directory.getvalue()
-    header = _HEADER_V2.pack(
+    header = _HEADER.pack(
         MAGIC,
         VERSION,
         ITEMSIZE,
@@ -426,7 +409,7 @@ def write(
 # ---------------------------------------------------------------------------
 
 
-def _parse_rows(snapshot: Snapshot, data: memoryview, expected_count: int | None) -> None:
+def _parse_rows(snapshot: Snapshot, data: memoryview) -> None:
     """Parse a rows payload into *snapshot* (pool spans index into *data*).
 
     Parses into locals and publishes onto *snapshot* only after the whole
@@ -445,14 +428,10 @@ def _parse_rows(snapshot: Snapshot, data: memoryview, expected_count: int | None
         reader.take(ints * ITEMSIZE)
         pool_spans.append((start, ints * ITEMSIZE))
     entry_count = reader.u32()
-    if expected_count is not None and entry_count != expected_count:
-        raise SnapshotError("malformed", "entry count disagrees with the header")
     entries: list[SnapshotEntry] = []
     for _ in range(entry_count):
         fingerprint = bytes(reader.take(32))
         meta = _read_meta(reader)
-        accepts = bytes(reader.take(reader.u32()))
-        reader.pad4()
         row_count = reader.u32()
         refs: list[tuple[int, int]] = []
         for _ in range(row_count):
@@ -465,7 +444,6 @@ def _parse_rows(snapshot: Snapshot, data: memoryview, expected_count: int | None
             SnapshotEntry(
                 fingerprint=fingerprint,
                 meta=meta,
-                accepts=accepts,
                 _row_refs=tuple(refs),
                 _snapshot=snapshot,
             )
@@ -529,10 +507,10 @@ def load(path: str | os.PathLike) -> Snapshot:
     and the machine-compatibility fields are checked before any checksum,
     and checksums before structural parsing, so every class of corruption
     maps to one stable ``reason`` tag.  File-level failures (truncation,
-    bad magic/version, header corruption) raise; in a v2 file a
-    *section* whose own CRC or structure fails is recorded in
-    :attr:`Snapshot.section_errors` while the remaining sections load —
-    per-section degradation is the designed behaviour.
+    bad magic/version, header corruption) raise; a *section* whose own
+    CRC or structure fails is recorded in :attr:`Snapshot.section_errors`
+    while the remaining sections load — per-section degradation is the
+    designed behaviour.
     """
     path = os.fspath(path)
     mm = _open_mapped(path)
@@ -541,57 +519,24 @@ def load(path: str | os.PathLike) -> Snapshot:
     if bytes(mm[:8]) != MAGIC:
         raise SnapshotError("magic", f"{path!r} is not a repro snapshot")
     (version,) = struct.unpack_from("<H", mm, 8)
-    if version == 1:
-        return _load_v1(path, mm)
     if version != VERSION:
-        raise SnapshotError("version", f"snapshot version {version} (expected <= {VERSION})")
-    return _load_v2(path, mm)
-
-
-def _check_machine(itemsize: int, byteorder: int) -> None:
+        raise SnapshotError("version", f"snapshot version {version} (expected {VERSION})")
+    if len(mm) < _HEADER.size:
+        raise SnapshotError("truncated", f"{path!r} is shorter than the snapshot header")
+    _magic, _version, itemsize, byteorder, section_count, directory_crc = _HEADER.unpack_from(
+        mm, 0
+    )
     if itemsize != ITEMSIZE:
         raise SnapshotError("itemsize", f"row itemsize {itemsize} (expected {ITEMSIZE})")
     if byteorder != _BYTEORDER_FLAG:
         raise SnapshotError("byte-order", "snapshot was written on a different-endian machine")
-
-
-def _load_v1(path: str, mm: mmap.mmap) -> Snapshot:
-    if len(mm) < _HEADER_V1.size:
-        raise SnapshotError("truncated", f"{path!r} is shorter than the v1 snapshot header")
-    _magic, _version, itemsize, byteorder, count, checksum, payload_length = _HEADER_V1.unpack_from(
-        mm, 0
-    )
-    _check_machine(itemsize, byteorder)
-    if _HEADER_V1.size + payload_length != len(mm):
-        raise SnapshotError(
-            "truncated",
-            f"payload length {payload_length} does not match file size {len(mm)}",
-        )
-    view = memoryview(mm)
-    payload = view[_HEADER_V1.size :]
-    if zlib.crc32(payload) & 0xFFFFFFFF != checksum:
-        raise SnapshotError("checksum", f"CRC mismatch in {path!r}")
-    snapshot = Snapshot(path=path, format_version=1)
-    snapshot._mm = mm
-    _parse_rows(snapshot, payload, expected_count=count)
-    snapshot.sections.append("ROWS")
-    return snapshot
-
-
-def _load_v2(path: str, mm: mmap.mmap) -> Snapshot:
-    if len(mm) < _HEADER_V2.size:
-        raise SnapshotError("truncated", f"{path!r} is shorter than the v2 snapshot header")
-    _magic, _version, itemsize, byteorder, section_count, directory_crc = _HEADER_V2.unpack_from(
-        mm, 0
-    )
-    _check_machine(itemsize, byteorder)
     if section_count > MAX_SECTIONS:
         raise SnapshotError("malformed", f"implausible section count {section_count}")
-    directory_end = _HEADER_V2.size + section_count * _SECTION.size
+    directory_end = _HEADER.size + section_count * _SECTION.size
     if len(mm) < directory_end:
         raise SnapshotError("truncated", f"{path!r} ends inside the section directory")
     view = memoryview(mm)
-    directory_bytes = view[_HEADER_V2.size : directory_end]
+    directory_bytes = view[_HEADER.size : directory_end]
     if zlib.crc32(directory_bytes) & 0xFFFFFFFF != directory_crc:
         raise SnapshotError("checksum", f"directory CRC mismatch in {path!r}")
     sections: list[tuple[bytes, int, int, int]] = []
@@ -607,7 +552,7 @@ def _load_v2(path: str, mm: mmap.mmap) -> Snapshot:
             "truncated", f"sections cover {total} bytes but the file has {len(mm) - directory_end}"
         )
 
-    snapshot = Snapshot(path=path, format_version=VERSION)
+    snapshot = Snapshot(path=path)
     snapshot._mm = mm
     seen: set[bytes] = set()
     for tag, crc, offset, length in sections:
@@ -617,14 +562,13 @@ def _load_v2(path: str, mm: mmap.mmap) -> Snapshot:
             seen.add(tag)
             if tag not in (SECTION_ROWS, SECTION_MEMOS):
                 # Unknown tags are skipped unread, CRC included: a newer
-                # writer may add sections this reader does not understand
-                # yet, and an older one wrote the retired SFTB tables.
+                # writer may add sections this reader does not understand.
                 continue
             data = view[offset : offset + length]
             if zlib.crc32(data) & 0xFFFFFFFF != crc:
                 raise SnapshotError("checksum", f"CRC mismatch in section {tag!r}")
             if tag == SECTION_ROWS:
-                _parse_rows(snapshot, data, expected_count=None)
+                _parse_rows(snapshot, data)
             else:
                 snapshot.memos = _parse_memos(data)
             snapshot.sections.append(tag.decode("ascii"))
@@ -639,33 +583,23 @@ def describe_file(path: str | os.PathLike) -> dict:
     Returns ``{"format": version, "bytes": size, "sections": [{"tag",
     "offset", "length"}, ...]}``.  Used by the section-targeting
     corruption tests and handy for operators inspecting a live
-    snapshot; raises :class:`SnapshotError` on files too damaged to
-    carry a directory.
+    snapshot; raises :class:`SnapshotError` on a file of another version
+    or one too damaged to carry a directory.
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
         # Only the header and directory are needed — never the payload,
         # which for a fleet snapshot can run to hundreds of megabytes.
         size = os.fstat(handle.fileno()).st_size
-        head = handle.read(max(_HEADER_V1.size, _HEADER_V2.size))
+        head = handle.read(_HEADER.size)
         if len(head) < 12 or head[:8] != MAGIC:
             raise SnapshotError("magic", f"{path!r} is not a repro snapshot")
         (version,) = struct.unpack_from("<H", head, 8)
-        if version == 1:
-            if len(head) < _HEADER_V1.size:
-                raise SnapshotError("truncated", f"{path!r} is shorter than the v1 header")
-            payload_length = _HEADER_V1.unpack_from(head, 0)[6]
-            return {
-                "format": 1,
-                "bytes": size,
-                "sections": [
-                    {"tag": "ROWS", "offset": _HEADER_V1.size, "length": payload_length}
-                ],
-            }
-        if len(head) < _HEADER_V2.size:
-            raise SnapshotError("truncated", f"{path!r} is shorter than the v2 header")
-        section_count = _HEADER_V2.unpack_from(head, 0)[4]
-        handle.seek(_HEADER_V2.size)
+        if version != VERSION:
+            raise SnapshotError("version", f"snapshot version {version} (expected {VERSION})")
+        if len(head) < _HEADER.size:
+            raise SnapshotError("truncated", f"{path!r} is shorter than the snapshot header")
+        section_count = _HEADER.unpack_from(head, 0)[4]
         directory = handle.read(section_count * _SECTION.size)
         if len(directory) < section_count * _SECTION.size:
             raise SnapshotError("truncated", f"{path!r} ends inside the section directory")

@@ -14,10 +14,7 @@ traffic spike that ended hours ago.
 
 Per-pattern verdict memos are not resized: each holds at most
 :data:`~repro.matching.memo.MEMO_LIMIT` words in two generations, which
-keep every re-used word whatever passes through once.  The ``"memos"``
-block of :meth:`Autosizer.stats` keeps its keys for wire compatibility:
-``floor`` and ``ceiling`` read ``MEMO_LIMIT``, ``resizes`` and
-``tracked`` read 0.
+keep every re-used word whatever passes through once.
 
 Every decision is recorded and reported under the ``"autosize"`` block of
 ``GET /stats`` (:meth:`Autosizer.stats`), so operators can see *why* a
@@ -36,7 +33,6 @@ import threading
 from collections import deque
 
 from .. import api, cache
-from ..matching.memo import MEMO_LIMIT
 
 #: Seconds between autosizing ticks (the background-thread default).
 AUTOSIZE_INTERVAL = 10.0
@@ -176,7 +172,5 @@ class Autosizer:
                 "ceiling": self.cache_ceiling,
                 "resizes": self.cache_resizes,
             },
-            # Memos are not resized (see the module docstring); the keys stay.
-            "memos": {"floor": MEMO_LIMIT, "ceiling": MEMO_LIMIT, "resizes": 0, "tracked": 0},
             "decisions": list(self.decisions),
         }

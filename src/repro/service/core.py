@@ -395,9 +395,7 @@ class ValidationService:
         compile-cache namespace of :func:`repro.stats`; ``patterns`` maps
         recently served patterns to their
         :meth:`~repro.api.Pattern.stats`; ``validators`` maps memoized
-        wire schemas to their ``stats()`` aggregates; ``shared_rows``
-        counted rows interned across runtimes, a registry that no longer
-        exists, and reads 0; ``kernel`` is
+        wire schemas to their ``stats()`` aggregates; ``kernel`` is
         :func:`repro.matching.kernel.stats` (batch-kernel programs
         built, kernel-path vs fallback word counts and the scan loop's
         name); ``snapshot`` is the snapshot namespace of
@@ -418,7 +416,6 @@ class ValidationService:
             "pattern_cache": cache.compile_cache_stats(),
             "patterns": patterns,
             "validators": validators,
-            "shared_rows": 0,
             "kernel": kernel.stats(),
             "snapshot": cache.snapshot_stats(),
         }

@@ -126,6 +126,32 @@ class Violation:
         return payload
 
 
+def _diagnosed_violation(
+    element: Element, children: Sequence[str], subject: str, diagnosis, path: str
+) -> Violation:
+    """The located ``content`` violation of a child sequence that failed.
+
+    *subject* names what the sequence failed (``content model …`` for a
+    DTD, ``particle …`` for an XSD); *diagnosis* is its replay
+    (:func:`repro.diagnostics.diagnose`), which the message, the
+    offending child's index and the expected tags are read from.
+    """
+    index = diagnosis.error_index
+    if index is not None and index < len(children):
+        detail = f"unexpected child <{children[index]}> at index {index}"
+    else:
+        detail = f"content ended too early after {len(children)} child(ren)"
+    wanted = describe_expected(diagnosis.expected, diagnosis.can_end)
+    return Violation(
+        element,
+        "content",
+        f"children {list(children)!r} do not match {subject}: {detail}; expected {wanted}",
+        path=path,
+        child_index=index,
+        expected=diagnosis.expected,
+    )
+
+
 class DTDValidator:
     """Validate documents against a DTD using the paper's matchers."""
 
@@ -199,16 +225,6 @@ class DTDValidator:
         root = document.root if isinstance(document, Document) else document
         return _walk(root, self._check)
 
-    def validate_many(self, documents: Sequence[Document | Element]) -> list[ValidationResult]:
-        """Validate a corpus of documents; one :class:`ValidationResult` each.
-
-        The batch front door the validation service fans out over its
-        worker threads: every document replays the same warm per-model
-        runtimes, so the per-document cost after the first is pure
-        transition replay.
-        """
-        return [self.validate(document) for document in documents]
-
     def is_valid(self, document: Document | Element) -> bool:
         """True when the document has no violations."""
         return self.validate(document).valid
@@ -261,26 +277,14 @@ class DTDValidator:
         Runs only on elements that already failed, so the replay cost is
         proportional to the number of *errors*, never to document size.
         """
-        message = f"children {children!r} do not match content model {model.describe()}"
+        subject = f"content model {model.describe()}"
         pattern = self._patterns.get(element.name)
         if pattern is None:
             # EMPTY / (#PCDATA)-only models: any child at all is the error.
+            message = f"children {children!r} do not match {subject}"
             return Violation(element, "content", message, path=path, child_index=0)
         diagnosis = diagnose(pattern, list(children))
-        index = diagnosis.error_index
-        if index is not None and index < len(children):
-            detail = f"unexpected child <{children[index]}> at index {index}"
-        else:
-            detail = f"content ended too early after {len(children)} child(ren)"
-        wanted = describe_expected(diagnosis.expected, diagnosis.can_end)
-        return Violation(
-            element,
-            "content",
-            f"{message}: {detail}; expected {wanted}",
-            path=path,
-            child_index=index,
-            expected=diagnosis.expected,
-        )
+        return _diagnosed_violation(element, children, subject, diagnosis, path)
 
     def stats(self) -> dict[str, dict]:
         """Lazy-DFA materialization telemetry, one entry per content model.

@@ -55,8 +55,7 @@ from ..matching.plan import PLANNER
 from ..matching.runtime import aggregate_stats
 from ..regex.ast import Regex, Repeat, Sym, concat, union
 from .document import Element
-from .dtd import describe_expected
-from .validator import Violation, _walk
+from .validator import Violation, _diagnosed_violation, _walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports nothing from here)
     from ..api import Pattern
@@ -317,25 +316,10 @@ class XSDSchema:
         # `compiled` flag was flipped keeps working.
         if plan is None or plan.accepts_children(child_names):
             return ()
-        particle = self.types[name]
         target = element if element is not None else Element(name)
-        message = f"children {list(child_names)!r} do not match particle {particle.describe()}"
+        subject = f"particle {self.types[name].describe()}"
         diagnosis = diagnose(self._pattern_for(name), list(child_names))
-        index = diagnosis.error_index
-        if index is not None and index < len(child_names):
-            detail = f"unexpected child <{child_names[index]}> at index {index}"
-        else:
-            detail = f"content ended too early after {len(child_names)} child(ren)"
-        wanted = describe_expected(diagnosis.expected, diagnosis.can_end)
-        violation = Violation(
-            target,
-            "content",
-            f"{message}: {detail}; expected {wanted}",
-            path=locate(),
-            child_index=index,
-            expected=diagnosis.expected,
-        )
-        return (violation,)
+        return (_diagnosed_violation(target, child_names, subject, diagnosis, locate()),)
 
     def validate_element(self, element: Element) -> ValidationResult:
         """Validate *element* and every descendant; collects every located violation.
@@ -387,16 +371,6 @@ class XSDSchema:
 
                     patterns[name] = compile_pattern(particle.to_regex())
             return patterns[name]
-
-    def _matcher_for(self, name: str):
-        """The matcher of *name*'s content model (memoized; ``None`` if undeclared).
-
-        Kept as the pre-runtime surface: callers holding a schema can still
-        grab the direct matcher, and the regression tests pin down that
-        repeated calls return the *same* object instead of rebuilding.
-        """
-        pattern = self._pattern_for(name)
-        return None if pattern is None else pattern.matcher
 
     # -- telemetry -------------------------------------------------------------------------------
     def stats(self) -> dict[str, dict]:

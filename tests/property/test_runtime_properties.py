@@ -105,7 +105,7 @@ def test_dense_rows_preserve_verdicts(seed: int, leaf_count: int):
         assert matcher.accepts(word) == expected, word
         assert adopter.accepts(word) == expected, word
     stats = adopter.stats()
-    assert stats["dense_rows"] == stats["adopted_rows"] == stats["states_visited"]
+    assert stats["adopted_rows"] == stats["states_visited"]
     # completed rows are total: the corpus never reaches the matcher
     assert stats["misses"] == stats["transitions_memoized"] == 0
 

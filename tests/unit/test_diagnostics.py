@@ -2,8 +2,8 @@
 
 Covers the :class:`~repro.diagnostics.MatchResult` /
 :class:`~repro.diagnostics.ValidationResult` surfaces (bool back-compat,
-lazy diagnosis, wire shapes), the witness traces recorded by
-``TracedRun`` / ``TraceRecorder``, the repair ranking, the consolidated
+lazy diagnosis, wire shapes), the witness a diagnostic replay records,
+the repair ranking, the consolidated
 ``repro.stats()`` namespace, and the
 expected-next enrichment of validator violations and ``LexError``.
 """
@@ -13,14 +13,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.diagnostics import (
-    MatchResult,
-    Repair,
-    TraceRecorder,
-    ValidationResult,
-    complete_from_trace,
-    diagnose,
-)
+from repro.diagnostics import MatchResult, Repair, ValidationResult, diagnose
 from repro.errors import DiagnosticsError, LexError, ReproError
 from repro.lexer import Lexer
 from repro.matching.kernel import MIN_BATCH
@@ -161,42 +154,18 @@ class TestMatchAllDetail:
 
 
 class TestWitnessRecording:
-    def test_traced_run_records_the_state_path(self):
-        runtime = repro.compile(EXPR).runtime
-        run = runtime.start(trace=True)
-        assert run.feed_all(["a", "b", "b", "a"])
-        assert run.trace[0] == runtime._start_state
-        assert len(run.trace) == 5
-        assert run.is_accepting()
-
-    def test_traced_run_stops_recording_at_death(self):
-        runtime = repro.compile(EXPR).runtime
-        run = runtime.start(trace=True)
-        assert not run.feed_all(["a", "a"])
-        assert len(run.trace) == 2  # start + the consumed 'a'
-
-    def test_trace_recorder_matches_accepts_encoded(self):
-        runtime = repro.compile(EXPR).runtime
-        recorder = TraceRecorder(runtime)
-        for word in (["a", "b", "b", "a"], ["a", "b", "b"], ["b", "a"]):
-            codes = runtime.encode(word)
-            assert recorder(codes) == runtime.accepts_encoded(codes)
-            verdict, trace = recorder.traces[tuple(codes)]
-            assert trace[0] == runtime._start_state
-
-    def test_complete_from_trace_matches_fresh_diagnosis(self):
+    @pytest.mark.parametrize("word", ["abba", "abb", "abz", "", "bba"])
+    def test_the_witness_is_the_run_s_state_path(self, word):
+        """A deterministic run is its own witness: the replay's trace is the
+        state a streaming run reaches after each symbol, up to where it dies."""
         pattern = repro.compile(EXPR)
-        runtime = pattern.runtime
-        recorder = TraceRecorder(runtime)
-        word = ["a", "b", "b"]
-        verdict = recorder(runtime.encode(word))
-        _, trace = recorder.traces[tuple(runtime.encode(word))]
-        finished = complete_from_trace(pattern, word, verdict, trace)
-        fresh = diagnose(pattern, word)
-        assert finished.matched == fresh.matched
-        assert finished.error_index == fresh.error_index
-        assert finished.expected == fresh.expected
-        assert finished.repairs == fresh.repairs
+        run = pattern.runtime.start()
+        states = [run.state]
+        for symbol in word:
+            if not run.feed(symbol):
+                break
+            states.append(run.state)
+        assert pattern.match(word).trace == tuple(states)
 
     def test_diagnose_expect_guard(self):
         pattern = repro.compile(EXPR)

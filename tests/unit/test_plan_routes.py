@@ -94,55 +94,61 @@ class TestRouteMatrix:
     def test_full_batch_diagnoses_each_distinct_word_once(
         self, monkeypatch, label, build, compiled, route
     ):
-        """A full-detail batch builds one result per distinct word, shared by
-        its repeats; a cold batch completes each replayed word's trace once."""
+        """A full-detail batch builds one result per distinct word, shared by its repeats."""
         if route == "compiled-runtime":
             monkeypatch.setattr(kernel, "TABLE_LIMIT", 1)
         pattern = repro.Pattern(build(), compiled=compiled)
         assert pattern.plan.route == route
-        completed = []
-        complete = repro.diagnostics.complete_from_trace
-        monkeypatch.setattr(
-            repro.diagnostics,
-            "complete_from_trace",
-            lambda *args: completed.append(args[1]) or complete(*args),
-        )
-        results = pattern.match_all(WORDS, detail="full")  # cold: replays seed the traces
         half = len(set(WORDS))
-        assert all(results[i] is results[i + half] for i in range(half))
-        seeded = route not in ("per-word", "compiled-runtime")
-        assert len(completed) == (half if seeded else 0)
-        for result, word in zip(results, WORDS):
-            single = pattern.match(word)
-            assert bool(result) == bool(single)
-            assert result.error_index == single.error_index
+        for _ in range(2):  # cold, then warm
+            results = pattern.match_all(WORDS, detail="full")
+            assert all(results[i] is results[i + half] for i in range(half))
+            assert len({id(result) for result in results}) == half
+            for result, word in zip(results, WORDS):
+                single = pattern.match(word)
+                assert bool(result) == bool(single)
+                assert result.error_index == single.error_index
 
     @pytest.mark.parametrize(
         ("label", "build", "compiled", "route"),
-        ROUTE_MATRIX,
-        ids=[row[0] for row in ROUTE_MATRIX],
+        [row for row in ROUTE_MATRIX if row[2]]
+        + [("oversized", lambda: "(ab+b(b?)a)*", True, "compiled-runtime")],
+        ids=[row[0] for row in ROUTE_MATRIX if row[2]] + ["oversized"],
     )
-    def test_scan_program_is_the_batch_program(self, label, build, compiled, route):
-        """A compiled route scans on its one batch program; per-word scans nothing."""
+    def test_full_results_start_undiagnosed_and_diagnose_like_match(
+        self, monkeypatch, label, build, compiled, route
+    ):
+        """Cold or warm, a full batch replays nothing up front; each result's
+        diagnosis, once read, is the one ``pattern.match(word)`` gives."""
+        if route == "compiled-runtime":
+            monkeypatch.setattr(kernel, "TABLE_LIMIT", 1)
         pattern = repro.Pattern(build(), compiled=compiled)
-        if route == "per-word":
-            with pytest.raises(NotImplementedError):
-                pattern.plan.scan_program()
-            return
-        for _ in range(2):  # cold, then warm: the batch builds the program
-            pattern.match_all(WORDS)
-        program, accepting = pattern.plan.scan_program()
-        runtime = pattern.runtime
-        assert program is runtime.export_kernel_program()
-        assert pattern.stats()["kernel_programs"] == 1
-        assert accepting == [
-            state for state in range(program.states) if runtime.state_accepts(state)
-        ]
+        assert pattern.plan.route == route
+
+        def fields(diagnosis):
+            return (
+                diagnosis.matched,
+                diagnosis.trace,
+                diagnosis.error_index,
+                diagnosis.reason,
+                diagnosis.expected,
+                diagnosis.can_end,
+                diagnosis.last_accepting,
+                diagnosis.repairs,
+            )
+
+        for batch in ("cold", "warm"):
+            results = pattern.match_all(WORDS, detail="full")
+            assert all(result._diagnosis is None for result in results), batch
+            for result, word in zip(results, WORDS):
+                assert fields(result.diagnosis) == fields(pattern.match(word).diagnosis), (
+                    batch,
+                    word,
+                )
 
     def test_lexer_union_routes_through_the_kernel_plan(self):
         lexer = Lexer([("AB", "ab(ab)*"), ("C", "cc*")])
         assert lexer.pattern.plan.route == "compiled-kernel"
-        assert lexer._plan is lexer.pattern.plan
         assert [t.tag for t in lexer.tokens("ababcc")] == ["AB", "C"]
 
     def test_oversized_machine_routes_to_runtime(self, monkeypatch):

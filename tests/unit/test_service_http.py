@@ -210,7 +210,7 @@ class TestPlumbing:
         status, body = _get(server_port, "/stats")
         assert status == 200
         assert {
-            "service", "requests", "pattern_cache", "patterns", "validators", "shared_rows"
+            "service", "requests", "pattern_cache", "patterns", "validators", "kernel", "snapshot"
         } <= set(body)
         requests = body["requests"]
         assert requests["total"] >= 1
@@ -313,6 +313,88 @@ class TestPlumbing:
         for thread in threads:
             thread.join()
         assert not failures, failures[0]
+
+
+#: Keys that read a constant (0, "pure" or false) and left every surface.
+REMOVED_KEYS = {
+    "requested",
+    "native_available",
+    "shared_rows",
+    "dense_rows",
+    "tables_saved",
+    "tables_loaded",
+    "table_entries_loaded",
+    "star_free_entries",
+    "star_free_patterns",
+    "format_v1",
+    "format_v2",
+}
+
+
+def _keys(value) -> set:
+    """Every dict key anywhere inside *value* (dicts and lists, recursively)."""
+    found: set = set()
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            found.update(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+    return found
+
+
+class TestRemovedKeys:
+    def test_no_surface_carries_a_removed_key(self, tmp_path, front_in_background):
+        """``GET /stats``, every in-process stats call, the autosizer block and
+        the save/load/URL-load reports carry none of the removed keys."""
+        from repro.service.autosize import Autosizer
+
+        repro.purge()
+        path = tmp_path / "state.snapshot"
+        service = ValidationService(workers=2)
+        sizer = Autosizer(service, interval=3600)
+        try:
+            with front_in_background(service, snapshot_source=str(path)) as front:
+                port = front.address()[1]
+                words = ["abba", "bb", "ab", "abab", "bba", "", "abz", "ba"]
+                payload = {"pattern": "(ab+b(b?)a)*", "words": words}
+                for _ in range(2):  # cold, then warm: the program is built
+                    assert _post(port, "/match", payload)[0] == 200
+                documents = ["<a><b/></a>", "<a><c/></a>"]
+                assert _post(port, "/validate", {"dtd": DTD_TEXT, "documents": documents})[0] == 200
+                sizer.sample()
+                save = repro.save_snapshot(str(path))
+                status, stats = _get(port, "/stats")
+                assert status == 200
+                pattern = repro.compile("(ab+b(b?)a)*")
+                reports = {
+                    "save": save,
+                    "load": repro.load_snapshot(str(path)),
+                    "url": repro.load_snapshot(f"http://127.0.0.1:{port}/snapshot"),
+                    "failed-url": repro.load_snapshot("http://127.0.0.1:9/snapshot"),
+                }
+        finally:
+            service.close()
+            repro.purge()
+        assert stats["patterns"] and stats["validators"] and stats["autosize"]["ticks"] == 1
+        assert reports["url"]["rejected"] == 0 and reports["failed-url"]["rejected"] == 1
+        surfaces = {
+            "GET /stats": stats,
+            "repro.stats()": repro.stats(),
+            "Pattern.stats()": pattern.stats(),
+            "CompiledRuntime.stats()": pattern.runtime.stats(),
+            "autosize": sizer.stats(),
+            **reports,
+        }
+        for name, surface in surfaces.items():
+            assert not _keys(surface) & REMOVED_KEYS, (name, _keys(surface) & REMOVED_KEYS)
+        # Two names left only one surface each: the save report's
+        # "decisions" (the autosizer keeps its decision log) and the
+        # autosizer's "memos" (validators keep their memo stats).
+        assert "decisions" not in save
+        assert "memos" not in sizer.stats() and "memos" not in stats["autosize"]
 
 
 class TestCommandLine:

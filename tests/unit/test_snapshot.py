@@ -112,6 +112,48 @@ class TestRoundTrip:
         assert saved["patterns"] == 0
         assert saved["skipped"] == 1
 
+    def test_a_rows_entry_holds_fingerprint_meta_and_row_refs_only(self, tmp_path):
+        """Decoding the ROWS section by hand finds the pool, then per entry its
+        fingerprint, meta and (state, pool index) refs, and no other byte."""
+        import struct
+
+        path = tmp_path / "rows.snapshot"
+        saved = _warm_and_save(path)
+        pattern = repro.compile(EXPR)
+        visited = sorted(pattern.runtime.export_rows()["rows"])
+        rows = next(
+            s for s in snapshot_format.describe_file(path)["sections"] if s["tag"] == "ROWS"
+        )
+        data = path.read_bytes()[rows["offset"] : rows["offset"] + rows["length"]]
+        at = 0
+
+        def u32():
+            nonlocal at
+            (value,) = struct.unpack_from("<I", data, at)
+            at += 4
+            return value
+
+        pool = u32()
+        for _ in range(pool):
+            ints = u32()
+            at += ints * snapshot_format.ITEMSIZE
+        assert pool == saved["pool_rows"]
+        assert u32() == 1  # one pattern
+        fingerprint = data[at : at + 32]
+        at += 32
+        length = u32()
+        meta = json.loads(data[at : at + length])
+        at += length + (-(4 + length)) % 4
+        assert meta == cache.snapshot_meta((EXPR, "paper", "auto", True), pattern)
+        assert fingerprint == snapshot_format.pattern_fingerprint(meta)
+        refs = [(u32(), u32()) for _ in range(u32())]
+        assert [state for state, _index in refs] == visited
+        assert all(index < pool for _state, index in refs)
+        assert at == len(data), "bytes left over after the row refs"
+
+        repro.save_snapshot(str(tmp_path / "again.snapshot"))
+        assert (tmp_path / "again.snapshot").read_bytes() == path.read_bytes()
+
     def test_write_is_atomic_no_temp_residue(self, tmp_path):
         _warm_and_save(tmp_path / "rows.snapshot")
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != "rows.snapshot"]
@@ -183,7 +225,6 @@ class TestCorruption:
                 {
                     "fingerprint": snapshot_format.pattern_fingerprint(meta),
                     "meta": meta,
-                    "accepts": export["accepts"],
                     "rows": bad_rows,
                 }
             ],
@@ -208,7 +249,6 @@ class TestCorruption:
                 {
                     "fingerprint": snapshot_format.pattern_fingerprint(stale),
                     "meta": stale,
-                    "accepts": export["accepts"],
                     "rows": export["rows"],
                 }
             ],
@@ -252,32 +292,6 @@ class TestAdoptRows:
         with pytest.raises(SnapshotError) as excinfo:
             runtime.adopt_rows({0: [999, -7]})
         assert excinfo.value.reason == "row-bounds"
-
-    def test_acceptance_bytes_are_not_read(self, tmp_path):
-        """Acceptance comes off the parse tree, so a file's accept bytes never matter."""
-        pattern = repro.compile(EXPR)
-        for word in WORDS:
-            pattern.match(word)
-        meta = cache.snapshot_meta((EXPR, "paper", "auto", True), pattern)
-        export = pattern.runtime.export_rows()
-        path = tmp_path / "rows.snapshot"
-        snapshot_format.write(
-            path,
-            [
-                {
-                    "fingerprint": snapshot_format.pattern_fingerprint(meta),
-                    "meta": meta,
-                    "accepts": b"\x07",  # neither the right length nor a valid byte
-                    "rows": export["rows"],
-                }
-            ],
-        )
-        repro.purge()
-        report = repro.load_snapshot(str(path))
-        assert report["rejected"] == 0 and report["patterns_loaded"] == 1, report
-        adopted = repro.compile(EXPR)
-        assert [adopted.match(word) for word in WORDS] == _oracle()
-        assert adopted.runtime.stats()["misses"] == 0
 
     def test_partial_validation_failure_mutates_nothing(self):
         runtime = self._runtime()
