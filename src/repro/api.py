@@ -144,7 +144,7 @@ class Pattern:
         self.tree: ParseTree = build_parse_tree(expr)
         #: verdict of the paper's linear-time test on the normalised (star-only) tree
         self.tree_report: DeterminismReport = check_deterministic(self.tree)
-        self._needs_native_semantics = _uses_extended_operators(expr)
+        self._needs_native_semantics = self.tree.extended_operators
         if self._needs_native_semantics:
             self.report: DeterminismReport | NumericDeterminismReport = (
                 check_deterministic_numeric(expr)

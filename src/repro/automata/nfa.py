@@ -34,11 +34,9 @@ class ThompsonNFA:
     def __init__(self, expr: Regex | str):
         if isinstance(expr, str):
             expr = parse(expr)
-        from ..regex.ast import ensure_recursion_capacity
-
-        ensure_recursion_capacity(expr, multiplier=3)
         # Normalising first keeps the state count linear in the number of
         # positions (numeric repetitions are expanded like everywhere else).
+        # The pass also raises the recursion limit that _build relies on.
         self.expr = normalize(expr, expand_numeric=True)
         self._symbol_edges: list[dict[str, list[int]]] = []
         self._epsilon_edges: list[list[int]] = []

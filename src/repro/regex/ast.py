@@ -328,16 +328,17 @@ def repeat(expr: Regex, low: int, high: Opt[int] = UNBOUNDED) -> Repeat:
     return Repeat(expr, low, high)
 
 
-def ensure_recursion_capacity(expr: "Regex", multiplier: int = 2, slack: int = 200) -> None:
-    """Raise the interpreter recursion limit to accommodate *expr*.
+def ensure_recursion_capacity(size: int, multiplier: int = 2, slack: int = 200) -> None:
+    """Raise the interpreter recursion limit for an expression of *size* nodes.
 
-    Several front-end passes (normalisation, parse-tree conversion, word
-    sampling, Thompson construction) recurse over the AST, whose depth is
-    bounded by its size; content models with hundreds of factors otherwise
-    hit CPython's default limit.  The limit is only ever increased.
+    The front end (parser, normaliser, parse-tree build) recurses nowhere,
+    but the printer, AST equality and hashing, Thompson construction and
+    word sampling still recurse over the AST, whose depth is bounded by
+    its size.  The normalising pass calls this with the number of nodes it
+    visited.  The limit is only ever increased.
     """
     import sys
 
-    needed = expr.size() * multiplier + slack
+    needed = size * multiplier + slack
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)

@@ -29,23 +29,12 @@ paper (positions subscripted left to right) corresponds to
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import InvalidExpressionError
-from .alphabet import Alphabet, END_SENTINEL, START_SENTINEL, SENTINELS
-from .ast import (
-    Concat,
-    ensure_recursion_capacity,
-    Epsilon,
-    Optional as OptionalNode,
-    Plus,
-    Regex,
-    Repeat,
-    Star,
-    Sym,
-    Union,
-)
-from .normalize import normalize
+from .alphabet import Alphabet, END_SENTINEL, START_SENTINEL
+from .ast import Concat, Epsilon, Optional as OptionalNode, Regex, Star, Sym, Union
+from .normalize import normalize_for_tree
 from .parser import parse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -181,6 +170,10 @@ class ParseTree:
         The user symbols (sentinels excluded) with dense integer codes.
     source:
         The normalised AST the tree was built from (without sentinels).
+    extended_operators:
+        True when the expression the tree was built from used ``+`` or
+        ``{i,j}``, whose native semantics the rewriting to ``E E*`` and
+        copies does not keep (see :class:`repro.api.Pattern`).
     follow:
         The tree's :class:`~repro.core.follow.FollowIndex`, built on first
         use and shared by the determinism test and every matcher.
@@ -195,6 +188,7 @@ class ParseTree:
         "end",
         "alphabet",
         "source",
+        "extended_operators",
         "_positions_by_symbol",
         "_follow",
     )
@@ -207,6 +201,7 @@ class ParseTree:
         positions: list[TreeNode],
         alphabet: Alphabet,
         source: Regex,
+        extended_operators: bool,
     ):
         self.root = root
         self.inner_root = inner_root
@@ -216,6 +211,7 @@ class ParseTree:
         self.end = positions[-1]
         self.alphabet = alphabet
         self.source = source
+        self.extended_operators = extended_operators
         self._positions_by_symbol: dict[str, list[TreeNode]] | None = None
         self._follow: FollowIndex | None = None
 
@@ -311,143 +307,103 @@ def build_parse_tree(expr: Regex | str, dialect: str = "paper") -> ParseTree:
     *expr* may be an AST or a textual expression (parsed with *dialect*).
     Numeric repetitions are expanded (see :mod:`repro.regex.normalize`);
     use :mod:`repro.core.numeric` for counter-aware determinism checking.
+
+    One pre-order pass with an explicit stack makes every node and sets
+    all of its annotations at once: the normalising pass already knows
+    each subexpression's nullability and size, so a node's post number
+    (``pre + 2 * size - 1``) and its SupFirst/SupLast flags need nothing
+    below it, and its pointers need only its parent's.
     """
     if isinstance(expr, str):
         expr = parse(expr, dialect=dialect)
-    _reject_sentinel_symbols(expr)
-    ensure_recursion_capacity(expr, multiplier=3)
-    normalised = normalize(expr, expand_numeric=True)
+    normalised, facts, extended = normalize_for_tree(expr)
 
-    start_leaf = TreeNode(NodeKind.SYMBOL, START_SENTINEL)
-    end_leaf = TreeNode(NodeKind.SYMBOL, END_SENTINEL)
-
+    start, end = Sym(START_SENTINEL), Sym(END_SENTINEL)
     if isinstance(normalised, Epsilon):
-        inner: TreeNode | None = None
-        left_part: TreeNode = start_leaf
+        head: Regex = start
+        size = 3
     else:
-        inner = _convert(normalised)
-        left_part = _make_internal(NodeKind.CONCAT, start_leaf, inner)
-    root = _make_internal(NodeKind.CONCAT, left_part, end_leaf)
+        head = Concat(start, normalised)
+        size = 4 + (1 if type(normalised) is Sym else facts[id(normalised)][1])
+        facts[id(head)] = (False, size - 2)
+    wrapped = Concat(head, end)
+    facts[id(wrapped)] = (False, size)
 
-    nodes, positions = _number(root)
-    alphabet = Alphabet(
-        position.symbol for position in positions if position.symbol not in SENTINELS
-    ).freeze()
-    _annotate_nullable(nodes)
-    _annotate_pointers(root, nodes)
-    return ParseTree(root, inner, nodes, positions, alphabet, normalised)
+    nodes: list[TreeNode] = []
+    positions: list[TreeNode] = []
+    new_node = TreeNode.__new__
+    symbol_kind, concat_kind, optional_kind = NodeKind.SYMBOL, NodeKind.CONCAT, NodeKind.OPTIONAL
+    # (AST node, parent tree node, SupFirst, SupLast); the left child is
+    # pushed last so that nodes are made, and numbered, in pre-order.
+    stack: list[tuple[Regex, TreeNode | None, bool, bool]] = [(wrapped, None, False, False)]
+    while stack:
+        ast, parent, sup_first, sup_last = stack.pop()
+        node = new_node(TreeNode)
+        index = len(nodes)
+        nodes.append(node)
+        node.parent = parent
+        node.left = node.right = None
+        node.index = index
+        if parent is None:
+            depth = 0
+            p_sup_first = p_sup_last = p_star = None
+        else:
+            depth = parent.depth + 1
+            p_sup_first, p_sup_last, p_star = parent.p_sup_first, parent.p_sup_last, parent.p_star
+            if parent.left is None:
+                parent.left = node
+            else:
+                parent.right = node
+        node.depth = depth
+        # The walk entered `index` nodes before this one and left all but
+        # its `depth` ancestors; pre/post count entries and exits together.
+        node.pre = pre = 2 * index - depth
+        node.sup_first = sup_first
+        node.sup_last = sup_last
+        node.p_sup_first = node if sup_first else p_sup_first
+        node.p_sup_last = node if sup_last else p_sup_last
+        cls = type(ast)
+        if cls is Sym:
+            node.kind = symbol_kind
+            node.symbol = ast.symbol
+            node.position_index = len(positions)
+            positions.append(node)
+            node.post = pre + 1
+            node.nullable = False
+            node.p_star = p_star
+            continue
+        node.kind = kind = _KINDS[cls]
+        node.symbol = None
+        node.position_index = -1
+        node.nullable, size = facts[id(ast)]
+        node.post = pre + 2 * size - 1
+        if kind is concat_kind:
+            node.p_star = p_star
+            left, right = ast.left, ast.right
+            stack.append((right, node, type(left) is Sym or not facts[id(left)][0], False))
+            stack.append((left, node, False, type(right) is Sym or not facts[id(right)][0]))
+        elif cls is Union:
+            node.p_star = p_star
+            stack.append((ast.right, node, False, False))
+            stack.append((ast.left, node, False, False))
+        else:
+            node.p_star = p_star if kind is optional_kind else node
+            stack.append((ast.child, node, False, False))
+
+    inner = None if isinstance(normalised, Epsilon) else nodes[3]
+    alphabet = Alphabet(dict.fromkeys(position.symbol for position in positions[1:-1])).freeze()
+    return ParseTree(nodes[0], inner, nodes, positions, alphabet, normalised, extended)
+
+
+#: Tree label of each internal node class of a normalised AST.
+_KINDS = {
+    Concat: NodeKind.CONCAT,
+    Union: NodeKind.UNION,
+    Star: NodeKind.STAR,
+    OptionalNode: NodeKind.OPTIONAL,
+}
 
 
 def tree_from_text(text: str, dialect: str = "paper") -> ParseTree:
     """Convenience wrapper: parse *text* and build its parse tree."""
     return build_parse_tree(parse(text, dialect=dialect))
-
-
-def _reject_sentinel_symbols(expr: Regex) -> None:
-    used = expr.symbols() & set(SENTINELS)
-    if used:
-        raise InvalidExpressionError(
-            f"symbols {sorted(used)!r} are reserved for the R1 sentinels"
-        )
-
-
-def _convert(expr: Regex) -> TreeNode:
-    """Recursively convert a normalised AST into fresh tree nodes."""
-    if isinstance(expr, Sym):
-        return TreeNode(NodeKind.SYMBOL, expr.symbol)
-    if isinstance(expr, Concat):
-        return _make_internal(NodeKind.CONCAT, _convert(expr.left), _convert(expr.right))
-    if isinstance(expr, Union):
-        return _make_internal(NodeKind.UNION, _convert(expr.left), _convert(expr.right))
-    if isinstance(expr, Star):
-        return _make_internal(NodeKind.STAR, _convert(expr.child), None)
-    if isinstance(expr, Plus):
-        return _make_internal(NodeKind.PLUS, _convert(expr.child), None)
-    if isinstance(expr, OptionalNode):
-        return _make_internal(NodeKind.OPTIONAL, _convert(expr.child), None)
-    if isinstance(expr, (Repeat, Epsilon)):
-        raise InvalidExpressionError(
-            f"{type(expr).__name__} nodes must be removed by normalisation before "
-            "building the parse tree"
-        )
-    raise TypeError(f"unknown AST node: {expr!r}")
-
-
-def _make_internal(kind: NodeKind, left: TreeNode, right: TreeNode | None) -> TreeNode:
-    node = TreeNode(kind)
-    node.left = left
-    node.right = right
-    left.parent = node
-    if right is not None:
-        right.parent = node
-    return node
-
-
-def _number(root: TreeNode) -> tuple[list[TreeNode], list[TreeNode]]:
-    """Assign pre/post numbers, depths and position indices in one traversal."""
-    nodes: list[TreeNode] = []
-    positions: list[TreeNode] = []
-    counter = 0
-    # Iterative pre/post traversal: (node, entering) pairs.
-    stack: list[tuple[TreeNode, bool]] = [(root, True)]
-    while stack:
-        node, entering = stack.pop()
-        if entering:
-            node.index = len(nodes)
-            node.pre = counter
-            counter += 1
-            node.depth = 0 if node.parent is None else node.parent.depth + 1
-            nodes.append(node)
-            if node.is_position:
-                node.position_index = len(positions)
-                positions.append(node)
-            stack.append((node, False))
-            if node.right is not None:
-                stack.append((node.right, True))
-            if node.left is not None:
-                stack.append((node.left, True))
-        else:
-            node.post = counter
-            counter += 1
-    return nodes, positions
-
-
-def _annotate_nullable(nodes: Sequence[TreeNode]) -> None:
-    """Syntax-directed nullability, computed bottom-up (reverse pre-order)."""
-    for node in reversed(nodes):
-        if node.kind is NodeKind.SYMBOL:
-            node.nullable = False
-        elif node.kind is NodeKind.CONCAT:
-            node.nullable = node.left.nullable and node.right.nullable
-        elif node.kind is NodeKind.UNION:
-            node.nullable = node.left.nullable or node.right.nullable
-        elif node.kind is NodeKind.STAR or node.kind is NodeKind.OPTIONAL:
-            node.nullable = True
-        elif node.kind is NodeKind.PLUS:
-            node.nullable = node.left.nullable
-        else:  # pragma: no cover - enum is exhaustive
-            raise InvalidExpressionError(f"unexpected node kind {node.kind}")
-
-
-def _annotate_pointers(root: TreeNode, nodes: Sequence[TreeNode]) -> None:
-    """Compute SupFirst/SupLast flags and the pSupFirst/pSupLast/pStar pointers.
-
-    Nodes are visited in pre-order so every node's parent is already fully
-    annotated, making each pointer a constant-time combination of the
-    parent's pointer and the node's own flag (lowest *reflexive* ancestor
-    with the property, ``None`` when there is none).
-    """
-    for node in nodes:
-        parent = node.parent
-        if parent is not None and parent.kind is NodeKind.CONCAT:
-            if node is parent.right:
-                node.sup_first = not parent.left.nullable
-            if node is parent.left:
-                node.sup_last = not parent.right.nullable
-
-        inherited_first = parent.p_sup_first if parent is not None else None
-        inherited_last = parent.p_sup_last if parent is not None else None
-        inherited_star = parent.p_star if parent is not None else None
-        node.p_sup_first = node if node.sup_first else inherited_first
-        node.p_sup_last = node if node.sup_last else inherited_last
-        node.p_star = node if node.is_iteration else inherited_star

@@ -22,7 +22,7 @@ positions introduced by restriction (R1); see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Sequence
 
 from ..errors import InvalidWordError, RegexSyntaxError
@@ -44,20 +44,25 @@ _PAPER = "paper"
 _NAMED = "named"
 _DIALECTS = (_PAPER, _NAMED)
 
-# Characters with syntactic meaning in both dialects.
-_SPECIAL = set("()*?+|{},.")
+#: One match per token.  In the paper dialect every character that is not
+#: whitespace is a token (``\s`` accepts exactly what ``str.isspace`` does);
+#: in the named dialect a token is an identifier (XML names may contain
+#: colons and dashes after the first character) or one operator character.
+_TOKEN = {
+    _PAPER: re.compile(r"\S"),
+    _NAMED: re.compile(r"[A-Za-z0-9_][A-Za-z0-9_:-]*|\S"),
+}
+#: The first character a named-dialect token cannot start with: anything
+#: that is not whitespace, an operator or a name character, and a colon or
+#: dash that does not continue a name.
+_NAMED_STRAY = re.compile(r"[^\sA-Za-z0-9_:()*?+|{},.-]|(?<![A-Za-z0-9_:-])[:-]")
 
-# Characters allowed inside identifiers in the named dialect.  XML names may
-# contain dots, dashes and colons after the first character.
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
-_NAME_CONT = _NAME_START | set(":-")
-
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "symbol", "op", "end"
-    text: str
-    position: int
+#: Ends every token list; no token match is empty.
+_END = ""
+#: The tokens that are not symbols: the operator characters and the end.
+_NOT_SYMBOL = frozenset("()*?+|{},.") | {_END}
+_UNION = {_PAPER: frozenset("+|"), _NAMED: frozenset("|")}
+_POSTFIX = {_PAPER: frozenset("*?{"), _NAMED: frozenset("*?+{")}
 
 
 def parse(text: str, dialect: str = _PAPER) -> Regex:
@@ -65,13 +70,140 @@ def parse(text: str, dialect: str = _PAPER) -> Regex:
 
     Raises :class:`~repro.errors.RegexSyntaxError` on malformed input and
     when a reserved sentinel symbol (``#`` or ``$``) is used.
+
+    One regular expression splits the text into tokens, then an LL(1)
+    loop reads them with an explicit stack of open groups, so nesting
+    depth and expression length cost no interpreter stack.  Sequences
+    and unions fold to the right, as the printer writes them.
     """
     if dialect not in _DIALECTS:
         raise ValueError(f"unknown parser dialect: {dialect!r} (expected one of {_DIALECTS})")
-    parser = _Parser(text, dialect)
-    expr = parser.parse_expression()
-    parser.expect_end()
-    return expr
+    if dialect == _NAMED:
+        stray = _NAMED_STRAY.search(text)
+        if stray is not None:
+            raise RegexSyntaxError(
+                f"unexpected character {stray.group()!r}", text=text, position=stray.start()
+            )
+    tokens = _TOKEN[dialect].findall(text)
+    tokens.append(_END)
+    union_operators = _UNION[dialect]
+    postfix_operators = _POSTFIX[dialect]
+    # Per open group: the enclosing group's union operands and sequence
+    # items, and the index of the group's '('.
+    groups: list[tuple[list[Regex], list[Regex], int]] = []
+    alternatives: list[Regex] = []  # finished union operands of the innermost group
+    items: list[Regex] = []  # items of the sequence being read
+    index = 0
+    while True:
+        # An atom: a symbol, "()" or the opening of a group.
+        token = tokens[index]
+        if token not in _NOT_SYMBOL:
+            if token in SENTINELS:
+                message = f"symbol {token!r} is reserved for the R1 sentinels"
+                raise _error(message, text, dialect, index)
+            node: Regex = Sym(token)
+            index += 1
+        elif token == "(":
+            if tokens[index + 1] != ")":
+                groups.append((alternatives, items, index))
+                alternatives = []
+                items = []
+                index += 1
+                continue
+            node = Epsilon()
+            index += 2
+        else:
+            raise _error(f"unexpected {_shown(token)!r}", text, dialect, index)
+        while True:
+            # Postfix operators bind to the atom or the group just closed.
+            token = tokens[index]
+            while token in postfix_operators:
+                if token == "*":
+                    node = Star(node)
+                elif token == "?":
+                    node = Optional(node)
+                elif token == "+":
+                    node = Plus(node)
+                else:
+                    low, high, index = _bounds(tokens, index, text, dialect)
+                    node = Repeat(node, low, high)
+                index += 1
+                token = tokens[index]
+            items.append(node)
+            if token not in _NOT_SYMBOL or token == "(":
+                break
+            if token == ".":
+                index += 1
+                break
+            sequence = _fold(Concat, items)
+            if token in union_operators:
+                alternatives.append(sequence)
+                index += 1
+                break
+            alternatives.append(sequence)
+            expr = _fold(Union, alternatives)
+            if not groups:
+                if token == _END:
+                    return expr
+                raise _error(f"unexpected {token!r}", text, dialect, index)
+            if token != ")":
+                raise _error("expected ')'", text, dialect, groups[-1][2])
+            alternatives, items, _ = groups.pop()
+            node = expr
+            index += 1
+
+
+def _fold(node_class: type, parts: list[Regex]) -> Regex:
+    """Fold *parts* to the right with *node_class*, emptying the list."""
+    result = parts.pop()
+    while parts:
+        result = node_class(parts.pop(), result)
+    return result
+
+
+def _bounds(tokens: list[str], index: int, text: str, dialect: str) -> tuple[int, int | None, int]:
+    """Read ``{i}``, ``{i,}`` or ``{i,j}`` opening at *index*: (low, high, index of '}')."""
+    opening = index
+    low, index = _integer(tokens, index + 1, text, dialect)
+    if tokens[index] != ",":
+        high: int | None = low
+    elif tokens[index + 1] == "}":
+        high = UNBOUNDED
+        index += 1
+    else:
+        high, index = _integer(tokens, index + 1, text, dialect)
+    if tokens[index] != "}":
+        raise _error("expected '}' to close numeric repetition", text, dialect, opening)
+    return low, high, index
+
+
+def _integer(tokens: list[str], index: int, text: str, dialect: str) -> tuple[int, int]:
+    """Read a repetition bound at *index*: (value, index after it).
+
+    ``str.isdecimal`` accepts exactly the digits ``int`` reads.  In the
+    paper dialect every character is its own token, so a multi-digit
+    bound arrives as several consecutive digit tokens.
+    """
+    digits = tokens[index]
+    if not digits.isdecimal():
+        raise _error("expected an integer inside '{...}'", text, dialect, index)
+    index += 1
+    if dialect == _PAPER:
+        while tokens[index].isdecimal():
+            digits += tokens[index]
+            index += 1
+    return int(digits), index
+
+
+def _shown(token: str) -> str:
+    return "<end of input>" if token == _END else token
+
+
+def _error(message: str, text: str, dialect: str, index: int) -> RegexSyntaxError:
+    """The syntax error at token *index*, positioned by scanning the text again."""
+    offsets = [match.start() for match in _TOKEN[dialect].finditer(text)]
+    offsets.append(len(text))
+    return RegexSyntaxError(message, text=text, position=offsets[index])
 
 
 def parse_word(text: str | Sequence[str]) -> list[str]:
@@ -100,176 +232,3 @@ def parse_word(text: str | Sequence[str]) -> list[str]:
     if len(parts) > 1:
         return parts
     return list(parts[0])
-
-
-class _Parser:
-    """Recursive-descent parser shared by both dialects."""
-
-    def __init__(self, text: str, dialect: str):
-        self.text = text
-        self.dialect = dialect
-        self.tokens = list(_tokenize(text, dialect))
-        self.index = 0
-
-    # -- token helpers ------------------------------------------------------
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        if token.kind != "end":
-            self.index += 1
-        return token
-
-    def error(self, message: str, token: _Token | None = None) -> RegexSyntaxError:
-        token = token or self.peek()
-        return RegexSyntaxError(message, text=self.text, position=token.position)
-
-    def expect_end(self) -> None:
-        token = self.peek()
-        if token.kind != "end":
-            raise self.error(f"unexpected {token.text!r}")
-
-    # -- grammar ------------------------------------------------------------
-    def parse_expression(self) -> Regex:
-        """expr := seq (('+' | '|') seq)*  — folded to the right."""
-        left = self.parse_sequence()
-        token = self.peek()
-        if token.kind == "op" and self._is_union_operator(token.text):
-            self.advance()
-            right = self.parse_expression()
-            return Union(left, right)
-        return left
-
-    def _is_union_operator(self, text: str) -> bool:
-        if text == "|":
-            return True
-        return text == "+" and self.dialect == _PAPER
-
-    def parse_sequence(self) -> Regex:
-        """seq := item+  — folded to the right (matches the printer)."""
-        items = [self.parse_item()]
-        while True:
-            token = self.peek()
-            if token.kind == "symbol" or (token.kind == "op" and token.text == "("):
-                items.append(self.parse_item())
-                continue
-            if token.kind == "op" and token.text == ".":
-                self.advance()
-                items.append(self.parse_item())
-                continue
-            break
-        result = items[-1]
-        for item in reversed(items[:-1]):
-            result = Concat(item, result)
-        return result
-
-    def parse_item(self) -> Regex:
-        """item := atom postfix*"""
-        expr = self.parse_atom()
-        while True:
-            token = self.peek()
-            if token.kind != "op":
-                break
-            if token.text == "*":
-                self.advance()
-                expr = Star(expr)
-            elif token.text == "?":
-                self.advance()
-                expr = Optional(expr)
-            elif token.text == "+" and self.dialect == _NAMED:
-                self.advance()
-                expr = Plus(expr)
-            elif token.text == "{":
-                expr = self.parse_repeat(expr)
-            else:
-                break
-        return expr
-
-    def parse_repeat(self, expr: Regex) -> Regex:
-        """postfix := '{' int (',' int?)? '}'"""
-        opening = self.advance()  # consume '{'
-        low = self.parse_integer()
-        token = self.peek()
-        if token.kind == "op" and token.text == ",":
-            self.advance()
-            token = self.peek()
-            if token.kind == "op" and token.text == "}":
-                high: int | None = UNBOUNDED
-            else:
-                high = self.parse_integer()
-        else:
-            high = low
-        closing = self.peek()
-        if closing.kind != "op" or closing.text != "}":
-            raise self.error("expected '}' to close numeric repetition", opening)
-        self.advance()
-        return Repeat(expr, low, high)
-
-    def parse_integer(self) -> int:
-        token = self.peek()
-        if token.kind != "symbol" or not token.text.isdigit():
-            raise self.error("expected an integer inside '{...}'")
-        self.advance()
-        digits = token.text
-        # In the paper dialect every character is its own token, so a
-        # multi-digit bound arrives as several consecutive digit tokens.
-        while self.dialect == _PAPER:
-            nxt = self.peek()
-            if nxt.kind == "symbol" and nxt.text.isdigit():
-                digits += nxt.text
-                self.advance()
-            else:
-                break
-        return int(digits)
-
-    def parse_atom(self) -> Regex:
-        token = self.peek()
-        if token.kind == "symbol":
-            self.advance()
-            if token.text in SENTINELS:
-                raise self.error(
-                    f"symbol {token.text!r} is reserved for the R1 sentinels", token
-                )
-            return Sym(token.text)
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            inner = self.peek()
-            if inner.kind == "op" and inner.text == ")":
-                self.advance()
-                return Epsilon()
-            expr = self.parse_expression()
-            closing = self.peek()
-            if closing.kind != "op" or closing.text != ")":
-                raise self.error("expected ')'", token)
-            self.advance()
-            return expr
-        raise self.error(f"unexpected {token.text!r}")
-
-
-def _tokenize(text: str, dialect: str):
-    """Yield tokens for *text*, ending with a synthetic "end" token."""
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            index += 1
-            continue
-        if char in _SPECIAL:
-            yield _Token("op", char, index)
-            index += 1
-            continue
-        if dialect == _PAPER:
-            yield _Token("symbol", char, index)
-            index += 1
-            continue
-        # Named dialect: scan a full identifier.
-        if char not in _NAME_START:
-            raise RegexSyntaxError(f"unexpected character {char!r}", text=text, position=index)
-        start = index
-        index += 1
-        while index < length and text[index] in _NAME_CONT:
-            index += 1
-        yield _Token("symbol", text[start:index], start)
-    yield _Token("end", "<end of input>", length)

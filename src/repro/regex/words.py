@@ -56,7 +56,7 @@ def sample_member(
     """
     from .ast import ensure_recursion_capacity
 
-    ensure_recursion_capacity(expr)
+    ensure_recursion_capacity(expr.size())
     out: Word = []
     _sample_into(expr, rng, out, star_continue, max_star_repeats)
     return out

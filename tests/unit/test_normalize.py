@@ -23,6 +23,7 @@ from repro.regex.language import LanguageOracle
 from repro.regex.normalize import normalize
 from repro.regex.parse_tree import build_parse_tree
 from repro.regex.words import enumerate_members
+from reference_frontend import tree_of
 
 
 def same_language(left, right, max_length=6):
@@ -118,42 +119,10 @@ def build_parse_tree_keep(expr):
 
     Used only by the determinism-preservation test above: the set-based
     oracle handles native plus nodes correctly, which gives us the "true"
-    determinism of E+ to compare against the desugared form.
+    determinism of E+ to compare against the desugared form.  The tree
+    comes from the recursive reference build, which can skip the rewriting.
     """
-    from repro.regex import parse_tree as pt
-
-    start = pt.TreeNode(pt.NodeKind.SYMBOL, "#")
-    end = pt.TreeNode(pt.NodeKind.SYMBOL, "$")
-    inner = _convert_keep(expr)
-    left = pt._make_internal(pt.NodeKind.CONCAT, start, inner)
-    root = pt._make_internal(pt.NodeKind.CONCAT, left, end)
-    nodes, positions = pt._number(root)
-    alphabet = pt.Alphabet(p.symbol for p in positions if p.symbol not in ("#", "$"))
-    pt._annotate_nullable(nodes)
-    pt._annotate_pointers(root, nodes)
-    return pt.ParseTree(root, inner, nodes, positions, alphabet, expr)
-
-
-def _convert_keep(expr):
-    from repro.regex import parse_tree as pt
-
-    if isinstance(expr, Sym):
-        return pt.TreeNode(pt.NodeKind.SYMBOL, expr.symbol)
-    if isinstance(expr, Concat):
-        return pt._make_internal(
-            pt.NodeKind.CONCAT, _convert_keep(expr.left), _convert_keep(expr.right)
-        )
-    if isinstance(expr, Union):
-        return pt._make_internal(
-            pt.NodeKind.UNION, _convert_keep(expr.left), _convert_keep(expr.right)
-        )
-    if isinstance(expr, Star):
-        return pt._make_internal(pt.NodeKind.STAR, _convert_keep(expr.child), None)
-    if isinstance(expr, Plus):
-        return pt._make_internal(pt.NodeKind.PLUS, _convert_keep(expr.child), None)
-    if isinstance(expr, Optional):
-        return pt._make_internal(pt.NodeKind.OPTIONAL, _convert_keep(expr.child), None)
-    raise AssertionError(f"unexpected node {expr!r}")
+    return tree_of(expr)
 
 
 class TestNumericExpansion:

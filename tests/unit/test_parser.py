@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import RegexSyntaxError
+import repro
+from repro.errors import RegexSyntaxError, ReproError
 from repro.regex.ast import Concat, Epsilon, Optional, Plus, Repeat, Star, Sym, Union
 from repro.regex.parser import parse, parse_word
 
@@ -116,6 +117,29 @@ class TestErrors:
         with pytest.raises(RegexSyntaxError) as excinfo:
             parse("ab)")
         assert excinfo.value.position == 2
+
+    def test_bound_digits_are_decimal(self):
+        # '²' is a digit to str.isdigit but not a decimal int() can read
+        with pytest.raises(RegexSyntaxError) as excinfo:
+            parse("a{²}")
+        assert str(excinfo.value.args[0]) == "expected an integer inside '{...}'"
+        assert excinfo.value.position == 2
+        with pytest.raises(ReproError):
+            repro.compile("a{²}")
+        assert parse("a{1٣}") == Repeat(Sym("a"), 13, 13)
+
+    def test_named_dialect_rejects_stray_characters_first(self):
+        # the whole text is scanned before the first token is parsed
+        with pytest.raises(RegexSyntaxError) as excinfo:
+            parse("a ) b -c", dialect="named")
+        assert (excinfo.value.args[0], excinfo.value.position) == ("unexpected character '-'", 6)
+        assert parse("a-b:c- d", dialect="named") == Concat(Sym("a-b:c-"), Sym("d"))
+
+    def test_deep_nesting_needs_no_stack(self):
+        assert parse("(" * 100000 + "a" + ")" * 100000) == Sym("a")
+        with pytest.raises(RegexSyntaxError) as excinfo:
+            parse("(" * 100000 + "a" + ")" * 99999)
+        assert (excinfo.value.args[0], excinfo.value.position) == ("expected ')'", 0)
 
 
 class TestParseWord:

@@ -423,8 +423,16 @@ class TestCommandLine:
         assert "--front" not in completed.stdout
 
 
+def _nested_plus(depth: int) -> str:
+    """``((a+ b0)+ b1)+ …``: each level doubles the positions ``E+ → E E*`` makes."""
+    text = "a"
+    for level in range(depth):
+        text = f"({text}+ b{level})"
+    return text + "+"
+
+
 class TestPoisonRequests:
-    """Requests that overflow the interpreter stack still get a JSON reply.
+    """Requests that cost the server most still get a JSON reply.
 
     The server is its own process with stderr on a pipe the test never
     reads while it runs: one traceback per request written there would
@@ -445,20 +453,12 @@ class TestPoisonRequests:
         finally:
             connection.close()
 
-    def test_every_poison_request_gets_a_json_reply(self):
-        def ndjson(header: dict, *items) -> bytes:
-            return "\n".join(json.dumps(line) for line in (header, *items)).encode() + b"\n"
+    def _serve(self, requests: list[tuple[str, bytes, int]]) -> list[dict]:
+        """POST each (content type, body, status) to a fresh server; return the replies.
 
-        poison = [
-            ("application/json", json.dumps({"pattern": self.DEEP, "words": ["a"]}).encode()),
-            ("application/x-ndjson", ndjson({"pattern": self.DEEP}, "a")),
-            (
-                "application/json",
-                json.dumps({"pattern": self.WIDE, "dialect": "named", "words": [["n1"]]}).encode(),
-            ),
-            ("application/x-ndjson", ndjson({"pattern": "(ab)*", "dialect": 5}, "ab")),
-            ("application/json", json.dumps({"pattern": self.DEEP, "words": ["a"]}).encode()),
-        ]
+        Checks every status, that ``/healthz`` then answers within a
+        second, the request counters, and that stderr holds no traceback.
+        """
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         process = subprocess.Popen(
@@ -468,19 +468,22 @@ class TestPoisonRequests:
             text=True,
             env=env,
         )
+        replies = []
         try:
             line = process.stdout.readline()
             assert "listening on http://" in line, line
             port = int(line.split("http://")[1].split(" ")[0].rsplit(":", 1)[1])
-            for content_type, body in poison:
+            for content_type, body, expected in requests:
                 status, reply = self._post(port, content_type, body)
-                assert 400 <= status < 600 and isinstance(reply.get("error"), str), (status, reply)
+                assert status == expected, (status, reply)
+                replies.append(reply)
             started = time.perf_counter()
             with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=1) as response:
                 assert response.status == 200
             assert time.perf_counter() - started < 1.0
-            requests = _get(port, "/stats")[1]["requests"]
-            assert (requests["total"], requests["errors"]) == (len(poison), len(poison))
+            requests_seen = _get(port, "/stats")[1]["requests"]
+            errors = sum(1 for _, _, expected in requests if expected != 200)
+            assert (requests_seen["total"], requests_seen["errors"]) == (len(requests), errors)
         finally:
             process.terminate()
             try:
@@ -489,3 +492,36 @@ class TestPoisonRequests:
                 process.kill()
                 _, stderr = process.communicate(timeout=30)
         assert "Traceback" not in stderr
+        return replies
+
+    def test_every_poison_request_gets_a_json_reply(self):
+        def ndjson(header: dict, *items) -> bytes:
+            return "\n".join(json.dumps(line) for line in (header, *items)).encode() + b"\n"
+
+        def match(pattern: str) -> bytes:
+            return json.dumps({"pattern": pattern, "dialect": "named", "words": [["a"]]}).encode()
+
+        poison = [
+            ("application/x-ndjson", ndjson({"pattern": "(ab)*", "dialect": 5}, "ab"), 400),
+            # Each expands past MAX_COPIED_POSITIONS and is refused before it is built.
+            ("application/json", match("(a b?){1,200000}"), 400),
+            ("application/json", match(_nested_plus(18)), 400),
+            ("application/json", match("a{30000000}"), 400),
+        ]
+        replies = self._serve(poison)
+        assert all(isinstance(reply.get("error"), str) for reply in replies), replies
+        for reply in replies[1:]:
+            assert "would copy more than" in reply["error"], reply
+
+    def test_deep_and_wide_patterns_compile(self):
+        """The front end recurses nowhere: deep nesting and long unions just compile."""
+        requests = [
+            ("application/json", json.dumps({"pattern": self.DEEP, "words": ["a"]}).encode(), 200),
+            (
+                "application/json",
+                json.dumps({"pattern": self.WIDE, "dialect": "named", "words": [["n1"]]}).encode(),
+                200,
+            ),
+        ]
+        replies = self._serve(requests)
+        assert [reply["verdicts"] for reply in replies] == [[True], [True]], replies
